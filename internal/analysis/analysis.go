@@ -75,8 +75,8 @@ type OrderedClause struct {
 	Clause *ast.Clause
 	// Source is the clause as written (for diagnostics).
 	Source *ast.Clause
-	// Recursive reports whether some body literal references a predicate
-	// in the same stratum as the head.
+	// Recursive reports whether some positive ordinary body literal
+	// references a predicate in the same component as the head.
 	Recursive bool
 }
 
@@ -90,10 +90,27 @@ type Stratum struct {
 	// IDNeeds lists the ID-relations that clause bodies of this stratum
 	// reference, deduplicated and sorted by Key.
 	IDNeeds []IDNeed
-	// Recursive reports whether any clause of the stratum is recursive.
-	// Non-recursive strata reach fixpoint in a single seed round, so
-	// evaluators (sequential and parallel alike) skip the delta-round
-	// scheduling — no delta sinks, no round loop — for them.
+	// Components refines the stratum into the strongly connected
+	// components of its dependency graph, in dependency order: every
+	// component follows the components it reads. Evaluating a stratum
+	// component by component computes the same model (each component's
+	// inputs are complete when it starts), so the engine runs and plans
+	// one component at a time; everything keyed on strata is unaffected.
+	Components []*Component
+}
+
+// Component is one strongly connected component of a stratum.
+type Component struct {
+	// Preds are the predicates of the component, sorted.
+	Preds []string
+	// Clauses are the stratum clauses whose head predicate is in Preds,
+	// in program order.
+	Clauses []*OrderedClause
+	// Recursive reports whether any clause of the component is
+	// recursive. Non-recursive
+	// components reach fixpoint in a single seed round, so evaluators
+	// (sequential and parallel alike) skip the delta-round scheduling —
+	// no delta sinks, no round loop — for them.
 	Recursive bool
 }
 
@@ -113,6 +130,8 @@ type Info struct {
 	Strata []*Stratum
 	// StratumOf maps each IDB predicate to its stratum index.
 	StratumOf map[string]int
+	// componentOf maps each IDB predicate to its component.
+	componentOf map[string]*Component
 }
 
 // Analyze checks prog and builds its evaluation plan. Programs containing
@@ -121,11 +140,12 @@ type Info struct {
 func Analyze(prog *ast.Program) (*Info, error) {
 	p := normalize(prog)
 	info := &Info{
-		Program:   p,
-		Arity:     map[string]int{},
-		EDB:       map[string]bool{},
-		IDB:       map[string]bool{},
-		StratumOf: map[string]int{},
+		Program:     p,
+		Arity:       map[string]int{},
+		EDB:         map[string]bool{},
+		IDB:         map[string]bool{},
+		StratumOf:   map[string]int{},
+		componentOf: map[string]*Component{},
 	}
 	if err := info.collectSignatures(); err != nil {
 		return nil, err
@@ -328,6 +348,18 @@ func (info *Info) stratify() error {
 			info.StratumOf[p] = s
 		}
 	}
+	// sccs lists every component after the components that read it, so
+	// walking it backwards visits each stratum's components in
+	// dependency order.
+	for i := len(comp) - 1; i >= 0; i-- {
+		sort.Strings(comp[i])
+		c := &Component{Preds: comp[i]}
+		s := info.Strata[strata[i]]
+		s.Components = append(s.Components, c)
+		for _, p := range comp[i] {
+			info.componentOf[p] = c
+		}
+	}
 	// Drop empty strata (possible when numbering leaves gaps).
 	var packed []*Stratum
 	for _, s := range info.Strata {
@@ -353,8 +385,10 @@ func (info *Info) planClauses() error {
 		}
 		s := info.Strata[info.StratumOf[c.Head.Pred]]
 		s.Clauses = append(s.Clauses, oc)
+		comp := info.componentOf[c.Head.Pred]
+		comp.Clauses = append(comp.Clauses, oc)
 		if oc.Recursive {
-			s.Recursive = true
+			comp.Recursive = true
 		}
 	}
 	// Compute the global tid-pruning bound per ID-relation (footnote 6):

@@ -370,3 +370,44 @@ func TestTidBoundNegatedComparisonIgnored(t *testing.T) {
 		t.Fatalf("needs = %+v, want Bound 0", needs)
 	}
 }
+
+// TestComponentsRefineStrata: each stratum lists its strongly connected
+// components in dependency order, each with its own clauses and
+// recursion flag, while the strata themselves are unchanged.
+func TestComponentsRefineStrata(t *testing.T) {
+	info := analyze(t, `
+		m(c).
+		m(X) :- m(X).
+		tc(X, Y) :- m(X), e(X, Y).
+		tc(X, Y) :- m(X), tc(X, Z), e(Z, Y).
+		ans(Y) :- tc(c, Y).
+		odd(X) :- e(X, _), not ans(X).
+	`)
+	if len(info.Strata) != 2 {
+		t.Fatalf("strata = %d, want 2", len(info.Strata))
+	}
+	if got := strings.Join(info.Strata[0].Preds, ","); got != "ans,m,tc" {
+		t.Fatalf("stratum 0 preds = %s", got)
+	}
+	type want struct {
+		preds     string
+		clauses   int
+		recursive bool
+	}
+	for si, ws := range [][]want{
+		{{"m", 2, true}, {"tc", 2, true}, {"ans", 1, false}},
+		{{"odd", 1, false}},
+	} {
+		comps := info.Strata[si].Components
+		if len(comps) != len(ws) {
+			t.Fatalf("stratum %d: %d components, want %d", si, len(comps), len(ws))
+		}
+		for ci, w := range ws {
+			c := comps[ci]
+			if got := strings.Join(c.Preds, ","); got != w.preds || len(c.Clauses) != w.clauses || c.Recursive != w.recursive {
+				t.Fatalf("stratum %d component %d = {%s, %d clauses, recursive %v}, want %+v",
+					si, ci, got, len(c.Clauses), c.Recursive, w)
+			}
+		}
+	}
+}

@@ -61,13 +61,9 @@ func (info *Info) orderClause(src *ast.Clause) (*OrderedClause, error) {
 		Clause: &ast.Clause{Head: src.Head, Body: ordered},
 		Source: src,
 	}
-	headStratum := info.StratumOf[src.Head.Pred]
+	head := info.componentOf[src.Head.Pred]
 	for _, l := range ordered {
-		a := l.Atom
-		if a == nil || arith.IsBuiltin(a.Pred) || !info.IDB[a.Pred] {
-			continue
-		}
-		if !l.Neg && !a.IsID && info.StratumOf[a.Pred] == headStratum {
+		if !l.Neg && !l.Atom.IsID && info.componentOf[l.Atom.Pred] == head {
 			oc.Recursive = true
 		}
 	}

@@ -2,8 +2,9 @@ package analysis
 
 // sccs computes the strongly connected components of the dependency graph
 // using Tarjan's algorithm (iterative form, safe for deep programs).
-// Components are returned in reverse topological order of the condensation
-// (callees before callers), which suits stratum numbering.
+// Components are returned in reverse topological order of the
+// condensation: since edges run from body to head predicates, every
+// component comes after the components that depend on it.
 func sccs(nodes []string, edges []depEdge) [][]string {
 	adj := map[string][]string{}
 	for _, e := range edges {

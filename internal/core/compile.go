@@ -52,12 +52,6 @@ type compiledLit struct {
 	// recursive marks positive ordinary literals over same-stratum
 	// predicates (the semi-naive delta positions).
 	recursive bool
-	// cardHint is the planner's cardinality estimate for the literal's
-	// relation, set by compileStratumPlan and threaded into probe-time
-	// index builds so their bucket maps are pre-sized for the estimated
-	// final size rather than the (possibly still tiny) current one.
-	// Zero when the planner is off. Static, so clone() shares it.
-	cardHint int
 	// binds and checks drive the streaming executor's per-tuple match
 	// (iterator.go). binds lists the argBind positions whose slot some
 	// later literal or the head actually reads — dead binds (variables

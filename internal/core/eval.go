@@ -44,11 +44,11 @@ type Options struct {
 	// identical either way (the planner only picks among safe orders);
 	// this is the escape hatch and the ablation baseline.
 	NoPlanner bool
-	// PlanCache, when non-nil, memoizes compiled stratum plans across
+	// PlanCache, when non-nil, memoizes compiled component plans across
 	// evaluations keyed by (program, database version, planner toggle);
 	// see PlanCache for the invalidation and correctness contract. A
 	// fully successful run publishes its plans; a hit skips cardinality
-	// estimation and stratum compilation. Trace runs bypass the cache.
+	// estimation and plan compilation. Trace runs bypass the cache.
 	PlanCache *PlanCache
 	// Parallelism bounds the worker pool of the semi-naive fixpoint:
 	// each round's work is sharded across up to this many goroutines and
@@ -57,7 +57,9 @@ type Options struct {
 	// zero value) resolves to DefaultParallelism() — GOMAXPROCS clamped
 	// to maxAutoParallelism — so parallel wins show up out of the box on
 	// multi-core hardware; set 1 to force sequential evaluation. Values
-	// < 0 (and Naive or Trace runs) also evaluate sequentially.
+	// < 0 (and Naive or Trace runs) also evaluate sequentially. It is an
+	// upper bound: delta rounds of recursive components with a total
+	// delta under minParallelDelta run inline on the calling goroutine.
 	Parallelism int
 	// Partitions is the hash-partition fan-out of partition-parallel
 	// evaluation: partitionable delta units (see plan.go choosePartition)
@@ -68,7 +70,8 @@ type Options struct {
 	// differential twin); values above maxPartitions clamp. Answer sets,
 	// ID assignment, and fingerprints are byte-identical at every
 	// setting. Partitioning applies only with the planner on (delta-first
-	// variants); Naive and Trace runs ignore it.
+	// variants) and only to delta rounds that clear minParallelDelta;
+	// Naive and Trace runs ignore it.
 	Partitions int
 	// Guard governs the run (cancellation, deadlines, budgets, fault
 	// injection). Nil builds a fresh guard carrying only
@@ -103,7 +106,8 @@ func (o Options) guard() *guard.Guard {
 // Eval computes the perfect model of the analyzed program over db for
 // the ID-function assignment drawn from opts.Oracle (Theorem 1: for a
 // fixed assignment the stratified program has a unique perfect model,
-// computed stratum by stratum as an iterated minimal model).
+// computed stratum by stratum as an iterated minimal model; within a
+// stratum, component by component in dependency order).
 //
 // Eval degrades gracefully under governance: when the run's guard trips
 // (cancellation, deadline, budget) the partially computed model is
@@ -114,7 +118,14 @@ func (o Options) guard() *guard.Guard {
 // perfect model for the same oracle. Engine panics are recovered and
 // converted to guard.Internal errors carrying the stratum and clause
 // under evaluation.
-func Eval(info *analysis.Info, db *Database, opts Options) (res *Result, err error) {
+func Eval(info *analysis.Info, db *Database, opts Options) (*Result, error) {
+	res, _, err := evalPlans(info, db, opts)
+	return res, err
+}
+
+// evalPlans is Eval that also returns the component plans the run
+// executed, indexed by stratum and component (ExplainPlan renders them).
+func evalPlans(info *analysis.Info, db *Database, opts Options) (res *Result, plans [][]*componentPlan, err error) {
 	g := opts.guard()
 	e := &engine{info: info, opts: opts, g: g, governed: g.Active(),
 		work: map[string]*relation.Relation{}, idrels: map[string]*relation.Relation{}}
@@ -134,16 +145,17 @@ func Eval(info *analysis.Info, db *Database, opts Options) (res *Result, err err
 		if r == nil {
 			r = relation.New(p, info.Arity[p])
 		} else if r.Arity() != info.Arity[p] {
-			return nil, fmt.Errorf("eval: input relation %s has arity %d, program expects %d", p, r.Arity(), info.Arity[p])
+			return nil, nil, fmt.Errorf("eval: input relation %s has arity %d, program expects %d", p, r.Arity(), info.Arity[p])
 		}
 		e.work[p] = r
 	}
 	for p := range info.IDB {
 		e.work[p] = relation.New(p, info.Arity[p])
 	}
-	// Consult the plan cache: a hit hands each stratum a fresh clone of
-	// its cached plan; a miss collects this run's plans for publication.
-	e.plans = make([]*stratumPlan, len(info.Strata))
+	// Consult the plan cache: a hit hands every component a fresh clone
+	// of its cached plan; a miss collects this run's plans for
+	// publication.
+	e.plans = make([][]*componentPlan, len(info.Strata))
 	pc := opts.PlanCache
 	if opts.Trace {
 		pc = nil
@@ -152,30 +164,29 @@ func Eval(info *analysis.Info, db *Database, opts Options) (res *Result, err err
 	if pc != nil {
 		pcKey = planKey{info: info, dbVersion: db.Version(), planner: opts.planner()}
 		if cached, ok := pc.get(pcKey); ok {
-			for i := range cached {
-				e.plans[i] = cached[i].clone()
-			}
+			e.plans = clonePlans(cached)
 			pc = nil // already published; this run only consumes
 		}
 	}
 	for i, s := range info.Strata {
 		if e.governed {
 			if err := e.g.StartStratum(i); err != nil {
-				return e.partial(err), err
+				return e.partial(err), e.plans, err
 			}
 		}
 		if err := e.evalStratum(i, s); err != nil {
-			return e.partial(err), err
+			return e.partial(err), e.plans, err
 		}
 		e.completed = i + 1
 	}
 	if pc != nil {
 		// Publish only on full success: a tripped run may hold plans for
-		// a prefix of the strata.
-		pc.put(pcKey, e.plans)
+		// a prefix of the strata. The masters are clones, so they hold no
+		// cursor state pointing into this run's relations.
+		pc.put(pcKey, clonePlans(e.plans))
 	}
 	return &Result{rels: e.work, idrels: e.idrels, Stats: e.stats, prov: e.prov,
-		CompletedStrata: e.completed}, nil
+		CompletedStrata: e.completed}, e.plans, nil
 }
 
 type engine struct {
@@ -187,10 +198,11 @@ type engine struct {
 	idrels   map[string]*relation.Relation
 	stats    Stats
 	prov     map[string]provEntry
-	// plans holds the per-stratum compiled plans — cache-hit clones or
-	// the plans compiled by this run (nil slots compile on demand; a nil
-	// slice, as in EvalStrata, disables collection entirely).
-	plans []*stratumPlan
+	// plans holds the compiled component plans per stratum — cache-hit
+	// clones or the plans compiled by this run (nil slots compile on
+	// demand; a nil slice, as in EvalStrata, disables collection
+	// entirely).
+	plans [][]*componentPlan
 	// completed counts fully evaluated strata; curClause is the source
 	// of the clause being instantiated (panic/error context).
 	completed int
@@ -209,6 +221,8 @@ func (e *engine) partial(cause error) *Result {
 		Incomplete: true, CompletedStrata: e.completed, Err: cause}
 }
 
+// evalStratum materializes the stratum's ID-relations once, then runs
+// its components to fixpoint in dependency order.
 func (e *engine) evalStratum(si int, s *analysis.Stratum) error {
 	// Materialize the ID-relations this stratum references; every base
 	// relation is complete by now (stratification guarantees it).
@@ -239,28 +253,41 @@ func (e *engine) evalStratum(si int, s *analysis.Stratum) error {
 		}
 	}
 
-	inStratum := map[string]bool{}
-	for _, p := range s.Preds {
-		inStratum[p] = true
+	if e.plans != nil && e.plans[si] == nil {
+		e.plans[si] = make([]*componentPlan, len(s.Components))
 	}
-	// Compile the stratum's evaluation plan: with the planner on, bodies
-	// are selectivity-ordered under a cardinality snapshot taken now
-	// (earlier strata are complete, ID-relations just materialized) and
-	// recursive clauses get delta-first variants. A plan-cache hit
-	// pre-populated e.plans[si] and skips compilation entirely.
-	var sp *stratumPlan
+	for ci, c := range s.Components {
+		if err := e.evalComponent(si, ci, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evalComponent runs one component of stratum si to fixpoint. Its plan
+// is compiled under a cardinality snapshot taken now, when earlier
+// strata and the stratum's earlier components are complete and the
+// stratum's ID-relations materialized: with the planner on, bodies are
+// selectivity-ordered and recursive clauses get delta-first variants.
+// A plan-cache hit pre-populated e.plans and skips compilation entirely.
+func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
+	var sp *componentPlan
 	if e.plans != nil {
-		sp = e.plans[si]
+		sp = e.plans[si][ci]
 	}
 	if sp == nil {
-		card := stratumCard(s, inStratum, e.work, e.idrels)
+		inComp := map[string]bool{}
+		for _, p := range c.Preds {
+			inComp[p] = true
+		}
+		card := snapshotCard(c.Clauses, inComp, e.work, e.idrels)
 		var err error
-		sp, err = compileStratumPlan(s, func(p string) bool { return inStratum[p] }, card, !e.opts.planner())
+		sp, err = compileComponentPlan(c, func(p string) bool { return inComp[p] }, card, !e.opts.planner())
 		if err != nil {
 			return err
 		}
 		if e.plans != nil {
-			e.plans[si] = sp
+			e.plans[si][ci] = sp
 		}
 	}
 	if e.opts.Naive {
@@ -270,9 +297,9 @@ func (e *engine) evalStratum(si int, s *analysis.Stratum) error {
 	// it is entered whenever either axis exceeds 1: partitions with a
 	// single worker still prune index builds (measurable on one core).
 	if (e.workers() > 1 || e.partitions() > 1) && !e.opts.Trace {
-		return e.parallelFixpoint(s, sp)
+		return e.parallelFixpoint(c, sp)
 	}
-	return e.seminaiveFixpoint(s, sp)
+	return e.seminaiveFixpoint(c, sp)
 }
 
 // maxAutoParallelism caps the GOMAXPROCS-derived default worker count:
@@ -364,16 +391,16 @@ func (e *engine) naiveFixpoint(clauses []*compiledClause) error {
 	}
 }
 
-// seminaiveFixpoint performs one naive round to seed the stratum, then
+// seminaiveFixpoint performs one naive round to seed the component, then
 // iterates only the recursive clauses' delta units: each pass evaluates
 // one unit per recursive body position, with the delta position reading
 // the previous round's newly derived tuples (via the planner's
 // delta-first variant clause when available, in place otherwise).
-func (e *engine) seminaiveFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
+func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) error {
 	clauses := sp.all[:sp.nseed]
 	e.stats.Iterations++
-	if !s.Recursive {
-		// A non-recursive stratum reaches fixpoint in its seed round:
+	if !c.Recursive {
+		// A non-recursive component reaches fixpoint in its seed round:
 		// skip the delta bookkeeping entirely.
 		for _, cc := range clauses {
 			if _, err := e.evalClause(cc, -1, nil, e.work[cc.headPred]); err != nil {
@@ -386,7 +413,7 @@ func (e *engine) seminaiveFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 	// tuples the full relation reported new, so they need no duplicate
 	// checking and skip the primary hash table entirely.
 	delta := map[string]*relation.Relation{}
-	for _, p := range s.Preds {
+	for _, p := range c.Preds {
 		delta[p] = relation.NewDelta(p, e.work[p].Arity(), 0)
 	}
 	for _, cc := range clauses {
@@ -415,7 +442,7 @@ func (e *engine) seminaiveFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 		}
 		e.stats.Iterations++
 		next := map[string]*relation.Relation{}
-		for _, p := range s.Preds {
+		for _, p := range c.Preds {
 			// The previous round's delta size is the best available prior
 			// for this round's.
 			next[p] = relation.NewDelta(p, e.work[p].Arity(), delta[p].Len())
@@ -664,7 +691,7 @@ func (rn *runner) stepScan(cl *compiledLit, rel *relation.Relation, env []value.
 	// relations (a clause never inserts into a relation it scans in the
 	// same instantiation path — recursive clauses read delta copies), so
 	// a snapshot of the length keeps iteration well-defined.
-	positions := rel.ProbeHint(cl.probeCols, key, cl.cardHint)
+	positions := rel.Probe(cl.probeCols, key)
 	n := len(positions)
 	if hi >= 0 {
 		positions, n = positions[lo:hi], hi-lo

@@ -15,7 +15,7 @@ import (
 )
 
 // This file implements the parallel semi-naive fixpoint. Each round of
-// a stratum is split into tasks — one (clause, delta-position) pair per
+// a component is split into tasks — one (clause, delta-position) pair per
 // task, further sharded over the depth-0 literal's enumeration range —
 // and the tasks are evaluated by a bounded worker pool against the
 // round-start state of the relations. Workers only READ shared state
@@ -82,6 +82,15 @@ var errPoolStopped = errors.New("parallel pool stopped")
 // minShard is the smallest depth-0 enumeration range worth splitting:
 // below it, task dispatch overhead exceeds the join work.
 const minShard = 16
+
+// minParallelDelta gates the delta rounds of recursive components: a
+// round whose total delta is smaller runs its tasks inline on the
+// coordinating goroutine, one task per delta unit and unpartitioned, so
+// it pays neither goroutine fan-out nor radix partitioning and its
+// partition-local index builds. Seed rounds and non-recursive components
+// always fan out. At this size the fixed cost of a fan-out is under
+// 0.5 % of the round's join work; DESIGN.md §6b records the measurement.
+const minParallelDelta = 4096
 
 // pTask is one unit of parallel work: clause ci with the delta
 // relation substituted at position pos (-1 = seed pass), restricted to
@@ -234,8 +243,9 @@ func (w *pWorker) loop(pb *guard.Parallel, tasks []pTask, outs []*pOut, next *at
 
 // parallelFixpoint is seminaiveFixpoint with each round's evaluation
 // fanned out over the worker pool and its insertions replayed through
-// the deterministic ordered merge.
-func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
+// the deterministic ordered merge. Delta rounds below minParallelDelta
+// run inline, through the same tasks and merge.
+func (e *engine) parallelFixpoint(c *analysis.Component, sp *componentPlan) error {
 	clauses := sp.all // seed clauses first, delta-first variants after
 	// Forfeit any outstanding sequential grant: Fork snapshots the
 	// settled count and Join overwrites it, so spending pre-fork slack
@@ -256,10 +266,17 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 		workers[i] = w
 	}
 
-	runRound := func(tasks []pTask) []*pOut {
+	runRound := func(tasks []pTask, inline bool) []*pOut {
 		outs := make([]*pOut, len(tasks))
 		var next atomic.Int64
 		var wg sync.WaitGroup
+		if inline {
+			// The coordinating goroutine runs every task itself, on
+			// worker 0's private clauses.
+			wg.Add(1)
+			workers[0].loop(pb, tasks, outs, &next, &wg)
+			return outs
+		}
 		n := nw
 		if len(tasks) < n {
 			n = len(tasks)
@@ -372,12 +389,13 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 	}
 
 	// Seed round: every clause once against the full relations. Only
-	// recursive strata need the delta sinks for the rounds that follow.
+	// recursive components need the delta sinks for the rounds that
+	// follow.
 	e.stats.Iterations++
 	var delta map[string]*relation.Relation
-	if s.Recursive {
+	if c.Recursive {
 		delta = map[string]*relation.Relation{}
-		for _, p := range s.Preds {
+		for _, p := range c.Preds {
 			delta[p] = relation.NewDelta(p, e.work[p].Arity(), 0)
 		}
 	}
@@ -385,10 +403,10 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 	for ci := 0; ci < sp.nseed; ci++ {
 		tasks = plan(ci, -1, nil, tasks)
 	}
-	if err := finish(tasks, runRound(tasks), delta); err != nil {
+	if err := finish(tasks, runRound(tasks, false), delta); err != nil {
 		return err
 	}
-	if !s.Recursive {
+	if !c.Recursive {
 		return nil
 	}
 
@@ -401,7 +419,7 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 
 	// Partition-parallel state. probeParts caches each probed relation's
 	// partitioning across rounds, keyed by (predicate, key column): the
-	// relation identity is stable for the whole stratum, so a cached
+	// relation identity is stable for the whole component, so a cached
 	// partitioning only needs Refresh (routing the tuples the previous
 	// merge appended) instead of a rebuild. Both NewPartitioned and
 	// Refresh run here in the single-threaded planning phase, with the
@@ -441,9 +459,10 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 		}
 		e.stats.Iterations++
 		next := map[string]*relation.Relation{}
-		for _, p := range s.Preds {
+		for _, p := range c.Preds {
 			next[p] = relation.NewDelta(p, e.work[p].Arity(), delta[p].Len())
 		}
+		inline := total < minParallelDelta
 		tasks = tasks[:0]
 		partedRound := false
 		for _, ci := range recursive {
@@ -451,6 +470,10 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 				cc := clauses[u.idx]
 				d := delta[cc.lits[u.pos].pred]
 				if d == nil || d.Len() == 0 {
+					continue
+				}
+				if inline {
+					tasks = append(tasks, pTask{ci: u.idx, pos: u.pos, lo: 0, hi: -1, deltaRel: d})
 					continue
 				}
 				if nparts > 1 && u.pos == 0 && u.part != nil {
@@ -484,7 +507,7 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 		if partedRound {
 			e.stats.PartitionedRounds++
 		}
-		if err := finish(tasks, runRound(tasks), next); err != nil {
+		if err := finish(tasks, runRound(tasks, inline), next); err != nil {
 			return err
 		}
 		delta = next

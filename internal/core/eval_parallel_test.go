@@ -175,7 +175,7 @@ func TestParallelPanicRecovered(t *testing.T) {
 }
 
 // TestParallelNonRecursiveStratum covers the single-round scheduling
-// path (Stratum.Recursive false) under parallelism.
+// path (Component.Recursive false) under parallelism.
 func TestParallelNonRecursiveStratum(t *testing.T) {
 	info := mustAnalyze(t, `
 		big(X, Y) :- e(X, Y).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idlog/internal/analysis"
+	"idlog/internal/guard"
 	"idlog/internal/parser"
 	"idlog/internal/relation"
 	"idlog/internal/value"
@@ -541,5 +542,38 @@ func TestGroupCardinalityViaTupleIdentifiers(t *testing.T) {
 	if !sizes.Contains(value.Tuple{value.Str("toys"), value.Int(3)}) ||
 		!sizes.Contains(value.Tuple{value.Str("shoes"), value.Int(2)}) {
 		t.Fatalf("dept_size = %v", sizes)
+	}
+}
+
+// TestCompletedStrataCountsStrataNotComponents: components are an
+// evaluation detail of core. A run tripped inside a stratum's second
+// component has completed no stratum; one tripped in the next stratum
+// has completed exactly one.
+func TestCompletedStrataCountsStrataNotComponents(t *testing.T) {
+	info := mustAnalyze(t, `
+		a(X) :- e(X).
+		b(X) :- a(X).
+		c(X) :- f(X), not b(X).
+	`)
+	if len(info.Strata) != 2 || len(info.Strata[0].Components) != 2 {
+		t.Fatalf("want two strata, the first of two components")
+	}
+	db := NewDatabase()
+	for i := 0; i < 5; i++ {
+		_ = db.Add("e", value.Ints(int64(i)))
+		_ = db.Add("f", value.Ints(int64(10+i)))
+	}
+	for _, tc := range []struct{ maxTuples, completed int }{{7, 0}, {12, 1}} {
+		for _, workers := range []int{1, 2} {
+			g := guard.New(nil, guard.Limits{MaxTuples: tc.maxTuples})
+			res, err := Eval(info, db, Options{Guard: g, Parallelism: workers})
+			if err == nil || !res.Incomplete {
+				t.Fatalf("max-tuples %d: run did not trip", tc.maxTuples)
+			}
+			if res.CompletedStrata != tc.completed {
+				t.Fatalf("max-tuples %d, workers %d: CompletedStrata = %d, want %d",
+					tc.maxTuples, workers, res.CompletedStrata, tc.completed)
+			}
+		}
 	}
 }

@@ -113,10 +113,10 @@ func CompileStratum(info *analysis.Info, si int, copts CompileOptions) (*Compile
 		in[p] = true
 	}
 	inStratum := func(p string) bool { return in[p] }
-	// The empty inStratum set makes stratumCard read every predicate's
-	// exact current size: unlike at engine time, the view's own stratum
+	// The empty in-set makes snapshotCard read every predicate's exact
+	// current size: unlike at engine time, the view's own stratum
 	// relations are already materialized here.
-	card := stratumCard(s, map[string]bool{}, copts.Rels, copts.IDRels)
+	card := snapshotCard(s.Clauses, map[string]bool{}, copts.Rels, copts.IDRels)
 	cs := &CompiledStratum{Preds: s.Preds, stream: !copts.NoStreaming, bound: map[string][]*headBoundClause{}}
 	for _, oc := range s.Clauses {
 		soc := oc

@@ -169,7 +169,7 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	// The positions slice is the index's own bucket; the snapshot of its
 	// length keeps iteration well-defined if inserts append to it (see
 	// stepScan for why appends are always other relations' heads).
-	positions := rel.ProbeHint(cl.probeCols, key, cl.cardHint)
+	positions := rel.Probe(cl.probeCols, key)
 	n := len(positions)
 	if hi >= 0 {
 		positions, n = positions[lo:hi], hi-lo

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,12 +110,32 @@ func TestExplainPlanRendersPartitioning(t *testing.T) {
 	}
 }
 
+// addDenseGraph adds to db, as e, a 128-node graph whose nodes each have
+// three out-edges. Its closure's widest delta rounds (about 5.4k tuples)
+// clear minParallelDelta, so partitioned evaluation actually runs.
+func addDenseGraph(t *testing.T, db *Database) {
+	t.Helper()
+	const n = 128
+	name := func(i int) string { return fmt.Sprintf("g%03d", i%n) }
+	for i := 0; i < n; i++ {
+		if err := db.AddAll("e", value.Strs(name(i), name(i+1)),
+			value.Strs(name(i), name(3*i+1)), value.Strs(name(i), name(7*i+2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPartitionedStats checks the merged Stats surface: a partitioned
 // run records the fan-out, the partitioned round count, and a sane skew
 // ratio; an unpartitioned run records zeros.
 func TestPartitionedStats(t *testing.T) {
 	info := mustAnalyze(t, parallelPrograms)
-	res, err := Eval(info, parallelDB(t), Options{Parallelism: 2, Partitions: 4})
+	denseDB := func() *Database {
+		db := parallelDB(t)
+		addDenseGraph(t, db)
+		return db
+	}
+	res, err := Eval(info, denseDB(), Options{Parallelism: 2, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +148,7 @@ func TestPartitionedStats(t *testing.T) {
 	if res.Stats.PartitionSkew < 1 {
 		t.Fatalf("Stats.PartitionSkew = %v, want ≥ 1 (max/mean)", res.Stats.PartitionSkew)
 	}
-	seq, err := Eval(info, parallelDB(t), Options{Parallelism: 1})
+	seq, err := Eval(info, denseDB(), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,21 +164,23 @@ func TestPartitionedStats(t *testing.T) {
 // unit form: with the delta reaching only some partitions, the probe
 // relation's unreached partitions never build a secondary index, so the
 // process-wide indexed-tuple counter grows by less than a full-relation
-// build per round.
+// build. The seed is wide enough for both delta rounds to clear
+// minParallelDelta, yet each round's delta tuples share one join key.
 func TestPartitionPruningSkipsIndexBuilds(t *testing.T) {
 	info := mustAnalyze(t, `
 		tc(X, Y) :- seed(X, Y).
 		tc(X, Z) :- tc(X, Y), big(Y, Z).
 	`)
-	db := NewDatabase()
-	_ = db.Add("seed", value.Strs("a0", "a1"))
-	for i := 0; i < 400; i++ {
-		_ = db.Add("big", value.Strs(
-			"a"+string(rune('0'+i%10)), "b"+string(rune('0'+(i+1)%10))))
-	}
-
 	run := func(partitions int) uint64 {
 		t.Helper()
+		db := NewDatabase()
+		for i := 0; i < minParallelDelta; i++ {
+			_ = db.Add("seed", value.Strs(fmt.Sprintf("x%d", i), "a0"))
+		}
+		_ = db.Add("big", value.Strs("a0", "z"))
+		for i := 1; i < 400; i++ {
+			_ = db.Add("big", value.Strs(fmt.Sprintf("a%d", 1+i%39), fmt.Sprintf("b%d", i)))
+		}
 		before := relation.IndexedTuplesTotal()
 		if _, err := Eval(info, db, Options{Parallelism: 2, Partitions: partitions}); err != nil {
 			t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the cost-based join planner. Analysis produces a SAFE
-// body order (internal/analysis/safety.go); at stratum-compile time,
+// body order (internal/analysis/safety.go); at component-compile time,
 // when relation cardinalities are known, the planner re-orders each body
 // by estimated selectivity under the same eligibility rules, and builds
 // the delta-first clause variants that let semi-naive passes enumerate
@@ -32,42 +32,51 @@ var planReorders atomic.Uint64
 // planner has reordered away from the analysis order in this process.
 func PlanReordersTotal() uint64 { return planReorders.Load() }
 
-// cardFn snapshots the estimated tuple count of the relation a body
-// literal reads at plan time.
+// cardFn reports the estimated tuple count of the relation a body
+// literal reads, as of the snapshot it was built from.
 type cardFn func(l *ast.Literal) float64
 
-// stratumCard builds the cardinality snapshot for planning stratum s:
-// relations of earlier strata (and the EDB) report their exact current
-// size, materialized ID-relations their size, and same-stratum
-// predicates — empty at plan time — a crude "recursive output outgrows
-// its feeders" default of 4x the largest relation the stratum reads.
-func stratumCard(s *analysis.Stratum, inStratum map[string]bool, rels, idrels map[string]*relation.Relation) cardFn {
+// snapshotCard takes the cardinality snapshot for planning clauses:
+// relations outside the set being planned (the EDB, earlier strata and
+// earlier components of this stratum) report their exact current size,
+// materialized ID-relations their size, and predicates in inSet — empty
+// at plan time — a crude "recursive output outgrows its feeders"
+// default of 4x the largest relation the clauses read. The sizes are
+// read now, so the snapshot stays what the planner saw however the
+// relations grow afterwards (ExplainPlan renders it).
+func snapshotCard(clauses []*analysis.OrderedClause, inSet map[string]bool, rels, idrels map[string]*relation.Relation) cardFn {
 	def := 32.0
-	for _, oc := range s.Clauses {
+	sizes := map[string]float64{} // predicate or ID-relation key → size
+	for _, oc := range clauses {
 		for _, l := range oc.Clause.Body {
 			a := l.Atom
-			if a == nil || arith.IsBuiltin(a.Pred) || a.IsID || inStratum[a.Pred] {
+			if a == nil || arith.IsBuiltin(a.Pred) || (!a.IsID && inSet[a.Pred]) {
 				continue
 			}
-			if r := rels[a.Pred]; r != nil && float64(r.EstimateCard()) > def {
-				def = float64(r.EstimateCard())
+			key, r := a.Pred, rels[a.Pred]
+			if a.IsID {
+				key = analysis.IDNeed{Pred: a.Pred, Group: a.Group}.Key()
+				r = idrels[key]
+			}
+			if r == nil {
+				continue
+			}
+			n := float64(r.EstimateCard())
+			sizes[key] = n
+			if !a.IsID && n > def {
+				def = n
 			}
 		}
 	}
 	def *= 4
 	return func(l *ast.Literal) float64 {
 		a := l.Atom
+		key := a.Pred
 		if a.IsID {
-			if r := idrels[analysis.IDNeed{Pred: a.Pred, Group: a.Group}.Key()]; r != nil {
-				return float64(r.EstimateCard())
-			}
-			return def
+			key = analysis.IDNeed{Pred: a.Pred, Group: a.Group}.Key()
 		}
-		if inStratum[a.Pred] {
-			return def
-		}
-		if r := rels[a.Pred]; r != nil {
-			return float64(r.EstimateCard())
+		if n, ok := sizes[key]; ok {
+			return n
 		}
 		return def
 	}
@@ -206,7 +215,7 @@ type planUnit struct {
 // probe tuple matching a delta tuple hashes to the same partition —
 // the co-placement property that makes per-partition evaluation cover
 // exactly the unpartitioned matches. partSpec is immutable after
-// compilation (stratumPlan clones share it).
+// compilation (componentPlan clones share it).
 type partSpec struct {
 	deltaCol   int
 	probeDepth int
@@ -281,56 +290,37 @@ func firstVarCol(a *ast.Atom, name string) int {
 	return -1
 }
 
-// stratumPlan is the compiled evaluation plan of one stratum: the
+// componentPlan is the compiled evaluation plan of one component: the
 // seed-pass clauses (all[:nseed], one per source clause, in source
 // order), the delta-first variant clauses appended after them, and the
 // per-seed-clause delta units driving semi-naive rounds. Sequential and
 // parallel fixpoints iterate units in the same nested order, which keeps
-// their insertion orders identical.
-type stratumPlan struct {
+// their insertion orders identical. card is the cardinality snapshot the
+// plan was compiled from; like units it is static and shared by clones.
+type componentPlan struct {
 	all   []*compiledClause
 	nseed int
 	units [][]planUnit
+	card  cardFn
 }
 
-// setCardHints snapshots the planner's cardinality estimate into each
-// probed relational literal, so a probe that has to build its index
-// mid-fixpoint pre-sizes the bucket map for the relation's estimated
-// final size (relation.ProbeHint) instead of its current length.
-func setCardHints(cc *compiledClause, card cardFn) {
-	body := cc.src.Clause.Body
-	if card == nil || len(cc.lits) != len(body) {
-		return
-	}
-	for i := range cc.lits {
-		cl := &cc.lits[i]
-		if cl.builtin != nil || cl.neg || len(cl.probeCols) == 0 {
-			continue
-		}
-		if est := card(body[i]); est > 0 {
-			cl.cardHint = int(est)
-		}
-	}
-}
-
-// compileStratumPlan compiles stratum s. With the planner on, every
+// compileComponentPlan compiles component c. With the planner on, every
 // clause body is selectivity-ordered under the cardinality snapshot and
 // every recursive position gets a delta-first variant; with it off, the
 // analysis order is compiled as-is and deltas substitute in place.
-func compileStratumPlan(s *analysis.Stratum, inStratum func(string) bool, card cardFn, noPlanner bool) (*stratumPlan, error) {
-	sp := &stratumPlan{}
-	for _, oc := range s.Clauses {
+func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card cardFn, noPlanner bool) (*componentPlan, error) {
+	sp := &componentPlan{card: card}
+	for _, oc := range c.Clauses {
 		soc := oc
 		if !noPlanner {
 			if body := planBody(oc.Clause.Body, -1, card); body != nil {
 				soc = reordered(oc, body, oc.Clause.Body)
 			}
 		}
-		cc, err := compileClause(soc, inStratum)
+		cc, err := compileClause(soc, inComp)
 		if err != nil {
 			return nil, err
 		}
-		setCardHints(cc, card)
 		sp.all = append(sp.all, cc)
 	}
 	sp.nseed = len(sp.all)
@@ -359,11 +349,10 @@ func compileStratumPlan(s *analysis.Stratum, inStratum func(string) bool, card c
 				sp.units[ci] = append(sp.units[ci], u)
 				continue
 			}
-			vcc, err := compileClause(voc, inStratum)
+			vcc, err := compileClause(voc, inComp)
 			if err != nil {
 				return nil, err
 			}
-			setCardHints(vcc, card)
 			sp.units[ci] = append(sp.units[ci],
 				planUnit{idx: len(sp.all), pos: 0, part: choosePartition(vbody, card)})
 			sp.all = append(sp.all, vcc)
@@ -382,14 +371,15 @@ func (o Options) planner() bool { return !o.NoPlanner && !o.Trace }
 // which must stay independent of cardinalities).
 func (o Options) PlannerEnabled() bool { return o.planner() }
 
-// ExplainPlan renders the join plans the engine uses for info over db:
-// per stratum and clause, the chosen literal order with probe columns
-// and estimated cardinalities, plus each recursive clause's delta-first
-// variants. It evaluates the program once (same opts) so the rendered
-// cardinality snapshots match the ones the planner saw at each
-// stratum's start; the result is discarded.
+// ExplainPlan renders the join plans the engine runs for info over db:
+// per stratum and component, each clause's chosen literal order with
+// probe columns and estimated cardinalities, plus its delta-first
+// variants. It evaluates the program once (same opts, no plan cache) and
+// renders the plans that run compiled, each with the cardinality
+// snapshot its component's planner saw; the result is discarded.
 func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error) {
-	res, err := Eval(info, db, opts)
+	opts.PlanCache = nil
+	_, plans, err := evalPlans(info, db, opts)
 	if err != nil {
 		return "", err
 	}
@@ -402,14 +392,10 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 	}
 	var b strings.Builder
 	for si, s := range info.Strata {
-		inStratum := map[string]bool{}
-		for _, p := range s.Preds {
-			inStratum[p] = true
-		}
-		card := stratumCard(s, inStratum, res.rels, res.idrels)
 		fmt.Fprintf(&b, "stratum %d: %s\n", si, strings.Join(s.Preds, ", "))
-		for _, oc := range s.Clauses {
-			explainClause(&b, oc, inStratum, card, noPlanner, parts)
+		for ci, c := range s.Components {
+			fmt.Fprintf(&b, "  component %d: %s\n", ci, strings.Join(c.Preds, ", "))
+			explainComponent(&b, plans[si][ci], parts)
 		}
 	}
 	if noPlanner {
@@ -418,42 +404,29 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 	return b.String(), nil
 }
 
-// explainClause writes the plan lines of one clause. parts > 1 means
-// the run partitions delta units that many ways; each delta variant
-// then gets a line showing the chosen partition key, or the fallback.
-func explainClause(b *strings.Builder, oc *analysis.OrderedClause, inStratum map[string]bool, card cardFn, noPlanner bool, parts int) {
-	if len(oc.Clause.Body) == 0 {
-		return // facts have no join to plan
-	}
-	fmt.Fprintf(b, "  clause %s\n", oc.Source)
-	body := oc.Clause.Body
-	if !noPlanner {
-		if p := planBody(body, -1, card); p != nil {
-			body = p
+// explainComponent writes the plan lines of one compiled component.
+// parts > 1 means the run partitions delta units that many ways; each
+// delta unit then gets a line showing its partition key, or the
+// fallback, with the round gate below which neither fans out.
+func explainComponent(b *strings.Builder, sp *componentPlan, parts int) {
+	for ci := 0; ci < sp.nseed; ci++ {
+		cc := sp.all[ci]
+		if len(cc.lits) == 0 {
+			continue // facts have no join to plan
 		}
-	}
-	writePlanLine(b, "plan", body, -1, card)
-	for pos, l := range body {
-		a := l.Atom
-		if l.Neg || a == nil || a.IsID || arith.IsBuiltin(a.Pred) || !inStratum[a.Pred] {
-			continue
-		}
-		label := "delta " + a.Pred
-		if noPlanner {
-			writePlanLine(b, label, body, pos, card)
-			continue
-		}
-		vbody := planBody(body, pos, card)
-		if vbody == nil {
-			vbody = body
-		}
-		writePlanLine(b, label, vbody, 0, card)
-		if parts > 1 {
-			if spec := choosePartition(vbody, card); spec != nil {
-				fmt.Fprintf(b, "      partition: %d ways on %s (delta col %d ⋈ %s col %d)\n",
-					parts, spec.pvar, spec.deltaCol, vbody[spec.probeDepth].Atom.Pred, spec.probeCol)
+		fmt.Fprintf(b, "    clause %s\n", cc.src.Source)
+		writePlanLine(b, "plan", cc.src.Clause.Body, -1, sp.card)
+		for _, u := range sp.units[ci] {
+			vcc := sp.all[u.idx]
+			writePlanLine(b, "delta "+vcc.lits[u.pos].pred, vcc.src.Clause.Body, u.pos, sp.card)
+			if parts <= 1 {
+				continue
+			}
+			if spec := u.part; spec != nil {
+				fmt.Fprintf(b, "        partition: %d ways on %s (delta col %d ⋈ %s col %d), rounds with delta ≥ %d\n",
+					parts, spec.pvar, spec.deltaCol, vcc.lits[spec.probeDepth].pred, spec.probeCol, minParallelDelta)
 			} else {
-				b.WriteString("      partition: none (cross-partition fallback: range-sharded)\n")
+				fmt.Fprintf(b, "        partition: none (cross-partition fallback: range-sharded), rounds with delta ≥ %d\n", minParallelDelta)
 			}
 		}
 	}
@@ -464,7 +437,7 @@ func explainClause(b *strings.Builder, oc *analysis.OrderedClause, inStratum map
 // filter/compute for negated and interpreted literals) and the
 // estimated rows it contributes.
 func writePlanLine(b *strings.Builder, label string, body []*ast.Literal, deltaPos int, card cardFn) {
-	fmt.Fprintf(b, "    %s:", label)
+	fmt.Fprintf(b, "      %s:", label)
 	bound := map[string]bool{}
 	for i, l := range body {
 		if i > 0 {

@@ -210,3 +210,76 @@ func TestPlanReordersCounter(t *testing.T) {
 		t.Fatal("planner reordered nothing on an adversarial body")
 	}
 }
+
+// TestPlanCacheMastersHoldNoCursors: a sequential run evaluates its own
+// plans, whose streaming cursors end up pointing into that run's
+// relations. The plans it publishes to the cache must be clean copies,
+// or every cache entry would keep a finished evaluation alive.
+func TestPlanCacheMastersHoldNoCursors(t *testing.T) {
+	info := mustAnalyze(t, `
+		tc(X, Y) :- e(X, Y).
+		tc(X, Z) :- tc(X, Y), e(Y, Z).
+		ans(Y) :- tc(1, Y).
+	`)
+	db := NewDatabase()
+	for i := 0; i < 20; i++ {
+		_ = db.Add("e", value.Ints(int64(i), int64(i+1)))
+	}
+	db.Freeze()
+	pc := NewPlanCache(0)
+	for run := 0; run < 2; run++ { // a miss that publishes, then a hit
+		if _, err := Eval(info, db, Options{Parallelism: 1, PlanCache: pc}); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := pc.Stats(); hits != uint64(run) || misses != 1 {
+			t.Fatalf("run %d: cache hits/misses = %d/%d", run, hits, misses)
+		}
+		masters := 0
+		for _, el := range pc.items {
+			for _, comps := range el.Value.(*planEntry).plans {
+				for _, sp := range comps {
+					for _, cc := range sp.all {
+						masters++
+						if cc.iters != nil {
+							t.Fatalf("run %d: cached master %s holds cursor state", run, cc.srcText)
+						}
+					}
+				}
+			}
+		}
+		if masters == 0 {
+			t.Fatalf("run %d: nothing cached", run)
+		}
+	}
+}
+
+// TestComponentsPlannedOnTheirOwnCardinalities: a stratum whose
+// components feed each other plans each component after the previous
+// ones ran, so a small upstream component is priced at its real size.
+func TestComponentsPlannedOnTheirOwnCardinalities(t *testing.T) {
+	info := mustAnalyze(t, `
+		start(0).
+		reach(Y) :- start(X), e(X, Y).
+		reach(Y) :- reach(X), e(X, Y).
+	`)
+	if len(info.Strata) != 1 || len(info.Strata[0].Components) != 2 {
+		t.Fatalf("want one stratum of two components, got %d strata", len(info.Strata))
+	}
+	db := NewDatabase()
+	for i := 0; i < 500; i++ {
+		_ = db.Add("e", value.Ints(int64(i), int64(i+1)))
+	}
+	out, err := ExplainPlan(info, db, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"  component 0: start\n",
+		"  component 1: reach\n",
+		"plan: start(X) [scan ~1] ; e(X, Y) [probe (0) ~",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("ExplainPlan missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -8,10 +8,11 @@ import (
 	"idlog/internal/analysis"
 )
 
-// PlanCache memoizes compiled stratum plans across evaluations of the
-// same program over the same database snapshot, so a repeated query
-// skips stratum compilation (cardinality estimation, selectivity
-// ordering, delta-variant construction) entirely.
+// PlanCache memoizes compiled component plans across evaluations of
+// the same program over the same database snapshot, so a repeated query
+// skips plan compilation (cardinality estimation, selectivity ordering,
+// delta-variant construction) entirely. An entry holds one plan slot
+// per component of every stratum.
 //
 // Keying and invalidation. An entry is keyed by the analyzed program
 // (pointer identity — *analysis.Info is immutable once built), the
@@ -34,9 +35,11 @@ import (
 // capture must see the analysis-order walk.
 //
 // A PlanCache is safe for concurrent use. Cached plans are immutable
-// masters: every hit hands the engine fresh clones (per-clause scratch
-// is single-threaded by design), so any number of concurrent
-// evaluations may share one cache.
+// masters that are never evaluated: a miss publishes clones of the plans
+// it ran (so no master holds cursor state pointing into a finished
+// run's relations), and every hit hands the engine fresh clones
+// (per-clause scratch is single-threaded by design), so any number of
+// concurrent evaluations may share one cache.
 type PlanCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -59,7 +62,7 @@ type planKey struct {
 
 type planEntry struct {
 	key   planKey
-	plans []*stratumPlan
+	plans [][]*componentPlan // per stratum, per component
 }
 
 // DefaultPlanCacheEntries bounds a default-constructed PlanCache. Eight
@@ -104,7 +107,7 @@ func (p *PlanCache) Purge() {
 
 // get returns the cached master plans for k, counting the lookup.
 // Callers must clone before evaluating.
-func (p *PlanCache) get(k planKey) ([]*stratumPlan, bool) {
+func (p *PlanCache) get(k planKey) ([][]*componentPlan, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	el, ok := p.items[k]
@@ -117,9 +120,9 @@ func (p *PlanCache) get(k planKey) ([]*stratumPlan, bool) {
 	return el.Value.(*planEntry).plans, true
 }
 
-// put publishes plans as the masters for k. The caller must be done
-// mutating their scratch: from here on they are only ever cloned.
-func (p *PlanCache) put(k planKey, plans []*stratumPlan) {
+// put publishes plans as the masters for k. The caller hands over plans
+// no evaluation uses: from here on they are only ever cloned.
+func (p *PlanCache) put(k planKey, plans [][]*componentPlan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if el, ok := p.items[k]; ok {
@@ -135,11 +138,23 @@ func (p *PlanCache) put(k planKey, plans []*stratumPlan) {
 	}
 }
 
+// clonePlans deep-copies a per-stratum, per-component plan table.
+func clonePlans(plans [][]*componentPlan) [][]*componentPlan {
+	out := make([][]*componentPlan, len(plans))
+	for si, comps := range plans {
+		out[si] = make([]*componentPlan, len(comps))
+		for ci, sp := range comps {
+			out[si][ci] = sp.clone()
+		}
+	}
+	return out
+}
+
 // clone deep-copies the plan's clauses so the caller owns fresh scratch
-// buffers; the static unit schedule and seed count are shared (they are
-// never mutated after compilation).
-func (sp *stratumPlan) clone() *stratumPlan {
-	c := &stratumPlan{nseed: sp.nseed, units: sp.units}
+// buffers; the static unit schedule, seed count and cardinality snapshot
+// are shared (they are never mutated after compilation).
+func (sp *componentPlan) clone() *componentPlan {
+	c := &componentPlan{nseed: sp.nseed, units: sp.units, card: sp.card}
 	c.all = make([]*compiledClause, len(sp.all))
 	for i, cc := range sp.all {
 		c.all[i] = cc.clone()

@@ -128,7 +128,7 @@ func sameCols(a, b []int) bool {
 // the list, never mutating a slice another goroutine may be scanning.
 // Published indexes are maintained by store() on every later insert and
 // patched by Remove on every deletion.
-func (r *Relation) ensureIndex(cols []int, hint int) *secondary {
+func (r *Relation) ensureIndex(cols []int) *secondary {
 	if cur := r.shared.Load(); cur != nil {
 		for _, ix := range *cur {
 			if sameCols(ix.cols, cols) {
@@ -147,7 +147,7 @@ func (r *Relation) ensureIndex(cols []int, hint int) *secondary {
 			}
 		}
 	}
-	ix := r.buildIndex(cols, hint)
+	ix := r.buildIndex(cols)
 	next := make([]*secondary, len(have), len(have)+1)
 	copy(next, have)
 	next = append(next, ix)
@@ -156,18 +156,10 @@ func (r *Relation) ensureIndex(cols []int, hint int) *secondary {
 }
 
 // buildIndex scans the relation once and constructs the index on cols.
-func (r *Relation) buildIndex(cols []int, hint int) *secondary {
-	// Pre-size the bucket map for the expected cardinality: an upper
-	// bound on distinct keys, saving incremental map growth during the
-	// one-shot build scan — and, when the caller's hint exceeds the
-	// current length (a derived relation probed mid-fixpoint, whose
-	// planner estimate anticipates its final size), during the
-	// maintenance inserts that follow.
-	size := r.Len()
-	if hint > size {
-		size = hint
-	}
-	ix := &secondary{cols: append([]int(nil), cols...), buckets: make(map[uint64]*ibucket, size)}
+func (r *Relation) buildIndex(cols []int) *secondary {
+	// Pre-size the bucket map for the current length, an upper bound on
+	// distinct keys, saving incremental map growth during the build scan.
+	ix := &secondary{cols: append([]int(nil), cols...), buckets: make(map[uint64]*ibucket, r.Len())}
 	r.Scan(0, -1, func(pos int, t value.Tuple) bool {
 		ix.add(t, pos)
 		return true
@@ -180,14 +172,6 @@ func (r *Relation) buildIndex(cols []int, hint int) *secondary {
 // equals key (a tuple of len(cols) values). An index on cols is built on
 // first use and maintained by subsequent inserts and removals.
 func (r *Relation) Probe(cols []int, key value.Tuple) []int {
-	return r.ProbeHint(cols, key, 0)
-}
-
-// ProbeHint is Probe carrying a cardinality hint: if the index on cols
-// must be built, its bucket map is pre-sized for hint tuples when that
-// exceeds the relation's current length. The hint only affects
-// allocation, never results.
-func (r *Relation) ProbeHint(cols []int, key value.Tuple, hint int) []int {
 	if len(cols) == 0 {
 		// Degenerate probe: every tuple matches.
 		all := make([]int, r.Len())
@@ -196,7 +180,7 @@ func (r *Relation) ProbeHint(cols []int, key value.Tuple, hint int) []int {
 		}
 		return all
 	}
-	ix := r.ensureIndex(cols, hint)
+	ix := r.ensureIndex(cols)
 	for b := ix.buckets[key.Hash()]; b != nil; b = b.next {
 		if key.Equal(b.key) {
 			return b.positions

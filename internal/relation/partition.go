@@ -14,8 +14,8 @@ import (
 // storage is never copied, so disk-backed parents keep their bounded
 // residency), exposed as a read-only *Relation through a delegating
 // TupleSource. Because a partition view is a real Relation, the whole
-// probe machinery — lazy secondary indexes, ProbeHint pre-sizing,
-// collision-checked buckets — works per partition unchanged: each
+// probe machinery — lazy secondary indexes, collision-checked
+// buckets — works per partition unchanged: each
 // partition owns partition-local indexes covering only its tuples,
 // built independently (and therefore in parallel, by whichever worker
 // owns the partition) and only for partitions that are actually

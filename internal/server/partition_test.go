@@ -1,11 +1,26 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 )
+
+// denseFacts is a 128-node graph with three out-edges per node: the
+// widest delta rounds of its closure (about 5.4k tuples) are large
+// enough for the engine to partition them.
+func denseFacts() string {
+	const n = 128
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		for _, j := range []int{i + 1, 3*i + 1, 7*i + 2} {
+			fmt.Fprintf(&b, "edge(g%d, g%d).\n", i, j%n)
+		}
+	}
+	return b.String()
+}
 
 // TestPartitionsWireField drives the per-request "partitions" knob end
 // to end: answers are byte-identical to the unpartitioned run at every
@@ -14,12 +29,13 @@ import (
 // gauge surface on /metrics.
 func TestPartitionsWireField(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxParallelism: 4, MaxPartitions: 8})
+	facts := denseFacts()
 
 	run := func(partitions, parallelism int) queryResponse {
 		t.Helper()
 		var qr queryResponse
 		code := post(t, ts.URL+"/v1/query", queryRequest{
-			Source: tcProgram, Facts: tcFacts, Predicates: []string{"tc"},
+			Source: tcProgram, Facts: facts, Predicates: []string{"tc"},
 			budgetFields: budgetFields{Partitions: partitions, Parallelism: parallelism},
 		}, &qr)
 		if code != 200 {

@@ -58,17 +58,20 @@ type budgetFields struct {
 	MaxTuples int `json:"max_tuples,omitempty"`
 	// MaxDerivations caps body instantiations (0 = server default).
 	MaxDerivations int `json:"max_derivations,omitempty"`
-	// Parallelism asks for the fixpoint to run on this many worker
-	// goroutines (answers stay byte-identical to sequential runs).
-	// 0 applies the server default (auto: GOMAXPROCS clamped to 8);
-	// 1 forces sequential; values above the server's max_parallelism
-	// are clamped.
+	// Parallelism asks for the fixpoint to run on up to this many
+	// worker goroutines (answers stay byte-identical to sequential
+	// runs). 0 applies the server default (auto: GOMAXPROCS clamped to
+	// 8); 1 forces sequential; values above the server's
+	// max_parallelism are clamped. It is an upper bound: recursive
+	// delta rounds under 4096 tuples run inline.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Partitions asks for recursive delta passes to hash-partition
-	// their joins this many ways (answers stay byte-identical at any
-	// setting). 0 applies the server default (follow the resolved
+	// their joins up to this many ways (answers stay byte-identical at
+	// any setting). 0 applies the server default (follow the resolved
 	// parallelism); 1 disables partitioning; values above the server's
-	// max_partitions are clamped.
+	// max_partitions are clamped. It is an upper bound: delta rounds
+	// under 4096 tuples run unpartitioned, so a small query reports no
+	// partitioned rounds.
 	Partitions int `json:"partitions,omitempty"`
 	// Partial asks for the partial result alongside a budget-tripped
 	// error response.

@@ -279,3 +279,68 @@ func containsAll(s string, subs ...string) bool {
 	}
 	return true
 }
+
+// TestMagicPointQueryCostsItsCone pins what a bound point query over a
+// large EDB costs. The magic rewrite puts m__tc__bf, tc__bf and the
+// answer predicate in one stratum; evaluated component by component,
+// the one-tuple magic relation is planned at its real size, so the seed
+// plans open with it instead of scanning edge, and every delta round is
+// far below the parallel gate, so none is partitioned.
+func TestMagicPointQueryCostsItsCone(t *testing.T) {
+	prog := mustParse(t, `
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Y) :- tc(X, Z), edge(Z, Y).
+	`)
+	// 64 chains of 64 nodes, each node with three private leaves:
+	// 16 320 edges, of which the goal's cone reaches 255 nodes.
+	db := NewDatabase()
+	node := func(c, j int) string { return fmt.Sprintf("c%dn%d", c, j) }
+	for c := 0; c < 64; c++ {
+		for j := 0; j < 64; j++ {
+			if j+1 < 64 {
+				_ = db.Add("edge", Strs(node(c, j), node(c, j+1)))
+			}
+			for k := 0; k < 3; k++ {
+				_ = db.Add("edge", Strs(node(c, j), fmt.Sprintf("%sl%d", node(c, j), k)))
+			}
+		}
+	}
+	db.Freeze()
+	if n := db.Relation("edge").Len(); n < 16000 {
+		t.Fatalf("forest has %d edges, want ≥ 16000", n)
+	}
+	pq, err := prog.Prepare("tc(c5n0, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Strata() != 1 || pq.magicProg.Strata() != 1 {
+		t.Fatalf("strata: source %d, rewritten %d, want 1 and 1", prog.Strata(), pq.magicProg.Strata())
+	}
+	for _, workers := range []int{1, 2} {
+		qr, err := pq.Query(db, WithParallelism(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !qr.UsedMagic || len(qr.Rows) != 255 {
+			t.Fatalf("workers=%d: UsedMagic=%v rows=%d, want true/255", workers, qr.UsedMagic, len(qr.Rows))
+		}
+		if qr.Stats.PartitionedRounds != 0 {
+			t.Fatalf("workers=%d: %d partitioned rounds on a 4-tuple-per-round cone", workers, qr.Stats.PartitionedRounds)
+		}
+		if limit := 8 * len(qr.Rows); qr.Stats.TuplesScanned > limit {
+			t.Fatalf("workers=%d: scanned %d tuples for a %d-row cone, want ≤ %d",
+				workers, qr.Stats.TuplesScanned, len(qr.Rows), limit)
+		}
+	}
+	plan, err := pq.ExplainPlan(db, WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !containsAll(plan, "component 0: m__tc__bf", "plan: m__tc__bf(X) [scan ~1] ; edge(X, Y) [probe (0) ~",
+		"rounds with delta ≥ ") {
+		t.Fatalf("seed plan does not open with the magic relation:\n%s", plan)
+	}
+	if strings.Contains(plan, "edge(X, Y) [scan") {
+		t.Fatalf("plan scans edge:\n%s", plan)
+	}
+}

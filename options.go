@@ -90,6 +90,9 @@ func WithMaxTuples(n int) Option {
 // not depend on n. Budgets and cancellation are honored as hard
 // ceilings (the sequential engine additionally trips budgets at the
 // exact boundary). Tracing (WithTrace) forces sequential evaluation.
+// n is an upper bound: delta rounds of a recursive component whose
+// delta holds fewer than 4096 tuples run inline on the calling
+// goroutine, because fanning them out costs more than their join work.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.eval.Parallelism = n }
 }
@@ -111,14 +114,15 @@ func DefaultParallelism() int { return core.DefaultParallelism() }
 // fingerprints are byte-identical at every setting (tuple insertion
 // order may differ between fan-outs). Clause bodies with ID-literals
 // or negation, and runs with the planner off, fall back to the
-// range-sharded parallel path.
+// range-sharded parallel path. n is an upper bound: delta rounds under
+// WithParallelism's 4096-tuple gate run unpartitioned.
 func WithPartitions(n int) Option {
 	return func(c *config) { c.eval.Partitions = n }
 }
 
 // WithPlanner enables (the default) or disables the cost-based join
 // planner: with it on, clause bodies are reordered by estimated
-// selectivity at each stratum's start and semi-naive delta passes
+// selectivity at each component's start and semi-naive delta passes
 // enumerate the delta literal first. The computed model is identical
 // either way — the planner only picks among safety-equivalent orders —
 // so WithPlanner(false) is the performance-ablation and escape hatch.

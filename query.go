@@ -43,7 +43,7 @@ func (p *Program) QueryContext(ctx context.Context, db *Database, goal string, o
 // Prepare parses and compiles the goal against the program once,
 // returning a PreparedQuery whose Query/QueryContext skip goal parsing,
 // wrapper compilation, and analysis on every call — and whose plan
-// cache additionally skips stratum planning when the same database
+// cache additionally skips planning when the same database
 // snapshot is queried repeatedly. A malformed goal yields a typed
 // CodeParseError, exactly as Query does.
 //
@@ -102,7 +102,7 @@ func (p *Program) Prepare(goal string) (*PreparedQuery, error) {
 // PreparedQuery is a goal compiled once by Program.Prepare for repeated
 // execution. Each instance owns a plan cache shared by its runs: the
 // first evaluation against a database snapshot compiles and publishes
-// the stratum plans, subsequent evaluations against the same snapshot
+// the component plans, subsequent evaluations against the same snapshot
 // (same Database version — any Apply/Add/SetRelation invalidates)
 // reuse them.
 type PreparedQuery struct {
