@@ -58,6 +58,12 @@
 //
 //	emp(joe, toys).
 //	emp(sue, shoes).
+//
+// with % and // comments and quoted constants (in which a doubled quote
+// is a quote) as in programs. -facts and -bulk-load stream them through
+// the ground-fact scanner of internal/parser, which builds no AST and
+// rejects rules and variables; the interactive preload (-i -facts)
+// reads them as program clauses.
 package main
 
 import (
@@ -416,49 +422,25 @@ func main() {
 
 // parseGroundAtom parses "pred(c1, c2)" into its predicate and tuple.
 func parseGroundAtom(src string) (string, idlog.Tuple, error) {
-	c, err := parser.Clause(strings.TrimSuffix(strings.TrimSpace(src), ".") + ".")
+	facts, err := idlog.ParseFacts(strings.TrimSuffix(strings.TrimSpace(src), ".") + ".")
 	if err != nil {
 		return "", nil, err
 	}
-	if !c.IsFact() {
-		return "", nil, fmt.Errorf("%q is not a ground atom", src)
+	if len(facts) != 1 {
+		return "", nil, fmt.Errorf("%q is not a single ground atom", src)
 	}
-	tuple := make(idlog.Tuple, len(c.Head.Args))
-	for i, t := range c.Head.Args {
-		cst, ok := t.(ast.Const)
-		if !ok {
-			return "", nil, fmt.Errorf("%q has a non-ground argument", src)
-		}
-		tuple[i] = cst.Val
-	}
-	return c.Head.Pred, tuple, nil
+	return facts[0].Pred, facts[0].Tuple, nil
 }
 
-// loadFacts parses a fact file and adds each ground fact to db.
+// loadFacts streams a fact file into db, one ground fact at a time.
 func loadFacts(db *idlog.Database, path string) error {
-	src, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	prog, err := parser.Program(string(src))
-	if err != nil {
+	defer f.Close()
+	if err := parser.Facts(f, db.Add); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
-	}
-	for _, c := range prog.Clauses {
-		if !c.IsFact() {
-			return fmt.Errorf("%s: %q is not a fact", path, c)
-		}
-		tuple := make(idlog.Tuple, len(c.Head.Args))
-		for i, t := range c.Head.Args {
-			cst, ok := t.(ast.Const)
-			if !ok {
-				return fmt.Errorf("%s: fact %q has a non-ground argument", path, c)
-			}
-			tuple[i] = cst.Val
-		}
-		if err := db.Add(c.Head.Pred, tuple); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
 	}
 	return nil
 }

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"idlog"
+	"idlog/internal/parser"
+	"idlog/internal/storage"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -51,6 +55,79 @@ func TestLoadFactsRejectsNonGround(t *testing.T) {
 	path := writeFile(t, "facts.idl", "p(X).")
 	if err := loadFacts(idlog.NewDatabase(), path); err == nil {
 		t.Fatalf("non-ground fact not rejected")
+	}
+}
+
+// dumpDB renders every relation of db, in name order.
+func dumpDB(db *idlog.Database) string {
+	names := db.Names()
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&b, "%s\n", db.Relation(n))
+	}
+	return b.String()
+}
+
+// The three readers of fact text — -facts (loadFacts), ParseFacts /
+// AddFactsText, and BulkLoad — read one file into the same relations
+// and report a bad fact at the same line.
+func TestFactReadersAgree(t *testing.T) {
+	const text = `% edges of v1.2
+edge(a, b). // trailing comment
+edge(b, 'c.d''s'). weight(a, 10).
+edge(
+  c,
+  a
+).
+`
+	path := writeFile(t, "g.facts", text)
+	viaCLI := idlog.NewDatabase()
+	if err := loadFacts(viaCLI, path); err != nil {
+		t.Fatal(err)
+	}
+	viaText := idlog.NewDatabase()
+	if err := idlog.AddFactsText(viaText, text); err != nil {
+		t.Fatal(err)
+	}
+	facts, err := idlog.ParseFacts(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaParse := idlog.NewDatabase()
+	for _, f := range facts {
+		if err := viaParse.Add(f.Pred, f.Tuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "data")
+	if _, err := storage.BulkLoadFile(dir, path); err != nil {
+		t.Fatal(err)
+	}
+	viaBulk, err := storage.OpenDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "edge{(a, b), (b, c.d's), (c, a)}\nweight{(a, 10)}\n"
+	for name, db := range map[string]*idlog.Database{"-facts": viaCLI, "AddFactsText": viaText, "ParseFacts": viaParse, "BulkLoad": viaBulk} {
+		if got := dumpDB(db); got != want {
+			t.Errorf("%s read\n%s\nwant\n%s", name, got, want)
+		}
+	}
+
+	const badText = "edge(a, b).\n% fine so far\nedge(b, X).\n"
+	bad := writeFile(t, "bad.facts", badText)
+	errs := map[string]error{
+		"-facts":       loadFacts(idlog.NewDatabase(), bad),
+		"AddFactsText": idlog.AddFactsText(idlog.NewDatabase(), badText),
+	}
+	_, errs["ParseFacts"] = idlog.ParseFacts(badText)
+	_, errs["BulkLoad"] = storage.BulkLoadFile(filepath.Join(t.TempDir(), "data"), bad)
+	for name, err := range errs {
+		var pe *parser.Error
+		if !errors.As(err, &pe) || pe.Pos.Line != 3 {
+			t.Errorf("%s: error %v, want a parse error on line 3", name, err)
+		}
 	}
 }
 

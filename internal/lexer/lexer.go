@@ -126,13 +126,33 @@ func (lx *Lexer) advance(w int, r rune) {
 	}
 }
 
+// The character classes of the concrete syntax. The lexer and the
+// ground-fact scanner of internal/parser both classify runes through
+// these, so the two readers agree on what a name, a number or a blank is.
+
+// IsSpace reports whether r separates tokens.
+func IsSpace(r rune) bool { return unicode.IsSpace(r) }
+
+// IsDigit reports whether r starts (and continues) a number token.
+func IsDigit(r rune) bool { return unicode.IsDigit(r) }
+
+// IsIdentStart reports whether r starts an identifier: a predicate
+// name or an unquoted u-constant.
+func IsIdentStart(r rune) bool { return unicode.IsLower(r) }
+
+// IsVarStart reports whether r starts a variable.
+func IsVarStart(r rune) bool { return r == '_' || unicode.IsUpper(r) }
+
+// IsNameRune reports whether r continues an identifier or a variable.
+func IsNameRune(r rune) bool { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
+
 func (lx *Lexer) skipSpaceAndComments() {
 	for {
 		r, w := lx.peek()
 		switch {
 		case w == 0:
 			return
-		case unicode.IsSpace(r):
+		case IsSpace(r):
 			lx.advance(w, r)
 		case r == '%':
 			lx.skipLine()
@@ -214,11 +234,11 @@ func (lx *Lexer) Next() Token {
 		return Token{Kind: Invalid, Text: "!", Pos: pos}
 	case r == '\'':
 		return lx.quoted(pos)
-	case unicode.IsDigit(r):
+	case IsDigit(r):
 		return lx.number(pos)
-	case r == '_' || unicode.IsUpper(r):
+	case IsVarStart(r):
 		return lx.name(pos, Variable)
-	case unicode.IsLower(r):
+	case IsIdentStart(r):
 		return lx.name(pos, Ident)
 	default:
 		lx.advance(w, r)
@@ -230,7 +250,7 @@ func (lx *Lexer) number(pos Pos) Token {
 	start := lx.off
 	for {
 		r, w := lx.peek()
-		if w == 0 || !unicode.IsDigit(r) {
+		if w == 0 || !IsDigit(r) {
 			break
 		}
 		lx.advance(w, r)
@@ -238,15 +258,11 @@ func (lx *Lexer) number(pos Pos) Token {
 	return Token{Kind: Number, Text: lx.src[start:lx.off], Pos: pos}
 }
 
-func isNameRune(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
 func (lx *Lexer) name(pos Pos, kind Kind) Token {
 	start := lx.off
 	for {
 		r, w := lx.peek()
-		if w == 0 || !isNameRune(r) {
+		if w == 0 || !IsNameRune(r) {
 			break
 		}
 		lx.advance(w, r)

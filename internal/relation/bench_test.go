@@ -89,6 +89,19 @@ func BenchmarkMaterializeID(b *testing.B) {
 	})
 }
 
+// BenchmarkString renders 5 000 u-constants, the size of a CLI answer:
+// sorting them compares symbol names, two symbol-table reads each.
+func BenchmarkString(b *testing.B) {
+	r := New("reach", 1)
+	for i := 0; i < 5000; i++ {
+		r.MustInsert(value.Tuple{value.Str(fmt.Sprintf("n%d", i*7919%5000))})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.String()
+	}
+}
+
 func BenchmarkFingerprint(b *testing.B) {
 	r := benchRelation(2000)
 	b.ResetTimer()

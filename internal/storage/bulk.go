@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -9,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"idlog/internal/ast"
 	"idlog/internal/parser"
 	"idlog/internal/segment"
 	"idlog/internal/value"
@@ -28,15 +26,17 @@ type BulkStats struct {
 // BulkLoad streams ground facts in concrete syntax ("edge(a, b).")
 // from src directly into segment files under dir, producing a
 // disk-engine data directory ready for OpenDir. The whole pipeline is
-// streaming: statements are split and parsed one at a time and tuples
-// go straight to the per-predicate segment writers, so resident memory
-// is bounded by per-tuple metadata (dedup hashes), never the decoded
-// relations — this is the path for EDBs that do not fit in RAM.
+// streaming: parser.Facts reads src through one window and hands each
+// tuple straight to its predicate's segment writer, so resident memory
+// is the window, the longest fact and per-tuple metadata (dedup
+// hashes), never the decoded relations — this is the path for EDBs that
+// do not fit in RAM.
 //
 // dir must not already contain a manifest (bulk load creates a
 // database, it does not merge into one). Facts may arrive in any
-// predicate order; %-comments and quoted constants are handled as in
-// the regular parser, and non-fact clauses are rejected.
+// predicate order; the text is read by the same scanner as every other
+// fact reader (% and // comments, quoted constants, positions counted
+// from the start of src), and rules and non-ground facts are rejected.
 func BulkLoad(dir string, src io.Reader) (BulkStats, error) {
 	var stats BulkStats
 	if DirExists(dir) {
@@ -57,32 +57,16 @@ func BulkLoad(dir string, src io.Reader) (BulkStats, error) {
 		return stats, err
 	}
 	gen := nextGen(dir)
-	tuple := make(value.Tuple, 0, 8)
-	err := splitStatements(src, func(stmt string) error {
-		c, err := parser.Clause(stmt)
-		if err != nil {
-			return err
-		}
-		if !c.IsFact() {
-			return fmt.Errorf("bulk load accepts only ground facts, got %q", strings.TrimSpace(stmt))
-		}
-		tuple = tuple[:0]
-		for _, a := range c.Head.Args {
-			cst, ok := a.(ast.Const)
-			if !ok {
-				return fmt.Errorf("fact %s has non-constant argument %s", c.Head.Pred, a)
-			}
-			tuple = append(tuple, cst.Val)
-		}
-		ws := writers[c.Head.Pred]
+	err := parser.Facts(src, func(pred string, tuple value.Tuple) error {
+		ws := writers[pred]
 		if ws == nil {
 			file := segFileName(gen, len(writers))
-			w, err := segment.Create(filepath.Join(dir, file+".tmp"), c.Head.Pred, len(tuple))
+			w, err := segment.Create(filepath.Join(dir, file+".tmp"), pred, len(tuple))
 			if err != nil {
 				return err
 			}
 			ws = &wstate{w: w, file: file}
-			writers[c.Head.Pred] = ws
+			writers[pred] = ws
 		}
 		added, err := ws.w.Add(tuple)
 		if err != nil {
@@ -96,7 +80,7 @@ func BulkLoad(dir string, src io.Reader) (BulkStats, error) {
 		return nil
 	})
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("storage: bulk load: %w", err))
 	}
 	names := make([]string, 0, len(writers))
 	for name := range writers {
@@ -136,71 +120,5 @@ func BulkLoadFile(dir, factsPath string) (BulkStats, error) {
 		return BulkStats{}, err
 	}
 	defer f.Close()
-	return BulkLoad(dir, bufio.NewReaderSize(f, 1<<20))
-}
-
-// splitStatements streams src statement by statement, calling fn with
-// each "…." chunk (terminator included). It honors the lexer's surface
-// syntax — '%' starts a line comment, single quotes delimit constants
-// with '' as the escaped quote — so dots inside comments or quoted
-// constants never split a statement. Memory is one statement at a time.
-func splitStatements(src io.Reader, fn func(stmt string) error) error {
-	br := bufio.NewReaderSize(src, 1<<20)
-	var stmt []byte
-	inComment, inQuote := false, false
-	flush := func() error {
-		s := strings.TrimSpace(string(stmt))
-		stmt = stmt[:0]
-		if s == "" {
-			return nil
-		}
-		return fn(s)
-	}
-	for {
-		b, err := br.ReadByte()
-		if err == io.EOF {
-			if strings.TrimSpace(string(stmt)) != "" {
-				return fmt.Errorf("storage: bulk load: trailing input without '.': %q", strings.TrimSpace(string(stmt)))
-			}
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		switch {
-		case inComment:
-			if b == '\n' {
-				inComment = false
-				stmt = append(stmt, b)
-			}
-			continue
-		case inQuote:
-			stmt = append(stmt, b)
-			if b == '\'' {
-				// A doubled quote stays inside the constant.
-				if next, err := br.Peek(1); err == nil && next[0] == '\'' {
-					br.ReadByte()
-					stmt = append(stmt, '\'')
-				} else {
-					inQuote = false
-				}
-			}
-			continue
-		case b == '%':
-			inComment = true
-			continue
-		case b == '\'':
-			inQuote = true
-			stmt = append(stmt, b)
-			continue
-		case b == '.':
-			stmt = append(stmt, b)
-			if err := flush(); err != nil {
-				return err
-			}
-			continue
-		default:
-			stmt = append(stmt, b)
-		}
-	}
+	return BulkLoad(dir, f)
 }

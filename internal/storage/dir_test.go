@@ -129,6 +129,32 @@ weight(b, 20).
 	}
 }
 
+// A fact longer than the scanner's read window (64 KiB) crosses its end
+// and is read again after the window is refilled and grown; // comments
+// are comments here as everywhere else.
+func TestBulkLoadFactCrossesWindow(t *testing.T) {
+	long := strings.Repeat("n", 200<<10)
+	facts := "// edges of v1.2\nedge(a, b). // trailing\nedge(b, '" + long + "').\nedge(c, d).\n"
+	dir := filepath.Join(t.TempDir(), "data")
+	stats, err := BulkLoad(dir, strings.NewReader(facts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Tuples != 3 {
+		t.Fatalf("stats = %+v, want 3 tuples", stats)
+	}
+	db, err := OpenDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := db.Relation("edge")
+	for _, tu := range []value.Tuple{value.Strs("a", "b"), value.Strs("b", long), value.Strs("c", "d")} {
+		if !edge.Contains(tu) {
+			t.Fatalf("edge lacks (%s, <%d bytes>)", tu[0], len(tu[1].String()))
+		}
+	}
+}
+
 func TestBulkLoadRejectsNonFacts(t *testing.T) {
 	for _, src := range []string{
 		"tc(X, Y) :- edge(X, Y).", // rule

@@ -2,8 +2,10 @@ package symbol
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestInternIsIdempotent(t *testing.T) {
@@ -111,6 +113,91 @@ func TestConcurrentIntern(t *testing.T) {
 	}
 	if tb.Len() != perG {
 		t.Fatalf("Len = %d, want %d", tb.Len(), perG)
+	}
+}
+
+// A new name cut from a larger string is stored as its own copy, so the
+// table never keeps the larger string (a whole fact file, a request
+// body) alive.
+func TestInternDoesNotPinSource(t *testing.T) {
+	tb := NewTable()
+	src := strings.Repeat("x", 1<<10) + "needle" + strings.Repeat("y", 1<<10)
+	sub := src[1<<10 : 1<<10+len("needle")]
+	for _, id := range []ID{tb.Intern(sub), tb.InternBytes([]byte("other"))} {
+		name := tb.Name(id)
+		p := uintptr(unsafe.Pointer(unsafe.StringData(name)))
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		if p >= lo && p < lo+uintptr(len(src)) {
+			t.Fatalf("stored name %q points into the source string", name)
+		}
+	}
+	if got := tb.Name(tb.Intern(sub)); got != "needle" {
+		t.Fatalf("Name = %q, want needle", got)
+	}
+}
+
+func TestInternBytesMatchesIntern(t *testing.T) {
+	tb := NewTable()
+	a := tb.Intern("alpha")
+	if got := tb.InternBytes([]byte("alpha")); got != a {
+		t.Fatalf("InternBytes(alpha) = %d, Intern gave %d", got, a)
+	}
+	b := tb.InternBytes([]byte("beta"))
+	if got := tb.Intern("beta"); got != b || tb.Name(b) != "beta" {
+		t.Fatalf("Intern(beta) = %d (%q), InternBytes gave %d", got, tb.Name(got), b)
+	}
+	buf := []byte("gamma")
+	if allocs := testing.AllocsPerRun(100, func() { tb.InternBytes(buf) }); allocs != 0 {
+		t.Fatalf("InternBytes hit allocates %.0f times, want 0", allocs)
+	}
+}
+
+// Name reads without a lock while other goroutines intern and grow the
+// table; run under -race.
+func TestConcurrentInternAndName(t *testing.T) {
+	tb := NewTable()
+	const writers, perW = 4, 2000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				name := fmt.Sprintf("w%d-%d", w, i)
+				if got := tb.Name(tb.Intern(name)); got != name {
+					t.Errorf("Name(Intern(%q)) = %q", name, got)
+					return
+				}
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := tb.Len()
+				for id := ID(1); int(id) <= n; id++ {
+					if tb.Name(id) == "" {
+						t.Errorf("Name(%d) is empty with Len %d", id, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if tb.Len() != writers*perW {
+		t.Fatalf("Len = %d, want %d", tb.Len(), writers*perW)
 	}
 }
 

@@ -3,8 +3,8 @@ package idlog
 import (
 	"context"
 	"sort"
+	"strings"
 
-	"idlog/internal/ast"
 	"idlog/internal/core"
 	"idlog/internal/guard"
 	"idlog/internal/incremental"
@@ -27,24 +27,14 @@ type Delta = core.Delta
 // dept(toys).") into a Fact list. Rules and non-ground facts are
 // rejected with a typed error.
 func ParseFacts(src string) ([]Fact, error) {
-	prog, err := parser.Program(src)
+	// Every fact ends in a '.', so this bounds the count from above.
+	out := make([]Fact, 0, strings.Count(src, "."))
+	err := parser.FactsString(src, func(pred string, t Tuple) error {
+		out = append(out, Fact{Pred: pred, Tuple: t})
+		return nil
+	})
 	if err != nil {
 		return nil, guard.WrapErr(guard.ParseError, "facts", err, "")
-	}
-	var out []Fact
-	for _, c := range prog.Clauses {
-		if !c.IsFact() {
-			return nil, guard.Errorf(guard.ParseError, "facts", "%q is not a fact", c)
-		}
-		tuple := make(Tuple, len(c.Head.Args))
-		for i, t := range c.Head.Args {
-			cst, ok := t.(ast.Const)
-			if !ok {
-				return nil, guard.Errorf(guard.ParseError, "facts", "%q has a non-ground argument", c)
-			}
-			tuple[i] = cst.Val
-		}
-		out = append(out, Fact{Pred: c.Head.Pred, Tuple: tuple})
 	}
 	return out, nil
 }

@@ -253,16 +253,20 @@ type QueryResult struct {
 func (q *QueryResult) Holds() bool { return len(q.Rows) > 0 }
 
 // AddFactsText parses ground facts in program syntax ("emp(joe, toys).")
-// and adds them to db. Rules and non-ground facts are rejected.
+// and adds them to db as they are read. Rules and non-ground facts are
+// rejected with a typed error; the facts before the offending one have
+// been added by then.
 func AddFactsText(db *Database, src string) error {
-	facts, err := ParseFacts(src)
-	if err != nil {
-		return err
-	}
-	for _, f := range facts {
-		if err := db.Add(f.Pred, f.Tuple); err != nil {
-			return fmt.Errorf("idlog: facts: %w", err)
-		}
+	var addErr error
+	err := parser.FactsString(src, func(pred string, t Tuple) error {
+		addErr = db.Add(pred, t)
+		return addErr
+	})
+	switch {
+	case addErr != nil:
+		return fmt.Errorf("idlog: facts: %w", addErr)
+	case err != nil:
+		return guard.WrapErr(guard.ParseError, "facts", err, "")
 	}
 	return nil
 }
