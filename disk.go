@@ -16,7 +16,8 @@ import (
 // within a bounded resident set. Engine choice is invisible to
 // evaluation: a disk-backed Database is the same *Database, produces
 // byte-identical fingerprints, and accepts the same mutations (inserts
-// overlay in memory; the first deletion promotes the relation).
+// overlay in memory; deletions patch positions, and the segment stays
+// on disk).
 
 // BulkLoadStats summarizes a bulk load; see BulkLoadFacts.
 type BulkLoadStats = storage.BulkStats

@@ -66,10 +66,13 @@ func countTuples(m map[string][]value.Tuple) int {
 
 // Apply atomically applies a batch of EDB mutations and returns the
 // resulting database snapshot plus the effective delta. The receiver is
-// never modified: touched relations are thawed copy-on-write clones,
-// untouched relations are shared, and the returned database carries the
-// receiver's frozen-ness (frozen in, frozen out), so a server can swap
-// the result into its published snapshot slot directly.
+// never modified: touched relations are clones (for a frozen receiver,
+// versions that share the predecessor's tables and indexes, so the
+// batch costs its own size), untouched relations are shared, and the
+// returned database carries the receiver's frozen-ness (frozen in,
+// frozen out), so a server can swap the result into its published
+// snapshot slot directly. The result's Parent is the receiver's
+// Version.
 //
 // Within one batch, deletes apply before inserts: a fact present in
 // both ends up present, recorded as a delete plus an insert when it
@@ -113,6 +116,7 @@ func (db *Database) Apply(inserts, deletes []Fact) (*Database, *Delta, error) {
 	}
 
 	out := db.Clone()
+	out.parent = db.version
 	touched := map[string]*relation.Relation{}
 	mutable := func(pred string) *relation.Relation {
 		if r, ok := touched[pred]; ok {

@@ -44,6 +44,9 @@ type Database struct {
 	rels    map[string]*relation.Relation
 	frozen  bool
 	version uint64
+	// parent is the version of the database Apply derived this one
+	// from, 0 when it was not made by Apply.
+	parent uint64
 }
 
 // NewDatabase returns an empty database.
@@ -59,6 +62,12 @@ func NewDatabase() *Database {
 // hashing. Freeze does not change the version — it changes sharing,
 // not contents.
 func (db *Database) Version() uint64 { return db.version }
+
+// Parent returns the version of the database Apply was called on to
+// produce db, or 0 when db did not come from Apply. Incremental
+// maintenance checks it: a view may read its current snapshot as the
+// pre-update state only when the new snapshot was derived from it.
+func (db *Database) Parent() uint64 { return db.parent }
 
 // Add inserts a tuple into the named relation, creating the relation
 // with the tuple's arity on first use. Adding to a frozen database
@@ -116,10 +125,11 @@ func (db *Database) Freeze() *Database {
 // Frozen reports whether Freeze has been called.
 func (db *Database) Frozen() bool { return db.frozen }
 
-// Thaw returns a mutable copy of the database: relation contents are
-// shared copy-on-insert (tuples are immutable by convention), the set
-// structure and indexes are independent. Use it to derive the next
-// snapshot from a frozen one: thaw, add facts, freeze, swap.
+// Thaw returns a mutable copy of the database whose mutations never
+// reach db: each relation is a Clone, which for a frozen relation is a
+// version sharing its tuples, primary table and indexes (see
+// relation.Relation.Clone). Use it to derive the next snapshot from a
+// frozen one: thaw, add facts, freeze, swap.
 func (db *Database) Thaw() *Database {
 	c := NewDatabase()
 	for n, r := range db.rels {

@@ -691,7 +691,8 @@ func (rn *runner) stepScan(cl *compiledLit, rel *relation.Relation, env []value.
 	// relations (a clause never inserts into a relation it scans in the
 	// same instantiation path — recursive clauses read delta copies), so
 	// a snapshot of the length keeps iteration well-defined.
-	positions := rel.Probe(cl.probeCols, key)
+	var one [1]int
+	positions := probePositions(rel, cl, key, &one)
 	n := len(positions)
 	if hi >= 0 {
 		positions, n = positions[lo:hi], hi-lo

@@ -351,7 +351,8 @@ func (e *engine) parallelFixpoint(c *analysis.Component, sp *componentPlan) erro
 						for i, a := range cl.probeArgs {
 							key[i] = a.val
 						}
-						n = len(rel.Probe(cl.probeCols, key))
+						var one [1]int
+						n = len(probePositions(rel, cl, key, &one))
 					}
 				}
 			}

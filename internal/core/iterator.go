@@ -63,9 +63,11 @@ type litIter struct {
 	buf     []value.Tuple
 	bufIdx  int
 
-	// Probe state: the index bucket slice and snapshot length.
+	// Probe state: the index bucket slice and snapshot length; one backs
+	// the slice of a full-key probe (see probePositions).
 	positions []int
 	idx, n    int
+	one       [1]int
 
 	// Builtin state.
 	sols   [][]value.Value
@@ -169,7 +171,7 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	// The positions slice is the index's own bucket; the snapshot of its
 	// length keeps iteration well-defined if inserts append to it (see
 	// stepScan for why appends are always other relations' heads).
-	positions := rel.Probe(cl.probeCols, key)
+	positions := probePositions(rel, cl, key, &it.one)
 	n := len(positions)
 	if hi >= 0 {
 		positions, n = positions[lo:hi], hi-lo
@@ -178,6 +180,24 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	it.kind = iterProbe
 	it.positions, it.idx, it.n = positions, 0, n
 	return nil
+}
+
+// probePositions returns the positions of rel whose projection onto
+// cl.probeCols equals key. A key over every column of a set relation
+// (probeCols ascend, so key is then the tuple itself) is answered by one
+// primary-table lookup, written into one, rather than by an all-columns
+// secondary index that would duplicate the primary table; the 0 or 1
+// position it yields is what that index's bucket would hold.
+func probePositions(rel *relation.Relation, cl *compiledLit, key value.Tuple, one *[1]int) []int {
+	if len(cl.probeCols) == rel.Arity() && !rel.AppendOnly() {
+		p := rel.Lookup(key)
+		if p < 0 {
+			return nil
+		}
+		one[0] = p
+		return one[:]
+	}
+	return rel.Probe(cl.probeCols, key)
 }
 
 // nextIter pulls the cursor's next satisfying tuple, binding its live

@@ -188,13 +188,19 @@ func (v *View) plan(si int) (*core.CompiledStratum, error) {
 }
 
 // Apply advances the view from its current EDB snapshot to db, whose
-// effective difference is delta (as returned by Database.Apply on the
-// view's current snapshot). g, when non-nil, governs the maintenance
-// work (budgets, deadlines, cancellation). On error the view is marked
-// stale and must be Rebuilt before further use.
+// effective difference is delta. db must be what Database.Apply returned
+// on the view's current snapshot (its Parent is that snapshot's
+// Version): DRed reads the current snapshot as the pre-update state.
+// Any other db is refused with an error that leaves the view as it was,
+// not stale. g, when non-nil, governs the maintenance work (budgets,
+// deadlines, cancellation). On any other error the view is marked stale
+// and must be Rebuilt before further use.
 func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (UpdateStats, error) {
 	if v.stale {
 		return UpdateStats{}, fmt.Errorf("incremental: view is stale; rebuild first")
+	}
+	if db.Parent() != v.db.Version() {
+		return UpdateStats{}, fmt.Errorf("incremental: snapshot was applied to version %d, view reflects version %d", db.Parent(), v.db.Version())
 	}
 	up := UpdateStats{FallbackFrom: -1}
 	for _, p := range delta.Preds() {
@@ -224,9 +230,12 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		up.Deleted += len(ts)
 	}
 
-	// Swap the EDB to the new snapshot. IDB relations are mutated in
-	// place below.
+	// Swap the EDB to the new snapshot, keeping the previous snapshot's
+	// relations: they are exactly the pre-update EDB, already indexed.
+	// IDB relations are mutated in place below.
+	prev := map[string]*relation.Relation{}
 	for p := range v.info.EDB {
+		prev[p] = v.rels[p]
 		r := db.Relation(p)
 		if r == nil {
 			r = relation.New(p, v.info.Arity[p])
@@ -241,14 +250,19 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		return up, nil
 	}
 
-	// oldViews materializes, per changed predicate and at most once per
-	// Apply, the pre-update relation: current content minus this
+	// oldOf resolves a predicate to its pre-update relation. For an EDB
+	// predicate that is the previous snapshot's relation. An IDB
+	// predicate changed by a lower stratum gets an old view,
+	// materialized at most once per Apply: current content minus this
 	// update's insertions plus its deletions. Unchanged predicates
 	// resolve to their current relation. Lower strata are final when a
 	// stratum reads them, so a materialized old view stays valid for
 	// the rest of the Apply.
 	oldViews := map[string]*relation.Relation{}
 	oldOf := func(p string) *relation.Relation {
+		if r, ok := prev[p]; ok {
+			return r
+		}
 		if r, ok := oldViews[p]; ok {
 			return r
 		}

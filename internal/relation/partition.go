@@ -59,7 +59,7 @@ type partView struct {
 
 func (v *partView) Len() int             { return len(v.pos) }
 func (v *partView) At(i int) value.Tuple { return v.parent.At(v.pos[i]) }
-func (v *partView) HashAt(i int) uint64  { return v.parent.hashAt(v.pos[i]) }
+func (v *partView) HashAt(i int) uint64  { return v.parent.HashAt(v.pos[i]) }
 func (v *partView) Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool {
 	if hi < 0 || hi > len(v.pos) {
 		hi = len(v.pos)

@@ -3,8 +3,8 @@
 // indexes, grouping into sub-relations, and the materialization of
 // ID-relations under pluggable ID-function oracles (§2.1 of the paper).
 // Tuples live in memory by default, or behind a pluggable TupleSource
-// (see store.go) for disk-backed relations; the index machinery is
-// shared by both backings.
+// (see store.go) for disk-backed relations and for versions of a frozen
+// relation; the index machinery is shared by every backing.
 package relation
 
 import (
@@ -38,11 +38,23 @@ import (
 // inserts), with the phase barrier providing the happens-before edge.
 //
 // Tuple storage is position-addressed and split in two: positions
-// [0, nsrc) read from an immutable TupleSource (disk segments), and
-// positions ≥ nsrc from the in-memory overlay slice. Purely in-memory
-// relations have src == nil and nsrc == 0, so the overlay IS the
-// relation and every accessor below short-circuits to the original
-// slice paths.
+// [0, nsrc) read from an immutable TupleSource (a disk segment, or the
+// frozen base of a version), and positions ≥ nsrc from the in-memory
+// overlay slice. Swap-remove over a source position writes the moved
+// tuple into a small patch instead of the source, so positions stay
+// dense (0..Len()-1) whatever the backing. Purely in-memory relations
+// have src == nil and nsrc == 0, so the overlay IS the relation and
+// every accessor below short-circuits to the original slice paths.
+//
+// A version (base != nil) is what Clone derives from a frozen relation:
+// it reads positions [0, nsrc) through the base and shares the base's
+// primary table and published secondary indexes, while its own primary
+// table and indexes cover only the positions it owns — patched ones and
+// the overlay. A lookup or probe reads the base's structure, drops the
+// positions this version patched or cut off (≥ nsrc), and adds the hits
+// of its own. Deriving a version therefore costs its private part, not
+// the relation; compact folds that part back into a flat relation once
+// it outgrows 1/compactDiv of the base.
 type Relation struct {
 	name  string
 	arity int
@@ -51,13 +63,24 @@ type Relation struct {
 	// everything.
 	tuples []value.Tuple
 	// src serves positions [0, nsrc) when non-nil. It is immutable and
-	// shared across Clone/Freeze/Thaw generations; Remove detaches it
-	// by materializing (see materialize in store.go).
+	// shared across Clone/Freeze/Thaw generations. nsrc only shrinks
+	// (swap-remove of the last position when the overlay is empty);
+	// source positions past it are dead.
 	src  TupleSource
 	nsrc int
+	// patch holds the source positions swap-remove overwrote, and pbits
+	// marks them (one bit per source position) so the hot paths test a
+	// position without a map lookup. Both are nil until the first patch.
+	patch map[int]value.Tuple
+	pbits []uint64
+	// base is the frozen flat relation a version reads through (src ==
+	// base); nil for flat relations. It is never itself a version, so
+	// chains stay one level deep.
+	base *Relation
 	// primary maps 64-bit tuple hashes to positions (open addressing,
 	// Tuple.Equal on hash hits), replacing the former map[string]int
-	// over marshaled keys: no per-operation key bytes.
+	// over marshaled keys: no per-operation key bytes. On a version it
+	// holds only the owned positions.
 	primary table
 
 	// appendOnly marks a delta relation (NewDelta): tuples arrive only
@@ -213,6 +236,9 @@ func (r *Relation) store(h uint64, t value.Tuple) {
 			idx.add(t, pos)
 		}
 	}
+	if r.base != nil {
+		r.maybeCompact()
+	}
 }
 
 // Remove deletes t if present and reports whether it was removed.
@@ -224,8 +250,8 @@ func (r *Relation) store(h uint64, t value.Tuple) {
 // only the removed tuple's entry and the moved tuple's position change —
 // so incremental churn keeps its indexes instead of rebuilding them per
 // mutation. Frozen relations reject Remove; source-backed relations
-// materialize their source first (segments are immutable), so the first
-// deletion from a disk-backed relation pays a full promotion to memory.
+// (disk segments, versions) take the same swap-remove through a patch
+// (see removeAt), so their source is never copied.
 func (r *Relation) Remove(t value.Tuple) (bool, error) {
 	r.setOp("Remove")
 	if r.frozen {
@@ -239,9 +265,10 @@ func (r *Relation) Remove(t value.Tuple) (bool, error) {
 	if pos < 0 {
 		return false, nil
 	}
-	// materialize keeps positions stable, so pos remains valid after the
-	// source (if any) is promoted into the overlay.
-	r.materialize()
+	if r.src != nil {
+		r.removeAt(pos, h)
+		return true, nil
+	}
 	removed := r.tuples[pos]
 	last := len(r.tuples) - 1
 	r.primary.remove(h, pos)
@@ -282,6 +309,21 @@ func (r *Relation) Contains(t value.Tuple) bool {
 	return r.primary.lookup(r, t, t.Hash()) >= 0
 }
 
+// Lookup returns the position of t, or -1 when absent: the primary-table
+// probe behind Contains, for callers that iterate positions (a join
+// probe whose key covers every column needs no secondary index).
+func (r *Relation) Lookup(t value.Tuple) int {
+	r.setOp("Lookup")
+	if len(t) != r.arity {
+		return -1
+	}
+	return r.primary.lookup(r, t, t.Hash())
+}
+
+// AppendOnly reports whether r is an append-only delta relation (see
+// NewDelta), on which the set-membership operations panic.
+func (r *Relation) AppendOnly() bool { return r.appendOnly }
+
 // Tuples returns the tuples in position order. For in-memory relations
 // this is the underlying slice; source-backed relations materialize it
 // (cached when frozen). The returned slice must not be mutated. Hot
@@ -309,25 +351,40 @@ func (r *Relation) Tuples() []value.Tuple {
 // materialized builds the full position-ordered tuple slice.
 func (r *Relation) materialized() []value.Tuple {
 	all := make([]value.Tuple, 0, r.Len())
-	r.src.Scan(0, r.nsrc, func(_ int, t value.Tuple) bool {
+	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
 		all = append(all, t)
 		return true
 	})
-	return append(all, r.tuples...)
+	return all
 }
 
-// At returns the tuple at position i.
+// At returns the tuple at position i. It stays small enough to inline:
+// overlay positions, and so every position of an in-memory relation,
+// read the slice directly.
 func (r *Relation) At(i int) value.Tuple {
-	if i < r.nsrc {
-		return r.src.At(i)
+	if i >= r.nsrc {
+		return r.tuples[i-r.nsrc]
 	}
-	return r.tuples[i-r.nsrc]
+	return r.srcAt(i)
 }
 
-// hashAt returns the stored hash of the tuple at position i, reading it
-// from source metadata (no tuple decode) when i is source-resident.
-func (r *Relation) hashAt(i int) uint64 {
+// srcAt returns the tuple at source position i (< nsrc).
+func (r *Relation) srcAt(i int) value.Tuple {
+	if r.patched(i) {
+		return r.patch[i]
+	}
+	return r.src.At(i)
+}
+
+// HashAt returns the stored hash of the tuple at position i, reading it
+// from source metadata (no tuple decode) when i is source-resident. With
+// At, Len and Scan it makes a frozen relation the TupleSource of its
+// versions.
+func (r *Relation) HashAt(i int) uint64 {
 	if i < r.nsrc {
+		if r.patched(i) {
+			return r.patch[i].Hash()
+		}
 		return r.src.HashAt(i)
 	}
 	return r.tuples[i-r.nsrc].Hash()
@@ -350,7 +407,16 @@ func (r *Relation) Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool {
 		if shi > r.nsrc {
 			shi = r.nsrc
 		}
-		if !r.src.Scan(lo, shi, fn) {
+		sfn := fn
+		if len(r.patch) > 0 {
+			sfn = func(i int, t value.Tuple) bool {
+				if r.patched(i) {
+					t = r.patch[i]
+				}
+				return fn(i, t)
+			}
+		}
+		if !r.src.Scan(lo, shi, sfn) {
 			return false
 		}
 		lo = r.nsrc
@@ -374,22 +440,32 @@ func (r *Relation) Sorted() []value.Tuple {
 	return out
 }
 
-// Clone returns a deep-enough copy: tuple storage is shared (tuples are
-// immutable by convention, sources by construction) but the set
-// structure is independent.
+// Clone returns an unfrozen relation with r's tuples whose mutations
+// never reach r. Tuple storage is always shared (tuples are immutable by
+// convention, sources by construction). The clone of a frozen relation
+// is a version of it: it also shares r's primary table and published
+// secondary indexes, so deriving it costs nothing per tuple. The clone
+// of a version shares the same base and copies only the private part
+// (overlay, patches, own table); an unfrozen flat relation, which may
+// still change under the clone, is copied. Cloning an append-only delta
+// relation panics: it has no primary table to share or copy.
 func (r *Relation) Clone() *Relation {
-	c := New(r.name, r.arity)
-	c.src = r.src
-	c.nsrc = r.nsrc
+	r.setOp("Clone")
+	c := &Relation{name: r.name, arity: r.arity}
+	if r.frozen && r.base == nil {
+		c.base, c.src, c.nsrc = r, r, r.Len()
+		return c
+	}
+	c.base, c.src, c.nsrc = r.base, r.src, r.nsrc
 	c.tuples = append(c.tuples, r.tuples...)
 	c.primary = r.primary.clone()
-	return c
-}
-
-// Rename returns a shallow view of r under a different predicate name.
-func (r *Relation) Rename(name string) *Relation {
-	c := r.Clone()
-	c.name = name
+	if len(r.patch) > 0 {
+		c.patch = make(map[int]value.Tuple, len(r.patch))
+		for i, t := range r.patch {
+			c.patch[i] = t
+		}
+		c.pbits = append([]uint64(nil), r.pbits...)
+	}
 	return c
 }
 
@@ -479,7 +555,7 @@ func (r *Relation) Fingerprint() string {
 	n := r.Len()
 	hs := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		hs[i] = r.hashAt(i)
+		hs[i] = r.HashAt(i)
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
 	h := value.SetHashSeed(len(hs))
@@ -490,8 +566,8 @@ func (r *Relation) Fingerprint() string {
 }
 
 // DeepClone rebuilds the relation from scratch: unlike Clone, the
-// result shares no internal state (indexes, hash table, tuple source)
-// with r, so it is safe to hand to another goroutine and is always
+// result shares no internal state (indexes, hash table, tuple source,
+// base) with r, so it is safe to hand to another goroutine and is always
 // purely in-memory. (An unfrozen Relation is not safe for concurrent
 // use because secondary indexes build lazily on first probe; Freeze is
 // the cheaper alternative when the relation no longer needs to change.)

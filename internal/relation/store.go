@@ -19,12 +19,18 @@ import "idlog/internal/value"
 //     readers; Insert then fails. Lazy secondary indexes build under a
 //     lock and publish atomically (copy-on-write), never mutating a
 //     list a reader may be scanning.
-//   - Clone/Thaw derive the next snapshot copy-on-write: tuple storage
-//     is shared (disk-backed bases stay on disk; new inserts accumulate
-//     in a private in-memory overlay) while the set structure is
-//     independent. Removing a tuple from a disk-backed relation
-//     promotes the base into the overlay first (segments are
-//     immutable), so deletions are correct but cost a materialization.
+//   - Clone/Thaw derive the next snapshot as a version of a frozen
+//     store: the successor reads the predecessor's tuples, primary table
+//     and published secondary indexes in place, and keeps a private
+//     part of its own — an in-memory overlay for inserts and a patch of
+//     positions that swap-remove overwrote. Deriving it costs that
+//     private part, not the relation. Lookups and probes read the
+//     shared structures, drop patched and cut-off positions, and add the
+//     private part's hits. Once the private part outgrows a fixed
+//     fraction of the base, the version compacts into a flat relation
+//     (a disk-backed base keeps its segment as the source).
+//   - Deletions from a disk-backed relation go through the same patch:
+//     the segment is never promoted to memory.
 type Store interface {
 	// Name returns the predicate name, Arity the number of columns.
 	Name() string
@@ -92,7 +98,7 @@ type TupleSource interface {
 // served by src: the primary hash table is constructed from the
 // source's hash array (no tuple decoding), later Inserts accumulate in
 // a private in-memory overlay at positions ≥ src.Len(), and Remove
-// promotes the source into the overlay first (sources are immutable).
+// overwrites source positions through a patch (sources are immutable).
 // The relation starts unfrozen so WAL-tail replay can extend it; Freeze
 // it before sharing, like any other relation.
 func NewStored(name string, arity int, src TupleSource) *Relation {
@@ -116,27 +122,27 @@ func (r *Relation) ProbeIndex(cols []int, key value.Tuple) []int {
 }
 
 // SourceLen reports how many of r's tuples are served by a pluggable
-// TupleSource (0 for purely in-memory relations). Len() - SourceLen()
-// is the in-memory overlay; observability surfaces (REPL :db, idlogd
-// /metrics) use the split to show where a relation's bytes live.
-func (r *Relation) SourceLen() int { return r.nsrc }
-
-// materialize promotes the source tuples into the in-memory overlay,
-// preserving positions, and detaches the source. Positions are stable,
-// so the primary table and every published secondary index stay valid
-// untouched. Called by Remove (sources are immutable) — the documented
-// cost of deleting from a disk-backed relation.
-func (r *Relation) materialize() {
-	if r.src == nil {
-		return
+// TupleSource such as a disk segment (0 for purely in-memory relations,
+// versions of them included): the source positions not overwritten by a
+// patch. Len() - SourceLen() is in memory; observability surfaces (REPL
+// :db, idlogd /metrics) use the split to show where a relation's bytes
+// live.
+func (r *Relation) SourceLen() int {
+	if r.base == nil {
+		return r.nsrc - len(r.patch)
 	}
-	all := make([]value.Tuple, 0, r.nsrc+len(r.tuples))
-	r.src.Scan(0, r.nsrc, func(_ int, t value.Tuple) bool {
-		all = append(all, t)
-		return true
-	})
-	all = append(all, r.tuples...)
-	r.tuples = all
-	r.src = nil
-	r.nsrc = 0
+	b := r.base
+	n := min(r.nsrc, b.nsrc)
+	over := 0
+	for i := range r.patch {
+		if i < n {
+			over++
+		}
+	}
+	for i := range b.patch {
+		if i < n && !r.patched(i) {
+			over++
+		}
+	}
+	return n - over
 }

@@ -48,16 +48,17 @@ const tableMinSize = 8
 // or -1 when absent. Positions resolve through r.At, so one table
 // serves both in-memory and source-backed tuple storage; the stored
 // 64-bit hash filters probe chains, so a tuple is only fetched (and,
-// for source-backed positions, decoded) on an exact hash match.
+// for source-backed positions, decoded) on an exact hash match. A miss
+// in a version's own table continues in its base (baseLookup).
 func (tb *table) lookup(r *Relation, t value.Tuple, h uint64) int {
 	if len(tb.entries) == 0 {
-		return -1
+		return r.miss(t, h)
 	}
 	i := h & tb.mask
 	for {
 		e := tb.entries[i]
 		if e.pos == 0 {
-			return -1
+			return r.miss(t, h)
 		}
 		if e.pos > 0 && e.hash == h {
 			p := int(e.pos) - 1

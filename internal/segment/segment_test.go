@@ -176,7 +176,7 @@ func TestStoredRelationMatchesMemory(t *testing.T) {
 	if got, want := disk.Fingerprint(), mem.Fingerprint(); got != want {
 		t.Fatalf("fingerprints differ after overlay insert: disk %s, mem %s", got, want)
 	}
-	// Remove promotes the source and must still agree.
+	// Remove patches the source position in place and must still agree.
 	victim := tuples[1234]
 	if ok, err := disk.Remove(victim); err != nil || !ok {
 		t.Fatalf("disk Remove = %v, %v", ok, err)
@@ -187,8 +187,14 @@ func TestStoredRelationMatchesMemory(t *testing.T) {
 	if got, want := disk.Fingerprint(), mem.Fingerprint(); got != want {
 		t.Fatalf("fingerprints differ after Remove: disk %s, mem %s", got, want)
 	}
-	if disk.SourceLen() != 0 {
-		t.Fatalf("SourceLen=%d after Remove, want 0 (promoted)", disk.SourceLen())
+	// The relation stays disk-resident: the overlay tuple moved into the
+	// victim's position, so one source position is patched and the rest
+	// still read from the segment.
+	if got, want := disk.SourceLen(), len(tuples)-1; got != want {
+		t.Fatalf("SourceLen=%d after Remove, want %d (still disk-resident)", got, want)
+	}
+	if !disk.Contains(extra) || disk.Contains(victim) {
+		t.Fatal("Remove through a patch lost the moved tuple or kept the victim")
 	}
 }
 
