@@ -417,38 +417,3 @@ func BenchmarkE17PreparedPointQuery(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkE17StreamingJoin: the analysis-ordered adversarial join,
-// streaming executor off vs on — the allocation column is the headline
-// (the legacy walk allocates a match closure per binding per literal).
-func BenchmarkE17StreamingJoin(b *testing.B) {
-	prog := mustProg(b, `hit(X, Z) :- big1(X, Y), big2(Y, Z), sel(Z).`)
-	const n, fan = 4096, 128
-	db := NewDatabase()
-	for i := 0; i < n; i++ {
-		_ = db.Add("big1", Ints(int64(i), int64(i%(n/fan))))
-	}
-	for j := 0; j < n/fan; j++ {
-		for k := 0; k < fan; k++ {
-			_ = db.Add("big2", Ints(int64(j), int64(1_000_000+k)))
-		}
-	}
-	_ = db.Add("sel", Ints(int64(1_000_000+fan-1)))
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"legacy", []Option{WithStreaming(false)}},
-		{"streaming", nil},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := append([]Option{WithPlanner(false)}, mode.opts...)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := prog.Eval(db, opts...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

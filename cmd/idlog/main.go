@@ -27,8 +27,6 @@
 //	-plan            print the join plans the engine would use and exit
 //	-planner=false   disable the cost-based join planner (bodies run in
 //	                 the analysis safety order; same model, for ablation)
-//	-stream=false    disable the streaming get-next executor (bodies run
-//	                 by the legacy recursive walk; same model, for ablation)
 //	-partial         on a tripped budget/timeout, still print the partial model
 //	-optimize p      print the §4-optimized program w.r.t. p and exit
 //	-show            print the (choice-translated) program before running
@@ -145,7 +143,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print evaluation statistics")
 	plan := flag.Bool("plan", false, "print the join plans the engine would use and exit")
 	planner := flag.Bool("planner", true, "enable the cost-based join planner")
-	stream := flag.Bool("stream", true, "enable the streaming get-next executor")
 	magic := flag.Bool("magic", true, "enable the magic-sets demand rewrite for interactive goal queries")
 	interactive := flag.Bool("i", false, "start an interactive session (REPL)")
 	walPath := flag.String("wal", "", "durable write-ahead log for the interactive session (with -i)")
@@ -239,7 +236,6 @@ func main() {
 			parallel:       *parallel,
 			partitions:     *partitions,
 			noPlanner:      !*planner,
-			noStream:       !*stream,
 			noMagic:        !*magic,
 		}, db, log, preload...)
 		return
@@ -332,9 +328,6 @@ func main() {
 	}
 	if !*planner {
 		opts = append(opts, idlog.WithPlanner(false))
-	}
-	if !*stream {
-		opts = append(opts, idlog.WithStreaming(false))
 	}
 
 	// Ctrl-C cancels the evaluation at the next guard checkpoint.

@@ -25,7 +25,6 @@ type replLimits struct {
 	parallel       int
 	partitions     int
 	noPlanner      bool
-	noStream       bool
 	noMagic        bool
 }
 
@@ -49,9 +48,6 @@ func (l replLimits) options() []idlog.Option {
 	}
 	if l.noPlanner {
 		opts = append(opts, idlog.WithPlanner(false))
-	}
-	if l.noStream {
-		opts = append(opts, idlog.WithStreaming(false))
 	}
 	if l.noMagic {
 		opts = append(opts, idlog.WithMagic(false))
@@ -86,16 +82,12 @@ func (l replLimits) String() string {
 	if l.noPlanner {
 		pl = "off"
 	}
-	st := "on"
-	if l.noStream {
-		st = "off"
-	}
 	mg := "on"
 	if l.noMagic {
 		mg = "off"
 	}
-	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, partitions=%s, planner=%s, stream=%s, magic=%s",
-		t, show(l.maxTuples), show(l.maxDerivations), p, pt, pl, st, mg)
+	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, partitions=%s, planner=%s, magic=%s",
+		t, show(l.maxTuples), show(l.maxDerivations), p, pt, pl, mg)
 }
 
 // repl is the interactive session state. Clauses hold the session
@@ -135,9 +127,9 @@ const replHelp = `commands:
                                  1 = sequential), partitions (hash
                                  fan-out for recursive delta passes,
                                  0 = follow parallel, 1 = off),
-                                 planner (on/off), stream (on/off),
-                                 magic (on/off: goal-directed magic-sets
-                                 rewriting for bound queries)
+                                 planner (on/off), magic (on/off:
+                                 goal-directed magic-sets rewriting
+                                 for bound queries)
   :clear                         drop all session clauses
   :help                          this text
   :quit                          leave
@@ -337,16 +329,6 @@ func (s *repl) limitsCommand(args []string) {
 				next.noPlanner = true
 			default:
 				fmt.Fprintln(s.out, "bad planner (on/off):", val)
-				return
-			}
-		case "stream":
-			switch val {
-			case "on", "true", "1":
-				next.noStream = false
-			case "off", "false", "0":
-				next.noStream = true
-			default:
-				fmt.Fprintln(s.out, "bad stream (on/off):", val)
 				return
 			}
 		case "magic":

@@ -48,7 +48,6 @@ func TestQuickSuiteRuns(t *testing.T) {
 		E17Reps:      2,
 		E17Repeats:   3,
 		E17Rules:     []int{8},
-		E17JoinSizes: []int{256},
 		E18Reps:      2,
 		E18Chains:    []int{80},
 		E18Branch:    2,

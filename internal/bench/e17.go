@@ -26,23 +26,20 @@ func layeredPointSrc(layers int) string {
 	return b.String()
 }
 
-// E17 measures the streaming get-next executor and the prepared-query
-// plan cache. Two kernel families share the table: "prepared" kernels
-// run the same point query `repeats` times per round, fresh
-// parse+analyze+plan every time (base) vs one analysis plus a shared
-// core.PlanCache (opt — the PreparedQuery path); "streaming" kernels
-// run one join-heavy fixpoint with the streaming executor off (base)
-// vs on (opt). Every cell pair is fingerprint-compared.
-func E17(reps, repeats int, rules, joinSizes []int) *Table {
+// E17 measures the prepared-query plan cache: each kernel runs the same
+// point query `repeats` times per round, fresh parse+analyze+plan every
+// time (base) vs one analysis plus a shared core.PlanCache (opt — the
+// PreparedQuery path). Every cell pair is fingerprint-compared.
+func E17(reps, repeats int, rules []int) *Table {
 	t := &Table{
 		ID:      "E17",
-		Title:   "streaming executor + plan cache: prepared point queries and join allocations",
-		Claim:   "plan-cached prepared queries beat fresh parse+compile+plan by >=2x on repeated point queries, and the streaming executor cuts per-join allocations, with byte-identical answers",
+		Title:   "plan cache: prepared point queries",
+		Claim:   "plan-cached prepared queries beat fresh parse+compile+plan by >=2x on repeated point queries, with byte-identical answers",
 		Columns: []string{"kernel", "base ms", "opt ms", "speedup", "base MB", "opt MB", "identical"},
 	}
 	type cell struct {
 		fp    func() string // one run + full-model fingerprint (warm-up)
-		round func()        // the timed unit: repeats queries or one fixpoint
+		round func()        // the timed unit: repeats queries
 	}
 	type kernel struct {
 		name  string
@@ -78,28 +75,6 @@ func E17(reps, repeats int, rules, joinSizes []int) *Table {
 							prepared()
 						}
 					}},
-			},
-		})
-	}
-
-	for _, n := range joinSizes {
-		db := adversarialJoinDB(n)
-		info := mustAnalyze(mustParse(adversarialJoinSrc))
-		mk := func(opts core.Options) cell {
-			return cell{
-				fp:    func() string { return resultFingerprint(evalOnce(info, db, opts), info) },
-				round: func() { evalOnce(info, db, opts) },
-			}
-		}
-		// Analysis order on both sides: the executor is the only toggle,
-		// and the |big1|*fan enumeration is where its per-binding
-		// allocation profile shows (the planned order enumerates ~|big1|
-		// tuples and allocates almost nothing either way).
-		kernels = append(kernels, kernel{
-			name: fmt.Sprintf("streaming adversarial join n=%d fan=%d (analysis order)", n, joinFan),
-			cells: [2]cell{
-				mk(core.Options{NoPlanner: true, NoStreaming: true}),
-				mk(core.Options{NoPlanner: true}),
 			},
 		})
 	}
@@ -143,7 +118,6 @@ func E17(reps, repeats int, rules, joinSizes []int) *Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("mean of %d timed rounds per cell after one warm-up; MB is heap allocated per round (runtime.MemStats TotalAlloc delta)", reps),
 		fmt.Sprintf("prepared kernels run %d point queries per round against a chain-12 EDB: base re-parses, re-stratifies, and re-plans the layered rulebase each query, opt reuses one analysis and a shared plan cache (the PreparedQuery path)", repeats),
-		"streaming kernels run the E15 adversarial join in analysis order once per round: base uses the legacy recursive walk (one match-closure allocation per binding per literal), opt the get-next iterator pipeline with pushdown",
 		"'identical' compares full-model fingerprints base vs opt")
 	if !allIdentical {
 		t.Notes = append(t.Notes, "DIVERGENCE DETECTED: optimized answers differed from baseline — this is a bug")

@@ -69,15 +69,12 @@ type Suite struct {
 	E16Sizes    []int
 	E16CacheKBs []int
 	E16Reps     int
-	// E17Reps is the timed-rounds-per-cell sample for the streaming +
-	// plan-cache experiment; E17Repeats is the point-queries-per-round
-	// count for its prepared kernels, E17Rules their layered-rulebase
-	// sizes, and E17JoinSizes the adversarial-join scales for its
-	// streaming kernels.
-	E17Reps      int
-	E17Repeats   int
-	E17Rules     []int
-	E17JoinSizes []int
+	// E17Reps is the timed-rounds-per-cell sample for the plan-cache
+	// experiment; E17Repeats is the point-queries-per-round count for
+	// its prepared kernels and E17Rules their layered-rulebase sizes.
+	E17Reps    int
+	E17Repeats int
+	E17Rules   []int
 	// E18Reps is the timed-runs-per-cell sample for the demand-driven
 	// evaluation experiment; E18Chains are its chain lengths and
 	// E18Branch the side branches per chain node.
@@ -135,7 +132,6 @@ func Quick() Suite {
 		E17Reps:      3,
 		E17Repeats:   25,
 		E17Rules:     []int{32, 64},
-		E17JoinSizes: []int{4096, 8192},
 		E18Reps:      3,
 		E18Chains:    []int{200, 400},
 		E18Branch:    3,
@@ -185,20 +181,19 @@ func Full() Suite {
 		// The largest in-memory benchmark EDB is E15's 65536-key join
 		// (~130k tuples); 2M edges is ~15x that, and the full-scan
 		// kernel touches every one from disk.
-		E16Sizes:     []int{500_000, 2_000_000},
-		E16CacheKBs:  []int{256, 4096, 65536},
-		E16Reps:      3,
-		E17Reps:      5,
-		E17Repeats:   100,
-		E17Rules:     []int{64, 128},
-		E17JoinSizes: []int{16384, 32768},
-		E18Reps:      5,
-		E18Chains:    []int{400, 800, 1200},
-		E18Branch:    3,
-		E19Reps:      5,
-		E19Grid:      20,
-		E19Chain:     512,
-		E19Parts:     []int{1, 2, 4, 8},
+		E16Sizes:    []int{500_000, 2_000_000},
+		E16CacheKBs: []int{256, 4096, 65536},
+		E16Reps:     3,
+		E17Reps:     5,
+		E17Repeats:  100,
+		E17Rules:    []int{64, 128},
+		E18Reps:     5,
+		E18Chains:   []int{400, 800, 1200},
+		E18Branch:   3,
+		E19Reps:     5,
+		E19Grid:     20,
+		E19Chain:    512,
+		E19Parts:    []int{1, 2, 4, 8},
 	}
 }
 
@@ -230,7 +225,7 @@ func Run(s Suite, only string) []*Table {
 	run("E14", func() *Table { return E14(s.E14Chain, s.E14Grid, s.E14Persons, s.E14Emp, s.E14PGraph) })
 	run("E15", func() *Table { return E15(s.E15Reps, s.E15JoinSizes, s.E15Chains) })
 	run("E16", func() *Table { return E16(s.E16Sizes, s.E16CacheKBs, s.E16Reps) })
-	run("E17", func() *Table { return E17(s.E17Reps, s.E17Repeats, s.E17Rules, s.E17JoinSizes) })
+	run("E17", func() *Table { return E17(s.E17Reps, s.E17Repeats, s.E17Rules) })
 	run("E18", func() *Table { return E18(s.E18Reps, s.E18Chains, s.E18Branch) })
 	run("E19", func() *Table { return E19(s.E19Reps, s.E19Grid, s.E19Chain, s.E19Parts) })
 	return out

@@ -52,16 +52,16 @@ type compiledLit struct {
 	// recursive marks positive ordinary literals over same-stratum
 	// predicates (the semi-naive delta positions).
 	recursive bool
-	// binds and checks drive the streaming executor's per-tuple match
+	// binds and checks drive the executor's per-tuple match
 	// (iterator.go). binds lists the argBind positions whose slot some
 	// later literal or the head actually reads — dead binds (variables
 	// occurring exactly once) are projected away. checks pairs each
 	// argCheck position with the in-literal position that first binds
 	// its variable, so repeated-variable selections evaluate against
 	// the candidate tuple alone, with no environment round-trip; that
-	// is what lets the scan iterator filter during block refill. The
-	// legacy recursive walk ignores both and uses args (provenance
-	// capture needs every slot bound).
+	// is what lets the scan iterator filter during block refill.
+	// Provenance capture reads the cursors' tuples, not the
+	// environment, so dead binds hide nothing from it.
 	binds  []bindPos
 	checks []checkPair
 }
@@ -88,8 +88,8 @@ type compiledClause struct {
 	// headBuf is scratch space for candidate head tuples; the relation
 	// clones it on actual insertion (InsertShared).
 	headBuf value.Tuple
-	// iters is the streaming executor's per-literal cursor scratch,
-	// allocated lazily on the first streaming walk. Like the other
+	// iters is the executor's per-literal cursor scratch, allocated
+	// lazily on the first walk. Like the other
 	// scratch buffers it is single-threaded; clone() resets it.
 	iters []litIter
 }
@@ -221,15 +221,16 @@ func compile(oc *analysis.OrderedClause, stratumPred func(string) bool, headBoun
 	return cc, seed, nil
 }
 
-// compileStreamPlan computes the streaming executor's projection
-// pushdown: per literal, the live argBind positions and the
-// repeated-variable check pairs. A slot is live when some literal reads
-// it as argBound (reads always follow the unique argBind site) or the
-// head projects it; an argBind whose slot is never read is dead and the
-// streaming walk skips the store. Head-bound clauses additionally keep
-// every seed slot live (the rederivation probe seeds them before the
-// walk). Safe because the only whole-environment reader, provenance
-// capture, runs under Trace, which forces the legacy walk.
+// compileStreamPlan computes the executor's projection pushdown: per
+// literal, the live argBind positions and the repeated-variable check
+// pairs. A slot is live when some literal reads it as argBound (reads
+// always follow the unique argBind site) or the head projects it; an
+// argBind whose slot is never read is dead and the walk skips the
+// store. Head-bound clauses additionally keep every seed slot live (the
+// rederivation probe seeds them before the walk). Provenance capture
+// copies positive literals from the cursors and rebuilds negated ones
+// from the environment; their arguments are all argBound or argConst,
+// hence live.
 func compileStreamPlan(cc *compiledClause, seed []compiledArg) {
 	live := make([]bool, cc.nslots)
 	for _, a := range cc.headArgs {

@@ -29,15 +29,6 @@ type Options struct {
 	// Costs memory proportional to the model. Trace forces sequential
 	// evaluation (provenance capture is inherently ordered).
 	Trace bool
-	// NoStreaming disables the streaming get-next executor: clause
-	// bodies are evaluated by the legacy recursive walk. The model,
-	// insertion order, and statistics are identical either way (the
-	// executor only changes how each body instantiation is enumerated
-	// and which environment slots are materialized); this is the escape
-	// hatch and the ablation baseline. Trace forces the legacy walk —
-	// provenance capture snapshots the whole environment, which the
-	// executor's projection pushdown deliberately leaves sparse.
-	NoStreaming bool
 	// NoPlanner disables the cost-based join planner: clause bodies are
 	// evaluated in the analysis safety order and semi-naive deltas are
 	// substituted in place instead of rotated to depth 0. The model is
@@ -86,15 +77,6 @@ func (o Options) oracle() relation.Oracle {
 	}
 	return o.Oracle
 }
-
-// streaming reports whether the get-next executor is active; Trace
-// forces the legacy walk (provenance reads the whole environment).
-func (o Options) streaming() bool { return !o.NoStreaming && !o.Trace }
-
-// StreamingEnabled reports whether these Options run the streaming
-// get-next executor; exported for callers that mirror the choice into
-// derived configurations (incremental CompileOptions, CLI renderers).
-func (o Options) StreamingEnabled() bool { return o.streaming() }
 
 func (o Options) guard() *guard.Guard {
 	if o.Guard != nil {
@@ -379,7 +361,7 @@ func (e *engine) naiveFixpoint(clauses []*compiledClause) error {
 		e.stats.Iterations++
 		inserted := 0
 		for _, cc := range clauses {
-			n, err := e.evalClause(cc, -1, nil, e.work[cc.headPred])
+			n, err := e.run(cc, -1, nil, nil, e.work[cc.headPred])
 			if err != nil {
 				return err
 			}
@@ -403,7 +385,7 @@ func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) err
 		// A non-recursive component reaches fixpoint in its seed round:
 		// skip the delta bookkeeping entirely.
 		for _, cc := range clauses {
-			if _, err := e.evalClause(cc, -1, nil, e.work[cc.headPred]); err != nil {
+			if _, err := e.run(cc, -1, nil, nil, e.work[cc.headPred]); err != nil {
 				return err
 			}
 		}
@@ -417,7 +399,7 @@ func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) err
 		delta[p] = relation.NewDelta(p, e.work[p].Arity(), 0)
 	}
 	for _, cc := range clauses {
-		if _, err := e.evalClause(cc, -1, delta[cc.headPred], e.work[cc.headPred]); err != nil {
+		if _, err := e.run(cc, -1, nil, delta[cc.headPred], e.work[cc.headPred]); err != nil {
 			return err
 		}
 	}
@@ -457,7 +439,7 @@ func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) err
 				if d == nil || d.Len() == 0 {
 					continue
 				}
-				if _, err := e.evalClauseDelta(cc, u.pos, d, next[cc.headPred], e.work[cc.headPred]); err != nil {
+				if _, err := e.run(cc, u.pos, d, next[cc.headPred], e.work[cc.headPred]); err != nil {
 					return err
 				}
 			}
@@ -482,23 +464,15 @@ func (e *engine) resolve(cl *compiledLit) (*relation.Relation, error) {
 	return r, nil
 }
 
-// evalClause evaluates cc against the current relations. New head tuples
-// are inserted into full; when deltaSink is non-nil they are also added
-// there (seeding semi-naive). It returns the number of new tuples.
-func (e *engine) evalClause(cc *compiledClause, _ int, deltaSink, full *relation.Relation) (int, error) {
-	return e.run(cc, -1, nil, deltaSink, full)
-}
-
-// evalClauseDelta is one semi-naive pass: the literal at deltaPos reads
-// deltaRel instead of its full relation.
-func (e *engine) evalClauseDelta(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full *relation.Relation) (int, error) {
-	return e.run(cc, deltaPos, deltaRel, deltaSink, full)
-}
-
+// run evaluates cc against the current relations, the literal at
+// deltaPos (-1 for none) reading deltaRel instead of its full relation.
+// New head tuples are inserted into full; when deltaSink is non-nil they
+// are also added there (seeding semi-naive). It returns the number of
+// new tuples.
 func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full *relation.Relation) (int, error) {
 	inserted := 0
 	e.curClause = cc.srcText
-	rn := runner{resolve: e.resolve, stats: &e.stats, stream: e.opts.streaming()}
+	rn := runner{resolve: e.resolve, stats: &e.stats}
 	rn.derive = func(cc *compiledClause, env []value.Value, head value.Tuple) error {
 		if e.governed {
 			// Amortized governance: consult the guard only when the
@@ -555,25 +529,20 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full
 	return inserted, err
 }
 
-// runner executes the join walk of one clause. There is exactly one per
-// goroutine: the sequential engine builds one per clause run, and every
-// parallel worker owns one bound to its private compiled-clause copies
-// (the compiled scratch buffers are single-threaded by design). The
-// walk is pure enumeration — each complete body instantiation hands the
-// candidate head tuple (scratch; clone to retain) to the derive hook,
-// which carries all mutable policy: governance, dedup, insertion. The
-// resolve hook maps a compiled literal to the relation it reads, so the
-// same walk serves full evaluation (engine state) and incremental
-// maintenance (a view's relation maps).
+// runner executes the join walk of one clause (iterator.go). There is
+// exactly one per goroutine: the sequential engine builds one per clause
+// run, and every parallel worker owns one bound to its private
+// compiled-clause copies (the compiled scratch buffers are
+// single-threaded by design). The walk is pure enumeration — each
+// complete body instantiation hands the candidate head tuple (scratch;
+// clone to retain) to the derive hook, which carries all mutable policy:
+// governance, dedup, insertion. The resolve hook maps a compiled literal
+// to the relation it reads, so the same walk serves full evaluation
+// (engine state) and incremental maintenance (a view's relation maps).
 type runner struct {
 	resolve func(cl *compiledLit) (*relation.Relation, error)
 	stats   *Stats
 	derive  func(cc *compiledClause, env []value.Value, head value.Tuple) error
-	// stream selects the get-next executor (iterator.go) over the
-	// legacy recursive walk below. Both enumerate instantiations in
-	// the same order with the same statistics; Trace requires the
-	// legacy walk (see Options.NoStreaming).
-	stream bool
 	// partRel, when non-nil, substitutes for the relation the literal
 	// at depth partDepth reads — the partition-local probe relation of
 	// a partitioned task (eval_parallel.go). partDepth is never 0 in a
@@ -581,199 +550,4 @@ type runner struct {
 	// with the delta substitution.
 	partRel   *relation.Relation
 	partDepth int
-}
-
-// run walks cc with the delta relation substituted at deltaPos (-1 for
-// none). lo/hi restrict the depth-0 literal's enumeration range to
-// [lo, hi) — the parallel shard bounds; hi = -1 means unrestricted.
-func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
-	env := make([]value.Value, cc.nslots)
-	return rn.walk(cc, env, deltaPos, deltaRel, lo, hi)
-}
-
-// walk is run with a caller-provided environment, which may be
-// pre-seeded (head-bound rederivation probes seed the head slots from a
-// candidate tuple before walking the body). The env may be reused
-// across walks without clearing: compilation guarantees every slot read
-// was bound earlier in the same walk or by the seed.
-func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
-	if rn.stream {
-		return rn.streamWalk(cc, env, deltaPos, deltaRel, lo, hi)
-	}
-	var rec func(depth int) error
-	rec = func(depth int) error {
-		if depth == len(cc.lits) {
-			head := cc.headBuf
-			for i, a := range cc.headArgs {
-				if a.kind == argConst {
-					head[i] = a.val
-				} else {
-					head[i] = env[a.slot]
-				}
-			}
-			return rn.derive(cc, env, head)
-		}
-		cl := &cc.lits[depth]
-		if cl.builtin != nil {
-			return rn.stepBuiltin(cc, cl, env, depth, rec)
-		}
-		if cl.neg {
-			return rn.stepNegated(cl, env, depth, rec)
-		}
-		rel, err := rn.resolve(cl)
-		if err != nil {
-			return err
-		}
-		if depth == deltaPos {
-			rel = deltaRel
-		} else if rn.partRel != nil && depth == rn.partDepth {
-			rel = rn.partRel
-		}
-		if depth == 0 {
-			return rn.stepScan(cl, rel, env, depth, lo, hi, rec)
-		}
-		return rn.stepScan(cl, rel, env, depth, 0, -1, rec)
-	}
-	return rec(0)
-}
-
-// stepScan matches a positive relational literal by probing the indexed
-// columns and binding the rest. A non-negative hi restricts enumeration
-// to the [lo, hi) slice of the scan (or of the probed index bucket) —
-// the parallel evaluator's shard bounds.
-func (rn *runner) stepScan(cl *compiledLit, rel *relation.Relation, env []value.Value, depth, lo, hi int, rec func(int) error) error {
-	match := func(t value.Tuple) error {
-		ok := true
-		for pos, a := range cl.args {
-			switch a.kind {
-			case argBind:
-				env[a.slot] = t[pos]
-			case argCheck:
-				if !t[pos].Equal(env[a.slot]) {
-					ok = false
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			return nil
-		}
-		return rec(depth + 1)
-	}
-	if len(cl.probeCols) == 0 {
-		// Scan streams block-at-a-time from disk-backed relations, so a
-		// full scan never materializes the relation in memory.
-		if hi < 0 {
-			lo, hi = 0, rel.Len()
-		}
-		rn.stats.TuplesScanned += hi - lo
-		var merr error
-		rel.Scan(lo, hi, func(_ int, t value.Tuple) bool {
-			merr = match(t)
-			return merr == nil
-		})
-		return merr
-	}
-	key := cl.keyBuf
-	for i, a := range cl.probeArgs {
-		if a.kind == argConst {
-			key[i] = a.val
-		} else {
-			key[i] = env[a.slot]
-		}
-	}
-	// Iterate index positions directly to avoid materializing the
-	// candidate slice. The positions slice is the index's own bucket
-	// and must not be mutated; inserts during iteration may append to
-	// it, but appended tuples are new head derivations of *other*
-	// relations (a clause never inserts into a relation it scans in the
-	// same instantiation path — recursive clauses read delta copies), so
-	// a snapshot of the length keeps iteration well-defined.
-	var one [1]int
-	positions := probePositions(rel, cl, key, &one)
-	n := len(positions)
-	if hi >= 0 {
-		positions, n = positions[lo:hi], hi-lo
-	}
-	rn.stats.TuplesScanned += n
-	for i := 0; i < n; i++ {
-		if err := match(rel.At(positions[i])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stepNegated checks a fully-bound negated relational literal.
-func (rn *runner) stepNegated(cl *compiledLit, env []value.Value, depth int, rec func(int) error) error {
-	rel, err := rn.resolve(cl)
-	if err != nil {
-		return err
-	}
-	t := make(value.Tuple, len(cl.args))
-	for i, a := range cl.args {
-		if a.kind == argConst {
-			t[i] = a.val
-		} else {
-			t[i] = env[a.slot]
-		}
-	}
-	if rel.Contains(t) {
-		return nil
-	}
-	return rec(depth + 1)
-}
-
-// stepBuiltin evaluates an interpreted literal by enumerating the
-// solutions of its relation under the current bindings.
-func (rn *runner) stepBuiltin(cc *compiledClause, cl *compiledLit, env []value.Value, depth int, rec func(int) error) error {
-	args, mask := cl.argsBuf, cl.maskBuf
-	for i, a := range cl.args {
-		switch a.kind {
-		case argConst:
-			args[i] = a.val
-			mask[i] = true
-		case argBound:
-			args[i] = env[a.slot]
-			mask[i] = true
-		default:
-			args[i] = value.Value{}
-			mask[i] = false
-		}
-	}
-	sols, err := cl.builtin.Solve(args, mask)
-	if err != nil {
-		return fmt.Errorf("clause %s: %w", cc.src.Source, err)
-	}
-	if cl.neg {
-		if len(sols) == 0 {
-			return rec(depth + 1)
-		}
-		return nil
-	}
-	for _, sol := range sols {
-		ok := true
-		for i, a := range cl.args {
-			switch a.kind {
-			case argBind:
-				env[a.slot] = sol[i]
-			case argCheck:
-				if !sol[i].Equal(env[a.slot]) {
-					ok = false
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if err := rec(depth + 1); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -262,7 +262,7 @@ func (e *engine) parallelFixpoint(c *analysis.Component, sp *componentPlan) erro
 		for j, cc := range clauses {
 			w.clauses[j] = cc.clone()
 		}
-		w.rn = runner{resolve: e.resolve, derive: w.derive, stream: e.opts.streaming()}
+		w.rn = runner{resolve: e.resolve, derive: w.derive}
 		workers[i] = w
 	}
 

@@ -71,7 +71,6 @@ type CompiledStratum struct {
 	// Preds are the predicates defined by the stratum, as in
 	// analysis.Stratum.
 	Preds   []string
-	stream  bool
 	clauses []*compiledClause
 	// variants[i][pos] is the delta-first rotation of clauses[i] for
 	// body position pos: the same clause re-planned with that literal
@@ -87,11 +86,6 @@ type CompileOptions struct {
 	// NoPlanner compiles bodies in the analysis safety order with
 	// in-place delta substitution, mirroring Options.NoPlanner.
 	NoPlanner bool
-	// NoStreaming evaluates the maintenance walks with the legacy
-	// recursive executor, mirroring Options.NoStreaming. The streaming
-	// executor is safe here because every incremental derive hook reads
-	// only the head tuple, never the environment.
-	NoStreaming bool
 	// Rels / IDRels, when set, are the cardinality snapshot for the
 	// planner's selectivity estimates — typically the view's
 	// materialized relations at plan time. Missing entries fall back to
@@ -117,7 +111,7 @@ func CompileStratum(info *analysis.Info, si int, copts CompileOptions) (*Compile
 	// current size: unlike at engine time, the view's own stratum
 	// relations are already materialized here.
 	card := snapshotCard(s.Clauses, map[string]bool{}, copts.Rels, copts.IDRels)
-	cs := &CompiledStratum{Preds: s.Preds, stream: !copts.NoStreaming, bound: map[string][]*headBoundClause{}}
+	cs := &CompiledStratum{Preds: s.Preds, bound: map[string][]*headBoundClause{}}
 	for _, oc := range s.Clauses {
 		soc := oc
 		if !copts.NoPlanner {
@@ -261,7 +255,7 @@ func (cs *CompiledStratum) Overdelete(st *IncrState, dels map[string]*relation.R
 		}
 		next := map[string]*relation.Relation{}
 		for ci := range cs.clauses {
-			rn := runner{resolve: resolveOld, stats: st.Stats, stream: cs.stream}
+			rn := runner{resolve: resolveOld, stats: st.Stats}
 			rn.derive = func(dcc *compiledClause, _ []value.Value, head value.Tuple) error {
 				if st.governed() {
 					if err := st.Guard.Derivation(dcc.srcText); err != nil {
@@ -316,7 +310,7 @@ func (cs *CompiledStratum) Rederive(st *IncrState, overdel map[string]*relation.
 		for _, t := range od.Tuples() {
 			derivable := false
 			for _, hb := range hbs {
-				ok, err := hb.derives(st, t, cs.stream)
+				ok, err := hb.derives(st, t)
 				if err != nil {
 					return redone, err
 				}
@@ -344,7 +338,7 @@ func (cs *CompiledStratum) Rederive(st *IncrState, overdel map[string]*relation.
 
 // derives reports whether t has at least one derivation through hb
 // against the current relations.
-func (hb *headBoundClause) derives(st *IncrState, t value.Tuple, stream bool) (bool, error) {
+func (hb *headBoundClause) derives(st *IncrState, t value.Tuple) (bool, error) {
 	env := hb.env
 	for i, a := range hb.seed {
 		switch a.kind {
@@ -361,7 +355,7 @@ func (hb *headBoundClause) derives(st *IncrState, t value.Tuple, stream bool) (b
 		}
 	}
 	found := false
-	rn := runner{resolve: st.resolveCur, stats: st.Stats, stream: stream}
+	rn := runner{resolve: st.resolveCur, stats: st.Stats}
 	rn.derive = func(dcc *compiledClause, _ []value.Value, _ value.Tuple) error {
 		if st.governed() {
 			if err := st.Guard.Derivation(dcc.srcText); err != nil {
@@ -405,7 +399,7 @@ func (cs *CompiledStratum) Propagate(st *IncrState, ins map[string]*relation.Rel
 		}
 		next := map[string]*relation.Relation{}
 		for ci := range cs.clauses {
-			rn := runner{resolve: st.resolveCur, stats: st.Stats, stream: cs.stream}
+			rn := runner{resolve: st.resolveCur, stats: st.Stats}
 			rn.derive = func(dcc *compiledClause, _ []value.Value, head value.Tuple) error {
 				if st.governed() {
 					if err := st.Guard.Derivation(dcc.srcText); err != nil {

@@ -7,33 +7,27 @@ import (
 	"idlog/internal/value"
 )
 
-// This file implements the streaming join executor: the recursive
-// closure walk of eval.go rebuilt as a pipeline of composable get-next
-// cursors, one per body literal, driven by an explicit depth loop. The
-// pipeline is single-use — open positions a cursor under the current
-// bindings, next pulls one satisfying tuple, and exhaustion pops back
-// to the previous literal — so per-round intermediates are never
+// This file implements the join executor: a pipeline of composable
+// get-next cursors, one per body literal, driven by an explicit depth
+// loop. The pipeline is single-use — open positions a cursor under the
+// current bindings, next pulls one satisfying tuple, and exhaustion pops
+// back to the previous literal — so per-round intermediates are never
 // materialized: a body instantiation lives only as the environment
-// slots currently pinned by the cursor stack.
+// slots currently pinned by the cursor stack, and the tuples the cursors
+// last yielded.
 //
-// The executor is byte-for-byte equivalent to the legacy walk:
-//   - Enumeration order is identical. open snapshots exactly what the
-//     recursive step snapshotted at the same moment (relation length
-//     for scans, the index bucket for probes, the builtin's solutions),
-//     and next yields in the same position order.
-//   - Stats are identical. Scans and probes count their snapshot range
-//     up front, exactly as stepScan did.
-//   - Errors are identical, including the builtin wrapping.
-// What changes is the evaluation of each tuple:
+// open snapshots what it enumerates (relation length for scans, the
+// index bucket for probes, the builtin's solutions) and counts the
+// snapshot range into TuplesScanned up front; next yields in position
+// order. Per tuple:
 //   - Selection pushdown: repeated-variable checks (cl.checks) compare
 //     positions of the candidate tuple directly, so the scan cursor
 //     filters while refilling its block buffer and rejected tuples
 //     never surface to the join loop.
 //   - Projection pushdown: only live binds (cl.binds) are stored into
 //     the environment; a variable read by nothing downstream costs
-//     nothing per tuple.
-// Trace runs force the legacy walk (provenance snapshots the whole
-// environment, which projection pushdown deliberately leaves sparse).
+//     nothing per tuple. Provenance capture reads the whole body
+//     instantiation from the cursors (current), not the environment.
 
 // scanChunk is the scan cursor's refill granularity: small enough to
 // stay resident in cache, large enough to amortize the per-call cost of
@@ -168,9 +162,12 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 			key[i] = env[a.slot]
 		}
 	}
-	// The positions slice is the index's own bucket; the snapshot of its
-	// length keeps iteration well-defined if inserts append to it (see
-	// stepScan for why appends are always other relations' heads).
+	// The positions slice is the index's own bucket and must not be
+	// mutated. Inserts during iteration may append to it, but appended
+	// tuples are new head derivations of *other* relations (a clause
+	// never inserts into a relation it scans in the same instantiation
+	// path — recursive clauses read delta copies), so the snapshot of
+	// its length keeps iteration well-defined.
 	positions := probePositions(rel, cl, key, &it.one)
 	n := len(positions)
 	if hi >= 0 {
@@ -255,8 +252,8 @@ func (rn *runner) nextIter(it *litIter, env []value.Value) bool {
 
 // refill advances the scan cursor by one chunk, applying the pushed-down
 // selections so the buffer holds only matching tuples. Scan streams
-// block-at-a-time from disk-backed relations, so a chunked scan keeps
-// the legacy walk's bounded-residency property.
+// block-at-a-time from disk-backed relations, so a chunked scan never
+// materializes a disk relation in memory.
 func (it *litIter) refill(cl *compiledLit) {
 	end := it.pos + scanChunk
 	if end > it.hi {
@@ -272,12 +269,37 @@ func (it *litIter) refill(cl *compiledLit) {
 	it.pos = end
 }
 
-// streamWalk is the executor's driver: an explicit open/next/pop loop
-// over the cursor stack, replacing the legacy walk's recursion. The
-// environment may arrive pre-seeded (head-bound rederivation) and is
-// never cleared; compilation guarantees every slot read was bound
-// earlier in the same walk or by the seed.
-func (rn *runner) streamWalk(cc *compiledClause, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+// current returns the tuple the cursor last yielded — the scan or probe
+// tuple, or the builtin solution — or nil for an iterOnce cursor, which
+// yields no tuple. Valid between a successful nextIter and the next
+// open or next on the cursor.
+func (it *litIter) current() []value.Value {
+	switch it.kind {
+	case iterScan:
+		return it.buf[it.bufIdx-1]
+	case iterProbe:
+		return it.rel.At(it.positions[it.idx-1])
+	case iterBuiltin:
+		return it.sols[it.solIdx-1]
+	}
+	return nil
+}
+
+// run walks cc with the delta relation substituted at deltaPos (-1 for
+// none). lo/hi restrict the depth-0 literal's enumeration range to
+// [lo, hi) — the parallel shard bounds; hi = -1 means unrestricted.
+func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+	env := make([]value.Value, cc.nslots)
+	return rn.walk(cc, env, deltaPos, deltaRel, lo, hi)
+}
+
+// walk is the executor's driver: an explicit open/next/pop loop over
+// the cursor stack. The environment may arrive pre-seeded (head-bound
+// rederivation probes seed the head slots from a candidate tuple) and
+// is never cleared, so it may be reused across walks; compilation
+// guarantees every slot read was bound earlier in the same walk or by
+// the seed.
+func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
 	last := len(cc.lits) - 1
 	if last < 0 {
 		return rn.deriveHead(cc, env)
@@ -310,7 +332,7 @@ func (rn *runner) streamWalk(cc *compiledClause, env []value.Value, deltaPos int
 }
 
 // deriveHead assembles the candidate head tuple in scratch and hands it
-// to the derive hook (identical to the legacy walk's leaf step).
+// to the derive hook.
 func (rn *runner) deriveHead(cc *compiledClause, env []value.Value) error {
 	head := cc.headBuf
 	for i, a := range cc.headArgs {

@@ -51,9 +51,6 @@ type PlanCache struct {
 }
 
 // planKey identifies one (program, database snapshot, options) point.
-// NoStreaming is deliberately absent: binds/checks are compiled
-// unconditionally and the executor choice is made per run, so both
-// executors share one cached plan.
 type planKey struct {
 	info      *analysis.Info
 	dbVersion uint64

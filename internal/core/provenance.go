@@ -44,7 +44,13 @@ func provKey(pred string, t value.Tuple) string {
 	return pred + "|" + t.Key()
 }
 
-// recordProvenance captures the ground body of the current instantiation.
+// recordProvenance captures the ground body of the current
+// instantiation. It runs inside the derive hook, while every cursor of
+// cc's walk still holds the tuple it last yielded: positive literals
+// copy that tuple, so variables the executor projected away are still
+// recorded. Negated literals yield no tuple; safety binds all their
+// arguments, and the executor keeps bound slots live, so they are
+// rebuilt from args and env.
 func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored value.Tuple) {
 	if e.prov == nil {
 		return
@@ -56,13 +62,18 @@ func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored 
 	entry := provEntry{clause: cc.src.Source.String()}
 	for i := range cc.lits {
 		cl := &cc.lits[i]
-		t := make(value.Tuple, len(cl.args))
-		for pos, a := range cl.args {
-			if a.kind == argConst {
-				t[pos] = a.val
-			} else {
-				t[pos] = env[a.slot]
+		var t value.Tuple
+		if cl.neg {
+			t = make(value.Tuple, len(cl.args))
+			for pos, a := range cl.args {
+				if a.kind == argConst {
+					t[pos] = a.val
+				} else {
+					t[pos] = env[a.slot]
+				}
 			}
+		} else {
+			t = append(value.Tuple(nil), cc.iters[i].current()...)
 		}
 		entry.body = append(entry.body, provFact{
 			pred:    cl.pred,

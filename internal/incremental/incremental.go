@@ -174,10 +174,9 @@ func (v *View) plan(si int) (*core.CompiledStratum, error) {
 		// Plans compile lazily, so the materialized relations are a live
 		// cardinality snapshot for the join planner.
 		cs, err := core.CompileStratum(v.info, si, core.CompileOptions{
-			NoPlanner:   !v.opts.PlannerEnabled(),
-			NoStreaming: !v.opts.StreamingEnabled(),
-			Rels:        v.rels,
-			IDRels:      v.idrels,
+			NoPlanner: !v.opts.PlannerEnabled(),
+			Rels:      v.rels,
+			IDRels:    v.idrels,
 		})
 		if err != nil {
 			return nil, err

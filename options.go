@@ -126,21 +126,9 @@ func WithPartitions(n int) Option {
 // enumerate the delta literal first. The computed model is identical
 // either way — the planner only picks among safety-equivalent orders —
 // so WithPlanner(false) is the performance-ablation and escape hatch.
-// Tracing (WithTrace) also disables the planner, keeping derivation
-// trees independent of relation cardinalities.
+// Traced runs (WithTrace) run with the planner off.
 func WithPlanner(on bool) Option {
 	return func(c *config) { c.eval.NoPlanner = !on }
-}
-
-// WithStreaming enables (the default) or disables the streaming
-// get-next executor: with it on, clause bodies are evaluated by a
-// pipeline of composable cursors with selection and projection pushed
-// down into the scans; with it off, the legacy recursive walk runs.
-// The computed model, insertion order, and statistics are identical
-// either way, so WithStreaming(false) is the performance-ablation and
-// escape hatch. Tracing (WithTrace) forces the legacy walk.
-func WithStreaming(on bool) Option {
-	return func(c *config) { c.eval.NoStreaming = !on }
 }
 
 // WithMagic enables (the default) or disables the magic-sets demand
@@ -151,8 +139,7 @@ func WithStreaming(on bool) Option {
 // negation over derived predicates, or binding nothing) the full
 // program is evaluated. Answer sets are identical either way, so
 // WithMagic(false) is the performance-ablation and escape hatch.
-// Tracing (WithTrace) also disables the rewrite, keeping derivation
-// trees in terms of the source rules.
+// Traced runs (WithTrace) evaluate the full program.
 func WithMagic(on bool) Option {
 	return func(c *config) { c.noMagic = !on }
 }
@@ -170,7 +157,11 @@ func WithMaxRuns(n int) Option {
 
 // WithTrace records the first derivation of every tuple so that
 // Result.Explain can print derivation trees. Costs memory proportional
-// to the computed model.
+// to the computed model. A traced run evaluates sequentially, in the
+// analysis body order (planner off), over the source rules (no
+// magic-sets rewrite): which derivation comes first then depends on
+// neither relation cardinalities nor worker scheduling, and every tree
+// is stated in terms of the program as written.
 func WithTrace() Option {
 	return func(c *config) { c.eval.Trace = true }
 }

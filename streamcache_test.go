@@ -5,110 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"testing"
 )
-
-// TestStreamingPreservesPaperExamples is the streaming executor's
-// end-to-end acceptance check: the paper's Examples 1–8 must produce
-// byte-identical model fingerprints AND identical engine statistics
-// with the executor on and off, sequentially and with 4 workers, with
-// the planner on and off. (The executor only changes how each body
-// instantiation is enumerated, never which instantiations occur or in
-// what order, so even TuplesScanned must agree exactly.)
-func TestStreamingPreservesPaperExamples(t *testing.T) {
-	db := NewDatabase()
-	for i := 0; i < 6; i++ {
-		_ = db.Add("person", Strs(fmt.Sprintf("p%02d", i)))
-	}
-	for d := 0; d < 4; d++ {
-		for e := 0; e < 5; e++ {
-			_ = db.Add("emp", Strs(fmt.Sprintf("e%d_%d", d, e), fmt.Sprintf("dept%d", d)))
-		}
-	}
-	for i := 0; i < 30; i++ {
-		_ = db.Add("p", Strs(fmt.Sprintf("v%03d", i), fmt.Sprintf("v%03d", i+1)))
-		if i%5 == 0 {
-			_ = db.Add("p", Strs(fmt.Sprintf("v%03d", i), fmt.Sprintf("w%03d", i)))
-		}
-	}
-	db.Freeze()
-
-	type workload struct {
-		name string
-		prog *Program
-		opts []Option
-	}
-	var workloads []workload
-	for _, ex := range paperExamples {
-		prog := mustParse(t, ex.src)
-		workloads = append(workloads, workload{ex.name, prog, nil})
-		workloads = append(workloads, workload{ex.name + "-seeded", prog, []Option{WithSeed(42)}})
-	}
-	ex6 := mustParse(t, paperExamples[5].src)
-	ex8, err := ex6.Optimize("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads = append(workloads, workload{"ex7-8-optimized", ex8, nil})
-
-	// modelOf renders fingerprints plus the full Stats so a divergence
-	// in either is caught.
-	modelOf := func(w workload, extra ...Option) string {
-		t.Helper()
-		res, err := w.prog.Eval(db, append(append([]Option{}, w.opts...), extra...)...)
-		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		var b strings.Builder
-		for _, p := range w.prog.OutputPredicates() {
-			fmt.Fprintf(&b, "%s=%s\n", p, res.Relation(p).Fingerprint())
-		}
-		fmt.Fprintf(&b, "stats=%+v\n", res.Stats)
-		return b.String()
-	}
-
-	for _, w := range workloads {
-		want := modelOf(w) // streaming on, sequential: the reference
-		variants := []struct {
-			name  string
-			extra []Option
-		}{
-			{"stream-off", []Option{WithStreaming(false)}},
-			{"stream-on-parallel", []Option{WithParallelism(4)}},
-			{"stream-off-parallel", []Option{WithStreaming(false), WithParallelism(4)}},
-			{"stream-on-planner-off", []Option{WithPlanner(false)}},
-			{"stream-off-planner-off", []Option{WithStreaming(false), WithPlanner(false)}},
-		}
-		// Parallel runs may schedule identically but their per-variant
-		// reference is the matching legacy-walk run, so compare pairs
-		// that differ ONLY in the streaming flag.
-		pairs := [][2]int{{0, -1}, {2, 1}, {4, 3}}
-		got := make([]string, len(variants))
-		for i, v := range variants {
-			got[i] = modelOf(w, v.extra...)
-		}
-		for _, pr := range pairs {
-			ref := want
-			if pr[1] >= 0 {
-				ref = got[pr[1]]
-			}
-			if got[pr[0]] != ref {
-				t.Errorf("%s: %s diverged from its legacy-walk twin\nwant:\n%s\ngot:\n%s",
-					w.name, variants[pr[0]].name, ref, got[pr[0]])
-			}
-		}
-		// And every variant's fingerprints must match the reference
-		// (stats aside, the model itself never depends on any toggle).
-		for i, v := range variants {
-			gf := got[i][:strings.Index(got[i], "stats=")]
-			wf := want[:strings.Index(want, "stats=")]
-			if gf != wf {
-				t.Errorf("%s: %s model diverged\nwant:\n%s\ngot:\n%s", w.name, v.name, wf, gf)
-			}
-		}
-	}
-}
 
 // diskSeam reports whether the IDLOG_ENGINE=disk test seam is active;
 // it reroutes every public call through a fresh database (new version
