@@ -21,9 +21,6 @@
 //	-parallel n      evaluate fixpoints on n worker goroutines (answers
 //	                 stay byte-identical to sequential; default 0 = auto,
 //	                 GOMAXPROCS clamped to 8; 1 = sequential)
-//	-partitions n    hash-partition recursive delta passes n ways with
-//	                 partition-local probe indexes (default 0 = follow
-//	                 -parallel; 1 = off; answers stay byte-identical)
 //	-plan            print the join plans the engine would use and exit
 //	-planner=false   disable the cost-based join planner (bodies run in
 //	                 the analysis safety order; same model, for ablation)
@@ -136,7 +133,6 @@ func main() {
 	maxTuples := flag.Int("max-tuples", 0, "materialized-tuple budget, a memory ceiling (0 = none)")
 	maxDerivations := flag.Int("max-derivations", 0, "derivation budget, a work ceiling (0 = none)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for fixpoint evaluation (0 = auto, 1 = sequential)")
-	partitions := flag.Int("partitions", 0, "hash-partition fan-out for recursive delta passes (0 = follow -parallel, 1 = off)")
 	partial := flag.Bool("partial", false, "on a tripped budget/timeout, still print the partial model")
 	optimize := flag.String("optimize", "", "print the optimized program w.r.t. this predicate and exit")
 	show := flag.Bool("show", false, "print the evaluated (choice-translated) program")
@@ -234,7 +230,6 @@ func main() {
 			maxTuples:      *maxTuples,
 			maxDerivations: *maxDerivations,
 			parallel:       *parallel,
-			partitions:     *partitions,
 			noPlanner:      !*planner,
 			noMagic:        !*magic,
 		}, db, log, preload...)
@@ -322,9 +317,6 @@ func main() {
 	}
 	if *parallel > 0 {
 		opts = append(opts, idlog.WithParallelism(*parallel))
-	}
-	if *partitions > 0 {
-		opts = append(opts, idlog.WithPartitions(*partitions))
 	}
 	if !*planner {
 		opts = append(opts, idlog.WithPlanner(false))

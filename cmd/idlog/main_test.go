@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -197,5 +198,37 @@ func TestStringListFlag(t *testing.T) {
 	_ = s.Set("b")
 	if s.String() != "a,b" || len(s) != 2 {
 		t.Fatalf("stringList = %v", s)
+	}
+}
+
+// TestRemovedFlagIsUsageError runs the CLI in a child process: the
+// retired -partitions flag is an unknown flag (usage error, exit 2),
+// while -parallel on the same program runs normally.
+func TestRemovedFlagIsUsageError(t *testing.T) {
+	if args := os.Getenv("IDLOG_TEST_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"idlog"}, strings.Fields(args)...)
+		main()
+		os.Exit(exitOK)
+	}
+	prog := writeFile(t, "x.idl", "e(a, b).\ntc(X, Y) :- e(X, Y).\n")
+	run := func(args string) (int, string) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagIsUsageError$")
+		cmd.Env = append(os.Environ(), "IDLOG_TEST_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return ee.ExitCode(), string(out)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exitOK, string(out)
+	}
+	if code, out := run("-partitions 4 " + prog); code != exitUsage ||
+		!strings.Contains(out, "flag provided but not defined: -partitions") {
+		t.Fatalf("-partitions: exit %d, want %d (unknown flag):\n%s", code, exitUsage, out)
+	}
+	if code, out := run("-parallel 2 " + prog); code != exitOK || !strings.Contains(out, "tc{(a, b)}") {
+		t.Fatalf("-parallel 2: exit %d, want %d:\n%s", code, exitOK, out)
 	}
 }

@@ -23,7 +23,6 @@ type replLimits struct {
 	maxTuples      int
 	maxDerivations int
 	parallel       int
-	partitions     int
 	noPlanner      bool
 	noMagic        bool
 }
@@ -42,9 +41,6 @@ func (l replLimits) options() []idlog.Option {
 	}
 	if l.parallel > 0 {
 		opts = append(opts, idlog.WithParallelism(l.parallel))
-	}
-	if l.partitions > 0 {
-		opts = append(opts, idlog.WithPartitions(l.partitions))
 	}
 	if l.noPlanner {
 		opts = append(opts, idlog.WithPlanner(false))
@@ -72,12 +68,6 @@ func (l replLimits) String() string {
 	} else if l.parallel > 1 {
 		p = strconv.Itoa(l.parallel)
 	}
-	pt := "auto"
-	if l.partitions == 1 {
-		pt = "1 (off)"
-	} else if l.partitions > 1 {
-		pt = strconv.Itoa(l.partitions)
-	}
 	pl := "on"
 	if l.noPlanner {
 		pl = "off"
@@ -86,8 +76,8 @@ func (l replLimits) String() string {
 	if l.noMagic {
 		mg = "off"
 	}
-	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, partitions=%s, planner=%s, magic=%s",
-		t, show(l.maxTuples), show(l.maxDerivations), p, pt, pl, mg)
+	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, planner=%s, magic=%s",
+		t, show(l.maxTuples), show(l.maxDerivations), p, pl, mg)
 }
 
 // repl is the interactive session state. Clauses hold the session
@@ -124,12 +114,10 @@ const replHelp = `commands:
                                  timeout (duration), max-tuples,
                                  max-derivations (0 = off), parallel
                                  (worker goroutines, 0 = auto,
-                                 1 = sequential), partitions (hash
-                                 fan-out for recursive delta passes,
-                                 0 = follow parallel, 1 = off),
-                                 planner (on/off), magic (on/off:
-                                 goal-directed magic-sets rewriting
-                                 for bound queries)
+                                 1 = sequential), planner (on/off),
+                                 magic (on/off: goal-directed
+                                 magic-sets rewriting for bound
+                                 queries)
   :clear                         drop all session clauses
   :help                          this text
   :quit                          leave
@@ -275,11 +263,15 @@ func (s *repl) command(line string) bool {
 	return false
 }
 
-// limitsCommand shows or sets the per-query budgets: KEY VALUE pairs
-// with keys timeout, max-tuples, max-derivations; 0 switches one off.
+// limitsUsage names every key limitsCommand accepts.
+const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [parallel N] [planner on|off] [magic on|off]"
+
+// limitsCommand shows or sets the per-query limits: KEY VALUE pairs
+// with keys timeout, max-tuples and max-derivations (0 switches one
+// off), parallel (0 = auto), planner and magic (on/off).
 func (s *repl) limitsCommand(args []string) {
 	if len(args)%2 != 0 {
-		fmt.Fprintln(s.out, "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [parallel N] [partitions N]")
+		fmt.Fprintln(s.out, limitsUsage)
 		return
 	}
 	next := s.limits
@@ -314,13 +306,6 @@ func (s *repl) limitsCommand(args []string) {
 				return
 			}
 			next.parallel = n
-		case "partitions":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				fmt.Fprintln(s.out, "bad partitions:", val)
-				return
-			}
-			next.partitions = n
 		case "planner":
 			switch val {
 			case "on", "true", "1":

@@ -171,12 +171,34 @@ func TestREPLLimitsValidation(t *testing.T) {
 :limits timeout banana
 :limits max-tuples -3
 :limits widgets 7
+:limits partitions 4
 :quit
 `)
-	for _, want := range []string{"usage: :limits", "bad timeout", "bad max-tuples", "unknown limit"} {
+	for _, want := range []string{"usage: :limits", "bad timeout", "bad max-tuples", "unknown limit: widgets", "unknown limit: partitions"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestREPLLimitsUsageNamesEveryKey checks that the usage line lists
+// every key :limits accepts, and that each listed key is accepted.
+func TestREPLLimitsUsageNamesEveryKey(t *testing.T) {
+	keys := map[string]string{
+		"timeout": "1s", "max-tuples": "5", "max-derivations": "5",
+		"parallel": "2", "planner": "off", "magic": "off",
+	}
+	for key, val := range keys {
+		if !strings.Contains(limitsUsage, "["+key+" ") {
+			t.Errorf("usage line omits %q: %s", key, limitsUsage)
+		}
+		if out := runSession(t, ":limits "+key+" "+val+"\n:quit\n"); strings.Contains(out, "unknown limit") ||
+			!strings.Contains(out, "limits: ") {
+			t.Errorf(":limits %s %s rejected:\n%s", key, val, out)
+		}
+	}
+	if n := strings.Count(limitsUsage, "["); n != len(keys) {
+		t.Errorf("usage line lists %d keys, want %d: %s", n, len(keys), limitsUsage)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	suiteName := flag.String("suite", "quick", "experiment sizing: quick or full")
-	only := flag.String("only", "all", "run a single experiment (E1..E19) or all")
+	only := flag.String("only", "all", "run a single experiment (E1..E18) or all")
 	markdown := flag.Bool("md", false, "emit GitHub-flavoured markdown tables")
 	jsonOut := flag.Bool("json", false, "also write the tables to BENCH_<suite>.json (BENCH_<experiment>.json with -only)")
 	flag.Parse()

@@ -51,14 +51,10 @@ func TestQuickSuiteRuns(t *testing.T) {
 		E18Reps:      2,
 		E18Chains:    []int{80},
 		E18Branch:    2,
-		E19Reps:      2,
-		E19Grid:      4,
-		E19Chain:     16,
-		E19Parts:     []int{1, 2, 4},
 	}
 	tables := Run(suite, "all")
-	if len(tables) != 18 {
-		t.Fatalf("ran %d experiments, want 18", len(tables))
+	if len(tables) != 17 {
+		t.Fatalf("ran %d experiments, want 17", len(tables))
 	}
 	ids := map[string]bool{}
 	for _, tab := range tables {
@@ -76,7 +72,7 @@ func TestQuickSuiteRuns(t *testing.T) {
 			t.Errorf("%s render missing header: %q", tab.ID, out[:60])
 		}
 	}
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13", "E14", "E15", "E16", "E17", "E18", "E19"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13", "E14", "E15", "E16", "E17", "E18"} {
 		if !ids[id] {
 			t.Errorf("experiment %s missing", id)
 		}

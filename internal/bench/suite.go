@@ -81,13 +81,6 @@ type Suite struct {
 	E18Reps   int
 	E18Chains []int
 	E18Branch int
-	// E19Reps is the timed-runs-per-cell sample for the hash-partitioned
-	// evaluation experiment; E19Grid/E19Chain size its transitive-closure
-	// kernels and E19Parts are the partition fan-outs swept.
-	E19Reps  int
-	E19Grid  int
-	E19Chain int
-	E19Parts []int
 }
 
 // Quick returns a suite sized to finish in a few seconds.
@@ -135,10 +128,6 @@ func Quick() Suite {
 		E18Reps:      3,
 		E18Chains:    []int{200, 400},
 		E18Branch:    3,
-		E19Reps:      3,
-		E19Grid:      12,
-		E19Chain:     256,
-		E19Parts:     []int{1, 2, 4, 8},
 	}
 }
 
@@ -190,10 +179,6 @@ func Full() Suite {
 		E18Reps:     5,
 		E18Chains:   []int{400, 800, 1200},
 		E18Branch:   3,
-		E19Reps:     5,
-		E19Grid:     20,
-		E19Chain:    512,
-		E19Parts:    []int{1, 2, 4, 8},
 	}
 }
 
@@ -227,6 +212,5 @@ func Run(s Suite, only string) []*Table {
 	run("E16", func() *Table { return E16(s.E16Sizes, s.E16CacheKBs, s.E16Reps) })
 	run("E17", func() *Table { return E17(s.E17Reps, s.E17Repeats, s.E17Rules) })
 	run("E18", func() *Table { return E18(s.E18Reps, s.E18Chains, s.E18Branch) })
-	run("E19", func() *Table { return E19(s.E19Reps, s.E19Grid, s.E19Chain, s.E19Parts) })
 	return out
 }

@@ -179,49 +179,21 @@ type Stats struct {
 	Iterations int
 	// IDRelations counts materialized ID-relations.
 	IDRelations int
-	// Partitions is the partition fan-out of the run: the largest
-	// partition count any partitioned delta unit evaluated with (0 when
-	// no unit was partitioned — cross-partition fallback or partitioning
-	// off).
-	Partitions int
-	// PartitionedRounds counts fixpoint rounds in which at least one
-	// delta unit ran partition-parallel.
-	PartitionedRounds int
-	// PartitionSkew is the worst observed partition imbalance: the
-	// largest delta partition's tuple count over the mean, maximized
-	// across all partitioned rounds (1.0 = perfectly even, 0 when
-	// nothing was partitioned).
-	PartitionSkew float64
 }
 
-// Add accumulates other into s. The additive counters sum; the
-// partition fan-out and skew are high-water marks and take the max, so
-// an aggregate over many queries reports the widest fan-out and worst
-// imbalance seen.
+// Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Derivations += other.Derivations
 	s.Inserted += other.Inserted
 	s.TuplesScanned += other.TuplesScanned
 	s.Iterations += other.Iterations
 	s.IDRelations += other.IDRelations
-	s.PartitionedRounds += other.PartitionedRounds
-	if other.Partitions > s.Partitions {
-		s.Partitions = other.Partitions
-	}
-	if other.PartitionSkew > s.PartitionSkew {
-		s.PartitionSkew = other.PartitionSkew
-	}
 }
 
 // String summarizes the counters.
 func (s Stats) String() string {
-	out := fmt.Sprintf("derivations=%d inserted=%d scanned=%d iterations=%d idrels=%d",
+	return fmt.Sprintf("derivations=%d inserted=%d scanned=%d iterations=%d idrels=%d",
 		s.Derivations, s.Inserted, s.TuplesScanned, s.Iterations, s.IDRelations)
-	if s.Partitions > 0 {
-		out += fmt.Sprintf(" partitions=%d partitioned_rounds=%d skew=%.2f",
-			s.Partitions, s.PartitionedRounds, s.PartitionSkew)
-	}
-	return out
 }
 
 // Result is the computed perfect model: every program relation (EDB and

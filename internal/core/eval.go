@@ -52,18 +52,6 @@ type Options struct {
 	// upper bound: delta rounds of recursive components with a total
 	// delta under minParallelDelta run inline on the calling goroutine.
 	Parallelism int
-	// Partitions is the hash-partition fan-out of partition-parallel
-	// evaluation: partitionable delta units (see plan.go choosePartition)
-	// radix-partition their delta and probe relation by the join key into
-	// this many partitions, each evaluated as one task with
-	// partition-local probe indexes. Zero resolves to the worker count
-	// when that exceeds 1, else 1; 1 disables partitioning (the
-	// differential twin); values above maxPartitions clamp. Answer sets,
-	// ID assignment, and fingerprints are byte-identical at every
-	// setting. Partitioning applies only with the planner on (delta-first
-	// variants) and only to delta rounds that clear minParallelDelta;
-	// Naive and Trace runs ignore it.
-	Partitions int
 	// Guard governs the run (cancellation, deadlines, budgets, fault
 	// injection). Nil builds a fresh guard carrying only
 	// MaxDerivations. An Enumerate walk shares one guard across its
@@ -275,10 +263,7 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 	if e.opts.Naive {
 		return e.naiveFixpoint(sp.all[:sp.nseed])
 	}
-	// The parallel fixpoint also hosts partition-parallel evaluation, so
-	// it is entered whenever either axis exceeds 1: partitions with a
-	// single worker still prune index builds (measurable on one core).
-	if (e.workers() > 1 || e.partitions() > 1) && !e.opts.Trace {
+	if e.workers() > 1 && !e.opts.Trace {
 		return e.parallelFixpoint(c, sp)
 	}
 	return e.seminaiveFixpoint(c, sp)
@@ -288,11 +273,6 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 // beyond it the single-threaded merge phase dominates and extra
 // workers only contend. Explicit Parallelism settings are not clamped.
 const maxAutoParallelism = 8
-
-// maxPartitions caps the partition fan-out: each partitioned unit pays
-// one task and one position list per partition and round, so an
-// absurd setting would drown the join work in bookkeeping.
-const maxPartitions = 64
 
 // DefaultParallelism is the worker count used when Options.Parallelism
 // is unset: runtime.GOMAXPROCS(0) clamped to maxAutoParallelism.
@@ -321,33 +301,8 @@ func (o Options) EffectiveParallelism() int {
 	return 1
 }
 
-// EffectivePartitions resolves the partition fan-out these Options run
-// with (≥ 1): unset follows the worker count, so multi-core runs
-// partition by default and sequential runs stay unpartitioned unless
-// asked; explicit values clamp to maxPartitions.
-func (o Options) EffectivePartitions() int {
-	n := o.Partitions
-	if n == 0 {
-		if w := o.EffectiveParallelism(); w > 1 {
-			n = w
-		} else {
-			n = 1
-		}
-	}
-	if n > maxPartitions {
-		n = maxPartitions
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // workers resolves the effective parallelism (≥ 1).
 func (e *engine) workers() int { return e.opts.EffectiveParallelism() }
-
-// partitions resolves the effective partition fan-out (≥ 1).
-func (e *engine) partitions() int { return e.opts.EffectivePartitions() }
 
 // naiveFixpoint repeatedly evaluates every clause against the full
 // relations until no clause derives a new tuple.
@@ -543,11 +498,4 @@ type runner struct {
 	resolve func(cl *compiledLit) (*relation.Relation, error)
 	stats   *Stats
 	derive  func(cc *compiledClause, env []value.Value, head value.Tuple) error
-	// partRel, when non-nil, substitutes for the relation the literal
-	// at depth partDepth reads — the partition-local probe relation of
-	// a partitioned task (eval_parallel.go). partDepth is never 0 in a
-	// partitioned task (depth 0 is the delta), so it cannot collide
-	// with the delta substitution.
-	partRel   *relation.Relation
-	partDepth int
 }

@@ -46,28 +46,6 @@ import (
 //     counts ≥ 2 (shard boundaries only cut the enumeration sequence;
 //     concatenation restores it).
 //
-// Partition-parallel evaluation (Options.Partitions > 1) strengthens
-// the data layout instead of just sharding ranges: a delta unit whose
-// plan carries a partition key (plan.go choosePartition) becomes one
-// task per partition, with the delta radix-partitioned on the key
-// column and the probed relation's matching partition substituted at
-// the probe depth. Partition-local probe indexes are built by whichever
-// worker first probes the partition — in parallel, with no shared-index
-// contention — and empty delta partitions never run, so unreached
-// partitions never pay an index build at all. Determinism weakens by
-// exactly one notch and no further: partitioning permutes the delta
-// enumeration sequence (tuples are visited partition-by-partition
-// instead of in delta order), so the *insertion order* differs from an
-// unpartitioned run — but the per-round derivation SET is identical
-// (the partition function covers the matches exactly: a probe key
-// always pins the partition variable, so every match of a delta tuple
-// lives in that tuple's partition), and every observable output —
-// answer sets, ID assignment, Fingerprint, Derivations/Inserted/
-// Iterations — is insertion-order independent, as argued above. Units
-// without a partition key, and clause bodies containing ID-literals or
-// negation, fall back to the range-sharded path; both kinds of task
-// coexist in one round and merge in the same planning order.
-//
 // Governance: derivation budgets flow through a guard.Parallel ledger
 // (atomic reserve/refund grants, exact after Join); the tuple budget
 // stays exact because only the single-threaded merge stores tuples.
@@ -85,9 +63,8 @@ const minShard = 16
 
 // minParallelDelta gates the delta rounds of recursive components: a
 // round whose total delta is smaller runs its tasks inline on the
-// coordinating goroutine, one task per delta unit and unpartitioned, so
-// it pays neither goroutine fan-out nor radix partitioning and its
-// partition-local index builds. Seed rounds and non-recursive components
+// coordinating goroutine, one task per delta unit, so it pays no
+// goroutine fan-out. Seed rounds and non-recursive components
 // always fan out. At this size the fixed cost of a fan-out is under
 // 0.5 % of the round's join work; DESIGN.md §6b records the measurement.
 const minParallelDelta = 4096
@@ -95,17 +72,12 @@ const minParallelDelta = 4096
 // pTask is one unit of parallel work: clause ci with the delta
 // relation substituted at position pos (-1 = seed pass), restricted to
 // the [lo, hi) shard of the depth-0 enumeration range (hi = -1 means
-// the whole range). A partitioned task additionally carries the
-// partition-local probe relation substituted at partDepth and its
-// partition index (partRel == nil marks a range-sharded task).
+// the whole range).
 type pTask struct {
-	ci        int
-	pos       int
-	lo, hi    int
-	deltaRel  *relation.Relation
-	partRel   *relation.Relation
-	partDepth int
-	partIdx   int
+	ci       int
+	pos      int
+	lo, hi   int
+	deltaRel *relation.Relation
 }
 
 // pOut is one task's result: candidate head tuples in enumeration
@@ -185,21 +157,15 @@ func (w *pWorker) runTask(t pTask, out *pOut) error {
 	w.cur = cc.srcText
 	w.out = out
 	w.rn.stats = &out.stats
-	w.rn.partRel, w.rn.partDepth = t.partRel, t.partDepth
 	w.full = w.e.work[cc.headPred]
 	clear(w.seen)
-	// Label the task for CPU profiles: `idlog -pprof` (and idlogd's
-	// /debug/pprof) then attribute time per stratum, clause, and
-	// partition, which is how partition skew is diagnosed.
-	part := "-"
-	if t.partRel != nil {
-		part = strconv.Itoa(t.partIdx)
-	}
+	// Label the task for CPU profiles (idlogd's -pprof listener, a
+	// test's -cpuprofile), which then attribute time per stratum and
+	// clause.
 	var err error
 	pprof.Do(context.Background(), pprof.Labels(
 		"stratum", strconv.Itoa(w.e.g.Stratum()),
 		"clause", cc.headPred,
-		"partition", part,
 	), func(context.Context) {
 		err = w.rn.run(cc, t.pos, t.deltaRel, t.lo, t.hi)
 	})
@@ -418,33 +384,6 @@ func (e *engine) parallelFixpoint(c *analysis.Component, sp *componentPlan) erro
 		}
 	}
 
-	// Partition-parallel state. probeParts caches each probed relation's
-	// partitioning across rounds, keyed by (predicate, key column): the
-	// relation identity is stable for the whole component, so a cached
-	// partitioning only needs Refresh (routing the tuples the previous
-	// merge appended) instead of a rebuild. Both NewPartitioned and
-	// Refresh run here in the single-threaded planning phase, with the
-	// round's WaitGroup barrier ordering them against worker reads.
-	nparts := e.partitions()
-	type probeKey struct {
-		pred string
-		col  int
-	}
-	var probeParts map[probeKey]*relation.Partitioned
-	getParts := func(pred string, col int) *relation.Partitioned {
-		if probeParts == nil {
-			probeParts = map[probeKey]*relation.Partitioned{}
-		}
-		k := probeKey{pred, col}
-		if pp := probeParts[k]; pp != nil {
-			pp.Refresh()
-			return pp
-		}
-		pp := relation.NewPartitioned(e.work[pred], []int{col}, nparts)
-		probeParts[k] = pp
-		return pp
-	}
-
 	for {
 		total := 0
 		for _, d := range delta {
@@ -465,7 +404,6 @@ func (e *engine) parallelFixpoint(c *analysis.Component, sp *componentPlan) erro
 		}
 		inline := total < minParallelDelta
 		tasks = tasks[:0]
-		partedRound := false
 		for _, ci := range recursive {
 			for _, u := range sp.units[ci] {
 				cc := clauses[u.idx]
@@ -477,36 +415,8 @@ func (e *engine) parallelFixpoint(c *analysis.Component, sp *componentPlan) erro
 					tasks = append(tasks, pTask{ci: u.idx, pos: u.pos, lo: 0, hi: -1, deltaRel: d})
 					continue
 				}
-				if nparts > 1 && u.pos == 0 && u.part != nil {
-					// Partitioned unit: one task per non-empty delta
-					// partition, each probing the co-placed partition of
-					// the probe relation. Skipped partitions are the
-					// pruning win — they never build a probe index.
-					spec := u.part
-					dp := relation.NewPartitioned(d, []int{spec.deltaCol}, nparts)
-					pr := getParts(cc.lits[spec.probeDepth].pred, spec.probeCol)
-					if sk := dp.Skew(); sk > e.stats.PartitionSkew {
-						e.stats.PartitionSkew = sk
-					}
-					if nparts > e.stats.Partitions {
-						e.stats.Partitions = nparts
-					}
-					partedRound = true
-					for k := 0; k < nparts; k++ {
-						if dp.PartLen(k) == 0 {
-							continue
-						}
-						tasks = append(tasks, pTask{ci: u.idx, pos: 0, lo: 0, hi: -1,
-							deltaRel: dp.Part(k), partRel: pr.Part(k),
-							partDepth: spec.probeDepth, partIdx: k})
-					}
-					continue
-				}
 				tasks = plan(u.idx, u.pos, d, tasks)
 			}
-		}
-		if partedRound {
-			e.stats.PartitionedRounds++
 		}
 		if err := finish(tasks, runRound(tasks, inline), next); err != nil {
 			return err

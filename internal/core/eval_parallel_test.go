@@ -61,46 +61,104 @@ func modelFingerprint(res *Result, info *analysis.Info) string {
 	return b.String()
 }
 
+// addDenseGraph adds to db, as e, a 128-node graph whose nodes each have
+// three out-edges. Its closure's widest delta rounds (about 5.4k tuples)
+// clear minParallelDelta, so those rounds fan out over the workers
+// instead of running inline.
+func addDenseGraph(t *testing.T, db *Database) {
+	t.Helper()
+	const n = 128
+	name := func(i int) string { return fmt.Sprintf("g%03d", i%n) }
+	for i := 0; i < n; i++ {
+		if err := db.AddAll("e", value.Strs(name(i), name(i+1)),
+			value.Strs(name(i), name(3*i+1)), value.Strs(name(i), name(7*i+2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// widestClosureRound returns the largest number of (X, Y) pairs of
+// relation e at one shortest-path distance: the size of the widest
+// semi-naive delta round of the tc closure in parallelPrograms.
+func widestClosureRound(db *Database) int {
+	succ := map[string][]string{}
+	db.Relation("e").Scan(0, -1, func(_ int, t value.Tuple) bool {
+		succ[t[0].String()] = append(succ[t[0].String()], t[1].String())
+		return true
+	})
+	perDist := map[int]int{}
+	for src := range succ {
+		dist := map[string]int{}
+		frontier := []string{src}
+		for d := 1; len(frontier) > 0; d++ {
+			var next []string
+			for _, x := range frontier {
+				for _, y := range succ[x] {
+					if _, ok := dist[y]; !ok {
+						dist[y] = d
+						perDist[d]++
+						next = append(next, y)
+					}
+				}
+			}
+			frontier = next
+		}
+	}
+	widest := 0
+	for _, n := range perDist {
+		widest = max(widest, n)
+	}
+	return widest
+}
+
 // TestParallelMatchesSequential checks byte-identical models across
 // worker counts, including the within-parallel insertion-order
-// invariant (Tuples order equal for any workers ≥ 2 at a fixed
-// partition fan-out — partitioning permutes the delta enumeration
-// sequence per fan-out, so the order invariant is per partition count
-// while the model is identical at every setting).
+// invariant (Tuples order equal for any workers ≥ 2). The dense graph
+// makes some delta rounds clear minParallelDelta, so both the inline
+// and the range-sharded round paths run.
 func TestParallelMatchesSequential(t *testing.T) {
 	info := mustAnalyze(t, parallelPrograms)
-	seqRes, err := Eval(info, parallelDB(t), Options{
+	denseDB := func() *Database {
+		db := parallelDB(t)
+		addDenseGraph(t, db)
+		return db
+	}
+	if w := widestClosureRound(denseDB()); w < minParallelDelta {
+		t.Fatalf("widest delta round %d < minParallelDelta %d: no round fans out", w, minParallelDelta)
+	}
+	seqRes, err := Eval(info, denseDB(), Options{
 		Oracle: relation.RandomOracle{Seed: 42}, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := modelFingerprint(seqRes, info)
-	for _, partitions := range []int{1, 2, 3, 8} {
-		var order2 []string
-		for _, workers := range []int{2, 3, 4, 8} {
-			res, err := Eval(info, parallelDB(t), Options{
-				Oracle: relation.RandomOracle{Seed: 42}, Parallelism: workers, Partitions: partitions})
-			if err != nil {
-				t.Fatalf("workers=%d partitions=%d: %v", workers, partitions, err)
-			}
-			if got := modelFingerprint(res, info); got != want {
-				t.Fatalf("workers=%d partitions=%d: model diverged from sequential", workers, partitions)
-			}
-			var order []string
-			for _, tup := range res.Relation("tc").Tuples() {
-				order = append(order, tup.String())
-			}
-			if order2 == nil {
-				order2 = order
-			} else {
-				if len(order) != len(order2) {
-					t.Fatalf("workers=%d partitions=%d: insertion-order length diverged", workers, partitions)
-				}
-				for i := range order {
-					if order[i] != order2[i] {
-						t.Fatalf("workers=%d partitions=%d: insertion order diverged at %d", workers, partitions, i)
-					}
-				}
+	var order2 []string
+	for _, workers := range []int{2, 3, 4, 8} {
+		res, err := Eval(info, denseDB(), Options{
+			Oracle: relation.RandomOracle{Seed: 42}, Parallelism: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := modelFingerprint(res, info); got != want {
+			t.Fatalf("workers=%d: model diverged from sequential", workers)
+		}
+		if res.Stats.Inserted != seqRes.Stats.Inserted {
+			t.Fatalf("workers=%d: inserted %d, sequential %d", workers, res.Stats.Inserted, seqRes.Stats.Inserted)
+		}
+		var order []string
+		for _, tup := range res.Relation("tc").Tuples() {
+			order = append(order, tup.String())
+		}
+		if order2 == nil {
+			order2 = order
+			continue
+		}
+		if len(order) != len(order2) {
+			t.Fatalf("workers=%d: insertion-order length diverged", workers)
+		}
+		for i := range order {
+			if order[i] != order2[i] {
+				t.Fatalf("workers=%d: insertion order diverged at %d", workers, i)
 			}
 		}
 	}
@@ -124,7 +182,7 @@ func TestParallelStatsConsistent(t *testing.T) {
 
 func seqInserted(t *testing.T, info *analysis.Info) int {
 	t.Helper()
-	res, err := Eval(info, parallelDB(t), Options{})
+	res, err := Eval(info, parallelDB(t), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

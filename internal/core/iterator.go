@@ -122,8 +122,6 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	}
 	if depth == deltaPos {
 		rel = deltaRel
-	} else if rn.partRel != nil && depth == rn.partDepth {
-		rel = rn.partRel
 	}
 	if cl.neg {
 		// Negated literals are fully bound (safety), so probeArgs covers

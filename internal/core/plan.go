@@ -195,99 +195,10 @@ func reordered(oc *analysis.OrderedClause, body []*ast.Literal, ref []*ast.Liter
 // planUnit is one semi-naive delta work item: clause all[idx] with the
 // delta relation substituted at body position pos. Planner-built
 // variants always carry pos == 0 (the delta literal is rotated to depth
-// 0, so each pass enumerates the delta and probes the rest). part,
-// when non-nil, records the planner's partition key for the unit;
-// whether (and how wide) the unit actually partitions is a runtime
-// decision (Options.Partitions), so the spec is static and shared by
-// plan-cache clones.
+// 0, so each pass enumerates the delta and probes the rest).
 type planUnit struct {
-	idx  int
-	pos  int
-	part *partSpec
-}
-
-// partSpec is the partitioning decision of one delta-first unit: the
-// delta enumerated at depth 0 is radix-partitioned on its column
-// deltaCol, and the literal at probeDepth reads a partition of its
-// relation on column probeCol instead of the whole thing. Both columns
-// hold the same join variable (pvar, kept for ExplainPlan), and the
-// probe at probeDepth includes that variable in its key, so every
-// probe tuple matching a delta tuple hashes to the same partition —
-// the co-placement property that makes per-partition evaluation cover
-// exactly the unpartitioned matches. partSpec is immutable after
-// compilation (componentPlan clones share it).
-type partSpec struct {
-	deltaCol   int
-	probeDepth int
-	probeCol   int
-	pvar       string
-}
-
-// choosePartition picks the partition key of a delta-first body (the
-// delta literal at position 0), or nil when the unit must fall back to
-// the cross-partition (range-sharded) path. Fallback cases:
-//   - the body contains a negated or ID-literal (they read shared
-//     relations whose semantics partitioning must not touch — the
-//     conservative matrix from DESIGN §10);
-//   - no variable of the delta literal is probed by a later relational
-//     literal (no partitionable join key).
-//
-// Among the candidates, the probe literal with the largest estimated
-// cardinality wins — that relation gains most from partition-local
-// indexes — with ties broken toward the earliest depth and column, so
-// the choice is deterministic.
-func choosePartition(body []*ast.Literal, card cardFn) *partSpec {
-	if len(body) < 2 {
-		return nil
-	}
-	d := body[0].Atom
-	if body[0].Neg || d == nil || d.IsID || arith.IsBuiltin(d.Pred) {
-		return nil
-	}
-	for _, l := range body {
-		if l.Neg || (l.Atom != nil && l.Atom.IsID) {
-			return nil
-		}
-	}
-	var best *partSpec
-	bestCard := -1.0
-	for dc, t := range d.Args {
-		v, ok := t.(ast.Var)
-		if !ok {
-			continue
-		}
-		if first := firstVarCol(d, v.Name); first != dc {
-			continue // partition on the variable's first delta column only
-		}
-		for depth := 1; depth < len(body); depth++ {
-			a := body[depth].Atom
-			if a == nil || arith.IsBuiltin(a.Pred) {
-				continue
-			}
-			pc := firstVarCol(a, v.Name)
-			if pc < 0 {
-				continue
-			}
-			// v is bound at depth 0, so column pc compiles to a probe key
-			// position of this literal: partition-local probing is exact.
-			if c := card(body[depth]); c > bestCard {
-				bestCard = c
-				best = &partSpec{deltaCol: dc, probeDepth: depth, probeCol: pc, pvar: v.Name}
-			}
-		}
-	}
-	return best
-}
-
-// firstVarCol returns the first argument position of atom a holding
-// variable name, or -1.
-func firstVarCol(a *ast.Atom, name string) int {
-	for i, t := range a.Args {
-		if v, ok := t.(ast.Var); ok && v.Name == name {
-			return i
-		}
-	}
-	return -1
+	idx int
+	pos int
 }
 
 // componentPlan is the compiled evaluation plan of one component: the
@@ -342,19 +253,14 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 			if voc == cc.src {
 				// The delta literal already sits at depth 0 of the seed
 				// plan and nothing else moved: reuse the seed clause.
-				u := planUnit{idx: ci, pos: pos}
-				if pos == 0 {
-					u.part = choosePartition(body, card)
-				}
-				sp.units[ci] = append(sp.units[ci], u)
+				sp.units[ci] = append(sp.units[ci], planUnit{idx: ci, pos: pos})
 				continue
 			}
 			vcc, err := compileClause(voc, inComp)
 			if err != nil {
 				return nil, err
 			}
-			sp.units[ci] = append(sp.units[ci],
-				planUnit{idx: len(sp.all), pos: 0, part: choosePartition(vbody, card)})
+			sp.units[ci] = append(sp.units[ci], planUnit{idx: len(sp.all), pos: 0})
 			sp.all = append(sp.all, vcc)
 		}
 	}
@@ -384,18 +290,12 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 		return "", err
 	}
 	noPlanner := !opts.planner()
-	parts := 0
-	if !noPlanner && !opts.Naive {
-		if p := opts.EffectivePartitions(); p > 1 {
-			parts = p
-		}
-	}
 	var b strings.Builder
 	for si, s := range info.Strata {
 		fmt.Fprintf(&b, "stratum %d: %s\n", si, strings.Join(s.Preds, ", "))
 		for ci, c := range s.Components {
 			fmt.Fprintf(&b, "  component %d: %s\n", ci, strings.Join(c.Preds, ", "))
-			explainComponent(&b, plans[si][ci], parts)
+			explainComponent(&b, plans[si][ci])
 		}
 	}
 	if noPlanner {
@@ -405,10 +305,7 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 }
 
 // explainComponent writes the plan lines of one compiled component.
-// parts > 1 means the run partitions delta units that many ways; each
-// delta unit then gets a line showing its partition key, or the
-// fallback, with the round gate below which neither fans out.
-func explainComponent(b *strings.Builder, sp *componentPlan, parts int) {
+func explainComponent(b *strings.Builder, sp *componentPlan) {
 	for ci := 0; ci < sp.nseed; ci++ {
 		cc := sp.all[ci]
 		if len(cc.lits) == 0 {
@@ -419,15 +316,6 @@ func explainComponent(b *strings.Builder, sp *componentPlan, parts int) {
 		for _, u := range sp.units[ci] {
 			vcc := sp.all[u.idx]
 			writePlanLine(b, "delta "+vcc.lits[u.pos].pred, vcc.src.Clause.Body, u.pos, sp.card)
-			if parts <= 1 {
-				continue
-			}
-			if spec := u.part; spec != nil {
-				fmt.Fprintf(b, "        partition: %d ways on %s (delta col %d ⋈ %s col %d), rounds with delta ≥ %d\n",
-					parts, spec.pvar, spec.deltaCol, vcc.lits[spec.probeDepth].pred, spec.probeCol, minParallelDelta)
-			} else {
-				fmt.Fprintf(b, "        partition: none (cross-partition fallback: range-sharded), rounds with delta ≥ %d\n", minParallelDelta)
-			}
 		}
 	}
 }

@@ -10,16 +10,16 @@ import (
 // one-shot index builds, process-wide: full builds, a version's builds
 // over its own positions, and the rebuilds after a compaction — every
 // entry except the per-insert maintenance of a published index.
-// Partition-pruned evaluation shows up here: a partition whose delta
-// part stays empty never probes and therefore never pays its index
-// build, so the counter measures the index-volume reduction the E19
-// benchmark reports on single-core hardware (where wall-clock parallel
-// speedup is unobservable).
 var indexedTuples atomic.Uint64
 
 // IndexedTuplesTotal reports how many tuples have been entered into
 // secondary indexes by index builds in this process.
 func IndexedTuplesTotal() uint64 { return indexedTuples.Load() }
+
+// PartitionedTuplesTotal always returns 0: relations are no longer
+// hash-partitioned. It stays only for the benchmark's
+// relation_partitioned_tuples metric, which a benchmark change retires.
+func PartitionedTuplesTotal() uint64 { return 0 }
 
 // secondary is a hash index over a subset of columns, mapping the 64-bit
 // hash of the projection onto those columns to the positions of matching

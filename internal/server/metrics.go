@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -29,12 +28,6 @@ type metrics struct {
 	admissionRejected atomic.Uint64
 	sessionsEvicted   atomic.Uint64
 	parallelQueries   atomic.Uint64
-
-	// Partition-parallel counters: evaluations that ran at least one
-	// hash-partitioned delta pass, and the skew (largest partition over
-	// mean, Float64bits-encoded) of the most recent such evaluation.
-	partitionedQueries atomic.Uint64
-	partitionSkew      atomic.Uint64
 
 	// Prepared-query registry counters: goal queries served by a cached
 	// PreparedQuery (skipping parse+compile+plan) vs. ones that had to
@@ -133,18 +126,6 @@ func (m *metrics) observeEval(derivations, inserted, scanned int) {
 	m.scannedTotal.Add(uint64(scanned))
 }
 
-// observePartitions records an evaluation's partition-parallel
-// activity (no-op when no delta pass partitioned).
-func (m *metrics) observePartitions(s core.Stats) {
-	if s.PartitionedRounds == 0 {
-		return
-	}
-	m.partitionedQueries.Add(1)
-	if s.PartitionSkew > 0 {
-		m.partitionSkew.Store(math.Float64bits(s.PartitionSkew))
-	}
-}
-
 // observePredicate records that a predicate was served with n tuples.
 func (m *metrics) observePredicate(pred string, n int) {
 	p, ok := m.predicates.Load(pred)
@@ -222,9 +203,6 @@ func (m *metrics) render(b *strings.Builder, gauges map[string]float64) {
 	counter("idlogd_admission_rejected_total", "Requests rejected by admission control.", m.admissionRejected.Load())
 	counter("idlogd_sessions_evicted_total", "Sessions evicted after idling past the TTL.", m.sessionsEvicted.Load())
 	counter("idlogd_parallel_queries_total", "Evaluations that requested parallelism above 1.", m.parallelQueries.Load())
-	counter("idlogd_partitioned_queries_total", "Evaluations that ran at least one hash-partitioned delta pass.", m.partitionedQueries.Load())
-	header("idlogd_partition_skew_ratio", "Largest-partition-over-mean ratio of the most recent partitioned evaluation.", "gauge")
-	fmt.Fprintf(b, "idlogd_partition_skew_ratio %g\n", math.Float64frombits(m.partitionSkew.Load()))
 	counter("idlogd_plan_cache_hits_total", "Goal queries served by a cached prepared query (parse, compile, and planning skipped).", m.planCacheHits.Load())
 	counter("idlogd_magic_queries_total", "Goal queries evaluated through the magic-sets demand rewrite.", m.magicQueries.Load())
 	counter("idlogd_plan_cache_misses_total", "Goal queries that prepared (and cached) their query fresh.", m.planCacheMisses.Load())

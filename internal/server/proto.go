@@ -65,14 +65,6 @@ type budgetFields struct {
 	// max_parallelism are clamped. It is an upper bound: recursive
 	// delta rounds under 4096 tuples run inline.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Partitions asks for recursive delta passes to hash-partition
-	// their joins up to this many ways (answers stay byte-identical at
-	// any setting). 0 applies the server default (follow the resolved
-	// parallelism); 1 disables partitioning; values above the server's
-	// max_partitions are clamped. It is an upper bound: delta rounds
-	// under 4096 tuples run unpartitioned, so a small query reports no
-	// partitioned rounds.
-	Partitions int `json:"partitions,omitempty"`
 	// Partial asks for the partial result alongside a budget-tripped
 	// error response.
 	Partial bool `json:"partial,omitempty"`
@@ -139,25 +131,15 @@ type statsJSON struct {
 	TuplesScanned int `json:"tuples_scanned"`
 	Iterations    int `json:"iterations"`
 	IDRelations   int `json:"id_relations"`
-	// Partitions is the largest hash-partition fan-out any delta pass
-	// used (0 = no partitioned pass ran); PartitionedRounds counts the
-	// fixpoint rounds that partitioned at least one pass, and
-	// PartitionSkew the worst largest-partition-over-mean ratio.
-	Partitions        int     `json:"partitions,omitempty"`
-	PartitionedRounds int     `json:"partitioned_rounds,omitempty"`
-	PartitionSkew     float64 `json:"partition_skew,omitempty"`
 }
 
 func statsOf(s idlog.Stats) *statsJSON {
 	return &statsJSON{
-		Derivations:       s.Derivations,
-		Inserted:          s.Inserted,
-		TuplesScanned:     s.TuplesScanned,
-		Iterations:        s.Iterations,
-		IDRelations:       s.IDRelations,
-		Partitions:        s.Partitions,
-		PartitionedRounds: s.PartitionedRounds,
-		PartitionSkew:     s.PartitionSkew,
+		Derivations:   s.Derivations,
+		Inserted:      s.Inserted,
+		TuplesScanned: s.TuplesScanned,
+		Iterations:    s.Iterations,
+		IDRelations:   s.IDRelations,
 	}
 }
 
@@ -376,7 +358,6 @@ type budget struct {
 	maxTuples      int
 	maxDerivations int
 	parallelism    int
-	partitions     int
 }
 
 // parseBudget resolves the request's budget fields against the server
@@ -410,26 +391,16 @@ func (s *Server) parseBudget(b budgetFields) (budget, *apiError) {
 	if b.Parallelism < 0 {
 		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad parallelism %d", b.Parallelism)
 	}
-	// Both knobs resolve to concrete values here rather than in the
-	// engine so the server's clamps are authoritative: an unset request
+	// Parallelism resolves to a concrete value here rather than in the
+	// engine so the server's clamp is authoritative: an unset request
 	// takes the engine's auto default (GOMAXPROCS clamped) but never
-	// exceeds -max-parallelism / -max-partitions.
+	// exceeds -max-parallelism.
 	out.parallelism = b.Parallelism
 	if out.parallelism == 0 {
 		out.parallelism = idlog.DefaultParallelism()
 	}
 	if out.parallelism > s.cfg.MaxParallelism {
 		out.parallelism = s.cfg.MaxParallelism
-	}
-	if b.Partitions < 0 {
-		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad partitions %d", b.Partitions)
-	}
-	out.partitions = b.Partitions
-	if out.partitions == 0 {
-		out.partitions = out.parallelism
-	}
-	if out.partitions > s.cfg.MaxPartitions {
-		out.partitions = s.cfg.MaxPartitions
 	}
 	return out, nil
 }
@@ -446,13 +417,10 @@ func (b budget) options() []idlog.Option {
 	if b.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(b.maxDerivations))
 	}
-	// Always emitted explicitly (1 = sequential / unpartitioned): the
-	// engine's own auto defaults would bypass the server clamps.
+	// Always emitted explicitly (1 = sequential): the engine's own auto
+	// default would bypass the server clamp.
 	if b.parallelism > 0 {
 		opts = append(opts, idlog.WithParallelism(b.parallelism))
-	}
-	if b.partitions > 0 {
-		opts = append(opts, idlog.WithPartitions(b.partitions))
 	}
 	return opts
 }

@@ -46,11 +46,6 @@ type Config struct {
 	// clamped to 8), then this clamp. Answers do not depend on the
 	// value; only latency does.
 	MaxParallelism int
-	// MaxPartitions clamps per-request hash-partition fan-out (the wire
-	// field "partitions"; default 64, the engine ceiling). Requests
-	// that set no fan-out follow their resolved parallelism. Answers do
-	// not depend on the value.
-	MaxPartitions int
 	// SessionTTL evicts sessions idle longer than this (default 15m).
 	SessionTTL time.Duration
 	// MaxPrograms / MaxSessions bound the registries (default 256 each).
@@ -118,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxParallelism <= 0 {
 		c.MaxParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxPartitions <= 0 {
-		c.MaxPartitions = 64
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 15 * time.Minute
@@ -597,9 +589,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if qr != nil && qr.UsedMagic {
 			s.metrics.magicQueries.Add(1)
 		}
-		if qr != nil {
-			s.metrics.observePartitions(qr.Stats)
-		}
 		resp := goalResponse(qr, time.Since(start))
 		if err != nil {
 			ae := fromEngineError(err)
@@ -617,7 +606,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := prog.EvalContext(r.Context(), db, opts...)
 	if res != nil {
 		s.metrics.observeEval(res.Stats.Derivations, res.Stats.Inserted, res.Stats.TuplesScanned)
-		s.metrics.observePartitions(res.Stats)
 	}
 	if err != nil {
 		ae := fromEngineError(err)
@@ -873,7 +861,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"idlogd_sessions_active":     float64(s.sessions.len()),
 		"idlogd_worker_slots":        float64(s.cfg.MaxConcurrent),
 		"idlogd_max_parallelism":     float64(s.cfg.MaxParallelism),
-		"idlogd_max_partitions":      float64(s.cfg.MaxPartitions),
 		"idlogd_replication_streams": float64(s.metrics.replStreams.Load()),
 	}
 	if s.walDegraded.Load() {

@@ -65,17 +65,19 @@ func TestSessionPinnedDuringQuery(t *testing.T) {
 	}
 }
 
-// TestParallelismWireField checks the request knob end to end: answers
-// are byte-identical to sequential, bad values are rejected, oversized
-// ones are clamped, and the gauge/counter surface on /metrics.
+// TestParallelismWireField checks the request knob end to end over a
+// graph whose widest rounds fan out: answers are byte-identical to
+// sequential, bad values are rejected, oversized ones are clamped, and
+// the gauge/counter surface on /metrics.
 func TestParallelismWireField(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxParallelism: 4})
+	facts := denseFacts()
 
 	run := func(parallelism int) queryResponse {
 		t.Helper()
 		var qr queryResponse
 		code := post(t, ts.URL+"/v1/query", queryRequest{
-			Source: tcProgram, Facts: tcFacts, Predicates: []string{"tc"},
+			Source: tcProgram, Facts: facts, Predicates: []string{"tc"},
 			budgetFields: budgetFields{Parallelism: parallelism},
 		}, &qr)
 		if code != 200 {

@@ -102,24 +102,6 @@ func WithParallelism(n int) Option {
 // (idlogd) can resolve and clamp the effective value themselves.
 func DefaultParallelism() int { return core.DefaultParallelism() }
 
-// WithPartitions sets the hash-partition fan-out of partition-parallel
-// evaluation: recursive delta passes whose plan carries a partitionable
-// join key (see ExplainPlan's "partition:" lines) radix-partition the
-// delta and the probed relation on that key into n partitions, each
-// evaluated as an independent task against partition-local probe
-// indexes — no shared-index contention, and partitions no delta tuple
-// reaches never build an index at all. When unset (or 0) the fan-out
-// follows the worker count; WithPartitions(1) disables partitioning
-// and is the differential twin. Answer sets, ID assignment, and
-// fingerprints are byte-identical at every setting (tuple insertion
-// order may differ between fan-outs). Clause bodies with ID-literals
-// or negation, and runs with the planner off, fall back to the
-// range-sharded parallel path. n is an upper bound: delta rounds under
-// WithParallelism's 4096-tuple gate run unpartitioned.
-func WithPartitions(n int) Option {
-	return func(c *config) { c.eval.Partitions = n }
-}
-
 // WithPlanner enables (the default) or disables the cost-based join
 // planner: with it on, clause bodies are reordered by estimated
 // selectivity at each component's start and semi-naive delta passes

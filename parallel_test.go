@@ -8,25 +8,19 @@ import (
 	"testing"
 )
 
-// partitionGrid is the differential matrix of the partitioned
-// evaluator: every partition fan-out must be observationally identical
-// to the sequential unpartitioned engine, whether the fixpoint runs on
-// one worker (partition-only mode, the single-core CI configuration)
-// or several, and whether the EDB lives in memory or on disk.
-var partitionGrid = []struct {
-	partitions, parallel int
-}{
-	{1, 1}, {1, 4}, {2, 1}, {2, 4}, {8, 1}, {8, 4},
-}
+// workerGrid is the differential matrix of the parallel evaluator:
+// every worker count must be observationally identical to the
+// sequential engine, whether the EDB lives in memory or on disk.
+var workerGrid = []int{1, 2, 4, 8}
 
-// TestPartitionedDifferential is the randomized partitioned-vs-
-// unpartitioned property suite: for random EDBs shaped by random
-// mutation interleavings, every cell of the partition grid must
-// reproduce the sequential unpartitioned model — same output
-// fingerprints, same derivation and insertion counts — on both
-// storage engines. Run with -race this also exercises concurrent
-// partition probes and parallel partition-local index builds.
-func TestPartitionedDifferential(t *testing.T) {
+// TestParallelDifferential is the randomized parallel-vs-sequential
+// property suite: for random EDBs shaped by random mutation
+// interleavings, every worker count must reproduce the sequential
+// model — same output fingerprints and insertion counts, and
+// derivation counts independent of the worker count once it is ≥ 2 —
+// on both storage engines. Run with -race this also exercises
+// concurrent probes and lazy index builds from many workers.
+func TestParallelDifferential(t *testing.T) {
 	trials := 6
 	if testing.Short() {
 		trials = 2
@@ -58,40 +52,36 @@ func TestPartitionedDifferential(t *testing.T) {
 					t.Fatalf("program %d: %v", pi, err)
 				}
 				for _, eng := range engines {
-					base, err := prog.Eval(eng.db, WithParallelism(1), WithPartitions(1))
+					base, err := prog.Eval(eng.db, WithParallelism(1))
 					if err != nil {
 						t.Fatalf("program %d %s baseline: %v", pi, eng.name, err)
 					}
 					// Derivation counts differ between the sequential and the
 					// round-barriered parallel engine (sequential passes see
-					// intra-round growth), but must not depend on the fan-out
-					// within the parallel engine.
+					// intra-round growth), but must not depend on the worker
+					// count within the parallel engine.
 					parDerivations := -1
-					for _, cell := range partitionGrid {
-						res, err := prog.Eval(eng.db,
-							WithParallelism(cell.parallel), WithPartitions(cell.partitions))
+					for _, workers := range workerGrid {
+						res, err := prog.Eval(eng.db, WithParallelism(workers))
 						if err != nil {
-							t.Fatalf("program %d %s p%d/w%d: %v",
-								pi, eng.name, cell.partitions, cell.parallel, err)
+							t.Fatalf("program %d %s w%d: %v", pi, eng.name, workers, err)
 						}
 						for _, p := range prog.OutputPredicates() {
 							if res.Relation(p).Fingerprint() != base.Relation(p).Fingerprint() {
-								t.Fatalf("program %d %s p%d/w%d: %s fingerprint diverged",
-									pi, eng.name, cell.partitions, cell.parallel, p)
+								t.Fatalf("program %d %s w%d: %s fingerprint diverged",
+									pi, eng.name, workers, p)
 							}
 						}
 						if res.Stats.Inserted != base.Stats.Inserted {
-							t.Fatalf("program %d %s p%d/w%d: inserted %d, sequential %d",
-								pi, eng.name, cell.partitions, cell.parallel,
-								res.Stats.Inserted, base.Stats.Inserted)
+							t.Fatalf("program %d %s w%d: inserted %d, sequential %d",
+								pi, eng.name, workers, res.Stats.Inserted, base.Stats.Inserted)
 						}
-						if cell.partitions > 1 || cell.parallel > 1 {
+						if workers > 1 {
 							if parDerivations < 0 {
 								parDerivations = res.Stats.Derivations
 							} else if res.Stats.Derivations != parDerivations {
-								t.Fatalf("program %d %s p%d/w%d: derivations %d depend on the fan-out (first parallel cell saw %d)",
-									pi, eng.name, cell.partitions, cell.parallel,
-									res.Stats.Derivations, parDerivations)
+								t.Fatalf("program %d %s w%d: derivations %d depend on the worker count (first parallel run saw %d)",
+									pi, eng.name, workers, res.Stats.Derivations, parDerivations)
 							}
 						}
 					}
@@ -101,10 +91,10 @@ func TestPartitionedDifferential(t *testing.T) {
 	}
 }
 
-// TestPartitionedPaperExamples pins the paper's Examples 1–8 (7–8
-// derived from 6 via Program.Optimize, as in the paper): byte-identical
-// fingerprints at every partition fan-out, deterministic and seeded.
-func TestPartitionedPaperExamples(t *testing.T) {
+// TestParallelPaperExamples pins the paper's Examples 1–8 (7–8 derived
+// from 6 via Program.Optimize, as in the paper): byte-identical
+// fingerprints at every worker count, deterministic and seeded.
+func TestParallelPaperExamples(t *testing.T) {
 	db := NewDatabase()
 	for i := 0; i < 6; i++ {
 		_ = db.Add("person", Strs(fmt.Sprintf("p%02d", i)))
@@ -153,23 +143,23 @@ func TestPartitionedPaperExamples(t *testing.T) {
 	}
 
 	for _, w := range workloads {
-		want := modelOf(w, WithParallelism(1), WithPartitions(1))
-		for _, cell := range partitionGrid {
-			got := modelOf(w, WithParallelism(cell.parallel), WithPartitions(cell.partitions))
+		want := modelOf(w, WithParallelism(1))
+		for _, workers := range workerGrid {
+			got := modelOf(w, WithParallelism(workers))
 			if got != want {
-				t.Errorf("%s: p%d/w%d model diverged from sequential\nwant:\n%s\ngot:\n%s",
-					w.name, cell.partitions, cell.parallel, want, got)
+				t.Errorf("%s: w%d model diverged from sequential\nwant:\n%s\ngot:\n%s",
+					w.name, workers, want, got)
 			}
 		}
 	}
 }
 
-// TestPartitionedLiveViewInterleaving interleaves live-view maintenance
-// with partitioned evaluation options: incremental propagation itself
-// stays sequential (its delta passes are not partitioned), but views
-// created and updated under WithPartitions must track a from-scratch
-// sequential recompute exactly through a random insert/delete history.
-func TestPartitionedLiveViewInterleaving(t *testing.T) {
+// TestParallelLiveViewInterleaving interleaves live-view maintenance
+// with parallel evaluation options: incremental propagation itself
+// stays sequential, but views created and updated under
+// WithParallelism must track a from-scratch sequential recompute
+// exactly through a random insert/delete history.
+func TestParallelLiveViewInterleaving(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
 	prog := mustParse(t, `
 		tc(X, Y) :- edge(X, Y).
@@ -189,7 +179,7 @@ func TestPartitionedLiveViewInterleaving(t *testing.T) {
 	}
 	db.Freeze()
 
-	opts := []Option{WithPartitions(8), WithParallelism(2)}
+	opts := []Option{WithParallelism(2)}
 	lv, err := prog.NewLiveView(db, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +199,7 @@ func TestPartitionedLiveViewInterleaving(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		db = next
-		want, err := prog.Eval(db, WithParallelism(1), WithPartitions(1))
+		want, err := prog.Eval(db, WithParallelism(1))
 		if err != nil {
 			t.Fatalf("round %d recompute: %v", round, err)
 		}
