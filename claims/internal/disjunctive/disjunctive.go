@@ -20,9 +20,9 @@ import (
 	"fmt"
 	"sort"
 
+	"idlog/claims/internal/ground"
 	"idlog/internal/ast"
 	"idlog/internal/core"
-	"idlog/internal/ground"
 	"idlog/internal/parser"
 	"idlog/internal/relation"
 )

@@ -194,31 +194,6 @@ func TestDeterministicByDefault(t *testing.T) {
 	}
 }
 
-func TestNaiveOptionAgrees(t *testing.T) {
-	prog, err := Parse(`
-		tc(X, Y) :- e(X, Y).
-		tc(X, Y) :- e(X, Z), tc(Z, Y).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := NewDatabase()
-	for i := int64(0); i < 8; i++ {
-		_ = db.Add("e", Ints(i, i+1))
-	}
-	a, err := prog.Eval(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := prog.Eval(db, WithNaive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Relation("tc").Equal(b.Relation("tc")) {
-		t.Fatalf("naive option changed the result")
-	}
-}
-
 func TestMaxDerivationsOption(t *testing.T) {
 	prog, err := Parse(`
 		tc(X, Y) :- e(X, Y).

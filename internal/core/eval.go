@@ -15,10 +15,6 @@ type Options struct {
 	// Oracle chooses ID-functions; nil defaults to relation.SortedOracle,
 	// giving a deterministic canonical run.
 	Oracle relation.Oracle
-	// Naive disables semi-naive (delta) evaluation; each fixpoint round
-	// re-evaluates every clause against the full relations. Used by the
-	// E6 ablation benchmark.
-	Naive bool
 	// MaxDerivations aborts evaluation once the total number of body
 	// instantiations exceeds this bound (0 = unlimited); a safety valve
 	// for generated programs. Ignored when Guard is set — fold the
@@ -48,7 +44,7 @@ type Options struct {
 	// zero value) resolves to DefaultParallelism() — GOMAXPROCS clamped
 	// to maxAutoParallelism — so parallel wins show up out of the box on
 	// multi-core hardware; set 1 to force sequential evaluation. Values
-	// < 0 (and Naive or Trace runs) also evaluate sequentially. It is an
+	// < 0 (and Trace runs) also evaluate sequentially. It is an
 	// upper bound: delta rounds of recursive components with a total
 	// delta under minParallelDelta run inline on the calling goroutine.
 	Parallelism int
@@ -260,9 +256,6 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 			e.plans[si][ci] = sp
 		}
 	}
-	if e.opts.Naive {
-		return e.naiveFixpoint(sp.all[:sp.nseed])
-	}
 	if e.workers() > 1 && !e.opts.Trace {
 		return e.parallelFixpoint(c, sp)
 	}
@@ -303,30 +296,6 @@ func (o Options) EffectiveParallelism() int {
 
 // workers resolves the effective parallelism (≥ 1).
 func (e *engine) workers() int { return e.opts.EffectiveParallelism() }
-
-// naiveFixpoint repeatedly evaluates every clause against the full
-// relations until no clause derives a new tuple.
-func (e *engine) naiveFixpoint(clauses []*compiledClause) error {
-	for {
-		if e.governed {
-			if err := e.g.Checkpoint(); err != nil {
-				return err
-			}
-		}
-		e.stats.Iterations++
-		inserted := 0
-		for _, cc := range clauses {
-			n, err := e.run(cc, -1, nil, nil, e.work[cc.headPred])
-			if err != nil {
-				return err
-			}
-			inserted += n
-		}
-		if inserted == 0 {
-			return nil
-		}
-	}
-}
 
 // seminaiveFixpoint performs one naive round to seed the component, then
 // iterates only the recursive clauses' delta units: each pass evaluates

@@ -80,23 +80,6 @@ func TestTransitiveClosure(t *testing.T) {
 	}
 }
 
-func TestNaiveAndSeminaiveAgree(t *testing.T) {
-	src := `
-		tc(X, Y) :- e(X, Y).
-		tc(X, Y) :- e(X, Z), tc(Z, Y).
-	`
-	db := chainDB(15)
-	a := mustEval(t, src, db, Options{})
-	b := mustEval(t, src, db, Options{Naive: true})
-	if !a.Relation("tc").Equal(b.Relation("tc")) {
-		t.Fatalf("naive and semi-naive disagree")
-	}
-	if b.Stats.Derivations <= a.Stats.Derivations {
-		t.Fatalf("naive should do more work: naive=%d seminaive=%d",
-			b.Stats.Derivations, a.Stats.Derivations)
-	}
-}
-
 func TestNegationStrata(t *testing.T) {
 	src := `
 		reach(X) :- start(X).

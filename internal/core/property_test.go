@@ -59,20 +59,18 @@ func TestTransitiveClosureAgainstBFSProperty(t *testing.T) {
 			_ = db.Add("e", value.Ints(e[0], e[1]))
 		}
 		want := bfsClosure(edges)
-		for _, naive := range []bool{false, true} {
-			res, err := Eval(info, db, Options{Naive: naive})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc := res.Relation("tc")
-			if tc.Len() != len(want) {
-				t.Fatalf("trial %d naive=%v: |tc| = %d, BFS says %d\nedges: %v",
-					trial, naive, tc.Len(), len(want), edges)
-			}
-			for pair := range want {
-				if !tc.Contains(value.Ints(pair[0], pair[1])) {
-					t.Fatalf("trial %d: missing %v", trial, pair)
-				}
+		res, err := Eval(info, db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := res.Relation("tc")
+		if tc.Len() != len(want) {
+			t.Fatalf("trial %d: |tc| = %d, BFS says %d\nedges: %v",
+				trial, tc.Len(), len(want), edges)
+		}
+		for pair := range want {
+			if !tc.Contains(value.Ints(pair[0], pair[1])) {
+				t.Fatalf("trial %d: missing %v", trial, pair)
 			}
 		}
 	}
@@ -118,45 +116,6 @@ func TestEnumerationCoversAllIDFunctionsProperty(t *testing.T) {
 			for _, tup := range pick.Tuples() {
 				if !rel.Contains(tup) {
 					t.Fatalf("trial %d: picked foreign tuple %v", trial, tup)
-				}
-			}
-		}
-	}
-}
-
-// TestSeminaiveNaiveAgreeOnRandomPrograms instantiates a family of
-// small program templates with random data and checks strategy
-// agreement on every output predicate.
-func TestSeminaiveNaiveAgreeOnRandomPrograms(t *testing.T) {
-	templates := []string{
-		`p(X, Y) :- e(X, Y).
-		 p(X, Y) :- p(X, Z), p(Z, Y).`,
-		`odd(Y) :- base(X), succ(X, Y).
-		 odd(Y) :- odd(X), succ(X, Z), succ(Z, Y), Y <= 20.`,
-		`r(X) :- e(X, Y).
-		 s(X) :- r(X), not t(X).
-		 t(X) :- e(X, X).`,
-	}
-	rng := rand.New(rand.NewSource(77))
-	for ti, src := range templates {
-		info := mustAnalyze(t, src)
-		for trial := 0; trial < 10; trial++ {
-			db := NewDatabase()
-			for i := 0; i < 3+rng.Intn(8); i++ {
-				_ = db.Add("e", value.Ints(int64(rng.Intn(5)), int64(rng.Intn(5))))
-			}
-			_ = db.Add("base", value.Ints(int64(rng.Intn(3))))
-			a, err := Eval(info, db, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Eval(info, db, Options{Naive: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p := range info.IDB {
-				if !a.Relation(p).Equal(b.Relation(p)) {
-					t.Fatalf("template %d trial %d: strategies disagree on %s", ti, trial, p)
 				}
 			}
 		}

@@ -16,7 +16,9 @@
 //     backoff with jitter, then reconnect from the last applied LSN
 //   - stream silent past the lease (stalled primary) → the lease
 //     watchdog severs the connection and the loop reconnects; readiness
-//     drops the moment the lease goes stale, before the watchdog fires
+//     drops the moment the lease goes stale, before the watchdog fires,
+//     and a reconnect alone does not restore it: the lease is renewed
+//     only by frames (the primary opens every stream with a heartbeat)
 //   - 409 snapshot_required, a RESYNC frame, a primary whose
 //     incarnation id changed, or a primary whose LSN is behind ours
 //     (restarted without history) → wholesale snapshot+replay resync
@@ -454,7 +456,8 @@ func (f *Follower) resync(ctx context.Context, primary string) error {
 	}
 }
 
-// setConnected flips the connection flag, counting reconnects.
+// setConnected flips the connection flag, counting reconnects. It
+// leaves lastBeat alone: only a frame renews the lease.
 func (f *Follower) setConnected(up bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -463,7 +466,6 @@ func (f *Follower) setConnected(up bool) {
 			f.reconnects++
 		}
 		f.everConnected = true
-		f.lastBeat = time.Now()
 	}
 	f.connected = up
 }

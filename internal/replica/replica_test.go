@@ -371,6 +371,18 @@ func TestStalledPrimaryLease(t *testing.T) {
 	if code := getJSON(t, follower.ts.URL+"/readyz", nil); code != 503 {
 		t.Fatalf("readyz under stalled primary: %d, want 503", code)
 	}
+	// The watchdog keeps severing and the loop keeps reconnecting, but a
+	// reconnect without a frame must not renew the lease.
+	before := f.Status().Reconnects
+	for stallEnd := time.Now().Add(time.Second); time.Now().Before(stallEnd); {
+		if st := f.Status(); st.Ready {
+			t.Fatalf("follower turned ready under a stalled primary: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := f.Status().Reconnects; after == before {
+		t.Fatalf("no reconnect during the stall (reconnects = %d)", after)
+	}
 
 	pFaults.DisarmAll()
 	primary.insert("", "edge(b, c).")

@@ -503,8 +503,15 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(hb)
 	defer ticker.Stop()
 
+	// Open with a heartbeat: a follower's lease starts at its first
+	// frame, not at connect, so a primary that accepts connections but
+	// stalls every frame never looks live.
+	buf := wal.AppendControlFrame(nil, wal.FrameHeartbeat, last)
+	if err := s.sendFrames(w, fl, buf); err != nil {
+		return
+	}
+
 	next := from
-	var buf []byte
 	for {
 		recs, ok := s.repl.entriesFrom(next)
 		if !ok {

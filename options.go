@@ -48,12 +48,6 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.eval.Oracle = RandomOracle(seed) }
 }
 
-// WithNaive disables semi-naive (delta) fixpoint evaluation; every
-// round re-derives from the full relations. Exists for the E6 ablation.
-func WithNaive() Option {
-	return func(c *config) { c.eval.Naive = true }
-}
-
 // WithMaxDerivations aborts evaluation after n body instantiations; a
 // safety valve for generated or untrusted programs. On exhaustion the
 // partial model computed so far is returned alongside a

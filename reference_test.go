@@ -188,7 +188,6 @@ func TestPaperExamplesMatchReference(t *testing.T) {
 		{"sequential", []Option{WithParallelism(1)}},
 		{"parallel-4", []Option{WithParallelism(4)}},
 		{"planner-off", []Option{WithPlanner(false)}},
-		{"naive", []Option{WithNaive()}},
 		{"traced", []Option{WithTrace()}},
 	}
 	for _, w := range paperCorpus(t) {
@@ -203,7 +202,7 @@ func TestPaperExamplesMatchReference(t *testing.T) {
 
 // TestRandomProgramsMatchReference checks recursion through a
 // non-linear rule, builtins, and negation on random inputs against the
-// reference, under semi-naive and naive evaluation.
+// reference.
 func TestRandomProgramsMatchReference(t *testing.T) {
 	templates := []string{
 		`p(X, Y) :- e(X, Y).
@@ -224,11 +223,9 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 			}
 			_ = db.Add("base", Ints(int64(rng.Intn(3))))
 			want := referenceModel(t, prog, db, SortedOracle())
-			for _, opts := range [][]Option{nil, {WithNaive()}} {
-				if got := engineModel(t, prog, db, opts...); got != want {
-					t.Fatalf("template %d trial %d (naive=%v): model differs from the reference\nwant:\n%s\ngot:\n%s",
-						ti, trial, opts != nil, want, got)
-				}
+			if got := engineModel(t, prog, db); got != want {
+				t.Fatalf("template %d trial %d: model differs from the reference\nwant:\n%s\ngot:\n%s",
+					ti, trial, want, got)
 			}
 		}
 	}
