@@ -59,13 +59,14 @@ const corpusProgram = `
 // stableOracle is a RandomOracle whose per-group seed comes from the
 // group key's rendered values. RandomOracle hashes interned symbol
 // numbers, so its choices depend on what the test process interned
-// earlier; this oracle's choices depend only on the data.
+// earlier; this oracle's choices depend only on the data: the key and
+// the group's size n.
 type stableOracle uint64
 
-func (o stableOracle) Permutation(rel string, cols []int, g relation.Group) []int {
+func (o stableOracle) Permutation(rel string, cols []int, key Tuple, n int) []int {
 	h := fnv.New64a()
-	h.Write([]byte(g.Key.String()))
-	return relation.RandomOracle{Seed: uint64(o) ^ h.Sum64()}.Permutation(rel, cols, relation.Group{Members: g.Members})
+	h.Write([]byte(key.String()))
+	return relation.RandomOracle{Seed: uint64(o) ^ h.Sum64()}.Permutation(rel, cols, nil, n)
 }
 
 type corpusWorkload struct {

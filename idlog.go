@@ -70,6 +70,11 @@ type (
 	// Relation is a set of tuples.
 	Relation = relation.Relation
 	// Oracle chooses ID-functions; see SortedOracle and RandomOracle.
+	// Its one method, Permutation(rel, cols, key, n), numbers a group's
+	// canonical ranks from the relation name, the grouping columns, the
+	// group's key and its size alone: rank i (the i-th smallest member)
+	// gets tid perm[i]. It never sees the members, so a bounded
+	// ID-literal orders only the ranks it keeps.
 	Oracle = relation.Oracle
 	// Value is a two-sorted constant.
 	Value = value.Value

@@ -66,27 +66,30 @@ func BenchmarkProbeIndexed(b *testing.B) {
 	}
 }
 
+// BenchmarkMaterializeID has batch_idlit's shape: 50 groups of 100
+// under the seeded oracle, whole and bounded at 1 and 2 (the
+// Theorem-2 choice and colouring guesses, and the sample of two).
 func BenchmarkMaterializeID(b *testing.B) {
-	r := benchRelation(10000)
-	for _, o := range []struct {
+	r := idlitRelation(50, 100)
+	for _, c := range []struct {
 		name   string
 		oracle Oracle
-	}{{"sorted", SortedOracle{}}, {"random", RandomOracle{Seed: 1}}} {
-		b.Run(o.name, func(b *testing.B) {
+		bound  int
+	}{
+		{"sorted", SortedOracle{}, 0},
+		{"random", RandomOracle{Seed: 1}, 0},
+		{"random-bound1", RandomOracle{Seed: 1}, 1},
+		{"random-bound2", RandomOracle{Seed: 1}, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MaterializeID(r, "id", []int{1}, o.oracle); err != nil {
+				if _, err := MaterializeIDBounded(r, "id", []int{1}, c.oracle, c.bound); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("sorted-bounded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MaterializeIDBounded(r, "id", []int{1}, SortedOracle{}, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkString renders 5 000 u-constants, the size of a CLI answer:

@@ -1,7 +1,7 @@
 package relation
 
 import (
-	"sort"
+	"slices"
 
 	"idlog/internal/value"
 )
@@ -11,38 +11,115 @@ import (
 type Group struct {
 	// Key is the projection of the members onto the grouping columns.
 	Key value.Tuple
-	// Members holds the group's tuples in canonical (sorted) order, so
-	// that ID-function oracles see a stable presentation regardless of
-	// insertion order.
+	// Members holds the group's tuples. Groups returns them in
+	// canonical (sorted) order, so that callers see a stable
+	// presentation regardless of insertion order.
 	Members []value.Tuple
 }
 
 // Groups partitions r into its sub-relations grouped by the 0-based
-// columns. Groups are returned in canonical order of their keys. An empty
-// column set yields a single group containing the whole relation (the
-// "most primitive" ID-predicate p[] of the paper's footnote 5).
+// columns. Groups are returned in canonical order of their keys, and
+// each group's members in canonical order. An empty column set yields a
+// single group containing the whole relation (the "most primitive"
+// ID-predicate p[] of the paper's footnote 5).
 func (r *Relation) Groups(cols []int) []Group {
-	byKey := make(map[string]*Group)
-	var order []string
-	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
-		k := t.ProjectKey(cols)
-		g, ok := byKey[k]
-		if !ok {
-			g = &Group{Key: t.Project(cols)}
-			byKey[k] = g
-			order = append(order, k)
+	gs := r.group(cols)
+	for _, g := range gs {
+		slices.SortFunc(g.Members, value.Tuple.Compare)
+	}
+	return gs
+}
+
+// group partitions r by its projection onto cols: groups in canonical
+// key order, each group's members in position order. Tuples are
+// bucketed by ProjectHash and chained on Equal projections when hashes
+// collide, as secondary indexes do, so no key is encoded. Keys and
+// members are carved from one backing slice each; every member slice is
+// capped at its own length.
+func (r *Relation) group(cols []int) []Group {
+	n := r.Len()
+	if n == 0 {
+		return nil
+	}
+	tuples := r.tuples // an in-memory relation's positions are its slice
+	if r.src != nil {
+		tuples = r.materialized()
+	}
+	gids := make([]int32, n)
+	heads := make(map[uint64]int32)
+	var reps []value.Tuple // one member of each group, by first appearance
+	var next []int32       // hash-collision chain of group ids, -1 ends
+	var sizes []int
+	for i, t := range tuples {
+		h := t.ProjectHash(cols)
+		head, ok := heads[h]
+		gid := int32(-1)
+		if ok {
+			for g := head; g >= 0; g = next[g] {
+				if sameProjection(reps[g], t, cols) {
+					gid = g
+					break
+				}
+			}
 		}
-		g.Members = append(g.Members, t)
-		return true
-	})
-	out := make([]Group, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byKey[k])
+		if gid < 0 {
+			gid = int32(len(reps))
+			reps = append(reps, t)
+			sizes = append(sizes, 0)
+			if !ok {
+				head = -1
+			}
+			next = append(next, head)
+			heads[h] = gid
+		}
+		sizes[gid]++
+		gids[i] = gid
 	}
-	for i := range out {
-		ms := out[i].Members
-		sort.Slice(ms, func(a, b int) bool { return ms[a].Compare(ms[b]) < 0 })
+
+	order := make([]int32, len(reps))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key.Compare(out[b].Key) < 0 })
+	slices.SortFunc(order, func(a, b int32) int { return compareProjection(reps[a], reps[b], cols) })
+
+	out := make([]Group, len(reps))
+	keys := make(value.Tuple, len(reps)*len(cols))
+	members := make([]value.Tuple, n)
+	fill := make([]int, len(reps)) // next free slot of each group in members
+	off := 0
+	for i, g := range order {
+		key := keys[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		for j, c := range cols {
+			key[j] = reps[g][c]
+		}
+		out[i] = Group{Key: key, Members: members[off : off+sizes[g] : off+sizes[g]]}
+		fill[g] = off
+		off += sizes[g]
+	}
+	for i, t := range tuples {
+		members[fill[gids[i]]] = t
+		fill[gids[i]]++
+	}
 	return out
+}
+
+// sameProjection reports whether a and b agree on cols.
+func sameProjection(a, b value.Tuple, cols []int) bool {
+	for _, c := range cols {
+		if !a[c].Equal(b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// compareProjection orders a and b by their projections onto cols, as
+// Tuple.Compare orders the projected tuples.
+func compareProjection(a, b value.Tuple, cols []int) int {
+	for _, c := range cols {
+		if d := a[c].Compare(b[c]); d != 0 {
+			return d
+		}
+	}
+	return 0
 }

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"idlog/internal/value"
 )
@@ -22,31 +24,126 @@ func MaterializeID(r *Relation, name string, cols []int, o Oracle) (*Relation, e
 // implements the optimization of the paper's footnote 6: a query such
 // as "emp[2](N, D, T), T < 2" provably never reads tids ≥ 2, so only
 // two tuples per group need to exist. bound = 0 materializes the full
-// ID-relation. The oracle still sees whole groups, so the pruned
-// relation is exactly the restriction of the full one to tids < bound.
+// ID-relation. The oracle numbers a group's canonical ranks from its
+// key and size alone, so a bounded group is never sorted: the members
+// of the ranks that receive a tid < bound are selected in place, and
+// the rest stay unordered. The pruned relation is exactly the
+// restriction of the full one to tids < bound, in the same order:
+// groups by key, then members by canonical rank.
 func MaterializeIDBounded(r *Relation, name string, cols []int, o Oracle, bound int) (*Relation, error) {
 	for _, c := range cols {
 		if c < 0 || c >= r.arity {
 			return nil, fmt.Errorf("ID-relation of %s: grouping column %d out of range for arity %d", r.name, c+1, r.arity)
 		}
 	}
-	out := New(name, r.arity+1)
-	for _, g := range r.Groups(cols) {
-		perm := o.Permutation(r.name, cols, g)
-		if err := checkPerm(perm, len(g.Members)); err != nil {
+	groups := r.group(cols)
+	count := 0
+	for _, g := range groups {
+		count += emitted(len(g.Members), bound)
+	}
+	width := r.arity + 1
+	out := NewSized(name, width, count)
+	vals := make(value.Tuple, count*width)
+	emit := func(t value.Tuple, tid int) {
+		ext := vals[:width:width]
+		vals = vals[width:]
+		copy(ext, t)
+		ext[r.arity] = value.Int(int64(tid))
+		out.MustInsert(ext)
+	}
+	var ranks []int
+	for _, g := range groups {
+		n := len(g.Members)
+		perm := o.Permutation(r.name, cols, g.Key, n)
+		if err := checkPerm(perm, n); err != nil {
 			return nil, fmt.Errorf("ID-relation of %s on %v: %w", r.name, cols, err)
 		}
-		for i, t := range g.Members {
-			if bound > 0 && perm[i] >= bound {
-				continue
+		if emitted(n, bound) == n {
+			slices.SortFunc(g.Members, value.Tuple.Compare)
+			for rank, t := range g.Members {
+				emit(t, perm[rank])
 			}
-			ext := make(value.Tuple, 0, len(t)+1)
-			ext = append(ext, t...)
-			ext = append(ext, value.Int(int64(perm[i])))
-			out.MustInsert(ext)
+			continue
+		}
+		ranks = ranks[:0]
+		for rank, tid := range perm {
+			if tid < bound {
+				ranks = append(ranks, rank)
+			}
+		}
+		selectRanks(g.Members, 0, ranks, 2*bits.Len(uint(n)))
+		for _, rank := range ranks {
+			emit(g.Members[rank], perm[rank])
 		}
 	}
 	return out, nil
+}
+
+// emitted is the number of tuples a group of n members contributes to
+// an ID-relation pruned at bound (0 = unpruned).
+func emitted(n, bound int) int {
+	if bound > 0 && bound < n {
+		return bound
+	}
+	return n
+}
+
+// selectRanks reorders ms, the window of a group starting at canonical
+// rank lo, so that ms[k-lo] holds the member of canonical rank k for
+// every k in ranks (ascending), as a full sort would place it, without
+// ordering the rest. It is a multi-rank quickselect on Tuple.Compare:
+// expected O(n) for a few ranks. Past depth partitioning rounds the
+// window is sorted instead, so the worst case stays O(n log n).
+func selectRanks(ms []value.Tuple, lo int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if len(ms) <= 12 || depth == 0 {
+			slices.SortFunc(ms, value.Tuple.Compare)
+			return
+		}
+		depth--
+		p := partition(ms)
+		i, found := slices.BinarySearch(ranks, lo+p)
+		left, right := ranks[:i], ranks[i:]
+		if found {
+			right = right[1:]
+		}
+		selectRanks(ms[:p], lo, left, depth)
+		ms, lo, ranks = ms[p+1:], lo+p+1, right
+	}
+}
+
+// partition splits ms (distinct tuples, len ≥ 3) around the median of
+// its first, middle and last members and returns the pivot's index:
+// every member before it is smaller, every member after it larger.
+func partition(ms []value.Tuple) int {
+	last := len(ms) - 1
+	m := medianOf3(ms, 0, last/2, last)
+	ms[m], ms[last] = ms[last], ms[m]
+	pivot := ms[last]
+	i := 0
+	for j := 0; j < last; j++ {
+		if ms[j].Compare(pivot) < 0 {
+			ms[i], ms[j] = ms[j], ms[i]
+			i++
+		}
+	}
+	ms[i], ms[last] = ms[last], ms[i]
+	return i
+}
+
+// medianOf3 returns whichever of the indexes a, b, c holds the median
+// of the three members.
+func medianOf3(ms []value.Tuple, a, b, c int) int {
+	if ms[a].Compare(ms[b]) > 0 {
+		a, b = b, a
+	}
+	if ms[b].Compare(ms[c]) <= 0 {
+		return b
+	}
+	if ms[a].Compare(ms[c]) > 0 {
+		return a
+	}
+	return c
 }
 
 // ValidateID checks that idrel is an ID-relation of base on cols: its

@@ -1,7 +1,12 @@
 package relation
 
 import (
+	"encoding/binary"
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"idlog/internal/value"
@@ -76,7 +81,7 @@ func TestMaterializeRejectsBadColumns(t *testing.T) {
 
 type brokenOracle struct{}
 
-func (brokenOracle) Permutation(string, []int, Group) []int { return []int{0, 0, 0} }
+func (brokenOracle) Permutation(string, []int, value.Tuple, int) []int { return []int{0, 0, 0} }
 
 func TestMaterializeRejectsBrokenOracle(t *testing.T) {
 	if _, err := MaterializeID(emp(), "x", []int{1}, brokenOracle{}); err == nil {
@@ -242,6 +247,364 @@ func TestMaterializeIDPropertyRandom(t *testing.T) {
 			}
 			if err := ValidateID(idr, rel, cols); err != nil {
 				t.Fatalf("trial %d oracle %T: %v", trial, o, err)
+			}
+		}
+	}
+}
+
+// refGroups is the string-keyed grouping that Groups replaced: a map
+// keyed by ProjectKey, then every group sorted. It is the reference the
+// hash grouping must reproduce exactly.
+func refGroups(r *Relation, cols []int) []Group {
+	byKey := make(map[string]*Group)
+	var order []string
+	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
+		k := t.ProjectKey(cols)
+		g, ok := byKey[k]
+		if !ok {
+			g = &Group{Key: t.Project(cols)}
+			byKey[k] = g
+			order = append(order, k)
+		}
+		g.Members = append(g.Members, t)
+		return true
+	})
+	out := make([]Group, 0, len(order))
+	for _, k := range order {
+		out = append(out, *byKey[k])
+	}
+	for i := range out {
+		ms := out[i].Members
+		sort.Slice(ms, func(a, b int) bool { return ms[a].Compare(ms[b]) < 0 })
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Key.Compare(out[b].Key) < 0 })
+	return out
+}
+
+// refMaterialize is the sort-everything materializer that selection
+// replaced: every group is sorted whole, the oracle numbers its
+// canonical members, and the tuples with a tid under the bound are
+// emitted in canonical order.
+func refMaterialize(r *Relation, name string, cols []int, o Oracle, bound int) (*Relation, error) {
+	for _, c := range cols {
+		if c < 0 || c >= r.arity {
+			return nil, fmt.Errorf("grouping column %d out of range", c+1)
+		}
+	}
+	out := New(name, r.arity+1)
+	for _, g := range refGroups(r, cols) {
+		perm := o.Permutation(r.name, cols, g.Key, len(g.Members))
+		if err := checkPerm(perm, len(g.Members)); err != nil {
+			return nil, err
+		}
+		for i, t := range g.Members {
+			if bound > 0 && perm[i] >= bound {
+				continue
+			}
+			out.MustInsert(append(t.Clone(), value.Int(int64(perm[i]))))
+		}
+	}
+	return out, nil
+}
+
+// sameTuples reports the first difference between two tuple sequences,
+// order included.
+func sameTuples(got, want []value.Tuple) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d tuples, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			return fmt.Errorf("tuple %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// checkAgainstReference materializes r on cols under the oracle made by
+// mk both ways and requires the same tuples in the same insertion
+// order; FixedOracles must also observe the same groups.
+func checkAgainstReference(t testing.TB, r *Relation, cols []int, mk func() Oracle, bound int) {
+	t.Helper()
+	o, ro := mk(), mk()
+	got, err := MaterializeIDBounded(r, "p_id", cols, o, bound)
+	want, rerr := refMaterialize(r, "p_id", cols, ro, bound)
+	if (err != nil) != (rerr != nil) {
+		t.Fatalf("cols %v bound %d: error %v, reference error %v", cols, bound, err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if got.Name() != want.Name() || got.Arity() != want.Arity() {
+		t.Fatalf("cols %v bound %d: relation %s/%d, want %s/%d", cols, bound, got.Name(), got.Arity(), want.Name(), want.Arity())
+	}
+	if err := sameTuples(got.Tuples(), want.Tuples()); err != nil {
+		t.Fatalf("cols %v bound %d oracle %T: %v", cols, bound, o, err)
+	}
+	if fo, ok := o.(*FixedOracle); ok {
+		if !maps.Equal(fo.Observed, ro.(*FixedOracle).Observed) {
+			t.Fatalf("cols %v bound %d: FixedOracle observed %v, reference %v", cols, bound, fo.Observed, ro.(*FixedOracle).Observed)
+		}
+	}
+}
+
+// checkGroupsAgainstReference requires Groups to match refGroups key
+// for key and member for member.
+func checkGroupsAgainstReference(t testing.TB, r *Relation, cols []int) {
+	t.Helper()
+	got, want := r.Groups(cols), refGroups(r, cols)
+	if len(got) != len(want) {
+		t.Fatalf("cols %v: %d groups, want %d", cols, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Key.Equal(want[i].Key) {
+			t.Fatalf("cols %v: group %d key %v, want %v", cols, i, got[i].Key, want[i].Key)
+		}
+		if err := sameTuples(got[i].Members, want[i].Members); err != nil {
+			t.Fatalf("cols %v: group %v: %v", cols, got[i].Key, err)
+		}
+	}
+}
+
+// idValue draws a constant: u-constants whose names share a long
+// prefix (so comparisons read deep into the names), or small integers
+// of either sign.
+func idValue(rng *rand.Rand) value.Value {
+	if rng.Intn(2) == 0 {
+		return value.Int(int64(rng.Intn(41) - 20))
+	}
+	return value.Str(fmt.Sprintf("constant_with_a_long_shared_prefix_%d", rng.Intn(40)))
+}
+
+// idCaseTuples draws the tuples of a relation of the given arity with a
+// few groups on cols, each aimed at a size between 1 and 300 (a group
+// can come out smaller when a draw repeats a tuple, or larger when two
+// keys coincide).
+func idCaseTuples(rng *rand.Rand, arity int, cols []int) []value.Tuple {
+	var out []value.Tuple
+	for g := 1 + rng.Intn(4); g > 0; g-- {
+		key := make(value.Tuple, arity)
+		for i := range key {
+			key[i] = idValue(rng)
+		}
+		size := []int{1, 2, 3, 13, 1 + rng.Intn(300)}[rng.Intn(5)]
+		for k := 0; k < size; k++ {
+			t := make(value.Tuple, arity)
+			for i := range t {
+				t[i] = idValue(rng)
+			}
+			for _, c := range cols {
+				t[c] = key[c]
+			}
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// idRepresentations holds the tuples as a flat relation, a frozen one,
+// and a version of a frozen base with both an overlay and a patch.
+func idRepresentations(tuples []value.Tuple, arity int) map[string]*Relation {
+	flat := FromTuples("p", arity, tuples...)
+	frozen := FromTuples("p", arity, tuples...).Freeze()
+	// The base holds all but the last few tuples plus two extras; the
+	// version removes the extras (patching the base positions the
+	// swap-remove refills) and inserts the rest (its overlay).
+	split := len(tuples) - min(len(tuples), 3)
+	extras := []value.Tuple{make(value.Tuple, arity), make(value.Tuple, arity)}
+	for i := range extras[0] {
+		extras[0][i] = value.Str("extra_a")
+		extras[1][i] = value.Str("extra_b")
+	}
+	base := FromTuples("p", arity, extras[0])
+	for _, t := range tuples[:split] {
+		base.MustInsert(t)
+	}
+	base.MustInsert(extras[1])
+	ver := base.Freeze().Clone()
+	for _, t := range extras {
+		if _, err := ver.Remove(t); err != nil {
+			panic(err)
+		}
+	}
+	for _, t := range tuples[split:] {
+		ver.MustInsert(t)
+	}
+	return map[string]*Relation{"flat": flat, "frozen": frozen, "version": ver}
+}
+
+// idOracles returns constructors for the four shipped oracles; the
+// FixedOracle draws a random choice for most of the groups of r on cols.
+func idOracles(rng *rand.Rand, r *Relation, cols []int) []func() Oracle {
+	seed := rng.Uint64()
+	choices := map[string]uint64{}
+	for _, g := range refGroups(r, cols) {
+		if rng.Intn(4) > 0 {
+			choices[GroupKey(r.Name(), cols, g.Key)] = rng.Uint64()
+		}
+	}
+	return []func() Oracle{
+		func() Oracle { return SortedOracle{} },
+		func() Oracle { return ReverseOracle{} },
+		func() Oracle { return RandomOracle{Seed: seed} },
+		func() Oracle { return &FixedOracle{Choices: choices, Observed: map[string]int{}} },
+	}
+}
+
+// idBounds lists 0, 1, 2 and n-1, n, n+1 for the smallest and largest
+// group sizes n of r on cols.
+func idBounds(r *Relation, cols []int) []int {
+	bounds := []int{0, 1, 2}
+	if gs := refGroups(r, cols); len(gs) > 0 {
+		lo, hi := len(gs[0].Members), len(gs[0].Members)
+		for _, g := range gs {
+			lo, hi = min(lo, len(g.Members)), max(hi, len(g.Members))
+		}
+		bounds = append(bounds, lo-1, lo, lo+1, hi-1, hi, hi+1)
+	}
+	slices.Sort(bounds)
+	return slices.Compact(bounds)
+}
+
+// TestMaterializeIDMatchesSortEverything checks the selecting
+// materializer against refMaterialize tuple for tuple, in insertion
+// order, over arities 1-4, grouping columns from none to all (in any
+// order), group sizes 1-300, bounds around every group size, the four
+// shipped oracles, and flat, frozen and versioned relations; and Groups
+// against refGroups on the same relations.
+func TestMaterializeIDMatchesSortEverything(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	versions := 0
+	for trial := 0; trial < 120; trial++ {
+		arity := 1 + rng.Intn(4)
+		var cols []int
+		switch trial % 4 {
+		case 0: // no grouping columns: one group
+		case 1:
+			cols = identityCols(arity)
+		default:
+			for _, c := range rng.Perm(arity) {
+				if rng.Intn(2) == 0 {
+					cols = append(cols, c)
+				}
+			}
+		}
+		tuples := idCaseTuples(rng, arity, cols)
+		for name, r := range idRepresentations(tuples, arity) {
+			if name == "version" && len(r.patch) > 0 && len(r.tuples) > 0 {
+				versions++
+			}
+			checkGroupsAgainstReference(t, r, cols)
+			for _, mk := range idOracles(rng, r, cols) {
+				for _, bound := range idBounds(r, cols) {
+					checkAgainstReference(t, r, cols, mk, bound)
+				}
+			}
+		}
+	}
+	if versions == 0 {
+		t.Fatalf("no case exercised a version with both an overlay and a patch")
+	}
+}
+
+// FuzzMaterializeID compares the selecting materializer with
+// refMaterialize over fuzzed tuples, grouping columns, bound and oracle.
+// Byte 0 picks the arity and the oracle, byte 1 the grouping columns,
+// byte 2 the bound, bytes 3-10 the oracle seed; every later byte is one
+// value (even: a u-constant, odd: a signed integer).
+func FuzzMaterializeID(f *testing.F) {
+	f.Add([]byte{0x11, 0x01, 2, 1, 2, 3, 4, 5, 6, 7, 8, 2, 4, 2, 6, 3, 5, 2, 8})
+	f.Add([]byte{0x23, 0x06, 1, 9, 9, 9, 9, 9, 9, 9, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{0x30, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 254, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 11 {
+			return
+		}
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		arity := 1 + int(data[0]&3)
+		var cols []int
+		for c := 0; c < arity; c++ {
+			if data[1]&(1<<c) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		if data[1]&0x80 != 0 {
+			slices.Reverse(cols)
+		}
+		bound := int(data[2] % 8)
+		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(data[3:11]))))
+		var tuples []value.Tuple
+		for rest := data[11:]; len(rest) >= arity; rest = rest[arity:] {
+			tp := make(value.Tuple, arity)
+			for i, b := range rest[:arity] {
+				if b&1 == 0 {
+					tp[i] = value.Str(fmt.Sprintf("constant_with_a_long_shared_prefix_%d", b>>1%16))
+				} else {
+					tp[i] = value.Int(int64(int8(b) >> 1))
+				}
+			}
+			tuples = append(tuples, tp)
+		}
+		for _, r := range idRepresentations(tuples, arity) {
+			mk := idOracles(rng, r, cols)[int(data[0]>>4)%4]
+			checkAgainstReference(t, r, cols, mk, bound)
+			checkGroupsAgainstReference(t, r, cols)
+		}
+	})
+}
+
+// idlitRelation is the batch_idlit benchmark's emp shape: depts groups
+// of perDept employees on column 1, inserted in shuffled order.
+func idlitRelation(depts, perDept int) *Relation {
+	rng := rand.New(rand.NewSource(1))
+	r := New("emp", 2)
+	for _, i := range rng.Perm(depts * perDept) {
+		r.MustInsert(value.Tuple{value.Str(fmt.Sprintf("emp%05d", i)), value.Str(fmt.Sprintf("dept%03d", i%depts))})
+	}
+	return r
+}
+
+// TestMaterializeBoundedAllocs pins the allocation count of a bounded
+// materialization with 50 groups of 100: grouping and selection
+// allocate per group and per call, not per base tuple.
+func TestMaterializeBoundedAllocs(t *testing.T) {
+	r := idlitRelation(50, 100)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := MaterializeIDBounded(r, "emp[2]", []int{1}, RandomOracle{Seed: 7}, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d base tuples", allocs, r.Len())
+	if perTuple := allocs / float64(r.Len()); perTuple >= 0.5 {
+		t.Fatalf("%.0f allocations for %d base tuples (%.2f per tuple), want < 0.5 per tuple", allocs, r.Len(), perTuple)
+	}
+}
+
+// TestSelectRanksDepthLimit drives selectRanks with tiny depth budgets,
+// so the sorting fallback that bounds its worst case runs on windows of
+// every size, and checks every requested rank against a full sort.
+func TestSelectRanksDepthLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(200)
+		ms := make([]value.Tuple, n)
+		for i := range ms {
+			ms[i] = value.Tuple{idValue(rng), value.Int(int64(i))}
+		}
+		want := slices.Clone(ms)
+		slices.SortFunc(want, value.Tuple.Compare)
+		var ranks []int
+		for k := 0; k < n; k++ {
+			if rng.Intn(n) < 3 {
+				ranks = append(ranks, k)
+			}
+		}
+		selectRanks(ms, 0, ranks, trial%4)
+		for _, k := range ranks {
+			if !ms[k].Equal(want[k]) {
+				t.Fatalf("n=%d depth=%d: rank %d holds %v, want %v", n, trial%4, k, ms[k], want[k])
 			}
 		}
 	}

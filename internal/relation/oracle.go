@@ -24,12 +24,15 @@ func colsSig(cols []int) string {
 // a permutation assigning tuple-identifiers 0..n-1 to the group's members.
 //
 // Permutation receives the relation name, the grouping columns, the
-// group's key and its members in canonical order, and must return a slice
-// perm of length len(members) that is a permutation of 0..n-1; member i
-// gets tid perm[i]. The IDLOG query's non-determinism is exactly the
+// group's key and its size n, and must return a slice perm of length n
+// that is a permutation of 0..n-1: the member of canonical rank i (the
+// i-th smallest under value.Tuple.Compare) gets tid perm[i]. The oracle
+// never sees the members themselves, so the engine can ask for the
+// permutation before it orders any member, and then order only the
+// ranks it emits. The IDLOG query's non-determinism is exactly the
 // oracle's freedom here.
 type Oracle interface {
-	Permutation(rel string, cols []int, g Group) []int
+	Permutation(rel string, cols []int, key value.Tuple, n int) []int
 }
 
 // SortedOracle assigns tids in canonical tuple order (member i gets tid
@@ -38,8 +41,8 @@ type Oracle interface {
 type SortedOracle struct{}
 
 // Permutation implements Oracle with the identity permutation.
-func (SortedOracle) Permutation(rel string, cols []int, g Group) []int {
-	return identityPerm(len(g.Members))
+func (SortedOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
+	return identityPerm(n)
 }
 
 // ReverseOracle assigns tids in reverse canonical order. It is mainly
@@ -47,8 +50,7 @@ func (SortedOracle) Permutation(rel string, cols []int, g Group) []int {
 type ReverseOracle struct{}
 
 // Permutation implements Oracle.
-func (ReverseOracle) Permutation(rel string, cols []int, g Group) []int {
-	n := len(g.Members)
+func (ReverseOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = n - 1 - i
@@ -66,11 +68,11 @@ type RandomOracle struct {
 
 // Permutation implements Oracle with a Fisher–Yates shuffle seeded from a
 // hash of the group's identity.
-func (o RandomOracle) Permutation(rel string, cols []int, g Group) []int {
+func (o RandomOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
 	h := splitmix64(o.Seed ^ hashString(rel))
 	h ^= hashString(colsSig(cols))
-	h = splitmix64(h ^ hashString(g.Key.Key()))
-	perm := identityPerm(len(g.Members))
+	h = splitmix64(h ^ hashString(key.Key()))
+	perm := identityPerm(n)
 	// Fisher–Yates driven by a splitmix64 stream.
 	state := h
 	for i := len(perm) - 1; i > 0; i-- {
@@ -100,13 +102,12 @@ func GroupKey(rel string, cols []int, key value.Tuple) string {
 }
 
 // Permutation implements Oracle.
-func (o *FixedOracle) Permutation(rel string, cols []int, g Group) []int {
-	k := GroupKey(rel, cols, g.Key)
+func (o *FixedOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
+	k := GroupKey(rel, cols, key)
 	if o.Observed != nil {
-		o.Observed[k] = len(g.Members)
+		o.Observed[k] = n
 	}
-	idx := o.Choices[k]
-	return PermByIndex(len(g.Members), idx)
+	return PermByIndex(n, o.Choices[k])
 }
 
 // PermByIndex returns the idx-th permutation of 0..n-1 in Lehmer-code

@@ -94,6 +94,9 @@ func (v Value) Compare(w Value) int {
 			return 0
 		}
 	}
+	if v.Sym == w.Sym {
+		return 0
+	}
 	return strings.Compare(symbol.Name(v.Sym), symbol.Name(w.Sym))
 }
 
