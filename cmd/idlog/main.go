@@ -293,6 +293,9 @@ func main() {
 			fatal(err)
 		}
 	}
+	// The input is complete: freeze it, so the planner may price probes
+	// from exact distinct counts (see -plan).
+	db.Freeze()
 
 	preds := prog.OutputPredicates()
 	if *query != "" {

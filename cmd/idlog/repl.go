@@ -132,6 +132,10 @@ func runREPL(r io.Reader, w io.Writer, limits replLimits, db *idlog.Database, lo
 	if db == nil {
 		db = idlog.NewDatabase()
 	}
+	// :assert and :retract derive each next snapshot with Apply, which
+	// keeps it frozen, so the planner may price probes from exact
+	// distinct counts (see :plan).
+	db.Freeze()
 	s := &repl{out: w, clauses: preload, db: db, wal: log, limits: limits}
 	fmt.Fprintln(w, "idlog interactive — :help for commands")
 	if len(preload) > 0 {

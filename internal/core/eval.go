@@ -297,11 +297,12 @@ func (o Options) EffectiveParallelism() int {
 // workers resolves the effective parallelism (≥ 1).
 func (e *engine) workers() int { return e.opts.EffectiveParallelism() }
 
-// seminaiveFixpoint performs one naive round to seed the component, then
-// iterates only the recursive clauses' delta units: each pass evaluates
-// one unit per recursive body position, with the delta position reading
-// the previous round's newly derived tuples (via the planner's
-// delta-first variant clause when available, in place otherwise).
+// seminaiveFixpoint performs one naive round of the exit clauses to seed
+// the component, then iterates only the recursive clauses' delta units:
+// each pass evaluates one unit per recursive body position, with the
+// delta position reading the previous round's newly derived tuples (via
+// the planner's delta-first variant clause when available, in place
+// otherwise).
 func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) error {
 	clauses := sp.all[:sp.nseed]
 	e.stats.Iterations++
@@ -322,15 +323,19 @@ func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) err
 	for _, p := range c.Preds {
 		delta[p] = relation.NewDelta(p, e.work[p].Arity(), 0)
 	}
-	for _, cc := range clauses {
-		if _, err := e.run(cc, -1, nil, delta[cc.headPred], e.work[cc.headPred]); err != nil {
-			return err
-		}
-	}
+	// The seed round runs only the exit clauses. The component's own
+	// relations are empty when it starts, so a recursive clause can
+	// derive nothing from them; run in place, it would instead fire on
+	// the exit clauses' fresh tuples and again on the same tuples in the
+	// first delta round.
 	var recursive []int
-	for ci := range clauses {
+	for ci, cc := range clauses {
 		if len(sp.units[ci]) > 0 {
 			recursive = append(recursive, ci)
+			continue
+		}
+		if _, err := e.run(cc, -1, nil, delta[cc.headPred], e.work[cc.headPred]); err != nil {
+			return err
 		}
 	}
 	for {

@@ -306,6 +306,18 @@ func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, delt
 		cc.iters = make([]litIter, len(cc.lits))
 	}
 	iters := cc.iters
+	// The compiled clause outlives the walk (a live view keeps its plans
+	// across updates), so its cursors let go of everything they read —
+	// relation, buffered tuples, index bucket, builtin solutions — and
+	// keep only the scan buffer's capacity: a dropped snapshot must not
+	// stay reachable through them.
+	defer func() {
+		for i := range iters {
+			buf := iters[i].buf
+			clear(buf[:cap(buf)])
+			iters[i] = litIter{buf: buf[:0]}
+		}
+	}()
 	if err := rn.openIter(cc, &iters[0], 0, env, deltaPos, deltaRel, lo, hi); err != nil {
 		return err
 	}

@@ -32,21 +32,34 @@ var planReorders atomic.Uint64
 // planner has reordered away from the analysis order in this process.
 func PlanReordersTotal() uint64 { return planReorders.Load() }
 
-// cardFn reports the estimated tuple count of the relation a body
-// literal reads, as of the snapshot it was built from.
-type cardFn func(l *ast.Literal) float64
+// relStats is what the cost model knows of the relation a body literal
+// reads, as of the snapshot it was built from: its size, and the exact
+// distinct count of each column (nil when the relation does not answer,
+// see relation.Relation.DistinctCounts). It holds numbers only: cached
+// plans keep their snapshot, and a *Relation in it would pin the
+// relation.
+type relStats struct {
+	card     float64
+	distinct []int
+}
 
-// snapshotCard takes the cardinality snapshot for planning clauses:
+// cardFn reports the cost-model statistics of the relation a body
+// literal reads.
+type cardFn func(l *ast.Literal) relStats
+
+// snapshotCard takes the statistics snapshot for planning clauses:
 // relations outside the set being planned (the EDB, earlier strata and
 // earlier components of this stratum) report their exact current size,
 // materialized ID-relations their size, and predicates in inSet — empty
 // at plan time — a crude "recursive output outgrows its feeders"
-// default of 4x the largest relation the clauses read. The sizes are
-// read now, so the snapshot stays what the planner saw however the
-// relations grow afterwards (ExplainPlan renders it).
+// default of 4x the largest relation the clauses read. Relations that
+// answer DistinctCounts (frozen, in memory) also report their distinct
+// counts. Everything is read now, so the snapshot stays what the
+// planner saw however the relations grow afterwards (ExplainPlan
+// renders it).
 func snapshotCard(clauses []*analysis.OrderedClause, inSet map[string]bool, rels, idrels map[string]*relation.Relation) cardFn {
 	def := 32.0
-	sizes := map[string]float64{} // predicate or ID-relation key → size
+	stats := map[string]relStats{} // predicate or ID-relation key → statistics
 	for _, oc := range clauses {
 		for _, l := range oc.Clause.Body {
 			a := l.Atom
@@ -61,55 +74,84 @@ func snapshotCard(clauses []*analysis.OrderedClause, inSet map[string]bool, rels
 			if r == nil {
 				continue
 			}
-			n := float64(r.EstimateCard())
-			sizes[key] = n
-			if !a.IsID && n > def {
-				def = n
+			st, ok := stats[key]
+			if !ok {
+				st = relStats{card: float64(r.EstimateCard())}
+				if ndv, ok := r.DistinctCounts(); ok {
+					st.distinct = append([]int(nil), ndv...)
+				}
+				stats[key] = st
+			}
+			if !a.IsID && st.card > def {
+				def = st.card
 			}
 		}
 	}
 	def *= 4
-	return func(l *ast.Literal) float64 {
+	return func(l *ast.Literal) relStats {
 		a := l.Atom
 		key := a.Pred
 		if a.IsID {
 			key = analysis.IDNeed{Pred: a.Pred, Group: a.Group}.Key()
 		}
-		if n, ok := sizes[key]; ok {
-			return n
+		if st, ok := stats[key]; ok {
+			return st
 		}
-		return def
+		return relStats{card: def}
 	}
 }
 
-// estCost estimates the number of body instantiations literal l
-// contributes when evaluated next under the given bound variables: for
-// a relational literal with b of its a argument positions bound, the
-// classic card^((a-b)/a) reduction (a full probe key ≈ one membership
-// test, a cold scan ≈ the whole relation). Negated literals are pure
-// filters and interpreted literals bounded computations, so both are
-// scheduled as early as eligibility allows.
-func estCost(l *ast.Literal, bound map[string]bool, card cardFn) float64 {
+// boundCols returns the argument positions of l that are constants or
+// variables in bound: the probe columns when l is evaluated next.
+func boundCols(l *ast.Literal, bound map[string]bool) []int {
+	var cols []int
+	for pos, t := range l.Atom.Args {
+		switch t := t.(type) {
+		case ast.Const:
+			cols = append(cols, pos)
+		case ast.Var:
+			if bound[t.Name] {
+				cols = append(cols, pos)
+			}
+		}
+	}
+	return cols
+}
+
+// estimate returns the number of body instantiations literal l
+// contributes when evaluated next under the given bound variables.
+// Negated literals are pure filters and interpreted literals bounded
+// computations, so both are scheduled as early as eligibility allows.
+// When the snapshot holds distinct counts and some column is bound, a
+// probe returns card / keys rows, keys = min(card, Π distinct(c)) over
+// the probe columns under the independence assumption, and estimate
+// also returns keys. Otherwise a relational literal falls back to
+// card^((a−b)/a) for b of its a columns bound (a full key ≈ one
+// membership test, a cold scan ≈ the whole relation) and keys = 0.
+func estimate(l *ast.Literal, bound map[string]bool, card cardFn) (cost, keys float64) {
 	a := l.Atom
 	if arith.IsBuiltin(a.Pred) {
-		return 0.5
+		return 0.5, 0
 	}
 	if l.Neg {
-		return 0.25
+		return 0.25, 0
 	}
-	n := card(l)
-	if n < 1 {
-		n = 1
-	}
+	st := card(l)
+	n := max(st.card, 1)
 	arity := len(a.Args)
 	if arity == 0 {
-		return 1
+		return 1, 0
 	}
-	b := analysis.BoundCount(l, bound)
-	if b > arity {
-		b = arity
+	cols := boundCols(l, bound)
+	if len(cols) > 0 && st.distinct != nil {
+		keys = 1
+		for _, c := range cols {
+			keys *= float64(max(st.distinct[c], 1))
+		}
+		keys = min(keys, n)
+		return n / keys, keys
 	}
-	return math.Pow(n, float64(arity-b)/float64(arity))
+	return math.Pow(n, float64(arity-len(cols))/float64(arity)), 0
 }
 
 // planBody greedily orders body (any safe order) by estimated cost,
@@ -150,7 +192,7 @@ func planBodyBound(body []*ast.Literal, pre map[string]bool, forced int, card ca
 			}
 			// Strict < keeps the earliest literal on ties: deterministic,
 			// and follows the source order like the analysis tie-break.
-			if c := estCost(l, bound, card); c < bestCost {
+			if c, _ := estimate(l, bound, card); c < bestCost {
 				best, bestCost = i, c
 			}
 		}
@@ -323,7 +365,8 @@ func explainComponent(b *strings.Builder, sp *componentPlan) {
 // writePlanLine renders one literal order: each step shows the literal,
 // its access path (delta/scan/probe with the 0-based probe columns, or
 // filter/compute for negated and interpreted literals) and the
-// estimated rows it contributes.
+// estimated rows it contributes, followed by "ndv K" when a probe
+// estimate came from distinct counts (K distinct probe keys).
 func writePlanLine(b *strings.Builder, label string, body []*ast.Literal, deltaPos int, card cardFn) {
 	fmt.Fprintf(b, "      %s:", label)
 	bound := map[string]bool{}
@@ -339,18 +382,8 @@ func writePlanLine(b *strings.Builder, label string, body []*ast.Literal, deltaP
 		case l.Neg:
 			b.WriteString(" [filter]")
 		default:
-			var probe []int
-			for pos, t := range a.Args {
-				switch t := t.(type) {
-				case ast.Const:
-					probe = append(probe, pos)
-				case ast.Var:
-					if bound[t.Name] {
-						probe = append(probe, pos)
-					}
-				}
-			}
-			est := estCost(l, bound, card)
+			probe := boundCols(l, bound)
+			est, keys := estimate(l, bound, card)
 			switch {
 			case i == deltaPos:
 				b.WriteString(" [delta scan]")
@@ -361,7 +394,11 @@ func writePlanLine(b *strings.Builder, label string, body []*ast.Literal, deltaP
 				for j, c := range probe {
 					cols[j] = fmt.Sprintf("%d", c)
 				}
-				fmt.Fprintf(b, " [probe (%s) ~%.0f]", strings.Join(cols, ","), est)
+				fmt.Fprintf(b, " [probe (%s) ~%.0f", strings.Join(cols, ","), est)
+				if keys > 0 {
+					fmt.Fprintf(b, " ndv %.0f", keys)
+				}
+				b.WriteString("]")
 			}
 		}
 		analysis.Bind(l, bound)

@@ -25,11 +25,11 @@ func planFor(t *testing.T, src string, cards map[string]int, forced int) string 
 			}
 		}
 	}
-	body := planBody(oc.Clause.Body, forced, func(l *ast.Literal) float64 {
+	body := planBody(oc.Clause.Body, forced, func(l *ast.Literal) relStats {
 		if n, ok := cards[l.Atom.Pred]; ok {
-			return float64(n)
+			return relStats{card: float64(n)}
 		}
-		return 1000
+		return relStats{card: 1000}
 	})
 	if body == nil {
 		return "<nil>"

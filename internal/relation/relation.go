@@ -102,6 +102,11 @@ type Relation struct {
 	// relation, so repeated Tuples() calls (snapshot writers, JSON
 	// renderers) decode the source once.
 	mat atomic.Pointer[[]value.Tuple]
+	// ndv holds the per-column distinct counts of a frozen in-memory
+	// flat relation once requested (see DistinctCounts). Versions read
+	// their base's; a version that compacts never had counts of its
+	// own, so once frozen it counts afresh.
+	ndv atomic.Pointer[[]int]
 }
 
 // New returns an empty relation with the given name and arity.
