@@ -310,11 +310,9 @@ func TestChaosNoGoroutineLeak(t *testing.T) {
 // TestDerivationBudgetBoundary: the budget fires at EXACTLY the
 // configured limit — the partial run performs MaxDerivations
 // derivations, not one more — and each partial model is a sound prefix
-// of the full one. (Satellite c, E6 kernel.) Exactness at the boundary
-// is a sequential-engine guarantee, so the test pins WithParallelism(1):
-// the parallel ledger promises a hard ceiling (never more than the
-// limit), not an exact landing — workers stop at grant boundaries and
-// refund unused slack.
+// of the full one. (Satellite c, E6 kernel.) The landing is exact at
+// four workers too, where the seed round fans out: a worker that finds
+// the budget reserved waits for siblings that may refund unused slack.
 func TestDerivationBudgetBoundary(t *testing.T) {
 	prog, db := chainProg(t), chainDB(t, 50)
 	full, err := prog.Eval(db, WithParallelism(1))
@@ -322,21 +320,23 @@ func TestDerivationBudgetBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	totalDerivations := full.Stats.Derivations
-	for _, limit := range []int{1, 2, 17, 256, 257, 1000, totalDerivations - 1} {
-		res, err := prog.Eval(db, WithParallelism(1), WithMaxDerivations(limit))
-		wantCode(t, err, CodeResourceExhausted)
-		wantPartial(t, res, err)
-		if res.Stats.Derivations != limit {
-			t.Fatalf("limit %d: run performed %d derivations, want exactly the limit",
-				limit, res.Stats.Derivations)
+	for _, workers := range []int{1, 4} {
+		for _, limit := range []int{1, 2, 17, 256, 257, 1000, totalDerivations - 1} {
+			res, err := prog.Eval(db, WithParallelism(workers), WithMaxDerivations(limit))
+			wantCode(t, err, CodeResourceExhausted)
+			wantPartial(t, res, err)
+			if res.Stats.Derivations != limit {
+				t.Fatalf("workers %d, limit %d: run performed %d derivations, want exactly the limit",
+					workers, limit, res.Stats.Derivations)
+			}
+			subsetOf(t, prog, res, full)
 		}
-		subsetOf(t, prog, res, full)
-	}
-	// At or above the run's true cost the budget never fires.
-	for _, limit := range []int{totalDerivations, totalDerivations + 1} {
-		res, err := prog.Eval(db, WithParallelism(1), WithMaxDerivations(limit))
-		if err != nil || res.Incomplete {
-			t.Fatalf("limit %d >= total %d still tripped: %v", limit, totalDerivations, err)
+		// At or above the run's true cost the budget never fires.
+		for _, limit := range []int{totalDerivations, totalDerivations + 1} {
+			res, err := prog.Eval(db, WithParallelism(workers), WithMaxDerivations(limit))
+			if err != nil || res.Incomplete {
+				t.Fatalf("workers %d, limit %d >= total %d still tripped: %v", workers, limit, totalDerivations, err)
+			}
 		}
 	}
 }

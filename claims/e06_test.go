@@ -31,9 +31,10 @@ func joins(db *core.Database, r []value.Tuple) int {
 // transitive closure fires each ground body instantiation of the final
 // model exactly once, so its derivations track that count instead of
 // growing with the number of rounds. The recursive rule has no tc
-// tuples to read in the seed round: the sharded round reads the empty
-// round-start relation and the sequential loop runs only the exit rule,
-// so both fire the same instantiations in the same rounds.
+// tuples to read in the seed round, so the seed round runs only the exit
+// rule at every worker count, and every round reads its round-start
+// state: both worker counts fire the same instantiations in the same
+// rounds.
 func TestE6SeminaiveTransfers(t *testing.T) {
 	info := analyze(t, tcProgram)
 	for _, c := range []struct {

@@ -37,16 +37,15 @@ type Options struct {
 	// fully successful run publishes its plans; a hit skips cardinality
 	// estimation and plan compilation. Trace runs bypass the cache.
 	PlanCache *PlanCache
-	// Parallelism bounds the worker pool of the semi-naive fixpoint:
-	// each round's work is sharded across up to this many goroutines and
-	// merged through a deterministic ordered reducer, so answer sets and
-	// ID assignment are byte-identical to a sequential run. Zero (the
-	// zero value) resolves to DefaultParallelism() — GOMAXPROCS clamped
-	// to maxAutoParallelism — so parallel wins show up out of the box on
-	// multi-core hardware; set 1 to force sequential evaluation. Values
-	// < 0 (and Trace runs) also evaluate sequentially. It is an
-	// upper bound: delta rounds of recursive components with a total
-	// delta under minParallelDelta run inline on the calling goroutine.
+	// Parallelism bounds the worker pool of the semi-naive fixpoint.
+	// Zero (the zero value) resolves to DefaultParallelism() —
+	// GOMAXPROCS clamped to maxAutoParallelism; 1, values < 0 and Trace
+	// runs evaluate every round on the calling goroutine. It is an upper
+	// bound: only seed rounds, non-recursive components and delta rounds
+	// of at least minParallelDelta tuples fan out over the workers; every
+	// other round runs on the calling goroutine. Answer sets, ID
+	// assignment, insertion order and every Stats count are identical at
+	// every worker count (see eval_parallel.go).
 	Parallelism int
 	// Guard governs the run (cancellation, deadlines, budgets, fault
 	// injection). Nil builds a fresh guard carrying only
@@ -256,10 +255,7 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 			e.plans[si][ci] = sp
 		}
 	}
-	if e.workers() > 1 && !e.opts.Trace {
-		return e.parallelFixpoint(c, sp)
-	}
-	return e.seminaiveFixpoint(c, sp)
+	return e.fixpoint(c, sp)
 }
 
 // maxAutoParallelism caps the GOMAXPROCS-derived default worker count:
@@ -297,53 +293,62 @@ func (o Options) EffectiveParallelism() int {
 // workers resolves the effective parallelism (≥ 1).
 func (e *engine) workers() int { return e.opts.EffectiveParallelism() }
 
-// seminaiveFixpoint performs one naive round of the exit clauses to seed
-// the component, then iterates only the recursive clauses' delta units:
-// each pass evaluates one unit per recursive body position, with the
-// delta position reading the previous round's newly derived tuples (via
-// the planner's delta-first variant clause when available, in place
-// otherwise).
-func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) error {
-	clauses := sp.all[:sp.nseed]
-	e.stats.Iterations++
-	if !c.Recursive {
-		// A non-recursive component reaches fixpoint in its seed round:
-		// skip the delta bookkeeping entirely.
-		for _, cc := range clauses {
-			if _, err := e.run(cc, -1, nil, nil, e.work[cc.headPred]); err != nil {
-				return err
-			}
-		}
-		return nil
+// fixpoint runs component c to its least fixpoint by semi-naive
+// rounds. The seed round evaluates the exit clauses only: the
+// component's own relations are still empty, so a clause reading one of
+// them could derive nothing. Every later round evaluates the recursive
+// clauses' delta units, one per recursive body position, that position
+// reading the previous round's new tuples (through the planner's
+// delta-first variant when available, in place otherwise) while the
+// other positions read the full relations.
+//
+// A round runs directly on the calling goroutine (direct), inserting
+// each derivation where it is made, unless it fans out over the worker
+// pool (pool.round): seed rounds and non-recursive components fan out
+// whenever there are two or more workers, delta rounds only once their
+// total delta reaches minParallelDelta.
+func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan) error {
+	nw := e.workers()
+	if e.opts.Trace {
+		nw = 1 // provenance capture is ordered
 	}
-	// Deltas are append-only: the derive hook feeds them exactly the
-	// tuples the full relation reported new, so they need no duplicate
-	// checking and skip the primary hash table entirely.
-	delta := map[string]*relation.Relation{}
-	for _, p := range c.Preds {
-		delta[p] = relation.NewDelta(p, e.work[p].Arity(), 0)
+	var p *pool // built by the component's first fanned-out round
+	// sinks receive each round's new tuples, which are the next round's
+	// deltas. Deltas are append-only: a sink is fed exactly the tuples
+	// the full relation reported new, so it needs no duplicate check.
+	var sinks map[string]*relation.Relation
+	if c.Recursive {
+		sinks = e.newDeltas(c, nil)
 	}
-	// The seed round runs only the exit clauses. The component's own
-	// relations are empty when it starts, so a recursive clause can
-	// derive nothing from them; run in place, it would instead fire on
-	// the exit clauses' fresh tuples and again on the same tuples in the
-	// first delta round.
+	var units []pTask
 	var recursive []int
-	for ci, cc := range clauses {
+	for ci := 0; ci < sp.nseed; ci++ {
 		if len(sp.units[ci]) > 0 {
 			recursive = append(recursive, ci)
 			continue
 		}
-		if _, err := e.run(cc, -1, nil, delta[cc.headPred], e.work[cc.headPred]); err != nil {
+		units = append(units, pTask{ci: ci, pos: -1, hi: -1})
+	}
+	fan := nw > 1
+	for {
+		e.stats.Iterations++
+		var err error
+		if fan {
+			if p == nil {
+				p = e.newPool(sp.all, nw)
+			}
+			err = p.round(units, sinks)
+		} else {
+			err = e.direct(c, sp.all, units, sinks)
+		}
+		if err != nil || len(recursive) == 0 {
 			return err
 		}
-	}
-	for {
-		total := 0
+		delta, total := sinks, 0
 		for _, d := range delta {
 			total += d.Len()
 		}
-		if total == 0 || len(recursive) == 0 {
+		if total == 0 {
 			return nil
 		}
 		if e.governed {
@@ -351,30 +356,54 @@ func (e *engine) seminaiveFixpoint(c *analysis.Component, sp *componentPlan) err
 				return err
 			}
 		}
-		e.stats.Iterations++
-		next := map[string]*relation.Relation{}
-		for _, p := range c.Preds {
-			// The previous round's delta size is the best available prior
-			// for this round's.
-			next[p] = relation.NewDelta(p, e.work[p].Arity(), delta[p].Len())
-		}
+		sinks = e.newDeltas(c, delta)
+		units = units[:0]
 		for _, ci := range recursive {
 			for _, u := range sp.units[ci] {
 				// Substitute the delta relation at exactly one recursive
 				// position; other positions read the full relations
 				// (which already include the delta).
-				cc := sp.all[u.idx]
-				d := delta[cc.lits[u.pos].pred]
-				if d == nil || d.Len() == 0 {
-					continue
-				}
-				if _, err := e.run(cc, u.pos, d, next[cc.headPred], e.work[cc.headPred]); err != nil {
-					return err
+				if d := delta[sp.all[u.idx].lits[u.pos].pred]; d.Len() > 0 {
+					units = append(units, pTask{ci: u.idx, pos: u.pos, hi: -1, deltaRel: d})
 				}
 			}
 		}
-		delta = next
+		fan = nw > 1 && total >= minParallelDelta
 	}
+}
+
+// newDeltas returns an empty delta sink per predicate of c, each sized
+// for the previous round's delta when prev is non-nil (the best
+// available prior for this round's).
+func (e *engine) newDeltas(c *analysis.Component, prev map[string]*relation.Relation) map[string]*relation.Relation {
+	next := make(map[string]*relation.Relation, len(c.Preds))
+	for _, p := range c.Preds {
+		hint := 0
+		if prev != nil {
+			hint = prev[p].Len()
+		}
+		next[p] = relation.NewDelta(p, e.work[p].Arity(), hint)
+	}
+	return next
+}
+
+// direct evaluates one round's units on the calling goroutine, in
+// order, each derivation inserted into its head relation as it is made
+// and, when new, appended to the head's sink. The units read the
+// component's relations as of the round's start (runner.frontier), as a
+// fanned-out round does, so both make the same derivations.
+func (e *engine) direct(c *analysis.Component, clauses []*compiledClause, units []pTask, sinks map[string]*relation.Relation) error {
+	frontier := make(map[string]int, len(c.Preds))
+	for _, p := range c.Preds {
+		frontier[p] = e.work[p].Len()
+	}
+	for _, u := range units {
+		cc := clauses[u.ci]
+		if err := e.run(cc, u.pos, u.deltaRel, sinks[cc.headPred], frontier); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // resolve returns the relation a compiled literal reads.
@@ -394,14 +423,14 @@ func (e *engine) resolve(cl *compiledLit) (*relation.Relation, error) {
 }
 
 // run evaluates cc against the current relations, the literal at
-// deltaPos (-1 for none) reading deltaRel instead of its full relation.
-// New head tuples are inserted into full; when deltaSink is non-nil they
-// are also added there (seeding semi-naive). It returns the number of
-// new tuples.
-func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full *relation.Relation) (int, error) {
-	inserted := 0
+// deltaPos (-1 for none) reading deltaRel instead of its full relation
+// (and its other recursive literals reading up to frontier; see runner).
+// New head tuples are inserted into the head's full relation and, when
+// deltaSink is non-nil, appended to it.
+func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *relation.Relation, frontier map[string]int) error {
+	full := e.work[cc.headPred]
 	e.curClause = cc.srcText
-	rn := runner{resolve: e.resolve, stats: &e.stats}
+	rn := runner{resolve: e.resolve, stats: &e.stats, frontier: frontier}
 	rn.derive = func(cc *compiledClause, env []value.Value, head value.Tuple) error {
 		if e.governed {
 			// Amortized governance: consult the guard only when the
@@ -435,7 +464,6 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full
 					return err
 				}
 			}
-			inserted++
 			e.stats.Inserted++
 			e.recordProvenance(cc, env, stored)
 			if deltaSink != nil {
@@ -455,7 +483,7 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full
 		e.g.Settle(e.gused)
 		e.gused = 0
 	}
-	return inserted, err
+	return err
 }
 
 // runner executes the join walk of one clause (iterator.go). There is
@@ -472,4 +500,10 @@ type runner struct {
 	resolve func(cl *compiledLit) (*relation.Relation, error)
 	stats   *Stats
 	derive  func(cc *compiledClause, env []value.Value, head value.Tuple) error
+	// frontier, when non-nil, holds each component predicate's length at
+	// the start of a direct delta round. A recursive literal away from
+	// the delta position then reads only those positions — the
+	// round-start state a fanned-out round reads — and not the tuples
+	// the round is inserting.
+	frontier map[string]int
 }

@@ -77,16 +77,51 @@ func addDenseGraph(t *testing.T, db *Database) {
 	}
 }
 
-// widestClosureRound returns the largest number of (X, Y) pairs of
-// relation e at one shortest-path distance: the size of the widest
-// semi-naive delta round of the tc closure in parallelPrograms.
-func widestClosureRound(db *Database) int {
+// nonlinearProgram closes ch by doubling: its recursive clause reads
+// nl twice, so a direct round that let the literal away from the delta
+// see the tuples the round inserts would derive more than a fanned-out
+// round, which reads the round-start state.
+const nonlinearProgram = `
+nl(X, Y) :- ch(X, Y).
+nl(X, Y) :- nl(X, Z), nl(Z, Y).
+`
+
+// addChains adds to db, as ch, 600 disjoint chains of 8 nodes. The
+// doubling closure of nonlinearProgram then reads deltas of 4200, 3600,
+// 5400 and 3600 tuples (paths of length 1, 2, 3–4 and 5–7), so its
+// delta rounds alternate between fanned-out and direct.
+func addChains(t *testing.T, db *Database) {
+	t.Helper()
+	for c := 0; c < 600; c++ {
+		for i := 0; i < 7; i++ {
+			if err := db.Add("ch", value.Strs(fmt.Sprintf("c%d_%d", c, i), fmt.Sprintf("c%d_%d", c, i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// closureRound describes one semi-naive round of the closure
+// tc(X, Y) :- e(X, Y). tc(X, Y) :- tc(X, Z), e(Z, Y) (or its
+// right-linear twin, which makes the same number of derivations per
+// round on a graph read in both directions): the delta it reads (0 for
+// the seed round), the tuples it inserts and the derivations it makes.
+type closureRound struct {
+	delta, inserted, derivations int
+}
+
+// closureRounds computes the rounds of the left-linear closure of
+// relation e from shortest-path distances, independently of the engine:
+// round 0 is the seed round, and round r ≥ 1 reads the pairs at
+// distance r as its delta and inserts the pairs at distance r+1.
+func closureRounds(db *Database) []closureRound {
 	succ := map[string][]string{}
 	db.Relation("e").Scan(0, -1, func(_ int, t value.Tuple) bool {
 		succ[t[0].String()] = append(succ[t[0].String()], t[1].String())
 		return true
 	})
-	perDist := map[int]int{}
+	perDist := map[int]int{}    // pairs at each distance
+	derivsFrom := map[int]int{} // Σ out-degree of the targets of those pairs
 	for src := range succ {
 		dist := map[string]int{}
 		frontier := []string{src}
@@ -97,6 +132,7 @@ func widestClosureRound(db *Database) int {
 					if _, ok := dist[y]; !ok {
 						dist[y] = d
 						perDist[d]++
+						derivsFrom[d] += len(succ[y])
 						next = append(next, y)
 					}
 				}
@@ -104,27 +140,46 @@ func widestClosureRound(db *Database) int {
 			frontier = next
 		}
 	}
-	widest := 0
-	for _, n := range perDist {
-		widest = max(widest, n)
+	edges := db.Relation("e").Len()
+	rounds := []closureRound{{inserted: perDist[1], derivations: edges}}
+	for r := 1; perDist[r] > 0; r++ {
+		rounds = append(rounds, closureRound{delta: perDist[r], inserted: perDist[r+1], derivations: derivsFrom[r]})
 	}
-	return widest
+	return rounds
 }
 
-// TestParallelMatchesSequential checks byte-identical models across
-// worker counts, including the within-parallel insertion-order
-// invariant (Tuples order equal for any workers ≥ 2). The dense graph
-// makes some delta rounds clear minParallelDelta, so both the inline
-// and the range-sharded round paths run.
+// fansOut reports whether round r of a closure fans out at two or more
+// workers: seed rounds always do, delta rounds from minParallelDelta.
+func fansOut(rounds []closureRound, r int) bool {
+	return r == 0 || rounds[r].delta >= minParallelDelta
+}
+
+// TestParallelMatchesSequential checks that the worker count changes
+// nothing but the wall clock: byte-identical models, every Stats count
+// equal, and the same insertion order (Tuples) at every worker count.
+// The dense graph gives the tc closure delta rounds on both sides of
+// minParallelDelta, and so do the chains the nonlinear closure, so one
+// evaluation at two or more workers runs both direct and fanned-out
+// rounds.
 func TestParallelMatchesSequential(t *testing.T) {
-	info := mustAnalyze(t, parallelPrograms)
+	info := mustAnalyze(t, parallelPrograms+nonlinearProgram)
 	denseDB := func() *Database {
 		db := parallelDB(t)
 		addDenseGraph(t, db)
+		addChains(t, db)
 		return db
 	}
-	if w := widestClosureRound(denseDB()); w < minParallelDelta {
-		t.Fatalf("widest delta round %d < minParallelDelta %d: no round fans out", w, minParallelDelta)
+	var direct, fanned int
+	rounds := closureRounds(denseDB())
+	for r := 1; r < len(rounds); r++ {
+		if fansOut(rounds, r) {
+			fanned++
+		} else {
+			direct++
+		}
+	}
+	if direct == 0 || fanned == 0 {
+		t.Fatalf("closure rounds %+v: want delta rounds both under and over minParallelDelta %d", rounds, minParallelDelta)
 	}
 	seqRes, err := Eval(info, denseDB(), Options{
 		Oracle: relation.RandomOracle{Seed: 42}, Parallelism: 1})
@@ -132,7 +187,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := modelFingerprint(seqRes, info)
-	var order2 []string
+	wantOrder := map[string][]string{}
+	for _, p := range []string{"tc", "nl"} {
+		for _, tup := range seqRes.Relation(p).Tuples() {
+			wantOrder[p] = append(wantOrder[p], tup.String())
+		}
+	}
 	for _, workers := range []int{2, 3, 4, 8} {
 		res, err := Eval(info, denseDB(), Options{
 			Oracle: relation.RandomOracle{Seed: 42}, Parallelism: workers})
@@ -142,23 +202,82 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if got := modelFingerprint(res, info); got != want {
 			t.Fatalf("workers=%d: model diverged from sequential", workers)
 		}
-		if res.Stats.Inserted != seqRes.Stats.Inserted {
-			t.Fatalf("workers=%d: inserted %d, sequential %d", workers, res.Stats.Inserted, seqRes.Stats.Inserted)
+		if res.Stats != seqRes.Stats {
+			t.Fatalf("workers=%d: stats %v, sequential %v", workers, res.Stats, seqRes.Stats)
 		}
-		var order []string
-		for _, tup := range res.Relation("tc").Tuples() {
-			order = append(order, tup.String())
+		for _, p := range []string{"tc", "nl"} {
+			order := res.Relation(p).Tuples()
+			if len(order) != len(wantOrder[p]) {
+				t.Fatalf("workers=%d: %s insertion-order length diverged", workers, p)
+			}
+			for i := range order {
+				if order[i].String() != wantOrder[p][i] {
+					t.Fatalf("workers=%d: %s insertion order diverged at %d", workers, p, i)
+				}
+			}
 		}
-		if order2 == nil {
-			order2 = order
-			continue
+	}
+}
+
+// TestParallelBudgetsAcrossRoundKinds trips the tuple and derivation
+// budgets a few units into a direct round that follows a fanned-out
+// round, and into a fanned-out round that follows a direct one: either
+// way the run stops exactly at the budget, and the guard's ledger
+// agrees with the run's counters.
+func TestParallelBudgetsAcrossRoundKinds(t *testing.T) {
+	info := mustAnalyze(t, "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- tc(X, Z), e(Z, Y).\n")
+	denseDB := func() *Database {
+		db := NewDatabase()
+		addDenseGraph(t, db)
+		return db
+	}
+	rounds := closureRounds(denseDB())
+	// landing[k] is the round a budget trips in.
+	landing := map[string]int{}
+	for r := 1; r+1 < len(rounds); r++ {
+		if _, ok := landing["direct after fanned"]; !ok && fansOut(rounds, r) && !fansOut(rounds, r+1) {
+			landing["direct after fanned"] = r + 1
 		}
-		if len(order) != len(order2) {
-			t.Fatalf("workers=%d: insertion-order length diverged", workers)
+		if _, ok := landing["fanned after direct"]; !ok && !fansOut(rounds, r) && fansOut(rounds, r+1) {
+			landing["fanned after direct"] = r + 1
 		}
-		for i := range order {
-			if order[i] != order2[i] {
-				t.Fatalf("workers=%d: insertion order diverged at %d", workers, i)
+	}
+	if len(landing) != 2 {
+		t.Fatalf("closure rounds %+v: want a direct round after a fanned-out one and the reverse", rounds)
+	}
+	t.Logf("closure rounds %+v; budgets land in rounds %v", rounds, landing)
+	for kind, k := range landing {
+		var inserted, derivations int
+		for _, rd := range rounds[:k] {
+			inserted += rd.inserted
+			derivations += rd.derivations
+		}
+		const into = 5 // units into round k: far fewer than any task makes
+		for _, workers := range []int{2, 4} {
+			g := guard.New(nil, guard.Limits{MaxTuples: inserted + into})
+			res, err := Eval(info, denseDB(), Options{Parallelism: workers, Guard: g})
+			if err == nil || !res.Incomplete {
+				t.Fatalf("%s, workers=%d: tuple budget %d did not trip", kind, workers, inserted+into)
+			}
+			if _, tuples := g.Usage(); tuples != inserted+into || res.Stats.Inserted != inserted+into {
+				t.Fatalf("%s, workers=%d: tuple budget %d, guard holds %d, inserted %d",
+					kind, workers, inserted+into, tuples, res.Stats.Inserted)
+			}
+			if res.Stats.Iterations != k+1 {
+				t.Fatalf("%s, workers=%d: tuple budget tripped in round %d, want %d", kind, workers, res.Stats.Iterations-1, k)
+			}
+
+			g = guard.New(nil, guard.Limits{MaxDerivations: derivations + into})
+			res, err = Eval(info, denseDB(), Options{Parallelism: workers, Guard: g})
+			if err == nil || !res.Incomplete {
+				t.Fatalf("%s, workers=%d: derivation budget %d did not trip", kind, workers, derivations+into)
+			}
+			if d, _ := g.Usage(); d != derivations+into || res.Stats.Derivations != derivations+into {
+				t.Fatalf("%s, workers=%d: derivation budget %d, guard holds %d, derivations %d",
+					kind, workers, derivations+into, d, res.Stats.Derivations)
+			}
+			if res.Stats.Iterations != k+1 {
+				t.Fatalf("%s, workers=%d: derivation budget tripped in round %d, want %d", kind, workers, res.Stats.Iterations-1, k)
 			}
 		}
 	}
@@ -190,8 +309,8 @@ func seqInserted(t *testing.T, info *analysis.Info) int {
 }
 
 // TestParallelBudgets checks governance through the parallel path: the
-// tuple budget trips exactly, the derivation budget is a hard ceiling,
-// and cancellation surfaces as the typed error with a partial model.
+// tuple and derivation budgets trip exactly, and a tripped run returns
+// the typed error with a partial model.
 func TestParallelBudgets(t *testing.T) {
 	info := mustAnalyze(t, parallelPrograms)
 
@@ -212,8 +331,8 @@ func TestParallelBudgets(t *testing.T) {
 	if err == nil {
 		t.Fatalf("derivation budget did not trip")
 	}
-	if d, _ := g.Usage(); d > 300 {
-		t.Fatalf("derivation ledger overshot: %d > 300", d)
+	if d, _ := g.Usage(); d != 300 {
+		t.Fatalf("derivation budget inexact under parallelism: %d derivations, want 300", d)
 	}
 }
 

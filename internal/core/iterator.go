@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"idlog/internal/relation"
 	"idlog/internal/value"
@@ -120,8 +121,13 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	if err != nil {
 		return err
 	}
+	limit := -1
 	if depth == deltaPos {
 		rel = deltaRel
+	} else if cl.recursive {
+		if n, ok := rn.frontier[cl.pred]; ok {
+			limit = n
+		}
 	}
 	if cl.neg {
 		// Negated literals are fully bound (safety), so probeArgs covers
@@ -145,6 +151,9 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	if len(cl.probeCols) == 0 {
 		if hi < 0 {
 			lo, hi = 0, rel.Len()
+			if limit >= 0 {
+				hi = min(hi, limit)
+			}
 		}
 		rn.stats.TuplesScanned += hi - lo
 		it.kind = iterScan
@@ -161,12 +170,14 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 		}
 	}
 	// The positions slice is the index's own bucket and must not be
-	// mutated. Inserts during iteration may append to it, but appended
-	// tuples are new head derivations of *other* relations (a clause
-	// never inserts into a relation it scans in the same instantiation
-	// path — recursive clauses read delta copies), so the snapshot of
-	// its length keeps iteration well-defined.
+	// mutated. Inserts during iteration may append to it, so the cursor
+	// keeps the snapshot of its length. A component's relations only
+	// grow during its fixpoint, so their buckets ascend and the
+	// round-start state is a prefix of each.
 	positions := probePositions(rel, cl, key, &it.one)
+	if limit >= 0 {
+		positions = positions[:sort.SearchInts(positions, limit)]
+	}
 	n := len(positions)
 	if hi >= 0 {
 		positions, n = positions[lo:hi], hi-lo

@@ -9,18 +9,19 @@ import (
 // Parallel is the concurrency-safe face of a Guard for one parallel
 // fixpoint phase. The coordinator Forks it before spawning workers and
 // Joins it after they exit; in between, workers draw derivation grants
-// from a shared atomic ledger (Reserve/Refund), poll the clock and
-// context through the lock-free Checkpoint, and publish the phase's
-// first error through Fail, which doubles as the cooperative stop
-// signal for their siblings.
+// from a shared atomic ledger (Reserve, and Leave with what they did
+// not use), poll the clock and context through the lock-free
+// Checkpoint, and publish the phase's first error through Fail, which
+// doubles as the cooperative stop signal for their siblings.
 //
 // The derivation ledger counts *reservations*: a worker reserves up to
 // CheckInterval derivations, runs them, and refunds what it did not
-// use when it exits. Joins therefore settle an exact total; the one
-// approximation is that a budget error can fire while sibling workers
-// still hold unused grants, so the reported count may exceed the
-// derivations actually executed by at most (workers-1)·CheckInterval —
-// never the budget itself, which remains a hard ceiling.
+// use when it leaves. Joins therefore settle an exact total. The budget
+// is exact too, not just a ceiling: a worker that finds it fully
+// reserved waits while a sibling that has entered (Enter) and not left
+// (Leave) is still running, since that sibling may leave unused grant
+// behind; only when every such worker is waiting is the budget spent,
+// with every reserved derivation executed.
 type Parallel struct {
 	g          *Guard
 	max        int64 // derivation budget (0 = unlimited)
@@ -30,6 +31,11 @@ type Parallel struct {
 	stopped     atomic.Bool
 	mu          sync.Mutex
 	err         error
+	// Under mu: active counts workers between Enter and Leave, waiting
+	// those blocked in Reserve on a fully reserved budget; wake signals
+	// a refund, a new waiter, a departure or a stop.
+	active, waiting int
+	wake            sync.Cond
 }
 
 // Fork snapshots the guard's exact derivation total into a Parallel
@@ -42,7 +48,26 @@ func (g *Guard) Fork() *Parallel {
 		panicAfter: int64(g.fault.PanicAfter),
 	}
 	p.derivations.Store(int64(g.derivations))
+	p.wake.L = &p.mu
 	return p
+}
+
+// Enter registers a worker with the ledger; call it before the worker
+// starts, and Leave when it exits.
+func (p *Parallel) Enter() {
+	p.mu.Lock()
+	p.active++
+	p.mu.Unlock()
+}
+
+// Leave refunds a departing worker's unused reserved derivations and
+// deregisters it, waking siblings that wait for budget.
+func (p *Parallel) Leave(unused int) {
+	p.mu.Lock()
+	p.derivations.Add(int64(-unused))
+	p.active--
+	p.wake.Broadcast()
+	p.mu.Unlock()
 }
 
 // Reserve grants up to want derivations from the shared budget. It
@@ -62,9 +87,12 @@ func (p *Parallel) Reserve(want int, clause string) (int, error) {
 				n = r
 			}
 			if n <= 0 {
+				if p.awaitRefund() {
+					continue
+				}
 				return 0, Errorf(ResourceExhausted, p.g.op,
 					"derivation budget %d exceeded after %d derivations (clause %s)",
-					p.max, cur, clause)
+					p.max, p.derivations.Load(), clause)
 			}
 		}
 		if p.panicAfter > 0 {
@@ -78,15 +106,24 @@ func (p *Parallel) Reserve(want int, clause string) (int, error) {
 	}
 }
 
-func panicAfterFault(n int64) {
-	panic(fmt.Sprintf("guard: injected fault after %d derivations", n))
+// awaitRefund blocks a worker that found the budget fully reserved
+// until a sibling's refund frees some of it (true), or until no
+// registered sibling is left running — each is waiting too, or gone —
+// or the phase stops (false: the budget is spent).
+func (p *Parallel) awaitRefund() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.waiting++
+	p.wake.Broadcast() // a sibling may have been waiting for this one
+	for p.derivations.Load() >= p.max && p.waiting < p.active && !p.stopped.Load() {
+		p.wake.Wait()
+	}
+	p.waiting--
+	return p.derivations.Load() < p.max && !p.stopped.Load()
 }
 
-// Refund returns a worker's unused reserved derivations to the ledger.
-func (p *Parallel) Refund(n int) {
-	if n > 0 {
-		p.derivations.Add(int64(-n))
-	}
+func panicAfterFault(n int64) {
+	panic(fmt.Sprintf("guard: injected fault after %d derivations", n))
 }
 
 // Checkpoint is the context + clock check, safe for concurrent use.
@@ -102,8 +139,9 @@ func (p *Parallel) Fail(err error) {
 	if p.err == nil {
 		p.err = err
 	}
-	p.mu.Unlock()
 	p.stopped.Store(true)
+	p.wake.Broadcast()
+	p.mu.Unlock()
 }
 
 // Stopped reports whether a sibling has failed; workers poll it at

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGrantSettleExact covers the amortized-batch bugfix: derivations
@@ -75,8 +76,12 @@ func TestGrantBudgetExactAcrossRuns(t *testing.T) {
 }
 
 // TestParallelReserveExact hammers the shared ledger from many
-// goroutines: the sum of granted derivations never exceeds the budget,
-// and after refunds the joined total equals what was actually used.
+// goroutines, each spending its grants one derivation at a time and
+// leaving with what it holds once its own quota is done. The quotas
+// add up to more than the budget, so the budget trips, and it trips
+// exactly: a worker that finds the budget reserved waits for siblings
+// that may leave unused grant behind, so the joined total equals both
+// what was used and the budget.
 func TestParallelReserveExact(t *testing.T) {
 	const max = 10_000
 	g := New(nil, Limits{MaxDerivations: max})
@@ -85,25 +90,21 @@ func TestParallelReserveExact(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
+		p.Enter()
 		go func(w int) {
 			defer wg.Done()
-			for {
-				n, err := p.Reserve(CheckInterval, "c")
-				if err != nil {
-					return
+			slack := 0
+			defer func() { p.Leave(slack) }()
+			for quota := 500 + 700*w; quota > 0; quota-- {
+				if slack == 0 {
+					n, err := p.Reserve(CheckInterval, "c")
+					if err != nil {
+						return
+					}
+					slack = n
 				}
-				// Use an uneven share and refund the rest, but always
-				// consume at least one derivation: a worker that refunds
-				// its whole grant models no real engine state (workers
-				// only reserve when they have pending derivations) and
-				// can spin on the budget's tail forever once the
-				// full-consuming workers have exited.
-				u := n - w%3
-				if u < 1 {
-					u = 1
-				}
-				used.Add(int64(u))
-				p.Refund(n - u)
+				slack--
+				used.Add(1)
 			}
 		}(w)
 	}
@@ -113,11 +114,66 @@ func TestParallelReserveExact(t *testing.T) {
 	if int64(d) != used.Load() {
 		t.Fatalf("joined total %d != used %d", d, used.Load())
 	}
-	if d > max {
-		t.Fatalf("ledger overshot the budget: %d > %d", d, max)
+	if d != max {
+		t.Fatalf("budget tripped after %d derivations, want exactly %d", d, max)
 	}
 	if _, err := p.Reserve(1, "c"); err == nil {
 		t.Fatalf("exhausted ledger granted more work")
+	}
+}
+
+// TestParallelReserveWaitsForRefund walks the wait step by step: a
+// worker that finds the budget reserved by a running sibling waits, is
+// served from that sibling's refund when it leaves, and fails at once
+// once no running sibling is left. Fail wakes a waiting worker.
+func TestParallelReserveWaitsForRefund(t *testing.T) {
+	g := New(nil, Limits{MaxDerivations: 100})
+	p := g.Fork()
+	p.Enter() // a
+	p.Enter() // b
+	if n, err := p.Reserve(60, "c"); err != nil || n != 60 {
+		t.Fatalf("a's grant = %d, %v", n, err)
+	}
+	if n, err := p.Reserve(60, "c"); err != nil || n != 40 {
+		t.Fatalf("b's grant = %d, %v; want the 40 left", n, err)
+	}
+	got := make(chan int)
+	go func() { // b has spent its 40 and needs more
+		n, err := p.Reserve(60, "c")
+		if err != nil {
+			n = -1
+		}
+		got <- n
+	}()
+	select {
+	case n := <-got:
+		t.Fatalf("b was answered (%d) while a still held unused grant", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	p.Leave(50) // a used 10 of its 60
+	if n := <-got; n != 50 {
+		t.Fatalf("b's grant after a left = %d, want the 50 a refunded", n)
+	}
+	if _, err := p.Reserve(1, "c"); err == nil {
+		t.Fatalf("b alone got budget beyond the limit")
+	}
+	p.Leave(0)
+	p.Join()
+	if d, _ := g.Usage(); d != 100 {
+		t.Fatalf("Usage = %d, want 100", d)
+	}
+
+	p = g.Fork() // the budget is spent
+	p.Enter()
+	p.Enter()
+	errc := make(chan error)
+	go func() {
+		_, err := p.Reserve(1, "c")
+		errc <- err
+	}()
+	p.Fail(Errorf(Canceled, "eval", "stop"))
+	if err := <-errc; err == nil {
+		t.Fatalf("a stopped phase granted budget beyond the limit")
 	}
 }
 

@@ -194,19 +194,15 @@ func (r *Relation) Len() int { return r.nsrc + len(r.tuples) }
 // The tuple is stored as-is; callers that reuse buffers must Clone first
 // or use InsertShared.
 func (r *Relation) Insert(t value.Tuple) (bool, error) {
-	r.setOp("Insert")
-	if r.frozen {
-		return false, fmt.Errorf("relation %s: insert into frozen relation", r.name)
-	}
-	if len(t) != r.arity {
-		return false, fmt.Errorf("relation %s: inserting arity-%d tuple into arity-%d relation", r.name, len(t), r.arity)
-	}
-	h := t.Hash()
-	if r.primary.lookup(r, t, h) >= 0 {
-		return false, nil
-	}
-	r.store(h, t)
-	return true, nil
+	return r.InsertHash(t, t.Hash())
+}
+
+// InsertHash is Insert for a caller that already holds h == t.Hash()
+// (a parallel worker hashed t to deduplicate it): the relation does not
+// hash t again. A wrong h breaks the relation's set semantics.
+func (r *Relation) InsertHash(t value.Tuple, h uint64) (bool, error) {
+	_, added, err := r.insert(t, h, false)
+	return added, err
 }
 
 // InsertShared is Insert for callers that reuse t's backing array: the
@@ -214,20 +210,29 @@ func (r *Relation) Insert(t value.Tuple) (bool, error) {
 // the tuple is new. It returns the stored tuple (nil when duplicate) so
 // callers can propagate the canonical copy.
 func (r *Relation) InsertShared(t value.Tuple) (value.Tuple, error) {
-	r.setOp("InsertShared")
+	stored, _, err := r.insert(t, t.Hash(), true)
+	return stored, err
+}
+
+// insert is the one lookup-and-store path behind Insert, InsertHash and
+// InsertShared: unless an equal tuple is present it stores t, or a copy
+// of t when clone is set, and returns what it stored.
+func (r *Relation) insert(t value.Tuple, h uint64, clone bool) (value.Tuple, bool, error) {
+	r.setOp("Insert")
 	if r.frozen {
-		return nil, fmt.Errorf("relation %s: insert into frozen relation", r.name)
+		return nil, false, fmt.Errorf("relation %s: insert into frozen relation", r.name)
 	}
 	if len(t) != r.arity {
-		return nil, fmt.Errorf("relation %s: inserting arity-%d tuple into arity-%d relation", r.name, len(t), r.arity)
+		return nil, false, fmt.Errorf("relation %s: inserting arity-%d tuple into arity-%d relation", r.name, len(t), r.arity)
 	}
-	h := t.Hash()
 	if r.primary.lookup(r, t, h) >= 0 {
-		return nil, nil
+		return nil, false, nil
 	}
-	c := t.Clone()
-	r.store(h, c)
-	return c, nil
+	if clone {
+		t = t.Clone()
+	}
+	r.store(h, t)
+	return t, true, nil
 }
 
 func (r *Relation) store(h uint64, t value.Tuple) {
@@ -307,11 +312,17 @@ func (r *Relation) MustInsert(t value.Tuple) bool {
 
 // Contains reports whether t is in the relation.
 func (r *Relation) Contains(t value.Tuple) bool {
+	return r.ContainsHash(t, t.Hash())
+}
+
+// ContainsHash is Contains for a caller that already holds h ==
+// t.Hash(). A wrong h may report a present tuple absent.
+func (r *Relation) ContainsHash(t value.Tuple, h uint64) bool {
 	r.setOp("Contains")
 	if len(t) != r.arity {
 		return false
 	}
-	return r.primary.lookup(r, t, t.Hash()) >= 0
+	return r.primary.lookup(r, t, h) >= 0
 }
 
 // Lookup returns the position of t, or -1 when absent: the primary-table

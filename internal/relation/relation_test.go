@@ -253,3 +253,156 @@ func TestGroupsPartitionProperty(t *testing.T) {
 		}
 	}
 }
+
+// hashTwins drives the hash-carrying operations (InsertHash,
+// ContainsHash) on one relation and the hashing ones (Insert,
+// InsertShared, Contains) on a twin built the same way, and fails at the
+// first answer, length or insertion order that differs.
+type hashTwins struct {
+	t          *testing.T
+	plain, hsh *Relation
+}
+
+func (tw hashTwins) insert(tup value.Tuple) {
+	tw.t.Helper()
+	want, werr := tw.plain.Insert(tup.Clone())
+	got, gerr := tw.hsh.InsertHash(tup.Clone(), tup.Hash())
+	if got != want || (gerr == nil) != (werr == nil) {
+		tw.t.Fatalf("InsertHash(%v) = %v, %v; Insert = %v, %v", tup, got, gerr, want, werr)
+	}
+}
+
+func (tw hashTwins) insertShared(tup value.Tuple) {
+	tw.t.Helper()
+	want, werr := tw.plain.InsertShared(tup)
+	got, gerr := tw.hsh.InsertHash(tup.Clone(), tup.Hash())
+	if got != (want != nil) || (gerr == nil) != (werr == nil) {
+		tw.t.Fatalf("InsertHash(%v) = %v, %v; InsertShared stored %v, %v", tup, got, gerr, want, werr)
+	}
+}
+
+func (tw hashTwins) contains(tup value.Tuple) {
+	tw.t.Helper()
+	if got, want := tw.hsh.ContainsHash(tup, tup.Hash()), tw.plain.Contains(tup); got != want {
+		tw.t.Fatalf("ContainsHash(%v) = %v, Contains = %v", tup, got, want)
+	}
+}
+
+func (tw hashTwins) check() {
+	tw.t.Helper()
+	a, b := tw.plain.Tuples(), tw.hsh.Tuples()
+	if len(a) != len(b) {
+		tw.t.Fatalf("Len %d (hashing) vs %d (hash-carrying)", len(a), len(b))
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			tw.t.Fatalf("position %d: %v (hashing) vs %v (hash-carrying)", i, a[i], b[i])
+		}
+	}
+}
+
+// TestInsertHashMatchesInsert checks the hash-carrying insert and
+// membership test against Insert, InsertShared and Contains on flat
+// relations, versions of a frozen base and frozen relations, and that
+// both panic on an append-only delta relation.
+func TestInsertHashMatchesInsert(t *testing.T) {
+	base := func() *Relation {
+		r := New("p", 2)
+		for i := int64(0); i < 40; i++ {
+			r.MustInsert(value.Ints(i, i%7))
+		}
+		return r.Freeze()
+	}
+	cases := []struct {
+		name string
+		make func() *Relation
+	}{
+		{"empty", func() *Relation { return New("p", 2) }},
+		{"sized", func() *Relation { return NewSized("p", 2, 64) }},
+		{"version", func() *Relation { return base().Clone() }},
+		{"frozen", base},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tw := hashTwins{t: t, plain: tc.make(), hsh: tc.make()}
+			for i := int64(0); i < 60; i++ {
+				tup := value.Ints(i%50, (i%50)%7)
+				tw.contains(tup)
+				if i%2 == 0 {
+					tw.insert(tup)
+				} else {
+					tw.insertShared(tup)
+				}
+				tw.contains(tup)
+			}
+			tw.insert(value.Ints(1)) // arity mismatch: both reject
+			tw.contains(value.Ints(1, 2, 3))
+			tw.check()
+		})
+	}
+	t.Run("arity0", func(t *testing.T) {
+		r := New("z", 0)
+		var empty value.Tuple // nil: the only arity-0 tuple
+		if added, err := r.InsertHash(empty, empty.Hash()); !added || err != nil {
+			t.Fatalf("first InsertHash of the empty tuple = %v, %v", added, err)
+		}
+		if added, _ := r.InsertHash(empty, empty.Hash()); added || !r.ContainsHash(empty, empty.Hash()) || r.Len() != 1 {
+			t.Fatalf("second InsertHash added=%v, Len %d", added, r.Len())
+		}
+	})
+	t.Run("delta", func(t *testing.T) {
+		for _, op := range []struct {
+			name string
+			fn   func(r *Relation)
+		}{
+			{"InsertHash", func(r *Relation) { _, _ = r.InsertHash(value.Ints(1), value.Ints(1).Hash()) }},
+			{"ContainsHash", func(r *Relation) { r.ContainsHash(value.Ints(1), value.Ints(1).Hash()) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s on an append-only delta relation did not panic", op.name)
+					}
+				}()
+				op.fn(NewDelta("d", 1, 0))
+			}()
+		}
+	})
+}
+
+// FuzzInsertHash drives random insert/membership sequences through the
+// hash-carrying operations and the hashing ones on twin relations, one
+// of them a version when the first byte is odd.
+func FuzzInsertHash(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 4, 1})
+	f.Add([]byte{1, 9, 9, 13, 200, 17, 33, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mk := func() *Relation { return New("p", 2) }
+		if data[0]&1 == 1 {
+			mk = func() *Relation {
+				r := New("p", 2)
+				for i := int64(0); i < 16; i += 3 {
+					r.MustInsert(value.Ints(i, i/2))
+				}
+				return r.Freeze().Clone()
+			}
+		}
+		tw := hashTwins{t: t, plain: mk(), hsh: mk()}
+		for _, b := range data[1:] {
+			v := int64(b >> 2 & 31)
+			tup := value.Ints(v, v/2)
+			switch b & 3 {
+			case 0:
+				tw.insert(tup)
+			case 1:
+				tw.insertShared(tup)
+			default:
+				tw.contains(tup)
+			}
+		}
+		tw.check()
+	})
+}
