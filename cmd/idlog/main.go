@@ -22,8 +22,6 @@
 //	                 stay byte-identical to sequential; default 0 = auto,
 //	                 GOMAXPROCS clamped to 8; 1 = sequential)
 //	-plan            print the join plans the engine would use and exit
-//	-planner=false   disable the cost-based join planner (bodies run in
-//	                 the analysis safety order; same model, for ablation)
 //	-partial         on a tripped budget/timeout, still print the partial model
 //	-optimize p      print the §4-optimized program w.r.t. p and exit
 //	-show            print the (choice-translated) program before running
@@ -138,7 +136,6 @@ func main() {
 	show := flag.Bool("show", false, "print the evaluated (choice-translated) program")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
 	plan := flag.Bool("plan", false, "print the join plans the engine would use and exit")
-	planner := flag.Bool("planner", true, "enable the cost-based join planner")
 	magic := flag.Bool("magic", true, "enable the magic-sets demand rewrite for interactive goal queries")
 	interactive := flag.Bool("i", false, "start an interactive session (REPL)")
 	walPath := flag.String("wal", "", "durable write-ahead log for the interactive session (with -i)")
@@ -230,7 +227,6 @@ func main() {
 			maxTuples:      *maxTuples,
 			maxDerivations: *maxDerivations,
 			parallel:       *parallel,
-			noPlanner:      !*planner,
 			noMagic:        !*magic,
 		}, db, log, preload...)
 		return
@@ -320,9 +316,6 @@ func main() {
 	}
 	if *parallel > 0 {
 		opts = append(opts, idlog.WithParallelism(*parallel))
-	}
-	if !*planner {
-		opts = append(opts, idlog.WithPlanner(false))
 	}
 
 	// Ctrl-C cancels the evaluation at the next guard checkpoint.

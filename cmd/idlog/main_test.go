@@ -202,15 +202,16 @@ func TestStringListFlag(t *testing.T) {
 }
 
 // TestRemovedFlagIsUsageError runs the CLI in a child process: the
-// retired -partitions flag is an unknown flag (usage error, exit 2),
-// while -parallel on the same program runs normally.
+// retired -partitions and -planner flags are unknown flags (usage
+// error, exit 2), while -parallel on the same program runs normally
+// and -plan renders the delta-first rotation of a recursive clause.
 func TestRemovedFlagIsUsageError(t *testing.T) {
 	if args := os.Getenv("IDLOG_TEST_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"idlog"}, strings.Fields(args)...)
 		main()
 		os.Exit(exitOK)
 	}
-	prog := writeFile(t, "x.idl", "e(a, b).\ntc(X, Y) :- e(X, Y).\n")
+	prog := writeFile(t, "x.idl", "e(a, b).\ne(b, c).\ntc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n")
 	run := func(args string) (int, string) {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagIsUsageError$")
 		cmd.Env = append(os.Environ(), "IDLOG_TEST_MAIN_ARGS="+args)
@@ -224,11 +225,16 @@ func TestRemovedFlagIsUsageError(t *testing.T) {
 		}
 		return exitOK, string(out)
 	}
-	if code, out := run("-partitions 4 " + prog); code != exitUsage ||
-		!strings.Contains(out, "flag provided but not defined: -partitions") {
-		t.Fatalf("-partitions: exit %d, want %d (unknown flag):\n%s", code, exitUsage, out)
+	for name, args := range map[string]string{"partitions": "-partitions 4", "planner": "-planner=false"} {
+		if code, out := run(args + " " + prog); code != exitUsage ||
+			!strings.Contains(out, "flag provided but not defined: -"+name) {
+			t.Fatalf("%s: exit %d, want %d (unknown flag):\n%s", args, code, exitUsage, out)
+		}
 	}
-	if code, out := run("-parallel 2 " + prog); code != exitOK || !strings.Contains(out, "tc{(a, b)}") {
+	if code, out := run("-parallel 2 " + prog); code != exitOK || !strings.Contains(out, "tc{(a, b), (a, c), (b, c)}") {
 		t.Fatalf("-parallel 2: exit %d, want %d:\n%s", code, exitOK, out)
+	}
+	if code, out := run("-plan " + prog); code != exitOK || !strings.Contains(out, "[delta scan]") {
+		t.Fatalf("-plan: exit %d, want %d with a [delta scan] step:\n%s", code, exitOK, out)
 	}
 }

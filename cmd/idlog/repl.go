@@ -23,7 +23,6 @@ type replLimits struct {
 	maxTuples      int
 	maxDerivations int
 	parallel       int
-	noPlanner      bool
 	noMagic        bool
 }
 
@@ -41,9 +40,6 @@ func (l replLimits) options() []idlog.Option {
 	}
 	if l.parallel > 0 {
 		opts = append(opts, idlog.WithParallelism(l.parallel))
-	}
-	if l.noPlanner {
-		opts = append(opts, idlog.WithPlanner(false))
 	}
 	if l.noMagic {
 		opts = append(opts, idlog.WithMagic(false))
@@ -68,16 +64,12 @@ func (l replLimits) String() string {
 	} else if l.parallel > 1 {
 		p = strconv.Itoa(l.parallel)
 	}
-	pl := "on"
-	if l.noPlanner {
-		pl = "off"
-	}
 	mg := "on"
 	if l.noMagic {
 		mg = "off"
 	}
-	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, planner=%s, magic=%s",
-		t, show(l.maxTuples), show(l.maxDerivations), p, pl, mg)
+	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, magic=%s",
+		t, show(l.maxTuples), show(l.maxDerivations), p, mg)
 }
 
 // repl is the interactive session state. Clauses hold the session
@@ -114,10 +106,9 @@ const replHelp = `commands:
                                  timeout (duration), max-tuples,
                                  max-derivations (0 = off), parallel
                                  (worker goroutines, 0 = auto,
-                                 1 = sequential), planner (on/off),
-                                 magic (on/off: goal-directed
-                                 magic-sets rewriting for bound
-                                 queries)
+                                 1 = sequential), magic (on/off:
+                                 goal-directed magic-sets rewriting
+                                 for bound queries)
   :clear                         drop all session clauses
   :help                          this text
   :quit                          leave
@@ -268,11 +259,11 @@ func (s *repl) command(line string) bool {
 }
 
 // limitsUsage names every key limitsCommand accepts.
-const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [parallel N] [planner on|off] [magic on|off]"
+const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [parallel N] [magic on|off]"
 
 // limitsCommand shows or sets the per-query limits: KEY VALUE pairs
 // with keys timeout, max-tuples and max-derivations (0 switches one
-// off), parallel (0 = auto), planner and magic (on/off).
+// off), parallel (0 = auto) and magic (on/off).
 func (s *repl) limitsCommand(args []string) {
 	if len(args)%2 != 0 {
 		fmt.Fprintln(s.out, limitsUsage)
@@ -310,16 +301,6 @@ func (s *repl) limitsCommand(args []string) {
 				return
 			}
 			next.parallel = n
-		case "planner":
-			switch val {
-			case "on", "true", "1":
-				next.noPlanner = false
-			case "off", "false", "0":
-				next.noPlanner = true
-			default:
-				fmt.Fprintln(s.out, "bad planner (on/off):", val)
-				return
-			}
 		case "magic":
 			switch val {
 			case "on", "true", "1":

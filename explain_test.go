@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"idlog/internal/core"
 	"idlog/internal/relation"
 )
 
@@ -138,6 +139,80 @@ func TestExplainTreesPaperExamples(t *testing.T) {
 	if *updateExplainGolden {
 		if err := os.WriteFile(explainGolden, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestTracedRunsUseThePlan: a traced run compiles with the planner and
+// may be served from the plan cache, and its Explain trees list body
+// facts in the analysis order, whatever order the plan ran them in.
+// The planner runs hit's body as sel(Z), e(Y, Z), e(X, Y).
+func TestTracedRunsUseThePlan(t *testing.T) {
+	prog := mustParse(t, `hit(X, Z) :- e(X, Y), e(Y, Z), sel(Z).`)
+	db := NewDatabase()
+	for i := int64(0); i < 7; i++ {
+		_ = db.Add("e", Ints(i, (i+1)%7))
+	}
+	_ = db.Add("sel", Ints(3))
+	db.Freeze()
+
+	before := core.PlanReordersTotal()
+	fresh, err := prog.Eval(db, WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.PlanReordersTotal() <= before {
+		t.Fatal("a traced run did not reorder an adversarially ordered body")
+	}
+	tree, err := fresh.Explain("hit", Ints(1, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "hit(1, 3)  <=  hit(X, Z) :- e(X, Y), e(Y, Z), sel(Z).\n" +
+		"  e(1, 2)  [input]\n  e(2, 3)  [input]\n  sel(3)  [input]\n"
+	if tree != want {
+		t.Fatalf("body facts not in analysis order:\n%s\nwant:\n%s", tree, want)
+	}
+
+	pq, err := prog.Prepare("hit(X, Z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pq.Query(db); err != nil { // a miss that publishes the plans
+		t.Fatal(err)
+	}
+	if _, err := pq.Query(db, WithTrace()); err != nil {
+		t.Fatal(err)
+	}
+	// The disk seam hands every run a fresh disk-backed copy of db (a
+	// new version), so runs under it never hit the cache.
+	if hits, misses := pq.CacheStats(); !diskSeam() && (hits != 1 || misses != 1) {
+		t.Fatalf("traced prepared query: plan cache hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+	// The prepared query's own evaluation, so its Result (and trees) can
+	// be read: the wrapper program with the query's plan cache armed.
+	cached, err := pq.compiled.Eval(db, WithTrace(), withPlanCache(pq.cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := pq.CacheStats(); !diskSeam() && hits != 2 {
+		t.Fatalf("traced run not served from the plan cache (hits %d, want 2)", hits)
+	}
+	uncached, err := pq.compiled.Eval(db, WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range fresh.Relation("hit").Sorted() {
+		a, err := cached.Explain("hit", tup, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := uncached.Explain("hit", tup, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("hit%s: cached traced tree differs from a fresh traced run\ncached:\n%s\nfresh:\n%s", tup, a, b)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func TestWalkResetsCursors(t *testing.T) {
 		_ = db.Add("e", value.Ints(i, (i+1)%40))
 	}
 	db.Freeze()
-	cc, err := compileClause(info.Strata[0].Clauses[0], func(string) bool { return false })
+	cc, err := compileClause(info.Strata[0].Clauses[0], nil, func(string) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}

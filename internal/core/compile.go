@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"idlog/internal/analysis"
 	"idlog/internal/arith"
@@ -10,8 +11,8 @@ import (
 )
 
 // argKind classifies a compiled argument position relative to the static
-// binding state at its literal (the body order is fixed by analysis, so
-// the binding state of every position is known at compile time).
+// binding state at its literal (the body order is fixed when the clause
+// is compiled, so the binding state of every position is known then).
 type argKind uint8
 
 const (
@@ -34,6 +35,10 @@ type compiledArg struct {
 }
 
 type compiledLit struct {
+	// body is the literal's index in the analysis-order body. The
+	// planner may run the literals in another order; provenance lists
+	// a derivation's body facts in this one.
+	body    int
 	neg     bool
 	builtin *arith.Builtin // non-nil for interpreted literals
 	pred    string         // base predicate for relational literals
@@ -94,10 +99,12 @@ type compiledClause struct {
 	iters []litIter
 }
 
-// compileClause translates an ordered clause into slot form. stratumPred
-// reports whether a predicate belongs to the stratum being compiled.
-func compileClause(oc *analysis.OrderedClause, stratumPred func(string) bool) (*compiledClause, error) {
-	cc, _, err := compile(oc, stratumPred, false)
+// compileClause translates an ordered clause into slot form. ref is the
+// analysis-order body that oc's body permutes (nil when oc is in
+// analysis order). stratumPred reports whether a predicate belongs to
+// the stratum being compiled.
+func compileClause(oc *analysis.OrderedClause, ref []*ast.Literal, stratumPred func(string) bool) (*compiledClause, error) {
+	cc, _, err := compile(oc, ref, stratumPred, false)
 	return cc, err
 }
 
@@ -113,10 +120,13 @@ func compileClause(oc *analysis.OrderedClause, stratumPred func(string) bool) (*
 // incremental maintenance layer (DRed's "does t still have a
 // derivation?" probe).
 func compileClauseHeadBound(oc *analysis.OrderedClause, stratumPred func(string) bool) (*compiledClause, []compiledArg, error) {
-	return compile(oc, stratumPred, true)
+	return compile(oc, nil, stratumPred, true)
 }
 
-func compile(oc *analysis.OrderedClause, stratumPred func(string) bool, headBound bool) (*compiledClause, []compiledArg, error) {
+func compile(oc *analysis.OrderedClause, ref []*ast.Literal, stratumPred func(string) bool, headBound bool) (*compiledClause, []compiledArg, error) {
+	if ref == nil {
+		ref = oc.Clause.Body
+	}
 	slots := map[string]int{}
 	slotOf := func(name string) int {
 		if s, ok := slots[name]; ok {
@@ -149,7 +159,7 @@ func compile(oc *analysis.OrderedClause, stratumPred func(string) bool, headBoun
 	}
 	for li, l := range oc.Clause.Body {
 		a := l.Atom
-		cl := compiledLit{neg: l.Neg, pred: a.Pred, isID: a.IsID}
+		cl := compiledLit{body: slices.Index(ref, l), neg: l.Neg, pred: a.Pred, isID: a.IsID}
 		if b, ok := arith.Lookup(a.Pred); ok {
 			cl.builtin = b
 		}

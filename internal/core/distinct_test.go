@@ -139,7 +139,7 @@ func TestPlanningReadsNoSourceTuple(t *testing.T) {
 					in[p] = true
 				}
 				card := snapshotCard(c.Clauses, in, map[string]*relation.Relation{"edge": edge, "col": col}, nil)
-				sp, err := compileComponentPlan(c, func(p string) bool { return in[p] }, card, false)
+				sp, err := compileComponentPlan(c, func(p string) bool { return in[p] }, card)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,20 +22,16 @@ type Options struct {
 	MaxDerivations int
 	// Trace records, for every derived tuple, the clause and ground
 	// body facts of its first derivation, enabling Result.Explain.
-	// Costs memory proportional to the model. Trace forces sequential
+	// Costs memory proportional to the model. A traced run uses the
+	// planned body order and the plan cache like any other run; body
+	// facts are recorded in the analysis order. Trace forces sequential
 	// evaluation (provenance capture is inherently ordered).
 	Trace bool
-	// NoPlanner disables the cost-based join planner: clause bodies are
-	// evaluated in the analysis safety order and semi-naive deltas are
-	// substituted in place instead of rotated to depth 0. The model is
-	// identical either way (the planner only picks among safe orders);
-	// this is the escape hatch and the ablation baseline.
-	NoPlanner bool
 	// PlanCache, when non-nil, memoizes compiled component plans across
-	// evaluations keyed by (program, database version, planner toggle);
-	// see PlanCache for the invalidation and correctness contract. A
-	// fully successful run publishes its plans; a hit skips cardinality
-	// estimation and plan compilation. Trace runs bypass the cache.
+	// evaluations keyed by (program, database version); see PlanCache
+	// for the invalidation and correctness contract. A fully successful
+	// run publishes its plans; a hit skips cardinality estimation and
+	// plan compilation.
 	PlanCache *PlanCache
 	// Parallelism bounds the worker pool of the semi-naive fixpoint.
 	// Zero (the zero value) resolves to DefaultParallelism() —
@@ -122,12 +118,9 @@ func evalPlans(info *analysis.Info, db *Database, opts Options) (res *Result, pl
 	// publication.
 	e.plans = make([][]*componentPlan, len(info.Strata))
 	pc := opts.PlanCache
-	if opts.Trace {
-		pc = nil
-	}
 	var pcKey planKey
 	if pc != nil {
-		pcKey = planKey{info: info, dbVersion: db.Version(), planner: opts.planner()}
+		pcKey = planKey{info: info, dbVersion: db.Version()}
 		if cached, ok := pc.get(pcKey); ok {
 			e.plans = clonePlans(cached)
 			pc = nil // already published; this run only consumes
@@ -247,7 +240,7 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 		}
 		card := snapshotCard(c.Clauses, inComp, e.work, e.idrels)
 		var err error
-		sp, err = compileComponentPlan(c, func(p string) bool { return inComp[p] }, card, !e.opts.planner())
+		sp, err = compileComponentPlan(c, func(p string) bool { return inComp[p] }, card)
 		if err != nil {
 			return err
 		}

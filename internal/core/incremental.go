@@ -76,16 +76,13 @@ type CompiledStratum struct {
 	// body position pos: the same clause re-planned with that literal
 	// pinned at depth 0, so a delta pass enumerates the (small) delta
 	// first and probes the rest. Positions without an entry substitute
-	// the delta in place; the planner-off plan has no variants at all.
+	// the delta in place.
 	variants []map[int]*compiledClause
 	bound    map[string][]*headBoundClause
 }
 
 // CompileOptions configures CompileStratum.
 type CompileOptions struct {
-	// NoPlanner compiles bodies in the analysis safety order with
-	// in-place delta substitution, mirroring Options.NoPlanner.
-	NoPlanner bool
 	// Rels / IDRels, when set, are the cardinality snapshot for the
 	// planner's selectivity estimates — typically the view's
 	// materialized relations at plan time. Missing entries fall back to
@@ -95,11 +92,11 @@ type CompileOptions struct {
 }
 
 // CompileStratum builds the incremental plan for stratum si of info.
-// With the planner on (see CompileOptions), clause bodies are
-// selectivity-ordered, every positive ordinary body position gets a
-// delta-first variant — incremental deltas arrive for EDB and
-// lower-stratum predicates too, not just same-stratum ones — and
-// rederivation probes are planned with the head variables pre-bound.
+// Clause bodies are selectivity-ordered, every positive ordinary body
+// position gets a delta-first variant — incremental deltas arrive for
+// EDB and lower-stratum predicates too, not just same-stratum ones —
+// and rederivation probes are planned with the head variables
+// pre-bound.
 func CompileStratum(info *analysis.Info, si int, copts CompileOptions) (*CompiledStratum, error) {
 	s := info.Strata[si]
 	in := map[string]bool{}
@@ -114,53 +111,47 @@ func CompileStratum(info *analysis.Info, si int, copts CompileOptions) (*Compile
 	cs := &CompiledStratum{Preds: s.Preds, bound: map[string][]*headBoundClause{}}
 	for _, oc := range s.Clauses {
 		soc := oc
-		if !copts.NoPlanner {
-			if body := planBody(oc.Clause.Body, -1, card); body != nil {
-				soc = reordered(oc, body, oc.Clause.Body)
-			}
+		if body := planBody(oc.Clause.Body, -1, card); body != nil {
+			soc = reordered(oc, body, oc.Clause.Body)
 		}
-		cc, err := compileClause(soc, inStratum)
+		cc, err := compileClause(soc, oc.Clause.Body, inStratum)
 		if err != nil {
 			return nil, err
 		}
 		cs.clauses = append(cs.clauses, cc)
 		var vm map[int]*compiledClause
-		if !copts.NoPlanner {
-			body := soc.Clause.Body
-			for pos, l := range body {
-				if l.Neg || l.Atom.IsID || arith.IsBuiltin(l.Atom.Pred) {
-					continue
-				}
-				vbody := planBody(body, pos, card)
-				if vbody == nil {
-					continue
-				}
-				voc := reordered(soc, vbody, body)
-				if voc == soc {
-					continue // delta literal already leads; substitute in place
-				}
-				vcc, err := compileClause(voc, inStratum)
-				if err != nil {
-					return nil, err
-				}
-				if vm == nil {
-					vm = map[int]*compiledClause{}
-				}
-				vm[pos] = vcc
+		body := soc.Clause.Body
+		for pos, l := range body {
+			if l.Neg || l.Atom.IsID || arith.IsBuiltin(l.Atom.Pred) {
+				continue
 			}
+			vbody := planBody(body, pos, card)
+			if vbody == nil {
+				continue
+			}
+			voc := reordered(soc, vbody, body)
+			if voc == soc {
+				continue // delta literal already leads; substitute in place
+			}
+			vcc, err := compileClause(voc, oc.Clause.Body, inStratum)
+			if err != nil {
+				return nil, err
+			}
+			if vm == nil {
+				vm = map[int]*compiledClause{}
+			}
+			vm[pos] = vcc
 		}
 		cs.variants = append(cs.variants, vm)
 		hoc := soc
-		if !copts.NoPlanner {
-			pre := map[string]bool{}
-			for _, t := range oc.Clause.Head.Args {
-				if v, ok := t.(ast.Var); ok {
-					pre[v.Name] = true
-				}
+		pre := map[string]bool{}
+		for _, t := range oc.Clause.Head.Args {
+			if v, ok := t.(ast.Var); ok {
+				pre[v.Name] = true
 			}
-			if body := planBodyBound(soc.Clause.Body, pre, -1, card); body != nil {
-				hoc = reordered(soc, body, soc.Clause.Body)
-			}
+		}
+		if body := planBodyBound(soc.Clause.Body, pre, -1, card); body != nil {
+			hoc = reordered(soc, body, soc.Clause.Body)
 		}
 		hb, seed, err := compileClauseHeadBound(hoc, inStratum)
 		if err != nil {

@@ -15,11 +15,11 @@ import (
 // naiveModel evaluates info over db by naive fixpoint rounds and
 // nothing of the engine: stratum by stratum, every clause is re-matched
 // against the full relations, by nested loops with a substitution map,
-// until a round inserts nothing. It returns every relation and the
-// number of body instantiations over all rounds. ID-literals are not
-// supported.
-func naiveModel(t *testing.T, info *analysis.Info, db *Database) (map[string]*relation.Relation, int) {
-	t.Helper()
+// until a round inserts nothing. Each stratum's ID-relations are
+// materialized from oracle before its rounds, as the engine does. It
+// returns every relation and the number of body instantiations over
+// all rounds, or the first error a builtin or materialization raised.
+func naiveModel(info *analysis.Info, db *Database, oracle relation.Oracle) (map[string]*relation.Relation, int, error) {
 	rels := map[string]*relation.Relation{}
 	for pred := range info.EDB {
 		if r := db.Relation(pred); r != nil {
@@ -33,14 +33,25 @@ func naiveModel(t *testing.T, info *analysis.Info, db *Database) (map[string]*re
 	}
 	derivations := 0
 	for _, s := range info.Strata {
+		idrels := map[string]*relation.Relation{}
+		for _, need := range s.IDNeeds {
+			idr, err := relation.MaterializeIDBounded(rels[need.Pred], need.Key(), need.Group, oracle, need.Bound)
+			if err != nil {
+				return nil, 0, err
+			}
+			idrels[need.Key()] = idr
+		}
 		for changed := true; changed; {
 			changed = false
 			for _, oc := range s.Clauses {
 				var heads []value.Tuple
-				naiveMatch(t, oc.Clause.Body, map[string]value.Value{}, rels, func(sub map[string]value.Value) {
+				err := naiveMatch(oc.Clause.Body, map[string]value.Value{}, rels, idrels, func(sub map[string]value.Value) {
 					derivations++
 					heads = append(heads, naiveGround(oc.Clause.Head.Args, sub))
 				})
+				if err != nil {
+					return nil, 0, err
+				}
 				for _, h := range heads {
 					if rels[oc.Clause.Head.Pred].MustInsert(h) {
 						changed = true
@@ -49,21 +60,18 @@ func naiveModel(t *testing.T, info *analysis.Info, db *Database) (map[string]*re
 			}
 		}
 	}
-	return rels, derivations
+	return rels, derivations, nil
 }
 
 // naiveMatch calls emit once per extension of sub that satisfies every
 // literal of body, matched left to right.
-func naiveMatch(t *testing.T, body []*ast.Literal, sub map[string]value.Value, rels map[string]*relation.Relation, emit func(map[string]value.Value)) {
+func naiveMatch(body []*ast.Literal, sub map[string]value.Value, rels, idrels map[string]*relation.Relation, emit func(map[string]value.Value)) error {
 	if len(body) == 0 {
 		emit(sub)
-		return
+		return nil
 	}
 	l, rest := body[0].Atom, body[1:]
-	next := func(sub map[string]value.Value) { naiveMatch(t, rest, sub, rels, emit) }
-	if l.IsID {
-		t.Fatalf("naiveModel: ID-literal %s unsupported", l.Pred)
-	}
+	next := func(sub map[string]value.Value) error { return naiveMatch(rest, sub, rels, idrels, emit) }
 	if b, ok := arith.Lookup(l.Pred); ok {
 		args := make([]value.Value, len(l.Args))
 		bound := make([]bool, len(l.Args))
@@ -72,32 +80,41 @@ func naiveMatch(t *testing.T, body []*ast.Literal, sub map[string]value.Value, r
 		}
 		sols, err := b.Solve(args, bound)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if body[0].Neg {
 			if len(sols) == 0 {
-				next(sub)
+				return next(sub)
 			}
-			return
+			return nil
 		}
 		for _, sol := range sols {
 			if ext, ok := naiveUnify(l.Args, sol, sub); ok {
-				next(ext)
+				if err := next(ext); err != nil {
+					return err
+				}
 			}
 		}
-		return
+		return nil
+	}
+	rel := rels[l.Pred]
+	if l.IsID {
+		rel = idrels[analysis.IDNeed{Pred: l.Pred, Group: l.Group}.Key()]
 	}
 	if body[0].Neg {
-		if !rels[l.Pred].Contains(naiveGround(l.Args, sub)) {
-			next(sub)
+		if !rel.Contains(naiveGround(l.Args, sub)) {
+			return next(sub)
 		}
-		return
+		return nil
 	}
-	for _, tup := range rels[l.Pred].Tuples() {
+	for _, tup := range rel.Tuples() {
 		if ext, ok := naiveUnify(l.Args, tup, sub); ok {
-			next(ext)
+			if err := next(ext); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // naiveValue evaluates a term under sub, reporting whether it is bound.
@@ -148,7 +165,10 @@ func TestNaiveAndSeminaiveAgree(t *testing.T) {
 	`
 	db := chainDB(15)
 	a := mustEval(t, src, db, Options{})
-	naive, derivations := naiveModel(t, mustAnalyze(t, src), db)
+	naive, derivations, err := naiveModel(mustAnalyze(t, src), db, relation.SortedOracle{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !a.Relation("tc").Equal(naive["tc"]) {
 		t.Fatalf("naive and semi-naive disagree")
 	}
@@ -184,7 +204,10 @@ func TestSeminaiveNaiveAgreeOnRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, _ := naiveModel(t, info, db)
+			naive, _, err := naiveModel(info, db, relation.SortedOracle{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for p := range info.IDB {
 				if !a.Relation(p).Equal(naive[p]) {
 					t.Fatalf("template %d trial %d: strategies disagree on %s", ti, trial, p)

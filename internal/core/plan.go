@@ -18,9 +18,9 @@ import (
 // by estimated selectivity under the same eligibility rules, and builds
 // the delta-first clause variants that let semi-naive passes enumerate
 // the (small) delta at depth 0 instead of a full relation. Correctness
-// never depends on the chosen order — any eligibility-respecting order
-// computes the same perfect model — so Options.NoPlanner can fall back
-// to the analysis order at any time.
+// never depends on the chosen order: any eligibility-respecting order
+// computes the same perfect model (Theorem 1 fixes the model once the
+// ID-functions are fixed), so every run, traced or not, runs the plan.
 
 // planReorders counts clause compilations whose planned body order
 // differs from the analysis safety order (including delta-first
@@ -257,20 +257,18 @@ type componentPlan struct {
 	card  cardFn
 }
 
-// compileComponentPlan compiles component c. With the planner on, every
-// clause body is selectivity-ordered under the cardinality snapshot and
-// every recursive position gets a delta-first variant; with it off, the
-// analysis order is compiled as-is and deltas substitute in place.
-func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card cardFn, noPlanner bool) (*componentPlan, error) {
+// compileComponentPlan compiles component c: every clause body is
+// selectivity-ordered under the cardinality snapshot and every
+// recursive position gets a delta-first variant. Each compiled literal
+// keeps its index in the analysis-order body (see recordProvenance).
+func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card cardFn) (*componentPlan, error) {
 	sp := &componentPlan{card: card}
 	for _, oc := range c.Clauses {
 		soc := oc
-		if !noPlanner {
-			if body := planBody(oc.Clause.Body, -1, card); body != nil {
-				soc = reordered(oc, body, oc.Clause.Body)
-			}
+		if body := planBody(oc.Clause.Body, -1, card); body != nil {
+			soc = reordered(oc, body, oc.Clause.Body)
 		}
-		cc, err := compileClause(soc, inComp)
+		cc, err := compileClause(soc, oc.Clause.Body, inComp)
 		if err != nil {
 			return nil, err
 		}
@@ -281,10 +279,6 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 	for ci := 0; ci < sp.nseed; ci++ {
 		cc := sp.all[ci]
 		for _, pos := range cc.recPositions {
-			if noPlanner {
-				sp.units[ci] = append(sp.units[ci], planUnit{idx: ci, pos: pos})
-				continue
-			}
 			body := cc.src.Clause.Body
 			vbody := planBody(body, pos, card)
 			if vbody == nil {
@@ -298,7 +292,7 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 				sp.units[ci] = append(sp.units[ci], planUnit{idx: ci, pos: pos})
 				continue
 			}
-			vcc, err := compileClause(voc, inComp)
+			vcc, err := compileClause(voc, c.Clauses[ci].Clause.Body, inComp)
 			if err != nil {
 				return nil, err
 			}
@@ -308,16 +302,6 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 	}
 	return sp, nil
 }
-
-// planner reports whether this run compiles with the cost planner.
-// Trace runs stick to the analysis order so recorded provenance (and
-// Result.Explain output) is independent of cardinalities.
-func (o Options) planner() bool { return !o.NoPlanner && !o.Trace }
-
-// PlannerEnabled reports whether these Options compile with the cost
-// planner (off when NoPlanner is set, or when Trace records provenance,
-// which must stay independent of cardinalities).
-func (o Options) PlannerEnabled() bool { return o.planner() }
 
 // ExplainPlan renders the join plans the engine runs for info over db:
 // per stratum and component, each clause's chosen literal order with
@@ -331,7 +315,6 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 	if err != nil {
 		return "", err
 	}
-	noPlanner := !opts.planner()
 	var b strings.Builder
 	for si, s := range info.Strata {
 		fmt.Fprintf(&b, "stratum %d: %s\n", si, strings.Join(s.Preds, ", "))
@@ -339,9 +322,6 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 			fmt.Fprintf(&b, "  component %d: %s\n", ci, strings.Join(c.Preds, ", "))
 			explainComponent(&b, plans[si][ci])
 		}
-	}
-	if noPlanner {
-		b.WriteString("(planner off: bodies in analysis order, deltas substituted in place)\n")
 	}
 	return b.String(), nil
 }

@@ -103,12 +103,13 @@ func TestPlanBodyTieKeepsSourceOrder(t *testing.T) {
 	}
 }
 
-// TestPlannerOnOffAgreeOnRandomPrograms is the planner's differential
-// property test: over random databases and a family of join-heavy
-// programs (recursion, negation, builtins, ID-literals under a fixed
-// seed), planner-on and planner-off runs — sequential and with 4
-// workers — must produce byte-identical relations and fingerprints.
-func TestPlannerOnOffAgreeOnRandomPrograms(t *testing.T) {
+// TestPlannerMatchesNaiveOnRandomPrograms is the planner's property
+// test: over random databases and a family of join-heavy programs
+// (recursion, negation, builtins, ID-literals under a seeded oracle),
+// planned runs, at the default worker count and with 4 workers, must
+// compute the naive fixpoint, and the two must agree on every
+// fingerprint.
+func TestPlannerMatchesNaiveOnRandomPrograms(t *testing.T) {
 	programs := []string{
 		`tc(X, Y) :- e(X, Y).
 		 tc(X, Y) :- e(X, Z), tc(Z, Y).`,
@@ -135,39 +136,34 @@ func TestPlannerOnOffAgreeOnRandomPrograms(t *testing.T) {
 			}
 			db.Freeze()
 			oracle := relation.RandomOracle{Seed: uint64(trial)}
-			variants := []Options{
-				{Oracle: oracle},
-				{Oracle: oracle, NoPlanner: true},
-				{Oracle: oracle, Parallelism: 4},
-				{Oracle: oracle, NoPlanner: true, Parallelism: 4},
+			naive, _, err := naiveModel(info, db, oracle)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var ref map[string]string
-			for vi, opts := range variants {
-				res, err := Eval(info, db, opts)
+			var first *Result
+			for _, workers := range []int{0, 4} {
+				res, err := Eval(info, db, Options{Oracle: oracle, Parallelism: workers})
 				if err != nil {
-					t.Fatalf("program %d trial %d variant %d: %v", pi, trial, vi, err)
+					t.Fatalf("program %d trial %d workers %d: %v", pi, trial, workers, err)
 				}
-				got := map[string]string{}
 				for p := range info.IDB {
-					got[p] = res.Relation(p).Fingerprint()
-				}
-				if vi == 0 {
-					ref = got
-					continue
-				}
-				for p, fp := range ref {
-					if got[p] != fp {
-						t.Fatalf("program %d trial %d: variant %d differs on %s\nsrc: %s",
-							pi, trial, vi, p, src)
+					if !res.Relation(p).Equal(naive[p]) {
+						t.Fatalf("program %d trial %d workers %d: %s differs from the naive fixpoint\nsrc: %s",
+							pi, trial, workers, p, src)
+					}
+					if first != nil && res.Relation(p).Fingerprint() != first.Relation(p).Fingerprint() {
+						t.Fatalf("program %d trial %d: workers %d fingerprint of %s differs from the default run",
+							pi, trial, workers, p)
 					}
 				}
+				first = res
 			}
 		}
 	}
 }
 
 // TestExplainPlanRendersProbesAndDeltas exercises the core ExplainPlan
-// renderer directly, planner on and off.
+// renderer directly.
 func TestExplainPlanRendersProbesAndDeltas(t *testing.T) {
 	info := mustAnalyze(t, `
 		tc(X, Y) :- e(X, Y).
@@ -183,13 +179,6 @@ func TestExplainPlanRendersProbesAndDeltas(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ExplainPlan missing %q:\n%s", want, out)
 		}
-	}
-	off, err := ExplainPlan(info, db, Options{NoPlanner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(off, "(planner off") {
-		t.Fatalf("planner-off note missing:\n%s", off)
 	}
 }
 

@@ -15,24 +15,24 @@ import (
 // per component of every stratum.
 //
 // Keying and invalidation. An entry is keyed by the analyzed program
-// (pointer identity — *analysis.Info is immutable once built), the
-// database's version stamp, and the planner toggle. Database.Add,
-// SetRelation, and Apply restamp the database, so any mutation — in
-// particular every Database.Apply — makes all previously cached plans
-// unreachable: invalidation is by key, never in place. Version stamps
+// (pointer identity — *analysis.Info is immutable once built) and the
+// database's version stamp. Database.Add, SetRelation, and Apply
+// restamp the database, so any mutation — in particular every
+// Database.Apply — makes all previously cached plans unreachable:
+// invalidation is by key, never in place. Version stamps
 // are globally unique per content-changing operation, so equal keys
 // imply plans compiled against identical cardinality snapshots; stale
 // entries linger harmlessly until evicted by the LRU bound.
 //
 // Correctness. A cached plan can only differ from a fresh compile in
 // the body orders the planner picked, and the planner picks only among
-// eligibility-safe orders, which all compute the identical model (see
-// Options.NoPlanner). Cardinality snapshots of later strata depend on
-// the oracle's ID assignment, so a hit under a different oracle may
-// reuse a plan a fresh compile would not have chosen — the answers are
-// byte-identical regardless; only the join order (and thus
-// TuplesScanned) may differ. Trace runs bypass the cache: provenance
-// capture must see the analysis-order walk.
+// eligibility-safe orders, which all compute the identical model.
+// Cardinality snapshots of later strata depend on the oracle's ID
+// assignment, so a hit under a different oracle may reuse a plan a
+// fresh compile would not have chosen — the answers are byte-identical
+// regardless; only the join order (and thus TuplesScanned) may differ.
+// Traced runs use the cache too: provenance records body facts in the
+// analysis order whatever plan ran (see recordProvenance).
 //
 // A PlanCache is safe for concurrent use. Cached plans are immutable
 // masters that are never evaluated: a miss publishes clones of the plans
@@ -50,11 +50,10 @@ type PlanCache struct {
 	misses atomic.Uint64
 }
 
-// planKey identifies one (program, database snapshot, options) point.
+// planKey identifies one (program, database snapshot) point.
 type planKey struct {
 	info      *analysis.Info
 	dbVersion uint64
-	planner   bool
 }
 
 type planEntry struct {
@@ -63,9 +62,9 @@ type planEntry struct {
 }
 
 // DefaultPlanCacheEntries bounds a default-constructed PlanCache. Eight
-// entries cover the common server shape — one live database version,
-// a handful of option combinations — while keeping worst-case retained
-// memory at eight compiled programs.
+// entries cover the common server shape — a handful of programs over
+// one live database version — while keeping worst-case retained memory
+// at eight compiled programs.
 const DefaultPlanCacheEntries = 8
 
 // NewPlanCache returns a cache holding at most capacity entries

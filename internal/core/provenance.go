@@ -50,7 +50,9 @@ func provKey(pred string, t value.Tuple) string {
 // copy that tuple, so variables the executor projected away are still
 // recorded. Negated literals yield no tuple; safety binds all their
 // arguments, and the executor keeps bound slots live, so they are
-// rebuilt from args and env.
+// rebuilt from args and env. Each fact goes to its literal's position
+// in the analysis-order body, whatever order the plan ran the literals
+// in, so a derivation's facts read in the same order under every plan.
 func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored value.Tuple) {
 	if e.prov == nil {
 		return
@@ -59,7 +61,7 @@ func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored 
 	if _, ok := e.prov[key]; ok {
 		return
 	}
-	entry := provEntry{clause: cc.src.Source.String()}
+	entry := provEntry{clause: cc.src.Source.String(), body: make([]provFact, len(cc.lits))}
 	for i := range cc.lits {
 		cl := &cc.lits[i]
 		var t value.Tuple
@@ -75,13 +77,13 @@ func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored 
 		} else {
 			t = append(value.Tuple(nil), cc.iters[i].current()...)
 		}
-		entry.body = append(entry.body, provFact{
+		entry.body[cl.body] = provFact{
 			pred:    cl.pred,
 			neg:     cl.neg,
 			isID:    cl.isID,
 			builtin: cl.builtin != nil,
 			tuple:   t,
-		})
+		}
 	}
 	e.prov[key] = entry
 }

@@ -114,7 +114,10 @@ type Follower struct {
 	reconnects    uint64
 	cancel        context.CancelFunc // severs the in-flight stream
 
-	stop chan struct{}
+	// ctx is the parent of every stream's context and halt cancels it:
+	// once Stop has run, a stream that starts later ends at once.
+	ctx  context.Context
+	halt context.CancelFunc
 	done chan struct{}
 }
 
@@ -126,9 +129,9 @@ func New(srv *server.Server, cfg Config) *Follower {
 		srv:     srv,
 		cfg:     cfg,
 		primary: cfg.Primary,
-		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	f.ctx, f.halt = context.WithCancel(context.Background())
 	srv.SetFollowerProbe(f.Status)
 	return f
 }
@@ -142,18 +145,10 @@ func (f *Follower) Start() {
 	go f.run()
 }
 
-// Stop terminates the loop and severs any in-flight stream.
+// Stop terminates the loop and severs any in-flight stream, including
+// one the loop is about to open.
 func (f *Follower) Stop() {
-	select {
-	case <-f.stop:
-	default:
-		close(f.stop)
-	}
-	f.mu.Lock()
-	if f.cancel != nil {
-		f.cancel()
-	}
-	f.mu.Unlock()
+	f.halt()
 	<-f.done
 }
 
@@ -207,10 +202,8 @@ func (f *Follower) run() {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	backoff := f.cfg.MinBackoff
 	for {
-		select {
-		case <-f.stop:
+		if f.ctx.Err() != nil {
 			return
-		default:
 		}
 		progressed, err := f.runOnce()
 		f.setConnected(false)
@@ -226,7 +219,7 @@ func (f *Follower) run() {
 			backoff = f.cfg.MaxBackoff
 		}
 		select {
-		case <-f.stop:
+		case <-f.ctx.Done():
 			return
 		case <-time.After(wait):
 		}
@@ -240,7 +233,7 @@ func (f *Follower) runOnce() (progressed bool, err error) {
 	if err := f.cfg.Faults.Hit(fault.ReplicaConnect); err != nil {
 		return false, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(f.ctx)
 	defer cancel()
 	f.mu.Lock()
 	f.cancel = cancel

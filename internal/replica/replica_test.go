@@ -237,6 +237,37 @@ func TestFollowerResume(t *testing.T) {
 	}
 }
 
+// TestStopDuringConnect: a Stop that lands after the loop has checked
+// for it but before it opens a stream (here, inside an injected connect
+// delay) must still return promptly. The primary heartbeats well within
+// the lease, so a stream opened after Stop would otherwise run for as
+// long as the primary lives.
+func TestStopDuringConnect(t *testing.T) {
+	dir := t.TempDir()
+	primary := startNode(t, filepath.Join(dir, "primary.wal"), server.Config{ReplHeartbeat: 50 * time.Millisecond})
+	defer primary.stop(true)
+	follower := startNode(t, "", server.Config{ReadOnly: true})
+	defer follower.stop(true)
+	fFaults := fault.New()
+	const delay = 300 * time.Millisecond
+	fFaults.Arm(fault.ReplicaConnect, fault.Fault{DelayOnly: true, Delay: delay, Count: 1})
+	f := replica.New(follower.srv, followerCfg(primary.ts.URL, fFaults, t.Logf))
+	f.Start()
+	for fFaults.Hits(fault.ReplicaConnect) == 0 { // the loop is inside the delay
+		time.Sleep(time.Millisecond)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		f.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(delay + 2*time.Second):
+		t.Fatal("Stop did not return: the stream opened after it outlived it")
+	}
+}
+
 // TestTornStreamReconnect: the primary's connection dies mid-frame; the
 // follower discards the torn frame whole, reconnects, and converges.
 func TestTornStreamReconnect(t *testing.T) {

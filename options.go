@@ -78,15 +78,15 @@ func WithMaxTuples(n int) Option {
 // worker goroutines. When unset (or 0) the worker count defaults to
 // runtime.GOMAXPROCS(0) clamped to 8, so multi-core machines evaluate
 // in parallel out of the box; pass 1 to force the sequential engine.
-// Answers are byte-identical to the sequential engine at every n:
-// workers only read round-start state and a deterministic ordered
-// merge performs every insertion, so tuple sets and ID assignment do
-// not depend on n. Budgets and cancellation are honored as hard
-// ceilings (the sequential engine additionally trips budgets at the
-// exact boundary). Tracing (WithTrace) forces sequential evaluation.
-// n is an upper bound: delta rounds of a recursive component whose
-// delta holds fewer than 4096 tuples run inline on the calling
-// goroutine, because fanning them out costs more than their join work.
+// Answers, ID assignment, insertion order and every Stats count are
+// identical at every n: workers only read round-start state, and
+// their derivations are inserted in a fixed order, so nothing depends
+// on scheduling. Budgets trip at the same exact boundary at every n;
+// cancellation is honored at the next guard checkpoint. Tracing
+// (WithTrace) forces sequential evaluation. n is an upper bound: delta rounds of a recursive
+// component whose delta holds fewer than 4096 tuples run on the
+// calling goroutine and insert in place, because fanning them out
+// costs more than their join work.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.eval.Parallelism = n }
 }
@@ -95,17 +95,6 @@ func WithParallelism(n int) Option {
 // is unset: runtime.GOMAXPROCS(0) clamped to 8. Exposed so embedders
 // (idlogd) can resolve and clamp the effective value themselves.
 func DefaultParallelism() int { return core.DefaultParallelism() }
-
-// WithPlanner enables (the default) or disables the cost-based join
-// planner: with it on, clause bodies are reordered by estimated
-// selectivity at each component's start and semi-naive delta passes
-// enumerate the delta literal first. The computed model is identical
-// either way — the planner only picks among safety-equivalent orders —
-// so WithPlanner(false) is the performance-ablation and escape hatch.
-// Traced runs (WithTrace) run with the planner off.
-func WithPlanner(on bool) Option {
-	return func(c *config) { c.eval.NoPlanner = !on }
-}
 
 // WithMagic enables (the default) or disables the magic-sets demand
 // rewrite for goal queries: with it on, Prepare/Query goals with bound
@@ -133,11 +122,12 @@ func WithMaxRuns(n int) Option {
 
 // WithTrace records the first derivation of every tuple so that
 // Result.Explain can print derivation trees. Costs memory proportional
-// to the computed model. A traced run evaluates sequentially, in the
-// analysis body order (planner off), over the source rules (no
-// magic-sets rewrite): which derivation comes first then depends on
-// neither relation cardinalities nor worker scheduling, and every tree
-// is stated in terms of the program as written.
+// to the computed model. A traced run uses the planned body order and
+// the plan cache like any other run, and lists each derivation's body
+// facts in the analysis order. It evaluates sequentially, over the
+// source rules (no magic-sets rewrite): which derivation comes first
+// then does not depend on worker scheduling, and every tree is stated
+// in terms of the program as written.
 func WithTrace() Option {
 	return func(c *config) { c.eval.Trace = true }
 }

@@ -187,7 +187,6 @@ func TestPaperExamplesMatchReference(t *testing.T) {
 	}{
 		{"sequential", []Option{WithParallelism(1)}},
 		{"parallel-4", []Option{WithParallelism(4)}},
-		{"planner-off", []Option{WithPlanner(false)}},
 		{"traced", []Option{WithTrace()}},
 	}
 	for _, w := range paperCorpus(t) {
