@@ -409,21 +409,24 @@ func TestTupleBudgetBoundaryE1(t *testing.T) {
 // TestTimeoutBoundary: E6 under a timeout that fires mid-run returns a
 // sound partial prefix. The instant of the trip is inherently
 // non-deterministic, so only soundness — not the cut point — is
-// asserted.
+// asserted. The 4-worker cell trips the deadline inside fanned-out
+// rounds, where workers checkpoint as they reserve derivation grants.
 func TestTimeoutBoundary(t *testing.T) {
 	prog, db := chainProg(t), chainDB(t, 120)
 	full, err := prog.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []time.Duration{time.Nanosecond, 50 * time.Microsecond} {
-		res, err := prog.Eval(db, WithTimeout(d))
-		if err == nil {
-			continue // machine fast enough to finish inside d
+	for _, workers := range []int{1, 4} {
+		for _, d := range []time.Duration{time.Nanosecond, 50 * time.Microsecond, 200 * time.Microsecond} {
+			res, err := prog.Eval(db, WithTimeout(d), WithParallelism(workers))
+			if err == nil {
+				continue // machine fast enough to finish inside d
+			}
+			wantCode(t, err, CodeDeadlineExceeded)
+			wantPartial(t, res, err)
+			subsetOf(t, prog, res, full)
 		}
-		wantCode(t, err, CodeDeadlineExceeded)
-		wantPartial(t, res, err)
-		subsetOf(t, prog, res, full)
 	}
 }
 

@@ -18,10 +18,11 @@
 //	-timeout d       wall-clock budget for the run, e.g. 5s, 300ms (0 = none)
 //	-max-tuples n    materialized-tuple budget, a memory ceiling (0 = none)
 //	-max-derivations n  derivation budget, a work ceiling (0 = none)
-//	-parallel n      evaluate fixpoints on n worker goroutines (answers
-//	                 stay byte-identical to sequential; default 0 = auto,
-//	                 GOMAXPROCS clamped to 8; 1 = sequential)
-//	-plan            print the join plans the engine would use and exit
+//	-parallel n      evaluate fixpoints on up to n worker goroutines
+//	                 (answers stay byte-identical to sequential; 0 or 1 =
+//	                 sequential, the default)
+//	-plan            print the worker count and the join plans the engine
+//	                 would use and exit
 //	-partial         on a tripped budget/timeout, still print the partial model
 //	-optimize p      print the §4-optimized program w.r.t. p and exit
 //	-show            print the (choice-translated) program before running
@@ -130,12 +131,12 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none)")
 	maxTuples := flag.Int("max-tuples", 0, "materialized-tuple budget, a memory ceiling (0 = none)")
 	maxDerivations := flag.Int("max-derivations", 0, "derivation budget, a work ceiling (0 = none)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for fixpoint evaluation (0 = auto, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "worker goroutines for fixpoint evaluation (0 or 1 = sequential (default))")
 	partial := flag.Bool("partial", false, "on a tripped budget/timeout, still print the partial model")
 	optimize := flag.String("optimize", "", "print the optimized program w.r.t. this predicate and exit")
 	show := flag.Bool("show", false, "print the evaluated (choice-translated) program")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
-	plan := flag.Bool("plan", false, "print the join plans the engine would use and exit")
+	plan := flag.Bool("plan", false, "print the worker count and the join plans the engine would use and exit")
 	magic := flag.Bool("magic", true, "enable the magic-sets demand rewrite for interactive goal queries")
 	interactive := flag.Bool("i", false, "start an interactive session (REPL)")
 	walPath := flag.String("wal", "", "durable write-ahead log for the interactive session (with -i)")
@@ -314,7 +315,7 @@ func main() {
 	if *maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(*maxDerivations))
 	}
-	if *parallel > 0 {
+	if *parallel > 1 {
 		opts = append(opts, idlog.WithParallelism(*parallel))
 	}
 

@@ -201,29 +201,47 @@ func TestStringListFlag(t *testing.T) {
 	}
 }
 
-// TestRemovedFlagIsUsageError runs the CLI in a child process: the
-// retired -partitions and -planner flags are unknown flags (usage
-// error, exit 2), while -parallel on the same program runs normally
-// and -plan renders the delta-first rotation of a recursive clause.
-func TestRemovedFlagIsUsageError(t *testing.T) {
+// TestMain lets a test run the CLI in a child process: the test binary
+// re-executes itself with IDLOG_TEST_MAIN_ARGS set and runs main on
+// those arguments (see runMain).
+func TestMain(m *testing.M) {
 	if args := os.Getenv("IDLOG_TEST_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"idlog"}, strings.Fields(args)...)
 		main()
 		os.Exit(exitOK)
 	}
+	os.Exit(m.Run())
+}
+
+// runMain runs idlog with the space-separated args in a child process
+// and returns its exit code, stdout and stderr.
+func runMain(t *testing.T, args string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "IDLOG_TEST_MAIN_ARGS="+args)
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode(), out.String(), errOut.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exitOK, out.String(), errOut.String()
+}
+
+// TestRemovedFlagIsUsageError runs the CLI in a child process: the
+// retired -partitions and -planner flags are unknown flags (usage
+// error, exit 2), while -parallel on the same program runs normally
+// and -plan renders the worker count and the delta-first rotation of a
+// recursive clause.
+func TestRemovedFlagIsUsageError(t *testing.T) {
 	prog := writeFile(t, "x.idl", "e(a, b).\ne(b, c).\ntc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n")
 	run := func(args string) (int, string) {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagIsUsageError$")
-		cmd.Env = append(os.Environ(), "IDLOG_TEST_MAIN_ARGS="+args)
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if errors.As(err, &ee) {
-			return ee.ExitCode(), string(out)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return exitOK, string(out)
+		code, stdout, stderr := runMain(t, args)
+		return code, stdout + stderr
 	}
 	for name, args := range map[string]string{"partitions": "-partitions 4", "planner": "-planner=false"} {
 		if code, out := run(args + " " + prog); code != exitUsage ||
@@ -234,7 +252,63 @@ func TestRemovedFlagIsUsageError(t *testing.T) {
 	if code, out := run("-parallel 2 " + prog); code != exitOK || !strings.Contains(out, "tc{(a, b), (a, c), (b, c)}") {
 		t.Fatalf("-parallel 2: exit %d, want %d:\n%s", code, exitOK, out)
 	}
-	if code, out := run("-plan " + prog); code != exitOK || !strings.Contains(out, "[delta scan]") {
-		t.Fatalf("-plan: exit %d, want %d with a [delta scan] step:\n%s", code, exitOK, out)
+	if code, out := run("-plan " + prog); code != exitOK || !strings.Contains(out, "[delta scan]") ||
+		!strings.HasPrefix(out, "workers: 1 (sequential)\n") {
+		t.Fatalf("-plan: exit %d, want %d with the worker count and a [delta scan] step:\n%s", code, exitOK, out)
+	}
+	if code, out := run("-plan -parallel 3 " + prog); code != exitOK || !strings.HasPrefix(out, "workers: 3 ") {
+		t.Fatalf("-plan -parallel 3: exit %d, want %d with 3 workers:\n%s", code, exitOK, out)
+	}
+}
+
+// TestParallelMatchesSequential runs the CLI at several -parallel
+// values: the default (0) and 2 workers render byte-identical answers
+// to -parallel 1, and the -stats line is equal at 0, 1, 2 and 4
+// workers, both on a small recursive program with negation and on a
+// dense closure whose widest delta rounds (~5.4k tuples) clear the
+// 4096-tuple round gate, so one run at 2 or 4 workers mixes direct and
+// fanned-out rounds.
+func TestParallelMatchesSequential(t *testing.T) {
+	tc19 := writeFile(t, "tc19.idl", "e(a, b). e(b, c). e(c, d).\n"+
+		"tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n"+
+		"bad(d).\nr(X) :- e(a, X).\nr(Y) :- r(X), e(X, Y), not bad(Y).\n")
+	var dense strings.Builder
+	for i := 0; i < 128; i++ {
+		for _, j := range []int{(i + 1) % 128, (3*i + 1) % 128, (7*i + 2) % 128} {
+			fmt.Fprintf(&dense, "edge(g%d, g%d).\n", i, j)
+		}
+	}
+	denseFacts := writeFile(t, "dense.facts", dense.String())
+	inputs := map[string]string{
+		"tc19":  tc19,
+		"dense": "-facts " + denseFacts + " " + filepath.Join("..", "..", "examples", "programs", "tc.idl"),
+	}
+	for name, input := range inputs {
+		var render, stats string
+		for _, p := range []int{1, 0, 2, 4} {
+			code, stdout, stderr := runMain(t, fmt.Sprintf("-stats -parallel %d %s", p, input))
+			if code != exitOK {
+				t.Fatalf("%s -parallel %d: exit %d:\n%s", name, p, code, stderr)
+			}
+			var line string
+			for _, l := range strings.Split(stderr, "\n") {
+				if strings.HasPrefix(l, "stats:") {
+					line = l
+				}
+			}
+			if line == "" {
+				t.Fatalf("%s -parallel %d: no stats line:\n%s", name, p, stderr)
+			}
+			if p == 1 {
+				render, stats = stdout, line
+				continue
+			}
+			if stdout != render {
+				t.Fatalf("%s: -parallel %d renders\n%s\nwant (-parallel 1)\n%s", name, p, stdout, render)
+			}
+			if line != stats {
+				t.Fatalf("%s: -parallel %d %s, want (-parallel 1) %s", name, p, line, stats)
+			}
+		}
 	}
 }

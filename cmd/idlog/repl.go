@@ -38,7 +38,7 @@ func (l replLimits) options() []idlog.Option {
 	if l.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(l.maxDerivations))
 	}
-	if l.parallel > 0 {
+	if l.parallel > 1 {
 		opts = append(opts, idlog.WithParallelism(l.parallel))
 	}
 	if l.noMagic {
@@ -58,10 +58,8 @@ func (l replLimits) String() string {
 	if l.timeout > 0 {
 		t = l.timeout.String()
 	}
-	p := "auto"
-	if l.parallel == 1 {
-		p = "1 (sequential)"
-	} else if l.parallel > 1 {
+	p := "1 (0 or 1 = sequential (default))"
+	if l.parallel > 1 {
 		p = strconv.Itoa(l.parallel)
 	}
 	mg := "on"
@@ -105,8 +103,8 @@ const replHelp = `commands:
   :limits [KEY VALUE ...]        show or set per-query budgets; keys:
                                  timeout (duration), max-tuples,
                                  max-derivations (0 = off), parallel
-                                 (worker goroutines, 0 = auto,
-                                 1 = sequential), magic (on/off:
+                                 (worker goroutines, 0 or 1 =
+                                 sequential (default)), magic (on/off:
                                  goal-directed magic-sets rewriting
                                  for bound queries)
   :clear                         drop all session clauses
@@ -263,7 +261,7 @@ const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations 
 
 // limitsCommand shows or sets the per-query limits: KEY VALUE pairs
 // with keys timeout, max-tuples and max-derivations (0 switches one
-// off), parallel (0 = auto) and magic (on/off).
+// off), parallel (0 or 1 = sequential, the default) and magic (on/off).
 func (s *repl) limitsCommand(args []string) {
 	if len(args)%2 != 0 {
 		fmt.Fprintln(s.out, limitsUsage)

@@ -85,10 +85,16 @@ var diskTest = sync.OnceValue(func() bool {
 // to a temporary segment directory and reopens it disk-backed. The
 // directory is unlinked immediately — the open segment files keep the
 // data readable (POSIX) and release on GC — so tests leave nothing
-// behind. Without the knob it returns db untouched.
+// behind. A frozen database's spilled copy is memoized by version (see
+// spilled), so repeated runs over an unchanged database see one
+// disk-backed version and hit the plan cache as they do in memory.
+// Without the knob it returns db untouched.
 func engineTestDB(db *Database) (*Database, error) {
 	if db == nil || !diskTest() || len(db.Names()) == 0 {
 		return db, nil
+	}
+	if ddb := spilled.get(db); ddb != nil {
+		return ddb, nil
 	}
 	dir, err := os.MkdirTemp("", "idlog-disk-*")
 	if err != nil {
@@ -104,6 +110,39 @@ func engineTestDB(db *Database) (*Database, error) {
 	}
 	if db.Frozen() {
 		ddb.Freeze()
+		spilled.put(db, ddb)
 	}
 	return ddb, nil
+}
+
+// spilled memoizes the seam's disk-backed copies of frozen databases,
+// keyed by version: versions are process-unique and a frozen database
+// cannot change, so a version names its contents. It holds at most
+// spillMemoSize copies (a test reruns the database it just ran) and no
+// reference to the databases themselves.
+var spilled spillMemo
+
+const spillMemoSize = 8
+
+type spillMemo struct {
+	mu     sync.Mutex
+	copies map[uint64]*Database
+}
+
+func (m *spillMemo) get(db *Database) *Database {
+	if !db.Frozen() {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.copies[db.Version()]
+}
+
+func (m *spillMemo) put(db, ddb *Database) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.copies == nil || len(m.copies) == spillMemoSize {
+		m.copies = make(map[uint64]*Database, spillMemoSize)
+	}
+	m.copies[db.Version()] = ddb
 }

@@ -184,9 +184,7 @@ func TestTracedRunsUseThePlan(t *testing.T) {
 	if _, err := pq.Query(db, WithTrace()); err != nil {
 		t.Fatal(err)
 	}
-	// The disk seam hands every run a fresh disk-backed copy of db (a
-	// new version), so runs under it never hit the cache.
-	if hits, misses := pq.CacheStats(); !diskSeam() && (hits != 1 || misses != 1) {
+	if hits, misses := pq.CacheStats(); hits != 1 || misses != 1 {
 		t.Fatalf("traced prepared query: plan cache hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	// The prepared query's own evaluation, so its Result (and trees) can
@@ -195,7 +193,7 @@ func TestTracedRunsUseThePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := pq.CacheStats(); !diskSeam() && hits != 2 {
+	if hits, _ := pq.CacheStats(); hits != 2 {
 		t.Fatalf("traced run not served from the plan cache (hits %d, want 2)", hits)
 	}
 	uncached, err := pq.compiled.Eval(db, WithTrace())

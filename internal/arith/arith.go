@@ -13,6 +13,7 @@ package arith
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"idlog/internal/value"
@@ -30,9 +31,14 @@ type Builtin struct {
 	// Polymorphic marks predicates (eq, neq) that accept either sort;
 	// all other built-ins require every bound argument to be of sort i.
 	Polymorphic bool
-	// solve enumerates the full-arity solutions consistent with the bound
-	// arguments. bound[i] reports whether args[i] is meaningful.
-	solve func(args []value.Value, bound []bool) ([][]value.Value, error)
+	// holds tests a fully bound call; its bound arguments have the
+	// right sorts.
+	holds func(args []value.Value) bool
+	// solve enumerates the full-arity solutions of a call whose
+	// admissible pattern pat leaves some argument unbound; only the
+	// arguments pat marks 'b' are meaningful. Nil when the only
+	// admissible pattern binds every argument.
+	solve func(args []value.Value, pat string) ([][]value.Value, error)
 }
 
 // Lookup returns the builtin for name.
@@ -79,23 +85,81 @@ func (b *Builtin) Allowed(pattern string) bool { return b.Patterns[pattern] }
 // The returned tuples have the builtin's full arity with every position
 // filled.
 func (b *Builtin) Solve(args []value.Value, bound []bool) ([][]value.Value, error) {
-	if len(args) != b.Arity || len(bound) != b.Arity {
+	if len(args) != b.Arity {
 		return nil, fmt.Errorf("%s/%d: called with %d args", b.Name, b.Arity, len(args))
 	}
-	pat := Pattern(bound)
-	if !b.Patterns[pat] {
-		return nil, fmt.Errorf("%s: binding pattern %s is unsafe (allowed: %s)", b.Name, pat, b.patternList())
+	return b.Bind(bound).Solve(args)
+}
+
+// Call is a builtin under one binding pattern, checked once. A compiled
+// literal's binding pattern is fixed, so it binds its builtin when it
+// is compiled: no call then builds a pattern string or looks it up, and
+// a fully bound call (a comparison filter, say) is a test, Holds, that
+// allocates nothing.
+type Call struct {
+	b    *Builtin
+	pat  string // over {b, n}
+	full bool   // every argument bound
+	err  error  // why the pattern is rejected; every call returns it
+}
+
+// Bind checks the binding pattern bound against b. A rejected pattern
+// is not an error until the call is made, so a literal that never runs
+// never fails.
+func (b *Builtin) Bind(bound []bool) *Call {
+	c := &Call{b: b, pat: Pattern(bound), full: !slices.Contains(bound, false)}
+	switch {
+	case len(bound) != b.Arity:
+		c.err = fmt.Errorf("%s/%d: called with %d args", b.Name, b.Arity, len(bound))
+	case !b.Patterns[c.pat]:
+		c.err = fmt.Errorf("%s: binding pattern %s is unsafe (allowed: %s)", b.Name, c.pat, b.patternList())
 	}
-	if !b.Polymorphic {
-		for i, bd := range bound {
-			if bd && !args[i].IsInt() {
-				// A u-constant can never satisfy an arithmetic relation;
-				// this is a failed match, not an error.
-				return nil, nil
-			}
+	return c
+}
+
+// Full reports whether the call binds every argument, so Holds applies.
+func (c *Call) Full() bool { return c.full }
+
+// Solve enumerates the solutions of the call under args, of which only
+// the bound positions are read. The returned tuples have the builtin's
+// full arity with every position filled.
+func (c *Call) Solve(args []value.Value) ([][]value.Value, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	if !c.sortsOK(args) {
+		return nil, nil
+	}
+	if c.full {
+		if c.b.holds(args) {
+			return [][]value.Value{slices.Clone(args)}, nil
+		}
+		return nil, nil
+	}
+	return c.b.solve(args, c.pat)
+}
+
+// Holds reports whether args satisfy a Full call; it allocates nothing.
+func (c *Call) Holds(args []value.Value) (bool, error) {
+	if c.err != nil {
+		return false, c.err
+	}
+	return c.sortsOK(args) && c.b.holds(args), nil
+}
+
+// sortsOK reports whether the bound arguments have the sorts the
+// builtin accepts. A u-constant can never satisfy an arithmetic
+// relation: that is a failed match, not an error.
+func (c *Call) sortsOK(args []value.Value) bool {
+	if c.b.Polymorphic {
+		return true
+	}
+	for i := range args {
+		if c.pat[i] == 'b' && !args[i].IsInt() {
+			return false
 		}
 	}
-	return b.solve(args, bound)
+	return true
 }
 
 func (b *Builtin) patternList() string {
@@ -134,32 +198,42 @@ func init() {
 	register(&Builtin{
 		Name: "succ", Arity: 2,
 		Patterns: pats("bb", "bn", "nb"),
+		holds:    func(a []value.Value) bool { return a[0].Num+1 == a[1].Num },
 		solve:    solveSucc,
 	})
 	register(&Builtin{
 		Name: "add", Arity: 3,
 		Patterns: pats("bbb", "bbn", "bnb", "nbb", "nnb"),
+		holds:    func(a []value.Value) bool { return a[0].Num+a[1].Num == a[2].Num },
 		solve:    solveAdd,
 	})
 	register(&Builtin{
 		Name: "sub", Arity: 3,
 		Patterns: pats("bbb", "bbn", "bnb", "nbb"),
+		holds:    func(a []value.Value) bool { return a[0].Num-a[1].Num == a[2].Num && a[2].Num >= 0 },
 		solve:    solveSub,
 	})
 	register(&Builtin{
 		Name: "mul", Arity: 3,
 		Patterns: pats("bbb", "bbn", "bnb", "nbb", "nnb"),
+		holds:    func(a []value.Value) bool { return a[0].Num*a[1].Num == a[2].Num },
 		solve:    solveMul,
 	})
 	register(&Builtin{
 		Name: "div", Arity: 3,
 		Patterns: pats("bbb", "bbn", "nbb"),
-		solve:    solveDiv,
+		holds: func(a []value.Value) bool {
+			return a[1].Num > 0 && a[0].Num >= 0 && a[0].Num/a[1].Num == a[2].Num
+		},
+		solve: solveDiv,
 	})
 	register(&Builtin{
 		Name: "mod", Arity: 3,
 		Patterns: pats("bbb", "bbn"),
-		solve:    solveMod,
+		holds: func(a []value.Value) bool {
+			return a[1].Num > 0 && a[0].Num >= 0 && a[0].Num%a[1].Num == a[2].Num
+		},
+		solve: solveMod,
 	})
 	for _, cmp := range []struct {
 		name string
@@ -174,45 +248,29 @@ func init() {
 		register(&Builtin{
 			Name: cmp.name, Arity: 2,
 			Patterns: pats("bb"),
-			solve: func(args []value.Value, bound []bool) ([][]value.Value, error) {
-				if !args[0].IsInt() || !args[1].IsInt() {
-					return nil, nil
-				}
-				if ok(args[0].Compare(args[1])) {
-					return one(args[0], args[1]), nil
-				}
-				return nil, nil
-			},
+			holds:    func(a []value.Value) bool { return ok(a[0].Compare(a[1])) },
 		})
 	}
 	register(&Builtin{
 		Name: "eq", Arity: 2,
 		Patterns:    pats("bb", "bn", "nb"),
 		Polymorphic: true,
+		holds:       func(a []value.Value) bool { return a[0].Equal(a[1]) },
 		solve:       solveEq,
 	})
 	register(&Builtin{
 		Name: "neq", Arity: 2,
 		Patterns:    pats("bb"),
 		Polymorphic: true,
-		solve: func(args []value.Value, bound []bool) ([][]value.Value, error) {
-			if !args[0].Equal(args[1]) {
-				return one(args[0], args[1]), nil
-			}
-			return nil, nil
-		},
+		holds:       func(a []value.Value) bool { return !a[0].Equal(a[1]) },
 	})
 }
 
-func solveSucc(args []value.Value, bound []bool) ([][]value.Value, error) {
-	switch {
-	case bound[0] && bound[1]:
-		if args[0].Num+1 == args[1].Num {
-			return one(args[0], args[1]), nil
-		}
-	case bound[0]:
+func solveSucc(args []value.Value, pat string) ([][]value.Value, error) {
+	switch pat {
+	case "bn":
 		return one(args[0], value.Int(args[0].Num+1)), nil
-	case bound[1]:
+	case "nb":
 		if args[1].Num >= 1 {
 			return one(value.Int(args[1].Num-1), args[1]), nil
 		}
@@ -220,13 +278,9 @@ func solveSucc(args []value.Value, bound []bool) ([][]value.Value, error) {
 	return nil, nil
 }
 
-func solveAdd(args []value.Value, bound []bool) ([][]value.Value, error) {
+func solveAdd(args []value.Value, pat string) ([][]value.Value, error) {
 	a, b, c := args[0], args[1], args[2]
-	switch Pattern(bound) {
-	case "bbb":
-		if a.Num+b.Num == c.Num {
-			return one(a, b, c), nil
-		}
+	switch pat {
 	case "bbn":
 		return one(a, b, value.Int(a.Num+b.Num)), nil
 	case "bnb":
@@ -252,14 +306,10 @@ func solveAdd(args []value.Value, bound []bool) ([][]value.Value, error) {
 	return nil, nil
 }
 
-func solveSub(args []value.Value, bound []bool) ([][]value.Value, error) {
+func solveSub(args []value.Value, pat string) ([][]value.Value, error) {
 	// sub(A,B,C) holds iff A - B = C over the naturals (A >= B).
 	a, b, c := args[0], args[1], args[2]
-	switch Pattern(bound) {
-	case "bbb":
-		if a.Num-b.Num == c.Num && c.Num >= 0 {
-			return one(a, b, c), nil
-		}
+	switch pat {
 	case "bbn":
 		if d := a.Num - b.Num; d >= 0 {
 			return one(a, b, value.Int(d)), nil
@@ -274,13 +324,9 @@ func solveSub(args []value.Value, bound []bool) ([][]value.Value, error) {
 	return nil, nil
 }
 
-func solveMul(args []value.Value, bound []bool) ([][]value.Value, error) {
+func solveMul(args []value.Value, pat string) ([][]value.Value, error) {
 	a, b, c := args[0], args[1], args[2]
-	switch Pattern(bound) {
-	case "bbb":
-		if a.Num*b.Num == c.Num {
-			return one(a, b, c), nil
-		}
+	switch pat {
 	case "bbn":
 		return one(a, b, value.Int(a.Num*b.Num)), nil
 	case "bnb":
@@ -326,14 +372,10 @@ func solveMul(args []value.Value, bound []bool) ([][]value.Value, error) {
 	return nil, nil
 }
 
-func solveDiv(args []value.Value, bound []bool) ([][]value.Value, error) {
+func solveDiv(args []value.Value, pat string) ([][]value.Value, error) {
 	// div(A,B,C) holds iff B > 0 and A div B = C (floor division).
 	a, b, c := args[0], args[1], args[2]
-	switch Pattern(bound) {
-	case "bbb":
-		if b.Num > 0 && a.Num >= 0 && a.Num/b.Num == c.Num {
-			return one(a, b, c), nil
-		}
+	switch pat {
 	case "bbn":
 		if b.Num > 0 && a.Num >= 0 {
 			return one(a, b, value.Int(a.Num/b.Num)), nil
@@ -352,28 +394,18 @@ func solveDiv(args []value.Value, bound []bool) ([][]value.Value, error) {
 	return nil, nil
 }
 
-func solveMod(args []value.Value, bound []bool) ([][]value.Value, error) {
-	// mod(A,B,C) holds iff B > 0 and A mod B = C.
-	a, b, c := args[0], args[1], args[2]
-	switch Pattern(bound) {
-	case "bbb":
-		if b.Num > 0 && a.Num >= 0 && a.Num%b.Num == c.Num {
-			return one(a, b, c), nil
-		}
-	case "bbn":
-		if b.Num > 0 && a.Num >= 0 {
-			return one(a, b, value.Int(a.Num%b.Num)), nil
-		}
+func solveMod(args []value.Value, pat string) ([][]value.Value, error) {
+	// mod(A,B,C) holds iff B > 0 and A mod B = C; bbn is the only
+	// admissible pattern with an unbound argument.
+	a, b := args[0], args[1]
+	if b.Num > 0 && a.Num >= 0 {
+		return one(a, b, value.Int(a.Num%b.Num)), nil
 	}
 	return nil, nil
 }
 
-func solveEq(args []value.Value, bound []bool) ([][]value.Value, error) {
-	switch Pattern(bound) {
-	case "bb":
-		if args[0].Equal(args[1]) {
-			return one(args[0], args[1]), nil
-		}
+func solveEq(args []value.Value, pat string) ([][]value.Value, error) {
+	switch pat {
 	case "bn":
 		return one(args[0], args[0]), nil
 	case "nb":

@@ -1,6 +1,7 @@
 package arith
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -311,5 +312,57 @@ func TestDivIntervalPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBoundCallsTestWithoutAllocating checks the compiled-literal path:
+// a fully bound call answers through Holds with no allocation, agrees
+// with Solve on every builtin, and a rejected pattern fails every call
+// with the error text Solve reports.
+func TestBoundCallsTestWithoutAllocating(t *testing.T) {
+	vals := []value.Value{value.Int(0), value.Int(1), value.Int(3), value.Int(7), value.Int(-2), value.Str("a")}
+	for _, name := range Names() {
+		b, _ := Lookup(name)
+		full := make([]bool, b.Arity)
+		for i := range full {
+			full[i] = true
+		}
+		c := b.Bind(full)
+		if !c.Full() {
+			t.Fatalf("%s: fully bound call not Full", name)
+		}
+		args := make([]value.Value, b.Arity)
+		var walk func(i int)
+		walk = func(i int) {
+			if i < len(args) {
+				for _, v := range vals {
+					args[i] = v
+					walk(i + 1)
+				}
+				return
+			}
+			sols, err := b.Solve(args, full)
+			ok, herr := c.Holds(args)
+			if err != nil || herr != nil || ok != (len(sols) == 1) {
+				t.Fatalf("%s%v: Holds = %v, %v; Solve = %v, %v", name, args, ok, herr, sols, err)
+			}
+			if ok && !slices.Equal(sols[0], args) {
+				t.Fatalf("%s%v: Solve returned %v", name, args, sols[0])
+			}
+		}
+		walk(0)
+		args = append(args[:0], vals[:b.Arity]...)
+		if n := testing.AllocsPerRun(100, func() { c.Holds(args) }); n != 0 {
+			t.Fatalf("%s: Holds allocates %v times per call, want 0", name, n)
+		}
+	}
+	lt, _ := Lookup("lt")
+	_, want := lt.Solve(iv(1, 2), mask("bn"))
+	c := lt.Bind(mask("bn"))
+	if _, err := c.Solve(iv(1, 2)); want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("unsafe pattern: Call.Solve error %v, Solve error %v", err, want)
+	}
+	if _, err := c.Holds(iv(1, 2)); err == nil || err.Error() != want.Error() {
+		t.Fatalf("unsafe pattern: Holds error %v, want %v", err, want)
 	}
 }

@@ -45,15 +45,17 @@ type compiledLit struct {
 	isID    bool
 	idKey   string // analysis.IDNeed key for ID-literals
 	args    []compiledArg
+	// call is builtin bound to the literal's binding pattern, which
+	// compilation fixes: the pattern is checked once, not per call.
+	call *arith.Call
 	// probeCols/probeArgs identify the statically-bound columns used for
 	// index probes on relational literals.
 	probeCols []int
 	probeArgs []compiledArg
-	// keyBuf, argsBuf and maskBuf are per-literal scratch space reused
-	// across instantiations (clause evaluation is single-threaded).
+	// keyBuf and argsBuf are per-literal scratch space reused across
+	// instantiations (clause evaluation is single-threaded).
 	keyBuf  value.Tuple
 	argsBuf []value.Value
-	maskBuf []bool
 	// recursive marks positive ordinary literals over same-stratum
 	// predicates (the semi-naive delta positions).
 	recursive bool
@@ -198,8 +200,12 @@ func compile(oc *analysis.OrderedClause, ref []*ast.Literal, stratumPred func(st
 				cc.recPositions = append(cc.recPositions, li)
 			}
 		} else {
+			bound := make([]bool, len(cl.args))
+			for i, ca := range cl.args {
+				bound[i] = ca.kind == argConst || ca.kind == argBound
+			}
+			cl.call = cl.builtin.Bind(bound)
 			cl.argsBuf = make([]value.Value, len(cl.args))
-			cl.maskBuf = make([]bool, len(cl.args))
 		}
 		// A positive literal binds all its variables for later literals.
 		if !l.Neg {
@@ -294,9 +300,6 @@ func (cc *compiledClause) clone() *compiledClause {
 		}
 		if cl.argsBuf != nil {
 			cl.argsBuf = make([]value.Value, len(cl.argsBuf))
-		}
-		if cl.maskBuf != nil {
-			cl.maskBuf = make([]bool, len(cl.maskBuf))
 		}
 	}
 	c.headBuf = make(value.Tuple, len(cc.headBuf))

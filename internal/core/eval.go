@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"idlog/internal/analysis"
 	"idlog/internal/guard"
@@ -34,14 +33,14 @@ type Options struct {
 	// plan compilation.
 	PlanCache *PlanCache
 	// Parallelism bounds the worker pool of the semi-naive fixpoint.
-	// Zero (the zero value) resolves to DefaultParallelism() —
-	// GOMAXPROCS clamped to maxAutoParallelism; 1, values < 0 and Trace
-	// runs evaluate every round on the calling goroutine. It is an upper
-	// bound: only seed rounds, non-recursive components and delta rounds
-	// of at least minParallelDelta tuples fan out over the workers; every
-	// other round runs on the calling goroutine. Answer sets, ID
-	// assignment, insertion order and every Stats count are identical at
-	// every worker count (see eval_parallel.go).
+	// 0 (the zero value), 1, values < 0 and Trace runs evaluate every
+	// round on the calling goroutine and build no pool: the sequential
+	// run is the default. An explicit n > 1 is an upper bound: only seed
+	// rounds, non-recursive components and delta rounds of at least
+	// minParallelDelta tuples fan out over the workers; every other
+	// round runs on the calling goroutine. Answer sets, ID assignment,
+	// insertion order and every Stats count are identical at every
+	// worker count (see eval_parallel.go).
 	Parallelism int
 	// Guard governs the run (cancellation, deadlines, budgets, fault
 	// injection). Nil builds a fresh guard carrying only
@@ -251,40 +250,15 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 	return e.fixpoint(c, sp)
 }
 
-// maxAutoParallelism caps the GOMAXPROCS-derived default worker count:
-// beyond it the single-threaded merge phase dominates and extra
-// workers only contend. Explicit Parallelism settings are not clamped.
-const maxAutoParallelism = 8
-
-// DefaultParallelism is the worker count used when Options.Parallelism
-// is unset: runtime.GOMAXPROCS(0) clamped to maxAutoParallelism.
-func DefaultParallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxAutoParallelism {
-		n = maxAutoParallelism
+// workers resolves the worker count a run uses: Parallelism when it is
+// above 1 and the run is not traced (provenance capture is ordered),
+// otherwise 1.
+func (o Options) workers() int {
+	if o.Trace {
+		return 1
 	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(o.Parallelism, 1)
 }
-
-// EffectiveParallelism resolves the worker count these Options run
-// with (≥ 1): the explicit Parallelism, or DefaultParallelism() when
-// unset.
-func (o Options) EffectiveParallelism() int {
-	n := o.Parallelism
-	if n == 0 {
-		n = DefaultParallelism()
-	}
-	if n > 1 {
-		return n
-	}
-	return 1
-}
-
-// workers resolves the effective parallelism (≥ 1).
-func (e *engine) workers() int { return e.opts.EffectiveParallelism() }
 
 // fixpoint runs component c to its least fixpoint by semi-naive
 // rounds. The seed round evaluates the exit clauses only: the
@@ -301,10 +275,7 @@ func (e *engine) workers() int { return e.opts.EffectiveParallelism() }
 // whenever there are two or more workers, delta rounds only once their
 // total delta reaches minParallelDelta.
 func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan) error {
-	nw := e.workers()
-	if e.opts.Trace {
-		nw = 1 // provenance capture is ordered
-	}
+	nw := e.opts.workers()
 	var p *pool // built by the component's first fanned-out round
 	// sinks receive each round's new tuples, which are the next round's
 	// deltas. Deltas are append-only: a sink is fed exactly the tuples

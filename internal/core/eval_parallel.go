@@ -214,7 +214,12 @@ type pool struct {
 	workers []*pWorker
 }
 
+// poolsBuilt counts worker pools built in this process; the tests read
+// it to check that a sequential run builds none.
+var poolsBuilt atomic.Uint64
+
 func (e *engine) newPool(clauses []*compiledClause, nw int) *pool {
+	poolsBuilt.Add(1)
 	p := &pool{e: e, clauses: clauses, workers: make([]*pWorker, nw)}
 	for i := range p.workers {
 		w := &pWorker{e: e, seen: map[uint64]int{}}

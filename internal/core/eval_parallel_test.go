@@ -193,11 +193,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 			wantOrder[p] = append(wantOrder[p], tup.String())
 		}
 	}
-	for _, workers := range []int{2, 3, 4, 8} {
+	// 0 (the default) is sequential: it builds no pool. Every n > 1
+	// builds one.
+	for _, workers := range []int{0, 2, 3, 4, 8} {
+		pools := poolsBuilt.Load()
 		res, err := Eval(info, denseDB(), Options{
 			Oracle: relation.RandomOracle{Seed: 42}, Parallelism: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if built := poolsBuilt.Load() > pools; built != (workers > 1) {
+			t.Fatalf("workers=%d: pool built = %v", workers, built)
 		}
 		if got := modelFingerprint(res, info); got != want {
 			t.Fatalf("workers=%d: model diverged from sequential", workers)

@@ -64,9 +64,11 @@ type litIter struct {
 	idx, n    int
 	one       [1]int
 
-	// Builtin state.
+	// Builtin state. A fully bound builtin's one solution is its
+	// argument buffer, held in held so the test allocates nothing.
 	sols   [][]value.Value
 	solIdx int
+	held   [1][]value.Value
 
 	// iterOnce state: whether the single yield remains and succeeds.
 	armed bool
@@ -89,22 +91,37 @@ func checksPass(checks []checkPair, t []value.Value) bool {
 func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
 	cl := &cc.lits[depth]
 	it.cl = cl
-	if cl.builtin != nil {
-		args, mask := cl.argsBuf, cl.maskBuf
+	if cl.call != nil {
+		args := cl.argsBuf
 		for i, a := range cl.args {
 			switch a.kind {
 			case argConst:
 				args[i] = a.val
-				mask[i] = true
 			case argBound:
 				args[i] = env[a.slot]
-				mask[i] = true
 			default:
 				args[i] = value.Value{}
-				mask[i] = false
 			}
 		}
-		sols, err := cl.builtin.Solve(args, mask)
+		if cl.call.Full() {
+			ok, err := cl.call.Holds(args)
+			if err != nil {
+				return fmt.Errorf("clause %s: %w", cc.src.Source, err)
+			}
+			if cl.neg {
+				it.kind = iterOnce
+				it.armed = !ok
+				return nil
+			}
+			it.kind = iterBuiltin
+			it.held[0] = args
+			it.sols, it.solIdx = it.held[:0], 0
+			if ok {
+				it.sols = it.held[:]
+			}
+			return nil
+		}
+		sols, err := cl.call.Solve(args)
 		if err != nil {
 			return fmt.Errorf("clause %s: %w", cc.src.Source, err)
 		}

@@ -304,11 +304,12 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 }
 
 // ExplainPlan renders the join plans the engine runs for info over db:
-// per stratum and component, each clause's chosen literal order with
-// probe columns and estimated cardinalities, plus its delta-first
-// variants. It evaluates the program once (same opts, no plan cache) and
-// renders the plans that run compiled, each with the cardinality
-// snapshot its component's planner saw; the result is discarded.
+// first the worker count the run uses, then per stratum and component,
+// each clause's chosen literal order with probe columns and estimated
+// cardinalities, plus its delta-first variants. It evaluates the
+// program once (same opts, no plan cache) and renders the plans that
+// run compiled, each with the cardinality snapshot its component's
+// planner saw; the result is discarded.
 func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error) {
 	opts.PlanCache = nil
 	_, plans, err := evalPlans(info, db, opts)
@@ -316,6 +317,11 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 		return "", err
 	}
 	var b strings.Builder
+	if nw := opts.workers(); nw > 1 {
+		fmt.Fprintf(&b, "workers: %d (seed rounds, non-recursive components and delta rounds of %d+ tuples fan out)\n", nw, minParallelDelta)
+	} else {
+		b.WriteString("workers: 1 (sequential)\n")
+	}
 	for si, s := range info.Strata {
 		fmt.Fprintf(&b, "stratum %d: %s\n", si, strings.Join(s.Preds, ", "))
 		for ci, c := range s.Components {

@@ -111,6 +111,31 @@ func (ix *secondary) update(t value.Tuple, oldPos, newPos int) {
 	}
 }
 
+// keyHint sizes a new index's bucket map: the product of the columns'
+// distinct counts, capped at the n entries, when the relation (or its
+// base) has published counts, and 0 otherwise. The entry count alone
+// is a poor bound: an index over a few distinct keys, such as a magic
+// relation's bound column, would get a map the size of the relation.
+// The counts are only read here, never taken: r.buildMu is held.
+func (r *Relation) keyHint(cols []int, n int) int {
+	b := r
+	if r.base != nil {
+		b = r.base
+	}
+	p := b.ndv.Load()
+	if p == nil {
+		return 0
+	}
+	keys := 1
+	for _, c := range cols {
+		if keys >= n {
+			break
+		}
+		keys *= max((*p)[c], 1)
+	}
+	return min(keys, n)
+}
+
 func sameCols(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -166,9 +191,7 @@ func (r *Relation) buildIndex(cols []int) *secondary {
 	if r.base != nil {
 		n = len(r.patch) + len(r.tuples)
 	}
-	// Pre-size the bucket map for the entry count, an upper bound on
-	// distinct keys, saving incremental map growth during the build scan.
-	ix := &secondary{cols: append([]int(nil), cols...), buckets: make(map[uint64]*ibucket, n)}
+	ix := &secondary{cols: append([]int(nil), cols...), buckets: make(map[uint64]*ibucket, r.keyHint(cols, n))}
 	add := func(pos int, t value.Tuple) bool {
 		ix.add(t, pos)
 		return true

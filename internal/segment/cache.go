@@ -1,9 +1,9 @@
 package segment
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"idlog/internal/value"
 )
@@ -14,12 +14,17 @@ import (
 // parallel evaluation probes frozen disk-backed relations from many
 // goroutines at once. Concurrent misses on the same block may decode it
 // twice (one copy wins the slot) — wasted work, never wrong results.
+// A cached block is one flat value array (see decodeBlock), and the
+// entry an eviction frees is reused by the next insertion, so a miss
+// in a full cache allocates only what reading and decoding the block
+// needs.
 type Cache struct {
 	mu    sync.Mutex
 	max   int64
 	used  int64
-	ll    *list.List // MRU at front; values are *centry
-	items map[ckey]*list.Element
+	lru   centry  // ring sentinel: lru.next is the most recent entry, lru.prev the least
+	spare *centry // the last evicted entry, reused by the next put
+	items map[ckey]*centry
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -33,28 +38,32 @@ type ckey struct {
 }
 
 type centry struct {
-	key    ckey
-	tuples []value.Tuple
-	bytes  int64
+	key        ckey
+	vals       []value.Value
+	bytes      int64
+	prev, next *centry
 }
 
 // NewCache returns a cache that holds at most maxBytes of decoded
-// blocks (estimated; see blockBytes). A non-positive budget still
-// caches the single most recent block, so scans degrade to streaming
-// rather than re-decoding the same block per tuple.
+// blocks (see blockBytes). A non-positive budget still caches the
+// single most recent block, so scans degrade to streaming rather than
+// re-decoding the same block per tuple.
 func NewCache(maxBytes int64) *Cache {
-	return &Cache{max: maxBytes, ll: list.New(), items: make(map[ckey]*list.Element)}
+	c := &Cache{max: maxBytes, items: make(map[ckey]*centry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // get returns the decoded block for k, updating recency and the
 // hit/miss counters.
-func (c *Cache) get(k ckey) ([]value.Tuple, bool) {
+func (c *Cache) get(k ckey) ([]value.Value, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
+	if e, ok := c.items[k]; ok {
+		c.unlink(e)
+		c.pushFront(e)
 		c.hits.Add(1)
-		return el.Value.(*centry).tuples, true
+		return e.vals, true
 	}
 	c.misses.Add(1)
 	return nil, false
@@ -64,35 +73,60 @@ func (c *Cache) get(k ckey) ([]value.Tuple, bool) {
 // blocks until the budget holds. A block larger than the entire budget
 // is declined outright: admitting it would evict every resident block
 // and still pin used > max until an unrelated later eviction — the
-// caller already holds the decoded tuples and streams through them
+// caller already holds the decoded values and streams through them
 // once. Under a non-positive budget the newest block always stays, so
 // scans degrade to streaming rather than re-decoding per tuple.
-func (c *Cache) put(k ckey, tuples []value.Tuple, bytes int64) {
+func (c *Cache) put(k ckey, vals []value.Value, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.max > 0 && bytes > c.max {
 		return
 	}
-	if el, ok := c.items[k]; ok {
+	if e, ok := c.items[k]; ok {
 		// Lost a concurrent decode race; keep the published copy.
-		c.ll.MoveToFront(el)
+		c.unlink(e)
+		c.pushFront(e)
 		return
 	}
-	el := c.ll.PushFront(&centry{key: k, tuples: tuples, bytes: bytes})
-	c.items[k] = el
+	e := c.spare
+	if e == nil {
+		e = new(centry)
+	}
+	c.spare = nil
+	*e = centry{key: k, vals: vals, bytes: bytes}
+	c.pushFront(e)
+	c.items[k] = e
 	c.used += bytes
 	c.shrink()
+}
+
+// unlink takes e out of the recency ring. Callers must hold c.mu.
+func (c *Cache) unlink(e *centry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront makes e the most recent entry. Callers must hold c.mu.
+func (c *Cache) pushFront(e *centry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	c.lru.next.prev = e
+	c.lru.next = e
+}
+
+// evict removes e from the cache and keeps it as the spare entry.
+// Callers must hold c.mu.
+func (c *Cache) evict(e *centry) {
+	c.unlink(e)
+	delete(c.items, e.key)
+	c.used -= e.bytes
+	*e = centry{}
+	c.spare = e
 }
 
 // shrink evicts LRU blocks until the budget holds, always keeping the
 // most recent block. Callers must hold c.mu.
 func (c *Cache) shrink() {
-	for c.used > c.max && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		e := back.Value.(*centry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.used -= e.bytes
+	for c.used > c.max && len(c.items) > 1 {
+		c.evict(c.lru.prev)
 	}
 }
 
@@ -112,14 +146,12 @@ func (c *Cache) Resize(maxBytes int64) {
 func (c *Cache) drop(seg uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*centry); e.key.seg == seg {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.used -= e.bytes
+	for e := c.lru.next; e != &c.lru; {
+		next := e.next
+		if e.key.seg == seg {
+			c.evict(e)
 		}
-		el = next
+		e = next
 	}
 }
 
@@ -140,13 +172,13 @@ func (c *Cache) Bytes() int64 {
 func (c *Cache) Blocks() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.items)
 }
 
-// blockBytes estimates the resident size of a decoded block: slice
-// headers plus 16 bytes per value (the size of value.Value).
-func blockBytes(n, arity int) int64 {
-	return int64(n) * int64(24+16*arity)
+// blockBytes is the resident size of a decoded block of n values: one
+// flat array of value.Value, nothing else per tuple.
+func blockBytes(n int) int64 {
+	return int64(n) * int64(unsafe.Sizeof(value.Value{}))
 }
 
 // defaultCache backs segments opened without an explicit cache.

@@ -7,7 +7,7 @@ import (
 )
 
 func cput(c *Cache, seg uint64, block int, bytes int64) {
-	c.put(ckey{seg: seg, block: block}, []value.Tuple{}, bytes)
+	c.put(ckey{seg: seg, block: block}, []value.Value{}, bytes)
 }
 
 // An oversized block (larger than the entire budget) must be declined,

@@ -255,14 +255,14 @@ func open(f *os.File, path string, cache *Cache) (*Segment, error) {
 		// different ID than the writer's, so the stored hashes (which
 		// mix symbol IDs) are stale for this process. One streaming
 		// pass recomputes them — and verifies every block CRC up front.
-		pos := 0
-		for b := range s.blocks {
-			tuples, err := s.readBlock(b)
+		pos, a := 0, s.arity
+		for b, m := range s.blocks {
+			vals, err := s.readBlock(b)
 			if err != nil {
 				return nil, err
 			}
-			for _, t := range tuples {
-				s.hashes[pos] = t.Hash()
+			for j := 0; j < m.count; j++ {
+				s.hashes[pos] = value.Tuple(vals[j*a : (j+1)*a]).Hash()
 				pos++
 			}
 		}
@@ -286,10 +286,12 @@ func (s *Segment) Len() int { return s.count }
 func (s *Segment) HashAt(i int) uint64 { return s.hashes[i] }
 
 // At implements relation.TupleSource, decoding (or fetching from the
-// cache) the block containing position i.
+// cache) the block containing position i. The tuple is a view into the
+// block's value array, capped at the arity, so appending to it copies.
 func (s *Segment) At(i int) value.Tuple {
 	b := i / s.blockTuples
-	return s.block(b)[i-b*s.blockTuples]
+	j := (i - b*s.blockTuples) * s.arity
+	return s.block(b)[j : j+s.arity : j+s.arity]
 }
 
 // Scan implements relation.TupleSource, streaming [lo, hi)
@@ -301,16 +303,15 @@ func (s *Segment) Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool {
 	if lo < 0 {
 		lo = 0
 	}
+	a := s.arity
 	for pos := lo; pos < hi; {
 		b := pos / s.blockTuples
-		tuples := s.block(b)
+		vals := s.block(b)
 		base := b * s.blockTuples
-		end := base + len(tuples)
-		if end > hi {
-			end = hi
-		}
+		end := min(base+s.blocks[b].count, hi)
 		for ; pos < end; pos++ {
-			if !fn(pos, tuples[pos-base]) {
+			j := (pos - base) * a
+			if !fn(pos, vals[j:j+a:j+a]) {
 				return false
 			}
 		}
@@ -318,24 +319,25 @@ func (s *Segment) Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool {
 	return true
 }
 
-// block returns the decoded block b, consulting the shared cache.
-func (s *Segment) block(b int) []value.Tuple {
+// block returns the values of block b, count·arity of them in tuple
+// order, consulting the shared cache.
+func (s *Segment) block(b int) []value.Value {
 	k := ckey{seg: s.id, block: b}
-	if tuples, ok := s.cache.get(k); ok {
-		return tuples
+	if vals, ok := s.cache.get(k); ok {
+		return vals
 	}
-	tuples, err := s.readBlock(b)
+	vals, err := s.readBlock(b)
 	if err != nil {
 		// TupleSource has no error channel; the evaluator's guard
 		// converts this panic into a typed evaluation error.
 		panic(err)
 	}
-	s.cache.put(k, tuples, blockBytes(len(tuples), s.arity))
-	return tuples
+	s.cache.put(k, vals, blockBytes(len(vals)))
+	return vals
 }
 
 // readBlock reads and CRC-verifies block b from disk.
-func (s *Segment) readBlock(b int) ([]value.Tuple, error) {
+func (s *Segment) readBlock(b int) ([]value.Value, error) {
 	m := s.blocks[b]
 	raw := make([]byte, m.length)
 	if _, err := s.f.ReadAt(raw, m.off); err != nil {
@@ -345,11 +347,11 @@ func (s *Segment) readBlock(b int) ([]value.Tuple, error) {
 	if got, want := binary.BigEndian.Uint32(raw[m.length-4:]), crc32.ChecksumIEEE(body); got != want {
 		return nil, corruptf("%s: block %d checksum mismatch (stored %08x, computed %08x)", s.path, b, got, want)
 	}
-	tuples, err := decodeBlock(body, s.arity, m.count, s.interned)
+	vals, err := decodeBlock(body, s.arity, m.count, s.interned)
 	if err != nil {
 		return nil, corruptf("%s: block %d: %v", s.path, b, err)
 	}
-	return tuples, nil
+	return vals, nil
 }
 
 // Close closes the file and evicts the segment's blocks from the cache.
@@ -358,50 +360,45 @@ func (s *Segment) Close() error {
 	return s.f.Close()
 }
 
-// decodeBlock decodes count tuples of the given arity from data,
-// resolving dictionary ordinals through syms. One value array backs the
-// whole block.
-func decodeBlock(data []byte, arity, count int, syms []symbol.ID) ([]value.Tuple, error) {
-	tuples := make([]value.Tuple, count)
+// decodeBlock decodes count tuples of the given arity from data into
+// one flat array of count·arity values, tuple after tuple, resolving
+// dictionary ordinals through syms. The array holds no pointers, so a
+// cached block costs the garbage collector nothing to scan.
+func decodeBlock(data []byte, arity, count int, syms []symbol.ID) ([]value.Value, error) {
 	vals := make([]value.Value, count*arity)
 	pos := 0
-	for i := range tuples {
-		t := value.Tuple(vals[:arity:arity])
-		vals = vals[arity:]
-		for c := 0; c < arity; c++ {
-			if pos >= len(data) {
-				return nil, fmt.Errorf("tuple %d: truncated", i)
-			}
-			tag := data[pos]
-			pos++
-			switch tag {
-			case tagInt:
-				n, k := binary.Varint(data[pos:])
-				if k <= 0 {
-					return nil, fmt.Errorf("tuple %d: bad varint", i)
-				}
-				pos += k
-				t[c] = value.Int(n)
-			case tagSym:
-				idx, k := binary.Uvarint(data[pos:])
-				if k <= 0 {
-					return nil, fmt.Errorf("tuple %d: bad dictionary ordinal", i)
-				}
-				pos += k
-				if idx >= uint64(len(syms)) {
-					return nil, fmt.Errorf("tuple %d: dictionary ordinal %d out of range", i, idx)
-				}
-				t[c] = value.Sym(syms[idx])
-			default:
-				return nil, fmt.Errorf("tuple %d: bad tag %q", i, tag)
-			}
+	for j := range vals {
+		if pos >= len(data) {
+			return nil, fmt.Errorf("tuple %d: truncated", j/arity)
 		}
-		tuples[i] = t
+		tag := data[pos]
+		pos++
+		switch tag {
+		case tagInt:
+			n, k := binary.Varint(data[pos:])
+			if k <= 0 {
+				return nil, fmt.Errorf("tuple %d: bad varint", j/arity)
+			}
+			pos += k
+			vals[j] = value.Int(n)
+		case tagSym:
+			idx, k := binary.Uvarint(data[pos:])
+			if k <= 0 {
+				return nil, fmt.Errorf("tuple %d: bad dictionary ordinal", j/arity)
+			}
+			pos += k
+			if idx >= uint64(len(syms)) {
+				return nil, fmt.Errorf("tuple %d: dictionary ordinal %d out of range", j/arity, idx)
+			}
+			vals[j] = value.Sym(syms[idx])
+		default:
+			return nil, fmt.Errorf("tuple %d: bad tag %q", j/arity, tag)
+		}
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("%d trailing bytes after last tuple", len(data)-pos)
 	}
-	return tuples, nil
+	return vals, nil
 }
 
 // crcByteReader reads from an io.Reader while accumulating a CRC-32 and

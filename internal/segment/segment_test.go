@@ -7,10 +7,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"idlog/internal/relation"
+	"idlog/internal/symbol"
 	"idlog/internal/value"
 )
 
@@ -319,7 +321,7 @@ func TestHashRecompute(t *testing.T) {
 func TestCacheEvictionAndCounters(t *testing.T) {
 	tuples := testTuples(4 * defaultBlockTuples)
 	path := writeSegment(t, tuples, 2)
-	small := NewCache(blockBytes(defaultBlockTuples, 2)) // room for ~1 block
+	small := NewCache(blockBytes(2 * defaultBlockTuples)) // room for ~1 block
 	s, err := Open(path, small)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +360,7 @@ func TestCacheEvictionAndCounters(t *testing.T) {
 func TestConcurrentReaders(t *testing.T) {
 	tuples := testTuples(3 * defaultBlockTuples)
 	path := writeSegment(t, tuples, 2)
-	s, err := Open(path, NewCache(blockBytes(defaultBlockTuples, 2)))
+	s, err := Open(path, NewCache(blockBytes(2*defaultBlockTuples)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,4 +390,107 @@ func TestConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestBlockAllocations pins the flat block layout: a hit hands out a
+// view into the cached value array and allocates nothing; a miss in a
+// full cache allocates the read buffer and the block's one value array,
+// reusing the evicted entry; nothing per tuple.
+func TestBlockAllocations(t *testing.T) {
+	path := writeSegment(t, testTuples(2*defaultBlockTuples), 2)
+	s, err := Open(path, NewCache(blockBytes(2*defaultBlockTuples))) // room for one block
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.At(0)
+	if n := testing.AllocsPerRun(100, func() { s.At(7) }); n != 0 {
+		t.Fatalf("At on a warm block: %v allocations, want 0", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		s.At(i % 2 * defaultBlockTuples) // alternate blocks: every call misses
+		i++
+	}); n != 2 {
+		t.Fatalf("At on a missed block: %v allocations, want 2 (read buffer, value array)", n)
+	}
+	// One miss warms block 0; 101 hits, the last the second run's
+	// warm-up call; then each of its 100 timed calls misses.
+	if hits, misses := s.cache.Stats(); hits != 102 || misses != 101 {
+		t.Fatalf("hits=%d misses=%d, want 102/101", hits, misses)
+	}
+}
+
+// TestTupleViewsAreCapped checks that a tuple handed out by At or Scan
+// is capped at the arity: appending to it copies rather than writing
+// over the next tuple of the block.
+func TestTupleViewsAreCapped(t *testing.T) {
+	tuples := testTuples(10)
+	s, err := Open(writeSegment(t, tuples, 2), NewCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_ = append(s.At(3), value.Int(-1), value.Int(-2))
+	s.Scan(4, 5, func(_ int, tup value.Tuple) bool {
+		_ = append(tup, value.Int(-3), value.Int(-4))
+		return true
+	})
+	for i, want := range tuples {
+		if got := s.At(i); !got.Equal(want) || cap(got) != 2 {
+			t.Fatalf("At(%d) = %v (cap %d), want %v (cap 2)", i, got, cap(got), want)
+		}
+	}
+}
+
+// TestZeroArity round-trips a nullary relation, whose blocks decode to
+// an empty value array.
+func TestZeroArity(t *testing.T) {
+	s, err := Open(writeSegment(t, []value.Tuple{{}, {}}, 0), NewCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 1 || len(s.At(0)) != 0 || s.HashAt(0) != (value.Tuple{}).Hash() {
+		t.Fatalf("nullary segment: Len=%d At(0)=%v", s.Len(), s.At(0))
+	}
+	n := 0
+	s.Scan(0, -1, func(int, value.Tuple) bool { n++; return true })
+	if n != 1 {
+		t.Fatalf("Scan of a nullary segment visited %d tuples, want 1", n)
+	}
+}
+
+// FuzzDecodeBlock feeds arbitrary block payloads to the block decoder:
+// it must return an error or exactly count·arity values, never panic,
+// and a payload the writer produced must decode to what was written.
+func FuzzDecodeBlock(f *testing.F) {
+	syms := []symbol.ID{symbol.Intern("a"), symbol.Intern("b")}
+	f.Add([]byte{tagInt, 2, tagSym, 1}, uint8(2), uint8(1))
+	f.Add([]byte{tagSym, 0, tagInt, 0x7f, tagInt, 1, tagSym, 1}, uint8(2), uint8(2))
+	f.Add([]byte{tagSym, 2}, uint8(1), uint8(1))
+	f.Add([]byte{}, uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, arity, count uint8) {
+		a, n := int(arity%8), int(count%16)
+		vals, err := decodeBlock(data, a, n, syms)
+		if err != nil {
+			return
+		}
+		if len(vals) != a*n {
+			t.Fatalf("decoded %d values, want %d·%d", len(vals), n, a)
+		}
+		// Re-encode and decode again: the round trip is the identity.
+		var enc []byte
+		for _, v := range vals {
+			if v.IsInt() {
+				enc = binary.AppendVarint(append(enc, tagInt), v.Num)
+			} else {
+				enc = binary.AppendUvarint(append(enc, tagSym), uint64(slices.Index(syms, v.Sym)))
+			}
+		}
+		again, err := decodeBlock(enc, a, n, syms)
+		if err != nil || !slices.Equal(again, vals) {
+			t.Fatalf("re-encoded block decodes to %v, %v; want %v", again, err, vals)
+		}
+	})
 }

@@ -25,8 +25,9 @@ type Writer struct {
 	arity       int
 	blockTuples int
 
-	buf []byte        // current block, encoded
-	cur []value.Tuple // current block, decoded (serves read-back)
+	buf  []byte        // current block, encoded
+	cur  []value.Value // current block's values, tuple after tuple (serves read-back)
+	ncur int           // tuples in the current block
 
 	blocks []blockMeta
 	hashes []uint64
@@ -142,9 +143,10 @@ func (w *Writer) Add(t value.Tuple) (bool, error) {
 			w.buf = binary.AppendUvarint(w.buf, uint64(idx))
 		}
 	}
-	w.cur = append(w.cur, t.Clone())
+	w.cur = append(w.cur, t...)
+	w.ncur++
 	w.hashes = append(w.hashes, h)
-	if len(w.cur) >= w.blockTuples {
+	if w.ncur >= w.blockTuples {
 		if err := w.flushBlock(); err != nil {
 			return false, err
 		}
@@ -181,9 +183,10 @@ func (w *Writer) AddUnique(t value.Tuple) error {
 			w.buf = binary.AppendUvarint(w.buf, uint64(idx))
 		}
 	}
-	w.cur = append(w.cur, t)
+	w.cur = append(w.cur, t...)
+	w.ncur++
 	w.hashes = append(w.hashes, t.Hash())
-	if len(w.cur) >= w.blockTuples {
+	if w.ncur >= w.blockTuples {
 		return w.flushBlock()
 	}
 	return nil
@@ -191,28 +194,30 @@ func (w *Writer) AddUnique(t value.Tuple) error {
 
 // tupleAt fetches the tuple at position pos for duplicate checking:
 // from the in-flight block when recent, otherwise read back from the
-// file.
+// file through the reader's block decoder.
 func (w *Writer) tupleAt(pos int) (value.Tuple, error) {
-	first := len(w.hashes) - len(w.cur)
-	if pos >= first {
-		return w.cur[pos-first], nil
+	vals := w.cur
+	first := len(w.hashes) - w.ncur
+	if pos < first {
+		b := pos / w.blockTuples
+		m := w.blocks[b]
+		raw := make([]byte, m.length-4) // payload without the CRC we just wrote
+		if _, err := w.f.ReadAt(raw, m.off); err != nil {
+			return nil, err
+		}
+		var err error
+		if vals, err = decodeBlock(raw, w.arity, m.count, w.dictIDs); err != nil {
+			return nil, err
+		}
+		first = b * w.blockTuples
 	}
-	b := pos / w.blockTuples
-	m := w.blocks[b]
-	raw := make([]byte, m.length-4) // payload without the CRC we just wrote
-	if _, err := w.f.ReadAt(raw, m.off); err != nil {
-		return nil, err
-	}
-	tuples, err := decodeBlock(raw, w.arity, m.count, w.dictIDs)
-	if err != nil {
-		return nil, err
-	}
-	return tuples[pos-b*w.blockTuples], nil
+	j := (pos - first) * w.arity
+	return vals[j : j+w.arity : j+w.arity], nil
 }
 
 // flushBlock seals the current block with its CRC and writes it out.
 func (w *Writer) flushBlock() error {
-	if len(w.cur) == 0 {
+	if w.ncur == 0 {
 		return nil
 	}
 	crc := crc32.ChecksumIEEE(w.buf)
@@ -220,10 +225,10 @@ func (w *Writer) flushBlock() error {
 	if _, err := w.f.WriteAt(w.buf, w.off); err != nil {
 		return err
 	}
-	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.buf), count: len(w.cur)})
+	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.buf), count: w.ncur})
 	w.off += int64(len(w.buf))
 	w.buf = w.buf[:0]
-	w.cur = w.cur[:0]
+	w.cur, w.ncur = w.cur[:0], 0
 	return nil
 }
 

@@ -60,10 +60,9 @@ type budgetFields struct {
 	MaxDerivations int `json:"max_derivations,omitempty"`
 	// Parallelism asks for the fixpoint to run on up to this many
 	// worker goroutines (answers stay byte-identical to sequential
-	// runs). 0 applies the server default (auto: GOMAXPROCS clamped to
-	// 8); 1 forces sequential; values above the server's
-	// max_parallelism are clamped. It is an upper bound: recursive
-	// delta rounds under 4096 tuples run inline.
+	// runs). 0 or 1 = sequential (the default); values above the
+	// server's max_parallelism are clamped. It is an upper bound:
+	// recursive delta rounds under 4096 tuples run inline.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Partial asks for the partial result alongside a budget-tripped
 	// error response.
@@ -391,17 +390,9 @@ func (s *Server) parseBudget(b budgetFields) (budget, *apiError) {
 	if b.Parallelism < 0 {
 		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad parallelism %d", b.Parallelism)
 	}
-	// Parallelism resolves to a concrete value here rather than in the
-	// engine so the server's clamp is authoritative: an unset request
-	// takes the engine's auto default (GOMAXPROCS clamped) but never
-	// exceeds -max-parallelism.
-	out.parallelism = b.Parallelism
-	if out.parallelism == 0 {
-		out.parallelism = idlog.DefaultParallelism()
-	}
-	if out.parallelism > s.cfg.MaxParallelism {
-		out.parallelism = s.cfg.MaxParallelism
-	}
+	// An unset request runs sequentially; an explicit one is clamped to
+	// -max-parallelism.
+	out.parallelism = min(max(b.Parallelism, 1), s.cfg.MaxParallelism)
 	return out, nil
 }
 
@@ -417,9 +408,7 @@ func (b budget) options() []idlog.Option {
 	if b.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(b.maxDerivations))
 	}
-	// Always emitted explicitly (1 = sequential): the engine's own auto
-	// default would bypass the server clamp.
-	if b.parallelism > 0 {
+	if b.parallelism > 1 {
 		opts = append(opts, idlog.WithParallelism(b.parallelism))
 	}
 	return opts

@@ -40,11 +40,11 @@ type Config struct {
 	DefaultMaxTuples      int
 	DefaultMaxDerivations int
 	// MaxParallelism clamps per-request parallelism (the wire field
-	// "parallelism"): requests may fan each fixpoint round out over up
-	// to this many worker goroutines (default: GOMAXPROCS). Requests
-	// that set no parallelism take the engine auto default (GOMAXPROCS
-	// clamped to 8), then this clamp. Answers do not depend on the
-	// value; only latency does.
+	// "parallelism"): a request that asks for n > 1 workers fans its
+	// fixpoint rounds out over up to min(n, MaxParallelism) worker
+	// goroutines (default: GOMAXPROCS). Requests that set no
+	// parallelism run sequentially. Answers do not depend on the value;
+	// only latency does.
 	MaxParallelism int
 	// SessionTTL evicts sessions idle longer than this (default 15m).
 	SessionTTL time.Duration

@@ -67,8 +67,9 @@ func TestSessionPinnedDuringQuery(t *testing.T) {
 
 // TestParallelismWireField checks the request knob end to end over a
 // graph whose widest rounds fan out: answers are byte-identical to
-// sequential, bad values are rejected, oversized ones are clamped, and
-// the gauge/counter surface on /metrics.
+// sequential, an unset value runs sequentially, bad values are
+// rejected, oversized ones are clamped, and the gauge/counter surface
+// on /metrics.
 func TestParallelismWireField(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxParallelism: 4})
 	facts := denseFacts()
@@ -86,6 +87,14 @@ func TestParallelismWireField(t *testing.T) {
 		return qr
 	}
 	seq := run(1)
+	// An unset parallelism runs sequentially: same answers, and the
+	// request is not counted as parallel.
+	if got := run(0); got.Relations["tc"].Text != seq.Relations["tc"].Text {
+		t.Fatal("unset parallelism diverged from sequential")
+	}
+	if got := s.metrics.parallelQueries.Load(); got != 0 {
+		t.Fatalf("parallel query counter = %d after sequential and unset requests, want 0", got)
+	}
 	for _, p := range []int{2, 4, 64} { // 64 exceeds the clamp, still fine
 		if got := run(p); got.Relations["tc"].Text != seq.Relations["tc"].Text {
 			t.Fatalf("parallelism=%d diverged from sequential", p)

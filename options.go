@@ -74,27 +74,22 @@ func WithMaxTuples(n int) Option {
 	return func(c *config) { c.limits.MaxTuples = n }
 }
 
-// WithParallelism evaluates each stratum's fixpoint rounds on n
-// worker goroutines. When unset (or 0) the worker count defaults to
-// runtime.GOMAXPROCS(0) clamped to 8, so multi-core machines evaluate
-// in parallel out of the box; pass 1 to force the sequential engine.
-// Answers, ID assignment, insertion order and every Stats count are
-// identical at every n: workers only read round-start state, and
+// WithParallelism evaluates each stratum's fixpoint rounds on up to n
+// worker goroutines. 0 or 1 = sequential, the default: every round
+// runs on the calling goroutine and no worker pool is built. n > 1 is
+// an upper bound: seed rounds and non-recursive components fan out
+// over the workers, while delta rounds of a recursive component whose
+// delta holds fewer than 4096 tuples run on the calling goroutine and
+// insert in place, because fanning them out costs more than their join
+// work. Answers, ID assignment, insertion order and every Stats count
+// are identical at every n: workers only read round-start state, and
 // their derivations are inserted in a fixed order, so nothing depends
 // on scheduling. Budgets trip at the same exact boundary at every n;
 // cancellation is honored at the next guard checkpoint. Tracing
-// (WithTrace) forces sequential evaluation. n is an upper bound: delta rounds of a recursive
-// component whose delta holds fewer than 4096 tuples run on the
-// calling goroutine and insert in place, because fanning them out
-// costs more than their join work.
+// (WithTrace) forces sequential evaluation.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.eval.Parallelism = n }
 }
-
-// DefaultParallelism reports the worker count used when WithParallelism
-// is unset: runtime.GOMAXPROCS(0) clamped to 8. Exposed so embedders
-// (idlogd) can resolve and clamp the effective value themselves.
-func DefaultParallelism() int { return core.DefaultParallelism() }
 
 // WithMagic enables (the default) or disables the magic-sets demand
 // rewrite for goal queries: with it on, Prepare/Query goals with bound

@@ -4,14 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 )
-
-// diskSeam reports whether the IDLOG_ENGINE=disk test seam is active;
-// it reroutes every public call through a fresh database (new version
-// stamp), so plan-cache hit assertions do not apply.
-func diskSeam() bool { return os.Getenv("IDLOG_ENGINE") == "disk" }
 
 // TestPreparedQueryMatchesQuery pins the prepared-query API: same rows
 // as Program.Query, typed parse errors, and actual plan-cache hits on
@@ -47,7 +41,7 @@ func TestPreparedQueryMatchesQuery(t *testing.T) {
 			t.Fatalf("run %d: prepared rows %v, want %v", i, got.Rows, want.Rows)
 		}
 	}
-	if hits, misses := pq.CacheStats(); !diskSeam() && (hits != 2 || misses != 1) {
+	if hits, misses := pq.CacheStats(); hits != 2 || misses != 1 {
 		t.Fatalf("plan cache: hits=%d misses=%d, want 2/1", hits, misses)
 	}
 
@@ -131,20 +125,18 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			}
 		}
 	}
-	if !diskSeam() {
-		var hits uint64
-		for _, pq := range prepared {
-			h, m := pq.CacheStats()
-			if h+m == 0 {
-				t.Fatal("prepared query never consulted its plan cache")
-			}
-			hits += h
+	var hits uint64
+	for _, pq := range prepared {
+		h, m := pq.CacheStats()
+		if h+m == 0 {
+			t.Fatal("prepared query never consulted its plan cache")
 		}
-		// Each round runs the same goal seq then parallel against one
-		// database version, so hits are guaranteed in-memory.
-		if hits == 0 {
-			t.Fatal("plan cache never hit across 40 rounds")
-		}
+		hits += h
+	}
+	// Each round runs the same goal seq then parallel against one
+	// database version, so hits are guaranteed.
+	if hits == 0 {
+		t.Fatal("plan cache never hit across 40 rounds")
 	}
 }
 
