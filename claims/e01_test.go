@@ -58,8 +58,8 @@ func TestE1SamplingQueries(t *testing.T) {
 		// complete runs and total derivations over the seeds.
 		pairComplete, pairDerivations int
 	}{
-		{4, 8, 11, 302},
-		{8, 16, 12, 620},
+		{4, 8, 15, 306},
+		{8, 16, 14, 628},
 	} {
 		db := empDB(c.depts, c.perDept)
 		complete, derivations := 0, 0

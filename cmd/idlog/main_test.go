@@ -217,8 +217,15 @@ func TestMain(m *testing.M) {
 // and returns its exit code, stdout and stderr.
 func runMain(t *testing.T, args string) (code int, stdout, stderr string) {
 	t.Helper()
+	return runMainInput(t, "", args)
+}
+
+// runMainInput is runMain with stdin read from input.
+func runMainInput(t *testing.T, input, args string) (code int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "IDLOG_TEST_MAIN_ARGS="+args)
+	cmd.Stdin = strings.NewReader(input)
 	var out, errOut strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
@@ -309,6 +316,82 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if line != stats {
 				t.Fatalf("%s: -parallel %d %s, want (-parallel 1) %s", name, p, line, stats)
 			}
+		}
+	}
+}
+
+// TestSeededAnswersIgnoreFactOrder runs a seeded sampling query over
+// the same emp facts written in two orders, each in a fresh process, so
+// the u-constants are interned in two different orders. The answers
+// must be byte-identical: the seeded oracle keys each member's tid on
+// its names, not on the numbers the symbol table happened to issue.
+func TestSeededAnswersIgnoreFactOrder(t *testing.T) {
+	var facts []string
+	for d := 0; d < 4; d++ {
+		for e := 0; e < 6; e++ {
+			facts = append(facts, fmt.Sprintf("emp(e%d_%d, d%d).", d, e, d))
+		}
+	}
+	prog := writeFile(t, "sample.idl", "s(N, D) :- emp[2](N, D, T), T < 2.\n")
+	var outs []string
+	for i, order := range [][]string{facts, reversed(facts), interleaved(facts)} {
+		f := writeFile(t, fmt.Sprintf("emp%d.facts", i), strings.Join(order, "\n")+"\n")
+		code, stdout, stderr := runMain(t, "-random -seed 7 -facts "+f+" "+prog)
+		if code != exitOK || !strings.Contains(stdout, "s{") {
+			t.Fatalf("order %d: exit %d:\n%s%s", i, code, stdout, stderr)
+		}
+		outs = append(outs, stdout)
+	}
+	for i, out := range outs[1:] {
+		if out != outs[0] {
+			t.Fatalf("order %d answers\n%s\nwant (file order)\n%s", i+1, out, outs[0])
+		}
+	}
+}
+
+func reversed(ss []string) []string {
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[len(ss)-1-i] = s
+	}
+	return out
+}
+
+// interleaved deals ss out odd positions first, then even ones.
+func interleaved(ss []string) []string {
+	var out []string
+	for start := 1; start >= 0; start-- {
+		for i := start; i < len(ss); i += 2 {
+			out = append(out, ss[i])
+		}
+	}
+	return out
+}
+
+// TestMagicOnOffAnswersAgree runs one REPL goal with the magic-sets
+// demand rewrite on (the default) and off (-magic=false): the sessions
+// print identical answers, three of them, and :plan's header names the
+// path that ran.
+func TestMagicOnOffAnswersAgree(t *testing.T) {
+	tcm := writeFile(t, "tcm.idl", "e(a, b). e(b, c). e(c, d).\ntc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n")
+	repl := func(input, flags string) string {
+		t.Helper()
+		code, stdout, stderr := runMainInput(t, input, "-i "+flags+"-facts "+tcm)
+		if code != exitOK {
+			t.Fatalf("idlog -i %s: exit %d:\n%s%s", flags, code, stdout, stderr)
+		}
+		return stdout
+	}
+	on, off := repl("?- tc(a, X).\n:quit\n", ""), repl("?- tc(a, X).\n:quit\n", "-magic=false ")
+	if on != off {
+		t.Fatalf("magic on answers\n%s\nmagic off answers\n%s", on, off)
+	}
+	if !strings.Contains(on, "3 answer(s)") {
+		t.Fatalf("want 3 answer(s):\n%s", on)
+	}
+	for flags, header := range map[string]string{"": "magic-sets rewrite active", "-magic=false ": "rewrite available but disabled"} {
+		if out := repl(":plan tc(a, X)\n:quit\n", flags); !strings.Contains(out, header) {
+			t.Fatalf(":plan with flags %q: want %q in\n%s", flags, header, out)
 		}
 	}
 }

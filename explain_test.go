@@ -5,13 +5,11 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"strings"
 	"testing"
 
 	"idlog/internal/core"
-	"idlog/internal/relation"
 )
 
 var updateExplainGolden = flag.Bool("update-explain", false, "rewrite testdata/explain_trees.golden")
@@ -57,19 +55,6 @@ const corpusProgram = `
 	staffed(D) :- emp(_, D).
 `
 
-// stableOracle is a RandomOracle whose per-group seed comes from the
-// group key's rendered values. RandomOracle hashes interned symbol
-// numbers, so its choices depend on what the test process interned
-// earlier; this oracle's choices depend only on the data: the key and
-// the group's size n.
-type stableOracle uint64
-
-func (o stableOracle) Permutation(rel string, cols []int, key Tuple, n int) []int {
-	h := fnv.New64a()
-	h.Write([]byte(key.String()))
-	return relation.RandomOracle{Seed: uint64(o) ^ h.Sum64()}.Permutation(rel, cols, nil, n)
-}
-
 type corpusWorkload struct {
 	name string
 	prog *Program
@@ -84,7 +69,7 @@ func paperCorpus(t *testing.T) []corpusWorkload {
 	for _, ex := range paperExamples {
 		prog := mustParse(t, ex.src)
 		ws = append(ws, corpusWorkload{ex.name, prog, nil})
-		ws = append(ws, corpusWorkload{ex.name + "-seeded", prog, []Option{WithOracle(stableOracle(42))}})
+		ws = append(ws, corpusWorkload{ex.name + "-seeded", prog, []Option{WithSeed(42)}})
 	}
 	ex8, err := mustParse(t, paperExamples[5].src).Optimize("q")
 	if err != nil {

@@ -70,12 +70,19 @@ type (
 	// Relation is a set of tuples.
 	Relation = relation.Relation
 	// Oracle chooses ID-functions; see SortedOracle and RandomOracle.
-	// Its one method, Permutation(rel, cols, key, n), numbers a group's
-	// canonical ranks from the relation name, the grouping columns, the
-	// group's key and its size alone: rank i (the i-th smallest member)
-	// gets tid perm[i]. It never sees the members, so a bounded
-	// ID-literal orders only the ranks it keeps.
+	// Its one method, Numbering(rel, cols), is asked once per
+	// materialization of a relation on its grouping columns and
+	// returns a Numbering for all of its groups.
 	Oracle = relation.Oracle
+	// Numbering is an Oracle's answer, in one of two forms. A priority
+	// numbering (Perm nil) gives member t the priority
+	// t.ContentHash(Salt), a hash of the salt and t's values by
+	// content, and numbers each group in priority order: RandomOracle's
+	// form, which a bounded ID-literal reads as a one-pass top-k per
+	// group. A rank numbering (Perm set) returns, from a group's key
+	// and size n, a permutation perm of 0..n-1, and rank i (the i-th
+	// smallest member) gets tid perm[i].
+	Numbering = relation.Numbering
 	// Value is a two-sorted constant.
 	Value = value.Value
 	// Tuple is a sequence of values.
@@ -131,7 +138,9 @@ func Ints(ns ...int64) Tuple { return value.Ints(ns...) }
 func SortedOracle() Oracle { return relation.SortedOracle{} }
 
 // RandomOracle returns the seeded pseudo-random oracle behind sampling
-// queries; equal seeds give equal runs.
+// queries: a priority numbering keyed on each member's content, so
+// equal seeds give equal runs over equal data, whatever order the
+// facts were loaded in.
 func RandomOracle(seed uint64) Oracle { return relation.RandomOracle{Seed: seed} }
 
 // Program is a parsed and checked program, ready for evaluation.

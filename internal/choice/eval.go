@@ -77,16 +77,14 @@ func (p *plan) choiceRelations(db *core.Database, opts Options) (map[string]*rel
 // oracle: exactly the tuples that receive tid 0 under the oracle's
 // ID-function, which is a functional subset w.r.t. domain → range.
 func functionalSubset(ext *relation.Relation, domainCols []int, o relation.Oracle) (*relation.Relation, error) {
-	idr, err := relation.MaterializeID(ext, ext.Name()+"_id", domainCols, o)
+	idr, err := relation.MaterializeIDBounded(ext, ext.Name()+"_id", domainCols, o, 1)
 	if err != nil {
 		return nil, err
 	}
 	sel := relation.New(ext.Name(), ext.Arity())
 	tidCol := ext.Arity()
 	for _, t := range idr.Tuples() {
-		if t[tidCol].Equal(value.Int(0)) {
-			sel.MustInsert(t[:tidCol])
-		}
+		sel.MustInsert(t[:tidCol])
 	}
 	return sel, nil
 }

@@ -441,8 +441,9 @@ func (cs *CompiledStratum) Propagate(st *IncrState, ins map[string]*relation.Rel
 // This is the incremental layer's fallback for strata the delta/DRed
 // machinery cannot maintain (ID-literals, or negation over a changed
 // stratum). Oracle stability for untouched groups is the oracle's
-// contract: RandomOracle keys its permutation on group content, so
-// groups the update did not touch keep their ID assignment.
+// contract: RandomOracle keys each member's priority on its content
+// and SortedOracle numbers canonical order, so groups the update did
+// not touch keep their ID assignment.
 func EvalStrata(info *analysis.Info, st *IncrState, from int, opts Options) (err error) {
 	g := opts.guard()
 	if st.Guard != nil {

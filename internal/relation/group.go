@@ -30,57 +30,28 @@ func (r *Relation) Groups(cols []int) []Group {
 	return gs
 }
 
-// group partitions r by its projection onto cols: groups in canonical
-// key order, each group's members in position order. Tuples are
-// bucketed by ProjectHash and chained on Equal projections when hashes
-// collide, as secondary indexes do, so no key is encoded. Keys and
-// members are carved from one backing slice each; every member slice is
-// capped at its own length.
+// group partitions r by its projection onto cols (see grouper): groups
+// in canonical key order, each group's members in position order. Keys
+// and members are carved from one backing slice each; every member
+// slice is capped at its own length.
 func (r *Relation) group(cols []int) []Group {
 	n := r.Len()
 	if n == 0 {
 		return nil
 	}
-	tuples := r.tuples // an in-memory relation's positions are its slice
-	if r.src != nil {
-		tuples = r.materialized()
-	}
+	tuples := r.positions()
 	gids := make([]int32, n)
-	heads := make(map[uint64]int32)
-	var reps []value.Tuple // one member of each group, by first appearance
-	var next []int32       // hash-collision chain of group ids, -1 ends
+	gr := newGrouper(cols)
 	var sizes []int
 	for i, t := range tuples {
-		h := t.ProjectHash(cols)
-		head, ok := heads[h]
-		gid := int32(-1)
-		if ok {
-			for g := head; g >= 0; g = next[g] {
-				if sameProjection(reps[g], t, cols) {
-					gid = g
-					break
-				}
-			}
-		}
-		if gid < 0 {
-			gid = int32(len(reps))
-			reps = append(reps, t)
+		gid := gr.id(t)
+		if int(gid) == len(sizes) {
 			sizes = append(sizes, 0)
-			if !ok {
-				head = -1
-			}
-			next = append(next, head)
-			heads[h] = gid
 		}
 		sizes[gid]++
 		gids[i] = gid
 	}
-
-	order := make([]int32, len(reps))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return compareProjection(reps[a], reps[b], cols) })
+	reps, order := gr.reps, gr.sorted()
 
 	out := make([]Group, len(reps))
 	keys := make(value.Tuple, len(reps)*len(cols))
@@ -101,6 +72,60 @@ func (r *Relation) group(cols []int) []Group {
 		fill[gids[i]]++
 	}
 	return out
+}
+
+// grouper numbers the distinct projections of tuples onto cols, in
+// order of first appearance. Tuples are bucketed by ProjectHash and
+// chained on equal projections when hashes collide, as secondary
+// indexes do, so no key is encoded.
+type grouper struct {
+	cols  []int
+	heads map[uint64]int32
+	reps  []value.Tuple // one member of each group
+	next  []int32       // hash-collision chain of group ids, -1 ends
+}
+
+func newGrouper(cols []int) grouper {
+	return grouper{cols: cols, heads: make(map[uint64]int32)}
+}
+
+// id returns t's group id; a new projection gets the next id.
+func (gr *grouper) id(t value.Tuple) int32 {
+	h := t.ProjectHash(gr.cols)
+	head, ok := gr.heads[h]
+	if ok {
+		for g := head; g >= 0; g = gr.next[g] {
+			if sameProjection(gr.reps[g], t, gr.cols) {
+				return g
+			}
+		}
+	} else {
+		head = -1
+	}
+	g := int32(len(gr.reps))
+	gr.reps = append(gr.reps, t)
+	gr.next = append(gr.next, head)
+	gr.heads[h] = g
+	return g
+}
+
+// sorted returns the group ids in canonical key order.
+func (gr *grouper) sorted() []int32 {
+	order := make([]int32, len(gr.reps))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return compareProjection(gr.reps[a], gr.reps[b], gr.cols) })
+	return order
+}
+
+// positions returns r's tuples in position order: an in-memory
+// relation's own slice, or a source-backed one's materialized copy.
+func (r *Relation) positions() []value.Tuple {
+	if r.src != nil {
+		return r.materialized()
+	}
+	return r.tuples
 }
 
 // sameProjection reports whether a and b agree on cols.

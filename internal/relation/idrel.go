@@ -24,44 +24,79 @@ func MaterializeID(r *Relation, name string, cols []int, o Oracle) (*Relation, e
 // implements the optimization of the paper's footnote 6: a query such
 // as "emp[2](N, D, T), T < 2" provably never reads tids ≥ 2, so only
 // two tuples per group need to exist. bound = 0 materializes the full
-// ID-relation. The oracle numbers a group's canonical ranks from its
-// key and size alone, so a bounded group is never sorted: the members
-// of the ranks that receive a tid < bound are selected in place, and
-// the rest stay unordered. The pruned relation is exactly the
-// restriction of the full one to tids < bound, in the same order:
-// groups by key, then members by canonical rank.
+// ID-relation. The pruned relation is exactly the restriction of the
+// full one to tids < bound, in the same order: groups by key, then
+// members by tid under a priority numbering, or by canonical rank
+// under a rank numbering (see Numbering).
+//
+// Neither numbering sorts a bounded group. Under a priority numbering
+// a small bound keeps the bound lowest priorities of every group in one
+// pass over r, and collects no group; under a rank numbering the
+// members of the ranks that receive a tid < bound are selected in
+// place, and the rest stay unordered.
 func MaterializeIDBounded(r *Relation, name string, cols []int, o Oracle, bound int) (*Relation, error) {
 	for _, c := range cols {
 		if c < 0 || c >= r.arity {
 			return nil, fmt.Errorf("ID-relation of %s: grouping column %d out of range for arity %d", r.name, c+1, r.arity)
 		}
 	}
+	nb := o.Numbering(r.name, cols)
+	switch {
+	case nb.Perm != nil:
+		return materializeRanked(r, name, cols, nb.Perm, bound)
+	case bound > 0 && bound <= maxTopK:
+		return materializeTopK(r, name, cols, nb.Salt, bound), nil
+	default:
+		return materializePriority(r, name, cols, nb.Salt, bound), nil
+	}
+}
+
+// maxTopK is the largest bound materializeTopK serves. It keeps bound
+// slots per group, so a larger bound over many small groups would
+// reserve more than the members it keeps; such bounds sort each group.
+const maxTopK = 8
+
+// idWriter inserts the tuples of an ID-relation, each its base tuple
+// extended with a tid, carving them from one backing array.
+type idWriter struct {
+	out   *Relation
+	vals  value.Tuple
+	arity int
+}
+
+func newIDWriter(name string, arity, count int) idWriter {
+	return idWriter{out: NewSized(name, arity+1, count), vals: make(value.Tuple, count*(arity+1)), arity: arity}
+}
+
+func (w *idWriter) emit(t value.Tuple, tid int) {
+	width := w.arity + 1
+	ext := w.vals[:width:width]
+	w.vals = w.vals[width:]
+	copy(ext, t)
+	ext[w.arity] = value.Int(int64(tid))
+	w.out.MustInsert(ext)
+}
+
+// materializeRanked numbers every group's canonical ranks with the
+// permutation permOf returns for it.
+func materializeRanked(r *Relation, name string, cols []int, permOf func(value.Tuple, int) []int, bound int) (*Relation, error) {
 	groups := r.group(cols)
 	count := 0
 	for _, g := range groups {
 		count += emitted(len(g.Members), bound)
 	}
-	width := r.arity + 1
-	out := NewSized(name, width, count)
-	vals := make(value.Tuple, count*width)
-	emit := func(t value.Tuple, tid int) {
-		ext := vals[:width:width]
-		vals = vals[width:]
-		copy(ext, t)
-		ext[r.arity] = value.Int(int64(tid))
-		out.MustInsert(ext)
-	}
+	w := newIDWriter(name, r.arity, count)
 	var ranks []int
 	for _, g := range groups {
 		n := len(g.Members)
-		perm := o.Permutation(r.name, cols, g.Key, n)
+		perm := permOf(g.Key, n)
 		if err := checkPerm(perm, n); err != nil {
 			return nil, fmt.Errorf("ID-relation of %s on %v: %w", r.name, cols, err)
 		}
 		if emitted(n, bound) == n {
 			slices.SortFunc(g.Members, value.Tuple.Compare)
 			for rank, t := range g.Members {
-				emit(t, perm[rank])
+				w.emit(t, perm[rank])
 			}
 			continue
 		}
@@ -73,10 +108,109 @@ func MaterializeIDBounded(r *Relation, name string, cols []int, o Oracle, bound 
 		}
 		selectRanks(g.Members, 0, ranks, 2*bits.Len(uint(n)))
 		for _, rank := range ranks {
-			emit(g.Members[rank], perm[rank])
+			w.emit(g.Members[rank], perm[rank])
 		}
 	}
-	return out, nil
+	return w.out, nil
+}
+
+// prioritized is a member with its priority under a priority numbering.
+type prioritized struct {
+	p uint64
+	t value.Tuple
+}
+
+// comparePrioritized orders members by tid: by priority, then, on a
+// hash collision, canonically.
+func comparePrioritized(a, b prioritized) int {
+	switch {
+	case a.p < b.p:
+		return -1
+	case a.p > b.p:
+		return 1
+	}
+	return a.t.Compare(b.t)
+}
+
+// materializePriority sorts every group by priority and emits the
+// members below the bound (all of them at bound 0) in tid order.
+func materializePriority(r *Relation, name string, cols []int, salt uint64, bound int) *Relation {
+	groups := r.group(cols)
+	count := 0
+	for _, g := range groups {
+		count += emitted(len(g.Members), bound)
+	}
+	w := newIDWriter(name, r.arity, count)
+	var ranked []prioritized
+	for _, g := range groups {
+		ranked = ranked[:0]
+		for _, t := range g.Members {
+			ranked = append(ranked, prioritized{t.ContentHash(salt), t})
+		}
+		slices.SortFunc(ranked, comparePrioritized)
+		for tid, m := range ranked[:emitted(len(ranked), bound)] {
+			w.emit(m.t, tid)
+		}
+	}
+	return w.out
+}
+
+// topSlot is a member a group keeps: its priority and its position in
+// the base.
+type topSlot struct {
+	p   uint64
+	pos int32
+}
+
+// materializeTopK keeps the k lowest priorities of every group in one
+// pass over r: each group found by a grouper holds k slots sorted by
+// (priority, canonical order), and a member is compared canonically
+// only when its priority ties a kept one's. Groups are then emitted in
+// key order, each one's slots in tid order.
+func materializeTopK(r *Relation, name string, cols []int, salt uint64, k int) *Relation {
+	tuples := r.positions()
+	gr := newGrouper(cols)
+	var kept []int      // slots filled per group, ≤ k
+	var slots []topSlot // k per group, group g's at [g*k, g*k+k)
+	for i, t := range tuples {
+		gid := int(gr.id(t))
+		if gid == len(kept) {
+			kept = append(kept, 0)
+			for range k {
+				slots = append(slots, topSlot{})
+			}
+		}
+		p := t.ContentHash(salt)
+		top := slots[gid*k : gid*k+k]
+		before := func(s topSlot) bool {
+			return p < s.p || p == s.p && t.Compare(tuples[s.pos]) < 0
+		}
+		j := kept[gid]
+		if j == k {
+			if !before(top[k-1]) {
+				continue
+			}
+			j--
+		} else {
+			kept[gid]++
+		}
+		for ; j > 0 && before(top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = topSlot{p, int32(i)}
+	}
+
+	count := 0
+	for _, n := range kept {
+		count += n
+	}
+	w := newIDWriter(name, r.arity, count)
+	for _, g := range gr.sorted() {
+		for tid, s := range slots[int(g)*k : int(g)*k+kept[g]] {
+			w.emit(tuples[s.pos], tid)
+		}
+	}
+	return w.out
 }
 
 // emitted is the number of tuples a group of n members contributes to

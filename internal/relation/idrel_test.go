@@ -81,7 +81,9 @@ func TestMaterializeRejectsBadColumns(t *testing.T) {
 
 type brokenOracle struct{}
 
-func (brokenOracle) Permutation(string, []int, value.Tuple, int) []int { return []int{0, 0, 0} }
+func (brokenOracle) Numbering(string, []int) Numbering {
+	return Numbering{Perm: func(value.Tuple, int) []int { return []int{0, 0, 0} }}
+}
 
 func TestMaterializeRejectsBrokenOracle(t *testing.T) {
 	if _, err := MaterializeID(emp(), "x", []int{1}, brokenOracle{}); err == nil {
@@ -281,19 +283,36 @@ func refGroups(r *Relation, cols []int) []Group {
 	return out
 }
 
-// refMaterialize is the sort-everything materializer that selection
-// replaced: every group is sorted whole, the oracle numbers its
-// canonical members, and the tuples with a tid under the bound are
-// emitted in canonical order.
+// refMaterialize is the sort-everything materializer: every group is
+// sorted whole and numbered, and the tuples with a tid under the bound
+// are emitted. Under a rank numbering the oracle numbers the group's
+// canonical members, emitted in canonical order; under a priority
+// numbering each member's priority is hashed from its rendered values,
+// the group is sorted on (priority, canonical order), and members are
+// emitted in that order, tid 0 first.
 func refMaterialize(r *Relation, name string, cols []int, o Oracle, bound int) (*Relation, error) {
 	for _, c := range cols {
 		if c < 0 || c >= r.arity {
 			return nil, fmt.Errorf("grouping column %d out of range", c+1)
 		}
 	}
+	nb := o.Numbering(r.name, cols)
 	out := New(name, r.arity+1)
 	for _, g := range refGroups(r, cols) {
-		perm := o.Permutation(r.name, cols, g.Key, len(g.Members))
+		if nb.Perm == nil {
+			ms := slices.Clone(g.Members)
+			sort.SliceStable(ms, func(a, b int) bool {
+				pa, pb := refPriority(nb.Salt, ms[a]), refPriority(nb.Salt, ms[b])
+				return pa < pb || pa == pb && ms[a].Compare(ms[b]) < 0
+			})
+			for tid, t := range ms {
+				if bound == 0 || tid < bound {
+					out.MustInsert(append(t.Clone(), value.Int(int64(tid))))
+				}
+			}
+			continue
+		}
+		perm := nb.Perm(g.Key, len(g.Members))
 		if err := checkPerm(perm, len(g.Members)); err != nil {
 			return nil, err
 		}
@@ -305,6 +324,36 @@ func refMaterialize(r *Relation, name string, cols []int, o Oracle, bound int) (
 		}
 	}
 	return out, nil
+}
+
+// refPriority is a member's priority computed from the definition: the
+// salt folded with each value's content hash, a u-constant's from its
+// name (FNV-1a and the splitmix64 finalizer) and an i-constant's from
+// its number, each tagged by sort and mixed.
+func refPriority(salt uint64, t value.Tuple) uint64 {
+	mix := func(x uint64) uint64 {
+		x ^= x >> 30
+		x *= 0xBF58476D1CE4E5B9
+		x ^= x >> 27
+		x *= 0x94D049BB133111EB
+		return x ^ x>>31
+	}
+	h := salt
+	for _, v := range t {
+		var c uint64
+		if v.IsInt() {
+			c = mix(uint64(v.Num) ^ 0xC2B2AE3D27D4EB4F)
+		} else {
+			f := uint64(1469598103934665603)
+			for _, b := range []byte(v.String()) {
+				f ^= uint64(b)
+				f *= 1099511628211
+			}
+			c = mix(mix(f) ^ 0x9E3779B97F4A7C15)
+		}
+		h = mix(h ^ c)
+	}
+	return h
 }
 
 // sameTuples reports the first difference between two tuple sequences,
@@ -567,8 +616,9 @@ func idlitRelation(depts, perDept int) *Relation {
 }
 
 // TestMaterializeBoundedAllocs pins the allocation count of a bounded
-// materialization with 50 groups of 100: grouping and selection
-// allocate per group and per call, not per base tuple.
+// materialization with 50 groups of 100 under the seeded oracle: the
+// one-pass top-k allocates per call and per growth of its group table,
+// never per group or per base tuple.
 func TestMaterializeBoundedAllocs(t *testing.T) {
 	r := idlitRelation(50, 100)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -577,8 +627,173 @@ func TestMaterializeBoundedAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations for %d base tuples", allocs, r.Len())
-	if perTuple := allocs / float64(r.Len()); perTuple >= 0.5 {
-		t.Fatalf("%.0f allocations for %d base tuples (%.2f per tuple), want < 0.5 per tuple", allocs, r.Len(), perTuple)
+	if allocs > 64 {
+		t.Fatalf("%.0f allocations for %d base tuples in 50 groups, want at most 64", allocs, r.Len())
+	}
+}
+
+// restrict returns the tuples of an ID-relation whose tid is below
+// bound, in insertion order.
+func restrict(idr *Relation, bound int) []value.Tuple {
+	var out []value.Tuple
+	for _, t := range idr.Tuples() {
+		if t[len(t)-1].Num < int64(bound) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TestBoundedIsRestrictionOfFull checks, for rank and priority oracles
+// alike, that an ID-relation pruned at every bound from 1 to past the
+// largest group holds exactly the full ID-relation's tuples with a tid
+// under the bound, in the same order: the bounds up to maxTopK take
+// the one-pass top-k under the seeded oracle, the larger ones sort
+// each group.
+func TestBoundedIsRestrictionOfFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 30; trial++ {
+		arity := 1 + rng.Intn(3)
+		var cols []int
+		for _, c := range rng.Perm(arity) {
+			if rng.Intn(2) == 0 {
+				cols = append(cols, c)
+			}
+		}
+		r := FromTuples("p", arity, idCaseTuples(rng, arity, cols)...)
+		for _, mk := range idOracles(rng, r, cols) {
+			full, err := MaterializeIDBounded(r, "p_id", cols, mk(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bound := range []int{1, 2, 3, maxTopK, maxTopK + 1, 20, 400} {
+				pruned, err := MaterializeIDBounded(r, "p_id", cols, mk(), bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameTuples(pruned.Tuples(), restrict(full, bound)); err != nil {
+					t.Fatalf("trial %d oracle %T cols %v bound %d: %v", trial, mk(), cols, bound, err)
+				}
+			}
+		}
+	}
+}
+
+// TestPriorityGroupsAreLocal checks that under the seeded oracle a
+// group's tids depend on its members alone: every group, presented as
+// a relation of its own in a shuffled insertion order, materializes to
+// exactly its tuples in the whole relation's ID-relation, at every
+// bound.
+func TestPriorityGroupsAreLocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		arity := 1 + rng.Intn(3)
+		cols := []int{rng.Intn(arity)}
+		r := FromTuples("p", arity, idCaseTuples(rng, arity, cols)...)
+		o := RandomOracle{Seed: rng.Uint64()}
+		for _, bound := range []int{0, 1, 2, 5, 12} {
+			whole, err := MaterializeIDBounded(r, "p_id", cols, o, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range refGroups(r, cols) {
+				members := slices.Clone(g.Members)
+				rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+				alone, err := MaterializeIDBounded(FromTuples("p", arity, members...), "p_id", cols, o, bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []value.Tuple
+				for _, tp := range whole.Tuples() {
+					if tp.Project(cols).Equal(g.Key) {
+						want = append(want, tp)
+					}
+				}
+				if err := sameTuples(alone.Tuples(), want); err != nil {
+					t.Fatalf("trial %d bound %d group %v alone: %v", trial, bound, g.Key, err)
+				}
+			}
+		}
+	}
+}
+
+// TestRandomOracleTidZeroIsUniform draws the tid-0 member of one
+// five-member group under seeds 0-9 999 and requires the counts to pass
+// a χ² test at 4 degrees of freedom against 18.47, the p = 0.001
+// critical value. The seeds are fixed, so the test cannot flake.
+func TestRandomOracleTidZeroIsUniform(t *testing.T) {
+	const seeds, k = 10000, 5
+	r := New("emp", 2)
+	for i := 0; i < k; i++ {
+		r.MustInsert(value.Strs(fmt.Sprintf("e0_%d", i), "dept0"))
+	}
+	var counts [k]int
+	for seed := uint64(0); seed < seeds; seed++ {
+		idr, err := MaterializeIDBounded(r, "emp_id", []int{1}, RandomOracle{Seed: seed}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[r.Lookup(idr.At(0)[:2])]++
+	}
+	chi2 := 0.0
+	for _, c := range counts {
+		d := float64(c) - seeds/k
+		chi2 += d * d / (seeds / k)
+	}
+	t.Logf("tid-0 counts %v, χ² = %.2f", counts, chi2)
+	if chi2 >= 18.47 {
+		t.Fatalf("tid-0 counts %v give χ² = %.2f at df 4, want < 18.47", counts, chi2)
+	}
+}
+
+// TestPrioritySampleChangesByOneTuple inserts one member into a
+// relation and checks that the bound-2 sample of the seeded oracle
+// changes by at most one base tuple in and one out, and only in the
+// group the member joined: every other group keeps its tuples and tids.
+func TestPrioritySampleChangesByOneTuple(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	changed := 0
+	for trial := 0; trial < 200; trial++ {
+		tuples := idCaseTuples(rng, 2, []int{1})
+		r := FromTuples("p", 2, tuples...)
+		o := RandomOracle{Seed: uint64(trial)}
+		before, err := MaterializeIDBounded(r, "p_id", []int{1}, o, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added := value.Tuple{value.Str(fmt.Sprintf("added_%d", trial)), tuples[rng.Intn(len(tuples))][1]}
+		if rng.Intn(4) == 0 {
+			added[1] = value.Str("a_group_of_its_own")
+		}
+		r.MustInsert(added)
+		after, err := MaterializeIDBounded(r, "p_id", []int{1}, o, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, out := 0, 0
+		for _, pair := range []struct {
+			from, to *Relation
+			n        *int
+		}{{after, before, &in}, {before, after, &out}} {
+			for _, tp := range pair.from.Tuples() {
+				if !tp[1].Equal(added[1]) {
+					if !pair.to.Contains(tp) {
+						t.Fatalf("trial %d: %v changed outside the group %v joined", trial, tp, added)
+					}
+					continue
+				}
+				if !slices.ContainsFunc(pair.to.Tuples(), func(u value.Tuple) bool { return u[:2].Equal(tp[:2]) }) {
+					*pair.n++
+				}
+			}
+		}
+		if in > 1 || out > 1 {
+			t.Fatalf("trial %d: inserting %v moved %d tuples into and %d out of the bound-2 sample", trial, added, in, out)
+		}
+		changed += in
+	}
+	if changed == 0 {
+		t.Fatalf("no insertion entered a sample; the test checks nothing")
 	}
 }
 

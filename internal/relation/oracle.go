@@ -20,19 +20,42 @@ func colsSig(cols []int) string {
 	return b.String()
 }
 
-// An Oracle chooses ID-functions (§2.1): for every sub-relation it yields
-// a permutation assigning tuple-identifiers 0..n-1 to the group's members.
+// An Oracle chooses ID-functions (§2.1): for every sub-relation it
+// assigns tuple-identifiers 0..n-1 to the group's n members. The IDLOG
+// query's non-determinism is exactly the oracle's freedom here.
 //
-// Permutation receives the relation name, the grouping columns, the
-// group's key and its size n, and must return a slice perm of length n
-// that is a permutation of 0..n-1: the member of canonical rank i (the
-// i-th smallest under value.Tuple.Compare) gets tid perm[i]. The oracle
-// never sees the members themselves, so the engine can ask for the
-// permutation before it orders any member, and then order only the
-// ranks it emits. The IDLOG query's non-determinism is exactly the
-// oracle's freedom here.
+// The engine asks Numbering once per materialization of relation rel
+// grouped on the 0-based columns cols, and numbers every group of that
+// materialization with the answer.
 type Oracle interface {
-	Permutation(rel string, cols []int, key value.Tuple, n int) []int
+	Numbering(rel string, cols []int) Numbering
+}
+
+// A Numbering is an oracle's ID-function for every group of one
+// relation on one column list. It takes one of two forms.
+//
+// A priority numbering (Perm nil) ranks members by content: member t
+// has the priority t.ContentHash(Salt), and its tid is its rank within
+// its group under (priority, canonical order), where the canonical
+// order (value.Tuple.Compare) only breaks the ties of a hash collision.
+// A priority reads nothing but t and the salt, so a group's tids depend
+// only on its members, never on the rest of the relation or on intern
+// order, and adding or removing one member moves at most one tuple
+// into or out of the tids below any bound. A bounded ID-literal keeps
+// the k lowest priorities of each group in one pass, without ordering
+// or even collecting the group.
+//
+// A rank numbering (Perm non-nil) numbers canonical ranks: Perm(key, n)
+// returns, for the group with the given key and n members, a
+// permutation perm of 0..n-1, and the member of canonical rank i (the
+// i-th smallest under value.Tuple.Compare) gets tid perm[i]. It never
+// sees the members, so a bounded ID-literal orders only the ranks that
+// receive a tid under the bound.
+type Numbering struct {
+	// Salt keys the priorities of a priority numbering.
+	Salt uint64
+	// Perm, when non-nil, makes the numbering a rank numbering.
+	Perm func(key value.Tuple, n int) []int
 }
 
 // SortedOracle assigns tids in canonical tuple order (member i gets tid
@@ -40,47 +63,43 @@ type Oracle interface {
 // under SortedOracle computes the same perfect model.
 type SortedOracle struct{}
 
-// Permutation implements Oracle with the identity permutation.
-func (SortedOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
-	return identityPerm(n)
+// Numbering implements Oracle with the identity permutation.
+func (SortedOracle) Numbering(string, []int) Numbering {
+	return Numbering{Perm: func(_ value.Tuple, n int) []int { return identityPerm(n) }}
 }
 
 // ReverseOracle assigns tids in reverse canonical order. It is mainly
 // useful in tests that need a second, different deterministic assignment.
 type ReverseOracle struct{}
 
-// Permutation implements Oracle.
-func (ReverseOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = n - 1 - i
-	}
-	return perm
+// Numbering implements Oracle.
+func (ReverseOracle) Numbering(string, []int) Numbering {
+	return Numbering{Perm: func(_ value.Tuple, n int) []int {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = n - 1 - i
+		}
+		return perm
+	}}
 }
 
-// RandomOracle draws a pseudo-random ID-function per group, deterministically
-// derived from (seed, relation, columns, group key) so that a run is
-// reproducible from its seed and independent of evaluation order. This is
-// the oracle behind sampling queries (§3.3).
+// RandomOracle draws a pseudo-random ID-function per group: a priority
+// numbering salted from (seed, relation, columns). Every member's
+// priority is a hash of the salt and the member's content, so a run is
+// reproducible from its seed and independent of evaluation, insertion
+// and intern order, and the ranks of a group are a uniformly random
+// permutation. This is the oracle behind sampling queries (§3.3).
 type RandomOracle struct {
 	Seed uint64
 }
 
-// Permutation implements Oracle with a Fisher–Yates shuffle seeded from a
-// hash of the group's identity.
-func (o RandomOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
+// Numbering implements Oracle.
+func (o RandomOracle) Numbering(rel string, cols []int) Numbering {
 	h := splitmix64(o.Seed ^ hashString(rel))
-	h ^= hashString(colsSig(cols))
-	h = splitmix64(h ^ hashString(key.Key()))
-	perm := identityPerm(n)
-	// Fisher–Yates driven by a splitmix64 stream.
-	state := h
-	for i := len(perm) - 1; i > 0; i-- {
-		state = splitmix64(state)
-		j := int(state % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
+	for _, c := range cols {
+		h = splitmix64(h ^ uint64(c))
 	}
-	return perm
+	return Numbering{Salt: h}
 }
 
 // FixedOracle replays explicitly chosen permutations and is used by the
@@ -98,16 +117,25 @@ type FixedOracle struct {
 
 // GroupKey builds the stable addressing key used by FixedOracle.
 func GroupKey(rel string, cols []int, key value.Tuple) string {
-	return fmt.Sprintf("%s[%s]%s", rel, colsSig(cols), key.Key())
+	return groupPrefix(rel, cols) + key.Key()
 }
 
-// Permutation implements Oracle.
-func (o *FixedOracle) Permutation(rel string, cols []int, key value.Tuple, n int) []int {
-	k := GroupKey(rel, cols, key)
-	if o.Observed != nil {
-		o.Observed[k] = n
-	}
-	return PermByIndex(n, o.Choices[k])
+// groupPrefix is the part of GroupKey shared by every group of rel on
+// cols.
+func groupPrefix(rel string, cols []int) string {
+	return rel + "[" + colsSig(cols) + "]"
+}
+
+// Numbering implements Oracle.
+func (o *FixedOracle) Numbering(rel string, cols []int) Numbering {
+	prefix := groupPrefix(rel, cols)
+	return Numbering{Perm: func(key value.Tuple, n int) []int {
+		k := prefix + key.Key()
+		if o.Observed != nil {
+			o.Observed[k] = n
+		}
+		return PermByIndex(n, o.Choices[k])
+	}}
 }
 
 // PermByIndex returns the idx-th permutation of 0..n-1 in Lehmer-code
@@ -154,8 +182,8 @@ func identityPerm(n int) []int {
 	return perm
 }
 
-// splitmix64 is the SplitMix64 mixing function; a tiny, well-distributed
-// PRNG step that keeps RandomOracle free of math/rand global state.
+// splitmix64 is the SplitMix64 mixing function: one well-distributed
+// step that RandomOracle derives its salts with.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	z := x

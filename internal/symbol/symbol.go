@@ -26,23 +26,28 @@ const None ID = 0
 
 // Table interns strings to dense IDs. It is safe for concurrent use.
 //
-// Name is lock-free. Slot i of the names array holds the name of ID i;
-// a slot is written once, under mu, before n grows to cover it, and
-// never again. Growing the array copies it and publishes the copy
-// before n moves past the old length, so a reader that loads n first
-// and the array second always finds its slot filled.
+// Name and Hash are lock-free. Slot i of the names and hashes arrays
+// holds the name of ID i and its content hash; a slot is written once,
+// under mu, before n grows to cover it, and never again. Growing the
+// arrays copies them and publishes the copies before n moves past the
+// old length, so a reader that loads n first and an array second
+// always finds its slot filled. The hashes sit in an array of their
+// own so that the names array, which sorting reads at random, stays as
+// dense as a plain []string.
 type Table struct {
-	mu    sync.RWMutex // guards ids and writes of names and n
-	ids   map[string]ID
-	names atomic.Pointer[[]string] // slot 0 is the reserved ID
-	n     atomic.Uint32            // IDs issued, the reserved one included
+	mu     sync.RWMutex // guards ids and writes of names, hashes and n
+	ids    map[string]ID
+	names  atomic.Pointer[[]string] // slot 0 is the reserved ID
+	hashes atomic.Pointer[[]uint64] // as long as names
+	n      atomic.Uint32            // IDs issued, the reserved one included
 }
 
 // NewTable returns an empty symbol table.
 func NewTable() *Table {
 	t := &Table{ids: make(map[string]ID)}
-	names := make([]string, 64)
+	names, hashes := make([]string, 64), make([]uint64, 64)
 	t.names.Store(&names)
+	t.hashes.Store(&hashes)
 	t.n.Store(1)
 	return t
 }
@@ -50,18 +55,37 @@ func NewTable() *Table {
 // add issues the next ID to name; t.mu is held. name must not alias a
 // larger string: the table keeps it for the life of the process.
 func (t *Table) add(name string) ID {
-	names := *t.names.Load()
+	names, hashes := *t.names.Load(), *t.hashes.Load()
 	id := ID(t.n.Load())
 	if int(id) == len(names) {
-		grown := make([]string, 2*len(names))
+		grown, grownHashes := make([]string, 2*len(names)), make([]uint64, 2*len(names))
 		copy(grown, names)
-		names = grown
+		copy(grownHashes, hashes)
+		names, hashes = grown, grownHashes
 		t.names.Store(&grown)
+		t.hashes.Store(&grownHashes)
 	}
 	names[id] = name
+	hashes[id] = hashName(name)
 	t.ids[name] = id
 	t.n.Store(uint32(id) + 1)
 	return id
+}
+
+// hashName is FNV-1a over the name's bytes followed by the splitmix64
+// finalizer, so every output bit depends on every byte. It reads only
+// the name, so the same name hashes alike in every table and process.
+func hashName(name string) uint64 {
+	h := uint64(1469598103934665603)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	return h ^ h>>31
 }
 
 // Intern returns the ID for name, creating it if necessary. A new name
@@ -118,6 +142,18 @@ func (t *Table) Name(id ID) string {
 	return (*t.names.Load())[id]
 }
 
+// Hash returns the content hash of id's name without taking a lock: a
+// 64-bit hash computed once, at intern, from the name alone. Unlike the
+// ID, which depends on the order names were interned in, it is the same
+// for a name in every table and every process. Unknown or reserved IDs
+// hash to 0.
+func (t *Table) Hash(id ID) uint64 {
+	if id == None || uint32(id) >= t.n.Load() {
+		return 0
+	}
+	return (*t.hashes.Load())[id]
+}
+
 // Len reports the number of interned symbols (excluding the reserved slot).
 func (t *Table) Len() int { return int(t.n.Load()) - 1 }
 
@@ -150,3 +186,6 @@ func InternBytes(name []byte) ID { return defaultTable.InternBytes(name) }
 
 // Name resolves id in the default table.
 func Name(id ID) string { return defaultTable.Name(id) }
+
+// Hash returns the content hash of id in the default table.
+func Hash(id ID) uint64 { return defaultTable.Hash(id) }

@@ -2,6 +2,7 @@ package symbol
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -185,8 +186,8 @@ func TestConcurrentInternAndName(t *testing.T) {
 				}
 				n := tb.Len()
 				for id := ID(1); int(id) <= n; id++ {
-					if tb.Name(id) == "" {
-						t.Errorf("Name(%d) is empty with Len %d", id, n)
+					if tb.Name(id) == "" || tb.Hash(id) == 0 {
+						t.Errorf("Name(%d) is empty or unhashed with Len %d", id, n)
 						return
 					}
 				}
@@ -208,5 +209,53 @@ func TestDefaultTable(t *testing.T) {
 	}
 	if Default() == nil {
 		t.Fatalf("Default() returned nil")
+	}
+}
+
+// Hash depends on the name alone: two tables that intern the same names
+// in different orders issue different IDs but equal hashes per name,
+// and distinct names hash apart.
+func TestHashIsIndependentOfInternOrder(t *testing.T) {
+	names := make([]string, 500)
+	for i := range names {
+		names[i] = fmt.Sprintf("e%d_%d", i%7, i)
+	}
+	names = append(names, "", "a", "b", "日本語")
+	a, b := NewTable(), NewTable()
+	for _, n := range names {
+		a.Intern(n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range rng.Perm(len(names)) {
+		b.InternBytes([]byte(names[i]))
+	}
+	moved := 0
+	seen := make(map[uint64]string, len(names))
+	for _, n := range names {
+		ia, _ := a.Lookup(n)
+		ib, _ := b.Lookup(n)
+		if ia != ib {
+			moved++
+		}
+		if a.Hash(ia) != b.Hash(ib) {
+			t.Fatalf("%q hashes to %x in one table and %x in the other", n, a.Hash(ia), b.Hash(ib))
+		}
+		if other, dup := seen[a.Hash(ia)]; dup {
+			t.Fatalf("%q and %q share hash %x", n, other, a.Hash(ia))
+		}
+		seen[a.Hash(ia)] = n
+	}
+	if moved == 0 {
+		t.Fatalf("the shuffled table issued every ID alike; the test checks nothing")
+	}
+	if a.Hash(None) != 0 || a.Hash(ID(1<<20)) != 0 {
+		t.Fatalf("reserved or unknown IDs should hash to 0")
+	}
+	_, fresh := a.Fresh("v")
+	if id, _ := b.Lookup(fresh); id != None {
+		t.Fatalf("Fresh name %q unexpectedly present in the other table", fresh)
+	}
+	if fid, _ := a.Lookup(fresh); a.Hash(fid) != b.Hash(b.Intern(fresh)) {
+		t.Fatalf("a Fresh name hashes unlike the same name interned")
 	}
 }

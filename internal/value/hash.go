@@ -17,6 +17,8 @@ package value
 // Tuple.Equal checks and counts them), but the mixer is a full-period
 // splitmix64 finalizer, so they are vanishingly rare in practice.
 
+import "idlog/internal/symbol"
+
 // hash tags separate the two sorts and seed the per-length tuple basis.
 const (
 	hashTagU   uint64 = 0x9E3779B97F4A7C15 // golden-ratio increment
@@ -43,6 +45,29 @@ func (v Value) Hash() uint64 {
 		return mix64(uint64(v.Num) ^ hashTagI)
 	}
 	return mix64(uint64(v.Sym) ^ hashTagU)
+}
+
+// ContentHash returns a 64-bit hash of v's content: an i-constant's
+// number, or a u-constant's name through the hash the symbol table
+// computed at intern, tagged apart by sort. Hash mixes a u-constant's
+// symbol ID, which depends on the order names were interned in;
+// ContentHash does not, so it is the same in every process.
+func (v Value) ContentHash() uint64 {
+	if v.Sort == I {
+		return mix64(uint64(v.Num) ^ hashTagI)
+	}
+	return mix64(symbol.Hash(v.Sym) ^ hashTagU)
+}
+
+// ContentHash folds the content hashes of t's values, in order, into
+// seed. Equal tuples hash equal under equal seeds, whatever the intern
+// order; seed lets a caller key a whole family of hashes at once.
+func (t Tuple) ContentHash(seed uint64) uint64 {
+	h := seed
+	for _, v := range t {
+		h = mix64(h ^ v.ContentHash())
+	}
+	return h
 }
 
 // tupleHashSeed gives every tuple length its own basis so that the empty

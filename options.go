@@ -43,7 +43,10 @@ func WithOracle(o Oracle) Option {
 }
 
 // WithSeed is shorthand for WithOracle(RandomOracle(seed)): a
-// reproducible pseudo-random run, the sampling mode.
+// reproducible pseudo-random run, the sampling mode. A member's tid
+// depends on the seed, its relation, the grouping columns and its own
+// values only, so the run is the same in every process and for any
+// order of the input facts.
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.eval.Oracle = RandomOracle(seed) }
 }
