@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -91,6 +93,74 @@ func TestBuildServerAndServe(t *testing.T) {
 	if got, want := qr.Relations["tc"].Text, "tc{(a, b), (a, c), (b, c)}"; got != want {
 		t.Fatalf("tc = %q, want %q", got, want)
 	}
+}
+
+// TestPlanCacheOnOffSameRows boots the daemon on the example
+// transitive-closure program and graph, with and without -plan-cache,
+// and sends the same goal query twice to each: all four answers carry
+// the same rows, and only the caching daemon serves the second query
+// from its plan cache.
+func TestPlanCacheOnOffSameRows(t *testing.T) {
+	goalRows := func(flags ...string) (rows []string, hits string) {
+		args := append(flags, "-facts", "../../examples/programs/graph.facts", "../../examples/programs/tc.idl")
+		dc, err := parseFlags(args, os.Stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := buildServer(dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		body := `{"program":"tc","session":"default","goal":"tc(a, X)"}`
+		for range 2 {
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var qr struct {
+				Rows json.RawMessage `json:"rows"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&qr)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%v: query status %d, %v", flags, resp.StatusCode, err)
+			}
+			rows = append(rows, string(qr.Rows))
+		}
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		metrics, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(metrics), "\n") {
+			if v, ok := strings.CutPrefix(line, "idlogd_plan_cache_hits_total "); ok {
+				return rows, v
+			}
+		}
+		t.Fatalf("%v: /metrics has no idlogd_plan_cache_hits_total", flags)
+		return nil, ""
+	}
+	on, onHits := goalRows()
+	off, offHits := goalRows("-plan-cache=false")
+	if len(on[0]) < 3 || on[0] == "null" {
+		t.Fatalf("tc(a, X) returned no rows: %s", on[0])
+	}
+	for i := range on {
+		if on[i] != on[0] || off[i] != on[0] {
+			t.Fatalf("rows differ: cache on %v, cache off %v", on, off)
+		}
+	}
+	if onHits == "0" || offHits != "0" {
+		t.Fatalf("plan cache hits: %s with the cache, %s without; want > 0 and 0", onHits, offHits)
+	}
+	t.Logf("rows %s; plan cache hits %s with the cache, %s without", on[0], onHits, offHits)
 }
 
 func TestBuildServerBadProgram(t *testing.T) {

@@ -67,7 +67,9 @@ type (
 	Stats = core.Stats
 	// Answer is one member of a non-deterministic query's answer set.
 	Answer = core.Answer
-	// Relation is a set of tuples.
+	// Relation is a set of tuples. The tuples its At, Scan and Tuples
+	// return are views of its storage: valid until the next Remove on
+	// the relation, and never changing once it is frozen.
 	Relation = relation.Relation
 	// Oracle chooses ID-functions; see SortedOracle and RandomOracle.
 	// Its one method, Numbering(rel, cols), is asked once per

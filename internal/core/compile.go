@@ -93,7 +93,7 @@ type compiledClause struct {
 	// of them per pass.
 	recPositions []int
 	// headBuf is scratch space for candidate head tuples; the relation
-	// clones it on actual insertion (InsertShared).
+	// copies it into its arena on actual insertion.
 	headBuf value.Tuple
 	// iters is the executor's per-literal cursor scratch, allocated
 	// lazily on the first walk. Like the other

@@ -74,14 +74,31 @@ type pTask struct {
 	deltaRel *relation.Relation
 }
 
-// pOut is one task's result: candidate head tuples in enumeration
-// order (cloned out of worker scratch, deduplicated within the task
-// and against the round-start relation), their hashes, and private
-// counters.
+// pOut is one task's result: its candidate head tuples in enumeration
+// order (deduplicated within the task and against the round-start
+// relation), which are candidates [lo, hi) of its worker's buffer, and
+// private counters.
 type pOut struct {
-	derived []value.Tuple
-	hashes  []uint64
-	stats   Stats
+	buf    *candidates
+	lo, hi int
+	vlo, w int // the first candidate's offset in buf.vals, the head arity
+	stats  Stats
+}
+
+// at returns the task's candidate i (lo ≤ i < hi), a view into the
+// worker's buffer.
+func (o *pOut) at(i int) value.Tuple {
+	v := o.vlo + (i-o.lo)*o.w
+	return o.buf.vals[v : v+o.w : v+o.w]
+}
+
+// candidates is a worker's buffer of derived head tuples for one round:
+// their values copied into one flat array beside their hashes, so a
+// derivation allocates nothing of its own. It is emptied when a round
+// starts and read by the merge after the round's barrier.
+type candidates struct {
+	vals   []value.Value
+	hashes []uint64
 }
 
 // pWorker is one evaluation goroutine: private compiled-clause copies
@@ -95,11 +112,13 @@ type pWorker struct {
 	slack   int    // derivations still allowed under the current grant
 	cur     string // source text of the clause under evaluation (panic context)
 
+	buf candidates // this round's candidates, of every task the worker ran
+
 	// Per-task state, rebound by runTask.
 	out  *pOut
 	full *relation.Relation // round-start head relation (read-only here)
-	// seen maps a candidate's hash to the index in out.derived of the
-	// first candidate with that hash (within-task dedup).
+	// seen maps a candidate's hash to the index in buf of the first
+	// candidate of the task with that hash (within-task dedup).
 	seen map[uint64]int
 }
 
@@ -124,14 +143,15 @@ func (w *pWorker) derive(cc *compiledClause, _ []value.Value, head value.Tuple) 
 		return nil
 	}
 	if i, dup := w.seen[h]; !dup {
-		w.seen[h] = len(w.out.derived)
-	} else if w.out.derived[i].Equal(head) {
+		w.seen[h] = w.out.hi
+	} else if w.out.at(i).Equal(head) {
 		return nil
 	}
 	// A hash shared with a different candidate (a 64-bit collision)
 	// keeps both; the merge's insert tells them apart.
-	w.out.derived = append(w.out.derived, head.Clone())
-	w.out.hashes = append(w.out.hashes, h)
+	w.buf.vals = append(w.buf.vals, head...)
+	w.buf.hashes = append(w.buf.hashes, h)
+	w.out.hi++
 	return nil
 }
 
@@ -156,9 +176,11 @@ func (w *pWorker) grant(cc *compiledClause) error {
 func (w *pWorker) runTask(t pTask, out *pOut) error {
 	cc := w.clauses[t.ci]
 	w.cur = cc.srcText
+	w.full = w.e.work[cc.headPred]
+	n := len(w.buf.hashes)
+	*out = pOut{buf: &w.buf, lo: n, hi: n, vlo: len(w.buf.vals), w: w.full.Arity()}
 	w.out = out
 	w.rn.stats = &out.stats
-	w.full = w.e.work[cc.headPred]
 	clear(w.seen)
 	// Label the task for CPU profiles (idlogd's -pprof listener, a
 	// test's -cpuprofile), which then attribute time per stratum and
@@ -258,6 +280,7 @@ func (p *pool) round(units []pTask, sinks map[string]*relation.Relation) error {
 	var wg sync.WaitGroup
 	for _, w := range p.workers[:min(len(p.workers), len(tasks))] {
 		w.pb = pb
+		w.buf.vals, w.buf.hashes = w.buf.vals[:0], w.buf.hashes[:0]
 		pb.Enter()
 		wg.Add(1)
 		go w.loop(tasks, outs, &next, &wg)
@@ -286,12 +309,12 @@ func (p *pool) merge(tasks []pTask, outs []*pOut, sinks map[string]*relation.Rel
 		e.stats.TuplesScanned += out.stats.TuplesScanned
 		head := p.clauses[t.ci].headPred
 		full, sink := e.work[head], sinks[head]
-		for j, tup := range out.derived {
-			h := out.hashes[j]
+		for j := out.lo; j < out.hi; j++ {
+			tup, h := out.at(j), out.buf.hashes[j]
 			if e.governed && e.g.AtTupleLimit() && !full.ContainsHash(tup, h) {
 				return e.g.TryTuples(1)
 			}
-			added, err := full.InsertHash(tup, h) // tup is the worker's private clone
+			added, err := full.InsertHash(tup, h)
 			if err != nil {
 				return err
 			}

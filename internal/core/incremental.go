@@ -298,7 +298,8 @@ func (cs *CompiledStratum) Rederive(st *IncrState, overdel map[string]*relation.
 	redone := map[string]*relation.Relation{}
 	for pred, od := range overdel {
 		hbs := cs.bound[pred]
-		for _, t := range od.Tuples() {
+		for k := range od.Len() {
+			t := od.At(k)
 			derivable := false
 			for _, hb := range hbs {
 				ok, err := hb.derives(st, t)

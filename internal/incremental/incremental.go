@@ -271,14 +271,16 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		}
 		old := cur.Clone()
 		if i != nil {
-			for _, t := range i.Tuples() {
+			for k := range i.Len() {
+				t := i.At(k)
 				if _, err := old.Remove(t); err != nil {
 					return cur // unreachable: old is an unfrozen clone
 				}
 			}
 		}
 		if d != nil {
-			for _, t := range d.Tuples() {
+			for k := range d.Len() {
+				t := d.At(k)
 				old.MustInsert(t)
 			}
 		}
@@ -337,7 +339,8 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		}
 		// Phase 2: physical removal, so rederivation cannot self-support.
 		for p, od := range overdel {
-			for _, t := range od.Tuples() {
+			for k := range od.Len() {
+				t := od.At(k)
 				if _, err := v.rels[p].Remove(t); err != nil {
 					return fail(err)
 				}
@@ -374,7 +377,8 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 			od, rd, ad := overdel[p], redone[p], added[p]
 			var netDel, netIns *relation.Relation
 			if od != nil {
-				for _, t := range od.Tuples() {
+				for k := range od.Len() {
+					t := od.At(k)
 					if rd != nil && rd.Contains(t) {
 						continue
 					}
@@ -388,7 +392,8 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 				}
 			}
 			if ad != nil {
-				for _, t := range ad.Tuples() {
+				for k := range ad.Len() {
+					t := ad.At(k)
 					if od != nil && od.Contains(t) {
 						continue
 					}

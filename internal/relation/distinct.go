@@ -46,11 +46,11 @@ func (r *Relation) DistinctCounts() (ndv []int, ok bool) {
 // value's own bits, so the counts are exact and depend on no hash.
 func (r *Relation) countDistinct() []int {
 	ndv := make([]int, r.arity)
-	buf := make([]uint64, len(r.tuples)) // symbols fill it from the front, numbers from the back
+	buf := make([]uint64, r.mem.n) // symbols fill it from the front, numbers from the back
 	for c := range ndv {
 		i, j := 0, len(buf)
-		for _, t := range r.tuples {
-			if v := t[c]; v.Sort == value.U {
+		for k := range r.mem.n {
+			if v := r.mem.at(k, r.arity)[c]; v.Sort == value.U {
 				buf[i] = uint64(v.Sym)
 				i++
 			} else {

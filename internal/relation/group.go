@@ -33,24 +33,25 @@ func (r *Relation) Groups(cols []int) []Group {
 // group partitions r by its projection onto cols (see grouper): groups
 // in canonical key order, each group's members in position order. Keys
 // and members are carved from one backing slice each; every member
-// slice is capped at its own length.
+// slice is capped at its own length. Members are views of r's tuples
+// (see the package comment).
 func (r *Relation) group(cols []int) []Group {
 	n := r.Len()
 	if n == 0 {
 		return nil
 	}
-	tuples := r.positions()
 	gids := make([]int32, n)
 	gr := newGrouper(cols)
 	var sizes []int
-	for i, t := range tuples {
+	r.Scan(0, -1, func(i int, t value.Tuple) bool {
 		gid := gr.id(t)
 		if int(gid) == len(sizes) {
 			sizes = append(sizes, 0)
 		}
 		sizes[gid]++
 		gids[i] = gid
-	}
+		return true
+	})
 	reps, order := gr.reps, gr.sorted()
 
 	out := make([]Group, len(reps))
@@ -67,10 +68,11 @@ func (r *Relation) group(cols []int) []Group {
 		fill[g] = off
 		off += sizes[g]
 	}
-	for i, t := range tuples {
+	r.Scan(0, -1, func(i int, t value.Tuple) bool {
 		members[fill[gids[i]]] = t
 		fill[gids[i]]++
-	}
+		return true
+	})
 	return out
 }
 
@@ -117,15 +119,6 @@ func (gr *grouper) sorted() []int32 {
 	}
 	slices.SortFunc(order, func(a, b int32) int { return compareProjection(gr.reps[a], gr.reps[b], gr.cols) })
 	return order
-}
-
-// positions returns r's tuples in position order: an in-memory
-// relation's own slice, or a source-backed one's materialized copy.
-func (r *Relation) positions() []value.Tuple {
-	if r.src != nil {
-		return r.materialized()
-	}
-	return r.tuples
 }
 
 // sameProjection reports whether a and b agree on cols.

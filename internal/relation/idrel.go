@@ -57,24 +57,21 @@ func MaterializeIDBounded(r *Relation, name string, cols []int, o Oracle, bound 
 const maxTopK = 8
 
 // idWriter inserts the tuples of an ID-relation, each its base tuple
-// extended with a tid, carving them from one backing array.
+// extended with a tid, through one scratch tuple: the output relation
+// copies each into its arena.
 type idWriter struct {
-	out   *Relation
-	vals  value.Tuple
-	arity int
+	out *Relation
+	ext value.Tuple
 }
 
 func newIDWriter(name string, arity, count int) idWriter {
-	return idWriter{out: NewSized(name, arity+1, count), vals: make(value.Tuple, count*(arity+1)), arity: arity}
+	return idWriter{out: NewSized(name, arity+1, count), ext: make(value.Tuple, arity+1)}
 }
 
 func (w *idWriter) emit(t value.Tuple, tid int) {
-	width := w.arity + 1
-	ext := w.vals[:width:width]
-	w.vals = w.vals[width:]
-	copy(ext, t)
-	ext[w.arity] = value.Int(int64(tid))
-	w.out.MustInsert(ext)
+	copy(w.ext, t)
+	w.ext[len(t)] = value.Int(int64(tid))
+	w.out.MustInsert(w.ext)
 }
 
 // materializeRanked numbers every group's canonical ranks with the
@@ -168,11 +165,10 @@ type topSlot struct {
 // only when its priority ties a kept one's. Groups are then emitted in
 // key order, each one's slots in tid order.
 func materializeTopK(r *Relation, name string, cols []int, salt uint64, k int) *Relation {
-	tuples := r.positions()
 	gr := newGrouper(cols)
 	var kept []int      // slots filled per group, ≤ k
 	var slots []topSlot // k per group, group g's at [g*k, g*k+k)
-	for i, t := range tuples {
+	r.Scan(0, -1, func(i int, t value.Tuple) bool {
 		gid := int(gr.id(t))
 		if gid == len(kept) {
 			kept = append(kept, 0)
@@ -183,12 +179,12 @@ func materializeTopK(r *Relation, name string, cols []int, salt uint64, k int) *
 		p := t.ContentHash(salt)
 		top := slots[gid*k : gid*k+k]
 		before := func(s topSlot) bool {
-			return p < s.p || p == s.p && t.Compare(tuples[s.pos]) < 0
+			return p < s.p || p == s.p && t.Compare(r.At(int(s.pos))) < 0
 		}
 		j := kept[gid]
 		if j == k {
 			if !before(top[k-1]) {
-				continue
+				return true
 			}
 			j--
 		} else {
@@ -198,7 +194,8 @@ func materializeTopK(r *Relation, name string, cols []int, salt uint64, k int) *
 			top[j] = top[j-1]
 		}
 		top[j] = topSlot{p, int32(i)}
-	}
+		return true
+	})
 
 	count := 0
 	for _, n := range kept {
@@ -207,7 +204,7 @@ func materializeTopK(r *Relation, name string, cols []int, salt uint64, k int) *
 	w := newIDWriter(name, r.arity, count)
 	for _, g := range gr.sorted() {
 		for tid, s := range slots[int(g)*k : int(g)*k+kept[g]] {
-			w.emit(tuples[s.pos], tid)
+			w.emit(r.At(int(s.pos)), tid)
 		}
 	}
 	return w.out

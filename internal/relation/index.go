@@ -189,7 +189,7 @@ func (r *Relation) ensureIndex(cols []int) *secondary {
 func (r *Relation) buildIndex(cols []int) *secondary {
 	n := r.Len()
 	if r.base != nil {
-		n = len(r.patch) + len(r.tuples)
+		n = len(r.patch) + r.mem.n
 	}
 	ix := &secondary{cols: append([]int(nil), cols...), buckets: make(map[uint64]*ibucket, r.keyHint(cols, n))}
 	add := func(pos int, t value.Tuple) bool {

@@ -5,11 +5,20 @@
 // Tuples live in memory by default, or behind a pluggable TupleSource
 // (see store.go) for disk-backed relations and for versions of a frozen
 // relation; the index machinery is shared by every backing.
+//
+// In memory, a relation keeps its tuples' values in an arena of
+// pointer-free chunks (arena.go): storing a tuple copies its values in,
+// and At, Scan and Tuples hand out views into the chunks, capped at the
+// arity. The contract for those views: a tuple read from an unfrozen
+// relation is valid until the next Remove on that relation (which may
+// overwrite its slot); views of a frozen relation never change. A
+// caller that keeps a view across a Remove on the same relation clones
+// it first.
 package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,11 +49,11 @@ import (
 // Tuple storage is position-addressed and split in two: positions
 // [0, nsrc) read from an immutable TupleSource (a disk segment, or the
 // frozen base of a version), and positions ≥ nsrc from the in-memory
-// overlay slice. Swap-remove over a source position writes the moved
+// overlay arena. Swap-remove over a source position writes the moved
 // tuple into a small patch instead of the source, so positions stay
 // dense (0..Len()-1) whatever the backing. Purely in-memory relations
 // have src == nil and nsrc == 0, so the overlay IS the relation and
-// every accessor below short-circuits to the original slice paths.
+// every accessor below short-circuits to the arena.
 //
 // A version (base != nil) is what Clone derives from a frozen relation:
 // it reads positions [0, nsrc) through the base and shares the base's
@@ -58,10 +67,10 @@ import (
 type Relation struct {
 	name  string
 	arity int
-	// tuples is the in-memory overlay: tuple at overlay index i has
+	// mem is the in-memory overlay: the tuple at arena index i has
 	// position nsrc+i. For mem-backed relations (src == nil) it holds
 	// everything.
-	tuples []value.Tuple
+	mem arena
 	// src serves positions [0, nsrc) when non-nil. It is immutable and
 	// shared across Clone/Freeze/Thaw generations. nsrc only shrinks
 	// (swap-remove of the last position when the overlay is empty);
@@ -98,9 +107,9 @@ type Relation struct {
 	frozen  bool
 	buildMu sync.Mutex
 	shared  atomic.Pointer[[]*secondary]
-	// mat caches the materialized tuple slice of a frozen source-backed
-	// relation, so repeated Tuples() calls (snapshot writers, JSON
-	// renderers) decode the source once.
+	// mat caches the materialized tuple slice of a frozen relation, so
+	// repeated Tuples() calls (snapshot writers, JSON renderers) build
+	// the views, and decode a source, once.
 	mat atomic.Pointer[[]value.Tuple]
 	// ndv holds the per-column distinct counts of a frozen in-memory
 	// flat relation once requested (see DistinctCounts). Versions read
@@ -114,14 +123,14 @@ func New(name string, arity int) *Relation {
 	return &Relation{name: name, arity: arity}
 }
 
-// NewSized is New with a capacity hint: the tuple slice and the primary
-// hash table are pre-sized for about hint tuples, so bulk insertion
-// skips the growth-doubling rehashes. The hint is advisory — the
-// relation grows past it normally.
+// NewSized is New with a capacity hint: the first chunk of the arena
+// and the primary hash table are pre-sized for about hint tuples, so
+// bulk insertion skips the growth-doubling copies and rehashes. The
+// hint is advisory — the relation grows past it normally.
 func NewSized(name string, arity, hint int) *Relation {
 	r := New(name, arity)
 	if hint > 0 {
-		r.tuples = make([]value.Tuple, 0, hint)
+		r.mem.presize(hint, arity)
 		r.primary.presize(hint)
 	}
 	return r
@@ -129,31 +138,29 @@ func NewSized(name string, arity, hint int) *Relation {
 
 // NewDelta returns an append-only relation for semi-naive per-round
 // deltas: Append stores a tuple without consulting or maintaining the
-// primary hash table, so a round's delta costs one slice append per
-// genuinely new tuple instead of a hash insert. The caller contracts
+// primary hash table, so a round's delta costs one copy into its arena
+// per genuinely new tuple instead of a hash insert. The caller contracts
 // to Append only distinct tuples (the engine's delta sinks receive a
 // tuple exactly when the full relation's insert reported it new) and
 // to read the relation only through Len/Scan/At/Probe — Probe works
 // because secondary indexes build from Scan, never from the primary
-// table. Set-membership operations panic. hint pre-sizes the tuple
-// slice (0 = no hint).
+// table. Set-membership operations panic. hint pre-sizes the arena's
+// first chunk (0 = no hint).
 func NewDelta(name string, arity, hint int) *Relation {
 	r := &Relation{name: name, arity: arity, appendOnly: true}
-	if hint > 0 {
-		r.tuples = make([]value.Tuple, 0, hint)
-	}
+	r.mem.presize(hint, arity)
 	return r
 }
 
-// Append adds t to an append-only relation (see NewDelta). It panics on
-// a set-semantics relation: Append skipping the primary table there
-// would silently corrupt membership checks.
+// Append copies t into an append-only relation (see NewDelta). It
+// panics on a set-semantics relation: Append skipping the primary table
+// there would silently corrupt membership checks.
 func (r *Relation) Append(t value.Tuple) {
 	if !r.appendOnly {
 		panic(fmt.Sprintf("relation %s: Append on a set-semantics relation", r.name))
 	}
-	pos := len(r.tuples)
-	r.tuples = append(r.tuples, t)
+	pos := r.mem.n
+	t = r.mem.push(t, r.arity)
 	if idxs := r.shared.Load(); idxs != nil {
 		for _, idx := range *idxs {
 			idx.add(t, pos)
@@ -188,11 +195,10 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.nsrc + len(r.tuples) }
+func (r *Relation) Len() int { return r.nsrc + r.mem.n }
 
-// Insert adds t if absent and reports whether it was added.
-// The tuple is stored as-is; callers that reuse buffers must Clone first
-// or use InsertShared.
+// Insert adds a copy of t if absent and reports whether it was added;
+// t itself is not kept, so callers may reuse its backing array.
 func (r *Relation) Insert(t value.Tuple) (bool, error) {
 	return r.InsertHash(t, t.Hash())
 }
@@ -201,23 +207,22 @@ func (r *Relation) Insert(t value.Tuple) (bool, error) {
 // (a parallel worker hashed t to deduplicate it): the relation does not
 // hash t again. A wrong h breaks the relation's set semantics.
 func (r *Relation) InsertHash(t value.Tuple, h uint64) (bool, error) {
-	_, added, err := r.insert(t, h, false)
+	_, added, err := r.insert(t, h)
 	return added, err
 }
 
-// InsertShared is Insert for callers that reuse t's backing array: the
-// duplicate check reads t in place and only a fresh copy is stored when
-// the tuple is new. It returns the stored tuple (nil when duplicate) so
-// callers can propagate the canonical copy.
+// InsertShared is Insert returning the stored tuple (nil when
+// duplicate): a view of the relation's own copy, which callers
+// propagate (into a delta, into provenance) instead of t.
 func (r *Relation) InsertShared(t value.Tuple) (value.Tuple, error) {
-	stored, _, err := r.insert(t, t.Hash(), true)
+	stored, _, err := r.insert(t, t.Hash())
 	return stored, err
 }
 
 // insert is the one lookup-and-store path behind Insert, InsertHash and
-// InsertShared: unless an equal tuple is present it stores t, or a copy
-// of t when clone is set, and returns what it stored.
-func (r *Relation) insert(t value.Tuple, h uint64, clone bool) (value.Tuple, bool, error) {
+// InsertShared: unless an equal tuple is present it copies t in, and
+// returns the stored view.
+func (r *Relation) insert(t value.Tuple, h uint64) (value.Tuple, bool, error) {
 	r.setOp("Insert")
 	if r.frozen {
 		return nil, false, fmt.Errorf("relation %s: insert into frozen relation", r.name)
@@ -228,16 +233,13 @@ func (r *Relation) insert(t value.Tuple, h uint64, clone bool) (value.Tuple, boo
 	if r.primary.lookup(r, t, h) >= 0 {
 		return nil, false, nil
 	}
-	if clone {
-		t = t.Clone()
-	}
-	r.store(h, t)
-	return t, true, nil
+	return r.store(h, t), true, nil
 }
 
-func (r *Relation) store(h uint64, t value.Tuple) {
-	pos := r.nsrc + len(r.tuples)
-	r.tuples = append(r.tuples, t)
+// store copies t in at the next position and returns the stored view.
+func (r *Relation) store(h uint64, t value.Tuple) value.Tuple {
+	pos := r.nsrc + r.mem.n
+	t = r.mem.push(t, r.arity)
 	r.primary.insert(h, pos)
 	// Maintain every published secondary index so probes issued after
 	// this insert see the new tuple (insert → probe → insert → probe).
@@ -249,6 +251,7 @@ func (r *Relation) store(h uint64, t value.Tuple) {
 	if r.base != nil {
 		r.maybeCompact()
 	}
+	return t
 }
 
 // Remove deletes t if present and reports whether it was removed.
@@ -261,7 +264,10 @@ func (r *Relation) store(h uint64, t value.Tuple) {
 // so incremental churn keeps its indexes instead of rebuilding them per
 // mutation. Frozen relations reject Remove; source-backed relations
 // (disk segments, versions) take the same swap-remove through a patch
-// (see removeAt), so their source is never copied.
+// (see removeAt), so their source is never copied. The moved tuple's
+// values are copied into the vacated slot, so views of the removed and
+// the moved position read other values after Remove (see the package
+// comment).
 func (r *Relation) Remove(t value.Tuple) (bool, error) {
 	r.setOp("Remove")
 	if r.frozen {
@@ -275,29 +281,7 @@ func (r *Relation) Remove(t value.Tuple) (bool, error) {
 	if pos < 0 {
 		return false, nil
 	}
-	if r.src != nil {
-		r.removeAt(pos, h)
-		return true, nil
-	}
-	removed := r.tuples[pos]
-	last := len(r.tuples) - 1
-	r.primary.remove(h, pos)
-	var moved value.Tuple
-	if pos != last {
-		moved = r.tuples[last]
-		r.tuples[pos] = moved
-		r.primary.updatePos(moved.Hash(), last, pos)
-	}
-	r.tuples[last] = nil
-	r.tuples = r.tuples[:last]
-	if idxs := r.shared.Load(); idxs != nil {
-		for _, idx := range *idxs {
-			idx.remove(removed, pos)
-			if moved != nil {
-				idx.update(moved, last, pos)
-			}
-		}
-	}
+	r.removeAt(pos, h)
 	return true, nil
 }
 
@@ -340,14 +324,11 @@ func (r *Relation) Lookup(t value.Tuple) int {
 // NewDelta), on which the set-membership operations panic.
 func (r *Relation) AppendOnly() bool { return r.appendOnly }
 
-// Tuples returns the tuples in position order. For in-memory relations
-// this is the underlying slice; source-backed relations materialize it
-// (cached when frozen). The returned slice must not be mutated. Hot
-// paths should prefer Scan, which streams without materializing.
+// Tuples returns the tuples in position order: a fresh slice of views
+// (see the package comment), built once and cached when r is frozen.
+// The returned slice and tuples must not be mutated. Hot paths should
+// prefer Scan or At, which build no slice.
 func (r *Relation) Tuples() []value.Tuple {
-	if r.src == nil {
-		return r.tuples
-	}
 	if !r.frozen {
 		return r.materialized()
 	}
@@ -374,14 +355,15 @@ func (r *Relation) materialized() []value.Tuple {
 	return all
 }
 
-// At returns the tuple at position i. It stays small enough to inline:
-// overlay positions, and so every position of an in-memory relation,
-// read the slice directly.
+// At returns the tuple at position i: on an unfrozen relation a view
+// that is valid until the next Remove (see the package comment).
+// Overlay positions, and so every position of an in-memory relation,
+// read the arena directly.
 func (r *Relation) At(i int) value.Tuple {
-	if i >= r.nsrc {
-		return r.tuples[i-r.nsrc]
+	if i < r.nsrc {
+		return r.srcAt(i)
 	}
-	return r.srcAt(i)
+	return r.mem.at(i-r.nsrc, r.arity)
 }
 
 // srcAt returns the tuple at source position i (< nsrc).
@@ -403,14 +385,14 @@ func (r *Relation) HashAt(i int) uint64 {
 		}
 		return r.src.HashAt(i)
 	}
-	return r.tuples[i-r.nsrc].Hash()
+	return r.mem.at(i-r.nsrc, r.arity).Hash()
 }
 
 // Scan streams positions [lo, hi) in order (hi = -1 means Len) without
 // materializing source-backed tuples; fn returning false stops the scan
-// and makes Scan report false. This is the engine's bulk read path: the
-// full-scan join step, index construction, grouping, and snapshot
-// writing all iterate through it.
+// and makes Scan report false. The tuples are views, as At's are. This
+// is the engine's bulk read path: the full-scan join step, index
+// construction, grouping, and snapshot writing all iterate through it.
 func (r *Relation) Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool {
 	if hi < 0 || hi > r.Len() {
 		hi = r.Len()
@@ -438,7 +420,7 @@ func (r *Relation) Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool {
 		lo = r.nsrc
 	}
 	for i := lo; i < hi; i++ {
-		if !fn(i, r.tuples[i-r.nsrc]) {
+		if !fn(i, r.mem.at(i-r.nsrc, r.arity)) {
 			return false
 		}
 	}
@@ -452,18 +434,17 @@ func (r *Relation) Sorted() []value.Tuple {
 		out = append(out, t)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, value.Tuple.Compare)
 	return out
 }
 
 // Clone returns an unfrozen relation with r's tuples whose mutations
-// never reach r. Tuple storage is always shared (tuples are immutable by
-// convention, sources by construction). The clone of a frozen relation
-// is a version of it: it also shares r's primary table and published
-// secondary indexes, so deriving it costs nothing per tuple. The clone
-// of a version shares the same base and copies only the private part
-// (overlay, patches, own table); an unfrozen flat relation, which may
-// still change under the clone, is copied. Cloning an append-only delta
+// never reach r. The clone of a frozen relation is a version of it: it
+// shares r's tuples, primary table and published secondary indexes, so
+// deriving it costs nothing per tuple. The clone of a version shares
+// the same base and copies only the private part (overlay values,
+// patches, own table); an unfrozen flat relation, which may still
+// change under the clone, is copied. Cloning an append-only delta
 // relation panics: it has no primary table to share or copy.
 func (r *Relation) Clone() *Relation {
 	r.setOp("Clone")
@@ -473,7 +454,7 @@ func (r *Relation) Clone() *Relation {
 		return c
 	}
 	c.base, c.src, c.nsrc = r.base, r.src, r.nsrc
-	c.tuples = append(c.tuples, r.tuples...)
+	c.mem = r.mem.clone(r.arity)
 	c.primary = r.primary.clone()
 	if len(r.patch) > 0 {
 		c.patch = make(map[int]value.Tuple, len(r.patch))
@@ -560,20 +541,20 @@ func (r *Relation) String() string {
 
 // Fingerprint returns a canonical string identifying the tuple set,
 // independent of insertion order: the hex rendering of a combine over
-// the sorted 64-bit tuple hashes, seeded with the cardinality (so an
-// empty relation differs from a 0-arity relation containing the empty
-// tuple). Set-equal relations have equal fingerprints; unequal sets
-// collide only with the ~2^-64 probability of the underlying hash.
-// Source-backed relations read the hashes from source metadata without
-// decoding any tuple, so engines agree byte-for-byte at metadata cost.
-// Used to deduplicate enumerated answers.
+// the sorted 64-bit tuple content hashes (Tuple.StableHash), seeded
+// with the cardinality (so an empty relation differs from a 0-arity
+// relation containing the empty tuple). Set-equal relations have equal
+// fingerprints in every process, whatever order constants were
+// interned in; unequal sets collide only with the ~2^-64 probability
+// of the underlying hash. Used to deduplicate enumerated answers and
+// to compare a primary's state with a follower's.
 func (r *Relation) Fingerprint() string {
-	n := r.Len()
-	hs := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		hs[i] = r.HashAt(i)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	hs := make([]uint64, 0, r.Len())
+	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
+		hs = append(hs, t.StableHash())
+		return true
+	})
+	slices.Sort(hs)
 	h := value.SetHashSeed(len(hs))
 	for _, x := range hs {
 		h = value.CombineHash(h, x)
@@ -590,7 +571,7 @@ func (r *Relation) Fingerprint() string {
 func (r *Relation) DeepClone() *Relation {
 	c := New(r.name, r.arity)
 	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
-		c.MustInsert(t.Clone())
+		c.MustInsert(t)
 		return true
 	})
 	return c

@@ -3,6 +3,10 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
+	"slices"
+	"strings"
 	"testing"
 
 	"idlog/internal/value"
@@ -172,6 +176,47 @@ func TestFingerprintOrderIndependent(t *testing.T) {
 	b.MustInsert(value.Strs("w"))
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Fatalf("fingerprints of different relations coincide")
+	}
+}
+
+// TestFingerprintIndependentOfInternOrder runs two child processes of
+// the test binary that intern the same constants in opposite orders, so
+// each gives them different symbol IDs, and build the same relation:
+// their fingerprints must be equal, as a primary's and a follower's
+// must be when they compare state.
+func TestFingerprintIndependentOfInternOrder(t *testing.T) {
+	names := []string{"alpha", "beta", "gamma", "delta"}
+	if order := os.Getenv("IDLOG_FINGERPRINT_ORDER"); order != "" {
+		for _, n := range strings.Split(order, ",") {
+			value.Str(n)
+		}
+		r := New("p", 2)
+		for i, n := range names {
+			r.MustInsert(value.Tuple{value.Str(n), value.Int(int64(i))})
+			r.MustInsert(value.Tuple{value.Str(n), value.Str(names[(i+1)%len(names)])})
+		}
+		fmt.Printf("fingerprint %s\n", r.Fingerprint())
+		return
+	}
+	fingerprint := func(order []string) string {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFingerprintIndependentOfInternOrder$")
+		cmd.Env = append(os.Environ(), "IDLOG_FINGERPRINT_ORDER="+strings.Join(order, ","))
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("child: %v\n%s", err, out)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if fp, ok := strings.CutPrefix(line, "fingerprint "); ok {
+				return fp
+			}
+		}
+		t.Fatalf("child printed no fingerprint:\n%s", out)
+		return ""
+	}
+	reversed := slices.Clone(names)
+	slices.Reverse(reversed)
+	if a, b := fingerprint(names), fingerprint(reversed); a != b {
+		t.Fatalf("fingerprint %s after interning %v, %s after interning %v", a, names, b, reversed)
 	}
 }
 

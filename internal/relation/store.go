@@ -5,8 +5,8 @@ import "idlog/internal/value"
 // Store is the storage-engine contract of the evaluator: everything the
 // engine (join walk, planner, incremental maintenance, servers) needs
 // from a relation, independent of where its tuples live. The in-memory
-// *Relation — a 64-bit-hash open-addressing table over a tuple slice —
-// is the canonical implementation; disk-backed relations created with
+// *Relation — a 64-bit-hash open-addressing table over a chunked value
+// arena — is the canonical implementation; disk-backed relations created with
 // NewStored over a segment TupleSource satisfy it through the very same
 // index machinery, so every access path (probe, scan, containment,
 // fingerprint) behaves identically across engines.
@@ -67,7 +67,7 @@ var _ Store = (*Relation)(nil)
 
 // TupleSource is the plug point for alternative tuple storage: an
 // immutable, position-addressed tuple sequence that a Relation built
-// with NewStored reads through instead of its in-memory slice. The
+// with NewStored reads through instead of its in-memory arena. The
 // primary hash table and all secondary indexes stay in the Relation and
 // address tuples by position, so one index implementation serves every
 // backing. internal/segment provides the disk-backed implementation

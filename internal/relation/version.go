@@ -26,13 +26,15 @@ func (r *Relation) patched(i int) bool {
 	return len(r.patch) > 0 && r.pbits[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// setPatch records t at source position i (< nsrc).
+// setPatch records a copy of t at source position i (< nsrc): t may be
+// a view of a slot that a later Remove overwrites. Patch tuples are
+// never written again, so clones of r share them.
 func (r *Relation) setPatch(i int, t value.Tuple) {
 	if r.patch == nil {
 		r.patch = map[int]value.Tuple{}
 		r.pbits = make([]uint64, (r.nsrc+63)>>6)
 	}
-	r.patch[i] = t
+	r.patch[i] = t.Clone()
 	r.pbits[i>>6] |= 1 << (uint(i) & 63)
 }
 
@@ -86,14 +88,16 @@ func (r *Relation) owns(i int) bool {
 	return r.base == nil || i >= r.nsrc || r.patched(i)
 }
 
-// removeAt is swap-remove on a source-backed relation: the last tuple
-// moves into the vacated position pos (through a patch when pos is a
-// source position) and the last position goes away (the overlay shrinks,
-// or nsrc does when the overlay is empty). Positions stay dense and the
-// resulting order is exactly the in-memory swap-remove's. The primary
-// table and indexes of a version change only where it owns positions:
-// a base tuple moved into a patch enters them, and a base entry left at
-// a cut-off or patched position is filtered by lookup and probe.
+// removeAt is swap-remove, on every relation: the last tuple moves into
+// the vacated position pos (through a patch when pos is a source
+// position) and the last position goes away (the overlay shrinks, or
+// nsrc does when the overlay is empty). Positions stay dense. The
+// removed and the moved tuple are views, so both are used for the
+// table and index updates before the moved values overwrite pos. The
+// primary table and indexes of a version change only where it owns
+// positions: a base tuple moved into a patch enters them, and a base
+// entry left at a cut-off or patched position is filtered by lookup and
+// probe.
 func (r *Relation) removeAt(pos int, h uint64) {
 	removed := r.At(pos)
 	last := r.Len() - 1
@@ -125,12 +129,11 @@ func (r *Relation) removeAt(pos int, h uint64) {
 		if pos < r.nsrc {
 			r.setPatch(pos, moved)
 		} else {
-			r.tuples[pos-r.nsrc] = moved
+			copy(r.mem.at(pos-r.nsrc, r.arity), moved)
 		}
 	}
-	if n := len(r.tuples); n > 0 {
-		r.tuples[n-1] = nil
-		r.tuples = r.tuples[:n-1]
+	if r.mem.n > 0 {
+		r.mem.n--
 	} else {
 		r.nsrc--
 		r.unpatch(r.nsrc)
@@ -144,7 +147,7 @@ func (r *Relation) removeAt(pos int, h uint64) {
 // 1/compactDiv of its base (see compactDiv).
 func (r *Relation) maybeCompact() {
 	nbase := r.base.Len()
-	if (len(r.tuples)+len(r.patch)+nbase-r.nsrc)*compactDiv > nbase {
+	if (r.mem.n+len(r.patch)+nbase-r.nsrc)*compactDiv > nbase {
 		r.compact()
 	}
 }
@@ -175,9 +178,9 @@ func (r *Relation) compact() {
 			set(i)
 		}
 	}
-	f.tuples = make([]value.Tuple, 0, n-f.nsrc)
+	f.mem.presize(n-f.nsrc, r.arity)
 	r.Scan(f.nsrc, n, func(_ int, t value.Tuple) bool {
-		f.tuples = append(f.tuples, t)
+		f.mem.push(t, r.arity)
 		return true
 	})
 	f.primary.presize(n)
@@ -185,7 +188,7 @@ func (r *Relation) compact() {
 		f.primary.insert(f.HashAt(i), i)
 	}
 	r.base, r.src, r.nsrc = nil, f.src, f.nsrc
-	r.tuples, r.patch, r.pbits, r.primary = f.tuples, f.patch, f.pbits, f.primary
+	r.mem, r.patch, r.pbits, r.primary = f.mem, f.patch, f.pbits, f.primary
 	r.shared.Store(nil)
 }
 
@@ -197,7 +200,7 @@ func (r *Relation) compact() {
 func (r *Relation) probeVersion(cols []int, key value.Tuple) []int {
 	shared := r.base.Probe(cols, key)
 	var own []int
-	if len(r.tuples) > 0 || len(r.patch) > 0 {
+	if r.mem.n > 0 || len(r.patch) > 0 {
 		own = r.ensureIndex(cols).get(key)
 	}
 	live := func(p int) bool { return p < r.nsrc && !r.patched(p) }

@@ -10,8 +10,13 @@ package value
 //     (mirroring the keyU/keyI tags of the string encoding).
 //   - ProjectHash(cols) equals Project(cols).Hash() without materializing
 //     the projection, so probe keys can be hashed allocation-free.
-//   - Hashes are deterministic across processes (no per-run seed): they
-//     feed Fingerprint, which snapshots and logs compare textually.
+//   - Hash and ProjectHash mix a u-constant's symbol ID, so they are
+//     stable within one process only: two processes that interned the
+//     same names in different orders hash them differently. Anything
+//     compared across processes (relation fingerprints, oracle
+//     priorities) uses the content hashes instead: ContentHash and
+//     StableHash mix a u-constant's name hash, and no hash here has a
+//     per-run seed.
 //
 // Collisions are possible in principle (the store resolves them with
 // Tuple.Equal checks and counts them), but the mixer is a full-period
@@ -68,6 +73,13 @@ func (t Tuple) ContentHash(seed uint64) uint64 {
 		h = mix64(h ^ v.ContentHash())
 	}
 	return h
+}
+
+// StableHash is t's content hash under the per-length seed Hash uses:
+// equal tuples hash equal in every process, whatever the intern order.
+// On a tuple of i-constants only it equals Hash.
+func (t Tuple) StableHash() uint64 {
+	return t.ContentHash(tupleHashSeed(len(t)))
 }
 
 // tupleHashSeed gives every tuple length its own basis so that the empty

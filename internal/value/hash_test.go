@@ -53,3 +53,22 @@ func TestTupleHashRespectsOrderAndLength(t *testing.T) {
 		t.Fatal("equal tuples hash apart")
 	}
 }
+
+// TestStableHashEqualsHashOnNumbers: on tuples of i-constants only,
+// StableHash is Hash, so fingerprints of numeric relations did not move
+// when they switched to content hashes.
+func TestStableHashEqualsHashOnNumbers(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		tup := make(Tuple, rng.Intn(5))
+		for i := range tup {
+			tup[i] = Int(rng.Int63() - rng.Int63())
+		}
+		if tup.StableHash() != tup.Hash() {
+			t.Fatalf("StableHash(%v) = %x, Hash %x", tup, tup.StableHash(), tup.Hash())
+		}
+	}
+	if (Tuple{Str("x")}).StableHash() == (Tuple{Str("y")}).StableHash() {
+		t.Fatal("StableHash ignores a u-constant's name")
+	}
+}
