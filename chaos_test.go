@@ -310,33 +310,29 @@ func TestChaosNoGoroutineLeak(t *testing.T) {
 // TestDerivationBudgetBoundary: the budget fires at EXACTLY the
 // configured limit — the partial run performs MaxDerivations
 // derivations, not one more — and each partial model is a sound prefix
-// of the full one. (Satellite c, E6 kernel.) The landing is exact at
-// four workers too, where the seed round fans out: a worker that finds
-// the budget reserved waits for siblings that may refund unused slack.
+// of the full one. (Satellite c, E6 kernel.)
 func TestDerivationBudgetBoundary(t *testing.T) {
 	prog, db := chainProg(t), chainDB(t, 50)
-	full, err := prog.Eval(db, WithParallelism(1))
+	full, err := prog.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	totalDerivations := full.Stats.Derivations
-	for _, workers := range []int{1, 4} {
-		for _, limit := range []int{1, 2, 17, 256, 257, 1000, totalDerivations - 1} {
-			res, err := prog.Eval(db, WithParallelism(workers), WithMaxDerivations(limit))
-			wantCode(t, err, CodeResourceExhausted)
-			wantPartial(t, res, err)
-			if res.Stats.Derivations != limit {
-				t.Fatalf("workers %d, limit %d: run performed %d derivations, want exactly the limit",
-					workers, limit, res.Stats.Derivations)
-			}
-			subsetOf(t, prog, res, full)
+	for _, limit := range []int{1, 2, 17, 256, 257, 1000, totalDerivations - 1} {
+		res, err := prog.Eval(db, WithMaxDerivations(limit))
+		wantCode(t, err, CodeResourceExhausted)
+		wantPartial(t, res, err)
+		if res.Stats.Derivations != limit {
+			t.Fatalf("limit %d: run performed %d derivations, want exactly the limit",
+				limit, res.Stats.Derivations)
 		}
-		// At or above the run's true cost the budget never fires.
-		for _, limit := range []int{totalDerivations, totalDerivations + 1} {
-			res, err := prog.Eval(db, WithParallelism(workers), WithMaxDerivations(limit))
-			if err != nil || res.Incomplete {
-				t.Fatalf("workers %d, limit %d >= total %d still tripped: %v", workers, limit, totalDerivations, err)
-			}
+		subsetOf(t, prog, res, full)
+	}
+	// At or above the run's true cost the budget never fires.
+	for _, limit := range []int{totalDerivations, totalDerivations + 1} {
+		res, err := prog.Eval(db, WithMaxDerivations(limit))
+		if err != nil || res.Incomplete {
+			t.Fatalf("limit %d >= total %d still tripped: %v", limit, totalDerivations, err)
 		}
 	}
 }
@@ -409,24 +405,21 @@ func TestTupleBudgetBoundaryE1(t *testing.T) {
 // TestTimeoutBoundary: E6 under a timeout that fires mid-run returns a
 // sound partial prefix. The instant of the trip is inherently
 // non-deterministic, so only soundness — not the cut point — is
-// asserted. The 4-worker cell trips the deadline inside fanned-out
-// rounds, where workers checkpoint as they reserve derivation grants.
+// asserted.
 func TestTimeoutBoundary(t *testing.T) {
 	prog, db := chainProg(t), chainDB(t, 120)
 	full, err := prog.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		for _, d := range []time.Duration{time.Nanosecond, 50 * time.Microsecond, 200 * time.Microsecond} {
-			res, err := prog.Eval(db, WithTimeout(d), WithParallelism(workers))
-			if err == nil {
-				continue // machine fast enough to finish inside d
-			}
-			wantCode(t, err, CodeDeadlineExceeded)
-			wantPartial(t, res, err)
-			subsetOf(t, prog, res, full)
+	for _, d := range []time.Duration{time.Nanosecond, 50 * time.Microsecond, 200 * time.Microsecond} {
+		res, err := prog.Eval(db, WithTimeout(d))
+		if err == nil {
+			continue // machine fast enough to finish inside d
 		}
+		wantCode(t, err, CodeDeadlineExceeded)
+		wantPartial(t, res, err)
+		subsetOf(t, prog, res, full)
 	}
 }
 

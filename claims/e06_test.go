@@ -31,17 +31,14 @@ func joins(db *core.Database, r []value.Tuple) int {
 // transitive closure fires each ground body instantiation of the final
 // model exactly once, so its derivations track that count instead of
 // growing with the number of rounds. The recursive rule has no tc
-// tuples to read in the seed round, so the seed round runs only the exit
-// rule at every worker count, and every round reads its round-start
-// state: both worker counts fire the same instantiations in the same
-// rounds.
+// tuples to read in the seed round, so the seed round runs only the
+// exit rule.
 func TestE6SeminaiveTransfers(t *testing.T) {
 	info := analyze(t, tcProgram)
 	for _, c := range []struct {
-		name string
-		db   *core.Database
-		tc   int
-		// derivations and iterations at parallelism 1 and 2 alike.
+		name                    string
+		db                      *core.Database
+		tc                      int
 		derivations, iterations int
 	}{
 		{"chain-64", chainDB(64), 64 * 65 / 2, 2080, 65},
@@ -49,20 +46,18 @@ func TestE6SeminaiveTransfers(t *testing.T) {
 		{"grid-8x8", gridDB(8), 1232, 2016, 15},
 	} {
 		edges := c.db.Relation("e").Tuples()
-		for _, workers := range []int{1, 2} {
-			res := eval(t, info, c.db, core.Options{Parallelism: workers})
-			size, st := res.Relation("tc").Len(), res.Stats
-			// One derivation per body instantiation.
-			want := len(edges) + joins(c.db, res.Relation("tc").Tuples())
-			t.Logf("%-9s parallelism %d: |tc| %5d (want %5d)  derivations %5d (want %5d; instantiations %5d)  iterations %3d (want %3d)",
-				c.name, workers, size, c.tc, st.Derivations, c.derivations, want, st.Iterations, c.iterations)
-			if st.Derivations != want {
-				t.Fatalf("%s parallelism %d: %d derivations, want %d; semi-naive refired an instantiation", c.name, workers, st.Derivations, want)
-			}
-			if size != c.tc || st.Derivations != c.derivations || st.Iterations != c.iterations {
-				t.Fatalf("%s parallelism %d: |tc| %d, %d derivations, %d iterations; want %d, %d, %d", c.name, workers,
-					size, st.Derivations, st.Iterations, c.tc, c.derivations, c.iterations)
-			}
+		res := eval(t, info, c.db, core.Options{})
+		size, st := res.Relation("tc").Len(), res.Stats
+		// One derivation per body instantiation.
+		want := len(edges) + joins(c.db, res.Relation("tc").Tuples())
+		t.Logf("%-9s |tc| %5d (want %5d)  derivations %5d (want %5d; instantiations %5d)  iterations %3d (want %3d)",
+			c.name, size, c.tc, st.Derivations, c.derivations, want, st.Iterations, c.iterations)
+		if st.Derivations != want {
+			t.Fatalf("%s: %d derivations, want %d; semi-naive refired an instantiation", c.name, st.Derivations, want)
+		}
+		if size != c.tc || st.Derivations != c.derivations || st.Iterations != c.iterations {
+			t.Fatalf("%s: |tc| %d, %d derivations, %d iterations; want %d, %d, %d", c.name,
+				size, st.Derivations, st.Iterations, c.tc, c.derivations, c.iterations)
 		}
 	}
 }

@@ -18,11 +18,7 @@
 //	-timeout d       wall-clock budget for the run, e.g. 5s, 300ms (0 = none)
 //	-max-tuples n    materialized-tuple budget, a memory ceiling (0 = none)
 //	-max-derivations n  derivation budget, a work ceiling (0 = none)
-//	-parallel n      evaluate fixpoints on up to n worker goroutines
-//	                 (answers stay byte-identical to sequential; 0 or 1 =
-//	                 sequential, the default)
-//	-plan            print the worker count and the join plans the engine
-//	                 would use and exit
+//	-plan            print the join plans the engine would use and exit
 //	-partial         on a tripped budget/timeout, still print the partial model
 //	-optimize p      print the §4-optimized program w.r.t. p and exit
 //	-show            print the (choice-translated) program before running
@@ -131,12 +127,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none)")
 	maxTuples := flag.Int("max-tuples", 0, "materialized-tuple budget, a memory ceiling (0 = none)")
 	maxDerivations := flag.Int("max-derivations", 0, "derivation budget, a work ceiling (0 = none)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for fixpoint evaluation (0 or 1 = sequential (default))")
 	partial := flag.Bool("partial", false, "on a tripped budget/timeout, still print the partial model")
 	optimize := flag.String("optimize", "", "print the optimized program w.r.t. this predicate and exit")
 	show := flag.Bool("show", false, "print the evaluated (choice-translated) program")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
-	plan := flag.Bool("plan", false, "print the worker count and the join plans the engine would use and exit")
+	plan := flag.Bool("plan", false, "print the join plans the engine would use and exit")
 	magic := flag.Bool("magic", true, "enable the magic-sets demand rewrite for interactive goal queries")
 	interactive := flag.Bool("i", false, "start an interactive session (REPL)")
 	walPath := flag.String("wal", "", "durable write-ahead log for the interactive session (with -i)")
@@ -227,7 +222,6 @@ func main() {
 			timeout:        *timeout,
 			maxTuples:      *maxTuples,
 			maxDerivations: *maxDerivations,
-			parallel:       *parallel,
 			noMagic:        !*magic,
 		}, db, log, preload...)
 		return
@@ -314,9 +308,6 @@ func main() {
 	}
 	if *maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(*maxDerivations))
-	}
-	if *parallel > 1 {
-		opts = append(opts, idlog.WithParallelism(*parallel))
 	}
 
 	// Ctrl-C cancels the evaluation at the next guard checkpoint.

@@ -240,9 +240,9 @@ func runMainInput(t *testing.T, input, args string) (code int, stdout, stderr st
 }
 
 // TestRemovedFlagIsUsageError runs the CLI in a child process: the
-// retired -partitions and -planner flags are unknown flags (usage
-// error, exit 2), while -parallel on the same program runs normally
-// and -plan renders the worker count and the delta-first rotation of a
+// retired -partitions, -planner and -parallel flags are unknown flags
+// (usage error, exit 2), while -plan on the same program opens with
+// its first stratum and renders the delta-first rotation of a
 // recursive clause.
 func TestRemovedFlagIsUsageError(t *testing.T) {
 	prog := writeFile(t, "x.idl", "e(a, b).\ne(b, c).\ntc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n")
@@ -250,73 +250,15 @@ func TestRemovedFlagIsUsageError(t *testing.T) {
 		code, stdout, stderr := runMain(t, args)
 		return code, stdout + stderr
 	}
-	for name, args := range map[string]string{"partitions": "-partitions 4", "planner": "-planner=false"} {
+	for name, args := range map[string]string{"partitions": "-partitions 4", "planner": "-planner=false", "parallel": "-parallel 2"} {
 		if code, out := run(args + " " + prog); code != exitUsage ||
 			!strings.Contains(out, "flag provided but not defined: -"+name) {
 			t.Fatalf("%s: exit %d, want %d (unknown flag):\n%s", args, code, exitUsage, out)
 		}
 	}
-	if code, out := run("-parallel 2 " + prog); code != exitOK || !strings.Contains(out, "tc{(a, b), (a, c), (b, c)}") {
-		t.Fatalf("-parallel 2: exit %d, want %d:\n%s", code, exitOK, out)
-	}
 	if code, out := run("-plan " + prog); code != exitOK || !strings.Contains(out, "[delta scan]") ||
-		!strings.HasPrefix(out, "workers: 1 (sequential)\n") {
-		t.Fatalf("-plan: exit %d, want %d with the worker count and a [delta scan] step:\n%s", code, exitOK, out)
-	}
-	if code, out := run("-plan -parallel 3 " + prog); code != exitOK || !strings.HasPrefix(out, "workers: 3 ") {
-		t.Fatalf("-plan -parallel 3: exit %d, want %d with 3 workers:\n%s", code, exitOK, out)
-	}
-}
-
-// TestParallelMatchesSequential runs the CLI at several -parallel
-// values: the default (0) and 2 workers render byte-identical answers
-// to -parallel 1, and the -stats line is equal at 0, 1, 2 and 4
-// workers, both on a small recursive program with negation and on a
-// dense closure whose widest delta rounds (~5.4k tuples) clear the
-// 4096-tuple round gate, so one run at 2 or 4 workers mixes direct and
-// fanned-out rounds.
-func TestParallelMatchesSequential(t *testing.T) {
-	tc19 := writeFile(t, "tc19.idl", "e(a, b). e(b, c). e(c, d).\n"+
-		"tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n"+
-		"bad(d).\nr(X) :- e(a, X).\nr(Y) :- r(X), e(X, Y), not bad(Y).\n")
-	var dense strings.Builder
-	for i := 0; i < 128; i++ {
-		for _, j := range []int{(i + 1) % 128, (3*i + 1) % 128, (7*i + 2) % 128} {
-			fmt.Fprintf(&dense, "edge(g%d, g%d).\n", i, j)
-		}
-	}
-	denseFacts := writeFile(t, "dense.facts", dense.String())
-	inputs := map[string]string{
-		"tc19":  tc19,
-		"dense": "-facts " + denseFacts + " " + filepath.Join("..", "..", "examples", "programs", "tc.idl"),
-	}
-	for name, input := range inputs {
-		var render, stats string
-		for _, p := range []int{1, 0, 2, 4} {
-			code, stdout, stderr := runMain(t, fmt.Sprintf("-stats -parallel %d %s", p, input))
-			if code != exitOK {
-				t.Fatalf("%s -parallel %d: exit %d:\n%s", name, p, code, stderr)
-			}
-			var line string
-			for _, l := range strings.Split(stderr, "\n") {
-				if strings.HasPrefix(l, "stats:") {
-					line = l
-				}
-			}
-			if line == "" {
-				t.Fatalf("%s -parallel %d: no stats line:\n%s", name, p, stderr)
-			}
-			if p == 1 {
-				render, stats = stdout, line
-				continue
-			}
-			if stdout != render {
-				t.Fatalf("%s: -parallel %d renders\n%s\nwant (-parallel 1)\n%s", name, p, stdout, render)
-			}
-			if line != stats {
-				t.Fatalf("%s: -parallel %d %s, want (-parallel 1) %s", name, p, line, stats)
-			}
-		}
+		!strings.HasPrefix(out, "stratum 0: ") {
+		t.Fatalf("-plan: exit %d, want %d opening with stratum 0 and with a [delta scan] step:\n%s", code, exitOK, out)
 	}
 }
 

@@ -22,7 +22,6 @@ type replLimits struct {
 	timeout        time.Duration
 	maxTuples      int
 	maxDerivations int
-	parallel       int
 	noMagic        bool
 }
 
@@ -37,9 +36,6 @@ func (l replLimits) options() []idlog.Option {
 	}
 	if l.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(l.maxDerivations))
-	}
-	if l.parallel > 1 {
-		opts = append(opts, idlog.WithParallelism(l.parallel))
 	}
 	if l.noMagic {
 		opts = append(opts, idlog.WithMagic(false))
@@ -58,16 +54,12 @@ func (l replLimits) String() string {
 	if l.timeout > 0 {
 		t = l.timeout.String()
 	}
-	p := "1 (0 or 1 = sequential (default))"
-	if l.parallel > 1 {
-		p = strconv.Itoa(l.parallel)
-	}
 	mg := "on"
 	if l.noMagic {
 		mg = "off"
 	}
-	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, magic=%s",
-		t, show(l.maxTuples), show(l.maxDerivations), p, mg)
+	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, magic=%s",
+		t, show(l.maxTuples), show(l.maxDerivations), mg)
 }
 
 // repl is the interactive session state. Clauses hold the session
@@ -102,11 +94,9 @@ const replHelp = `commands:
                                  (body order, probe columns, estimated rows)
   :limits [KEY VALUE ...]        show or set per-query budgets; keys:
                                  timeout (duration), max-tuples,
-                                 max-derivations (0 = off), parallel
-                                 (worker goroutines, 0 or 1 =
-                                 sequential (default)), magic (on/off:
-                                 goal-directed magic-sets rewriting
-                                 for bound queries)
+                                 max-derivations (0 = off), magic
+                                 (on/off: goal-directed magic-sets
+                                 rewriting for bound queries)
   :clear                         drop all session clauses
   :help                          this text
   :quit                          leave
@@ -257,11 +247,11 @@ func (s *repl) command(line string) bool {
 }
 
 // limitsUsage names every key limitsCommand accepts.
-const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [parallel N] [magic on|off]"
+const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [magic on|off]"
 
 // limitsCommand shows or sets the per-query limits: KEY VALUE pairs
 // with keys timeout, max-tuples and max-derivations (0 switches one
-// off), parallel (0 or 1 = sequential, the default) and magic (on/off).
+// off) and magic (on/off).
 func (s *repl) limitsCommand(args []string) {
 	if len(args)%2 != 0 {
 		fmt.Fprintln(s.out, limitsUsage)
@@ -292,13 +282,6 @@ func (s *repl) limitsCommand(args []string) {
 				return
 			}
 			next.maxDerivations = n
-		case "parallel":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				fmt.Fprintln(s.out, "bad parallel:", val)
-				return
-			}
-			next.parallel = n
 		case "magic":
 			switch val {
 			case "on", "true", "1":

@@ -172,12 +172,24 @@ func TestREPLLimitsValidation(t *testing.T) {
 :limits max-tuples -3
 :limits widgets 7
 :limits partitions 4
+:limits parallel 2
 :quit
 `)
-	for _, want := range []string{"usage: :limits", "bad timeout", "bad max-tuples", "unknown limit: widgets", "unknown limit: partitions"} {
+	for _, want := range []string{"usage: :limits", "bad timeout", "bad max-tuples", "unknown limit: widgets",
+		"unknown limit: partitions", "unknown limit: parallel"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestREPLLimitsShowNoParallel checks that :limits no longer renders a
+// worker count: the fixpoint has one worker.
+func TestREPLLimitsShowNoParallel(t *testing.T) {
+	out := runSession(t, ":limits\n:quit\n")
+	if !strings.Contains(out, "limits: timeout=off, max-tuples=off, max-derivations=off, magic=on") ||
+		strings.Contains(out, "parallel=") {
+		t.Fatalf(":limits renders a worker count or lost a key:\n%s", out)
 	}
 }
 
@@ -186,7 +198,7 @@ func TestREPLLimitsValidation(t *testing.T) {
 func TestREPLLimitsUsageNamesEveryKey(t *testing.T) {
 	keys := map[string]string{
 		"timeout": "1s", "max-tuples": "5", "max-derivations": "5",
-		"parallel": "2", "magic": "off",
+		"magic": "off",
 	}
 	for key, val := range keys {
 		if !strings.Contains(limitsUsage, "["+key+" ") {

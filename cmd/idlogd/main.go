@@ -22,10 +22,6 @@
 //	-max-timeout d        clamp on requested per-request timeouts (default 60s)
 //	-max-tuples n         default materialized-tuple budget (0 = none)
 //	-max-derivations n    default derivation budget (0 = none)
-//	-max-parallelism n    clamp on per-request evaluation parallelism
-//	                      (default GOMAXPROCS; requests tune it via the
-//	                      "parallelism" field; unset, 0 or 1 =
-//	                      sequential (default); clamps only n > 1)
 //	-session-ttl d        evict sessions idle longer than this (default 15m)
 //	-drain-timeout d      grace period for in-flight requests on shutdown (default 10s)
 //	-wal file             write-ahead log for durable mutations; replayed
@@ -142,7 +138,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.DurationVar(&dc.server.MaxTimeout, "max-timeout", 60*time.Second, "clamp on requested per-request timeouts")
 	fs.IntVar(&dc.server.DefaultMaxTuples, "max-tuples", 0, "default materialized-tuple budget (0 = none)")
 	fs.IntVar(&dc.server.DefaultMaxDerivations, "max-derivations", 0, "default derivation budget (0 = none)")
-	fs.IntVar(&dc.server.MaxParallelism, "max-parallelism", runtime.GOMAXPROCS(0), "clamp on the per-request \"parallelism\" field (unset = sequential)")
 	fs.DurationVar(&dc.server.SessionTTL, "session-ttl", 15*time.Minute, "evict sessions idle longer than this")
 	fs.StringVar(&dc.walPath, "wal", "", "write-ahead log for durable mutations (replayed on startup)")
 	fs.IntVar(&dc.server.WALCheckpointEntries, "wal-checkpoint", 1024, "checkpoint-and-truncate the WAL every n entries (negative disables)")

@@ -46,6 +46,17 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// TestRemovedFlagIsUsageError checks that the retired
+// -max-parallelism flag is an unknown flag: exit 2 before the daemon
+// listens or loads anything.
+func TestRemovedFlagIsUsageError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-max-parallelism", "4"}, &stdout, &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -max-parallelism") {
+		t.Fatalf("-max-parallelism 4: exit %d, want 2 (unknown flag):\n%s", code, stderr.String())
+	}
+}
+
 // TestBuildServerAndServe preloads a program file and a fact file, then
 // round-trips a query over HTTP the way the daemon would serve it.
 func TestBuildServerAndServe(t *testing.T) {

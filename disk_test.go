@@ -132,8 +132,8 @@ func dbAfterMutations(db *Database, rng *rand.Rand, n int) *Database {
 // random EDBs shaped by random mutation interleavings, the disk engine
 // must be observationally identical to the in-memory engine — same
 // relation fingerprints after spill+reopen, and same evaluation results
-// for every program in the pool, sequentially and in parallel. Run with
-// -race this also exercises concurrent block-cache access.
+// for every program in the pool. Run with -race this also exercises
+// concurrent block-cache access (the trials run in parallel).
 func TestDiskEngineDifferential(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -167,28 +167,22 @@ func TestDiskEngineDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("program %d: %v", pi, err)
 				}
-				for _, par := range []int{1, 4} {
-					opts := []Option{}
-					if par > 1 {
-						opts = append(opts, WithParallelism(par))
+				mres, merr := prog.Eval(mem)
+				dres, derr := prog.Eval(disk)
+				if (merr == nil) != (derr == nil) {
+					t.Fatalf("trial %d program %d: mem err %v, disk err %v", trial, pi, merr, derr)
+				}
+				if merr != nil {
+					continue
+				}
+				for _, p := range prog.OutputPredicates() {
+					mrel, drel := mres.Relation(p), dres.Relation(p)
+					if (mrel == nil) != (drel == nil) {
+						t.Fatalf("trial %d program %d: %s presence diverges", trial, pi, p)
 					}
-					mres, merr := prog.Eval(mem, opts...)
-					dres, derr := prog.Eval(disk, opts...)
-					if (merr == nil) != (derr == nil) {
-						t.Fatalf("trial %d program %d par %d: mem err %v, disk err %v", trial, pi, par, merr, derr)
-					}
-					if merr != nil {
-						continue
-					}
-					for _, p := range prog.OutputPredicates() {
-						mrel, drel := mres.Relation(p), dres.Relation(p)
-						if (mrel == nil) != (drel == nil) {
-							t.Fatalf("trial %d program %d par %d: %s presence diverges", trial, pi, par, p)
-						}
-						if mrel != nil && mrel.Fingerprint() != drel.Fingerprint() {
-							t.Fatalf("trial %d program %d par %d: %s fingerprint diverges\nmem:  %v\ndisk: %v",
-								trial, pi, par, p, mrel, drel)
-						}
+					if mrel != nil && mrel.Fingerprint() != drel.Fingerprint() {
+						t.Fatalf("trial %d program %d: %s fingerprint diverges\nmem:  %v\ndisk: %v",
+							trial, pi, p, mrel, drel)
 					}
 				}
 			}

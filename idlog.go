@@ -278,11 +278,11 @@ func wrapEnumerateErr(err error) error {
 }
 
 // ExplainPlan renders the join plans the engine would use for an
-// evaluation of the program over db under the same options: the worker
-// count the run uses (see WithParallelism), then per stratum, component
-// and clause, the chosen body order with access paths (scan,
-// probe with columns, delta scan, filter, compute) and estimated
-// cardinalities, plus the delta-first variants of recursive clauses. It
+// evaluation of the program over db under the same options: per
+// stratum, component and clause, the chosen body order with access
+// paths (scan, probe with columns, delta scan, filter, compute) and
+// estimated cardinalities, plus the delta-first variants of recursive
+// clauses. It
 // evaluates the program once and renders the plans that run compiled,
 // with the cardinality snapshot each component was planned on; the
 // computed model is discarded.

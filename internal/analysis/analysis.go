@@ -108,9 +108,9 @@ type Component struct {
 	Clauses []*OrderedClause
 	// Recursive reports whether any clause of the component is
 	// recursive. Non-recursive
-	// components reach fixpoint in a single seed round, so evaluators
-	// (sequential and parallel alike) skip the delta-round scheduling —
-	// no delta sinks, no round loop — for them.
+	// components reach fixpoint in a single seed round, so the evaluator
+	// skips the delta-round scheduling — no delta sinks, no round loop —
+	// for them.
 	Recursive bool
 }
 

@@ -82,7 +82,7 @@ func TestWalkResetsCursors(t *testing.T) {
 			return nil
 		},
 	}
-	if err := rn.run(cc, -1, nil, 0, -1); err != nil {
+	if err := rn.run(cc, -1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if derived != 40 || cap(cc.iters[0].buf) == 0 {

@@ -285,10 +285,10 @@ func compileStreamPlan(cc *compiledClause, seed []compiledArg) {
 	}
 }
 
-// clone gives a parallel worker its own copy of the clause: the static
-// plan (args, probe columns, positions) is shared, but every scratch
-// buffer — the only mutable state — is fresh, so two workers can walk
-// the same clause concurrently.
+// clone copies the clause for a plan-cache clone: the static plan
+// (args, probe columns, positions) is shared, but every scratch buffer
+// — the only mutable state — is fresh, so two runs holding clones can
+// walk the same clause concurrently.
 func (cc *compiledClause) clone() *compiledClause {
 	c := *cc
 	c.lits = make([]compiledLit, len(cc.lits))

@@ -245,9 +245,9 @@ func (r *Result) Relations() []string {
 }
 
 // DeepClone returns a database whose relations are rebuilt copies
-// sharing no internal state with db; use it to hand inputs to parallel
-// evaluations (relations build indexes lazily and are not safe for
-// concurrent use).
+// sharing no internal state with db; use it to hand inputs to
+// concurrent evaluations (relations build indexes lazily and are not
+// safe for concurrent use).
 func (db *Database) DeepClone() *Database {
 	c := NewDatabase()
 	for n, r := range db.rels {

@@ -58,7 +58,7 @@ func planLine(t *testing.T, out, head string) string {
 // fallback formula always did: col ⋈ col.
 func TestDistinctCountsOrderTheColouringCheck(t *testing.T) {
 	info := mustAnalyze(t, colouringSrc)
-	opts := Options{Oracle: relation.RandomOracle{Seed: 7}, Parallelism: 1}
+	opts := Options{Oracle: relation.RandomOracle{Seed: 7}}
 	for _, c := range []struct {
 		frozen bool
 		want   string

@@ -23,8 +23,7 @@ type Options struct {
 	// body facts of its first derivation, enabling Result.Explain.
 	// Costs memory proportional to the model. A traced run uses the
 	// planned body order and the plan cache like any other run; body
-	// facts are recorded in the analysis order. Trace forces sequential
-	// evaluation (provenance capture is inherently ordered).
+	// facts are recorded in the analysis order.
 	Trace bool
 	// PlanCache, when non-nil, memoizes compiled component plans across
 	// evaluations keyed by (program, database version); see PlanCache
@@ -32,15 +31,9 @@ type Options struct {
 	// run publishes its plans; a hit skips cardinality estimation and
 	// plan compilation.
 	PlanCache *PlanCache
-	// Parallelism bounds the worker pool of the semi-naive fixpoint.
-	// 0 (the zero value), 1, values < 0 and Trace runs evaluate every
-	// round on the calling goroutine and build no pool: the sequential
-	// run is the default. An explicit n > 1 is an upper bound: only seed
-	// rounds, non-recursive components and delta rounds of at least
-	// minParallelDelta tuples fan out over the workers; every other
-	// round runs on the calling goroutine. Answer sets, ID assignment,
-	// insertion order and every Stats count are identical at every
-	// worker count (see eval_parallel.go).
+	// Parallelism is ignored: every round runs on the calling
+	// goroutine. The field remains only because the benchmark harness
+	// still sets it; no evaluation path reads it.
 	Parallelism int
 	// Guard governs the run (cancellation, deadlines, budgets, fault
 	// injection). Nil builds a fresh guard carrying only
@@ -250,16 +243,6 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 	return e.fixpoint(c, sp)
 }
 
-// workers resolves the worker count a run uses: Parallelism when it is
-// above 1 and the run is not traced (provenance capture is ordered),
-// otherwise 1.
-func (o Options) workers() int {
-	if o.Trace {
-		return 1
-	}
-	return max(o.Parallelism, 1)
-}
-
 // fixpoint runs component c to its least fixpoint by semi-naive
 // rounds. The seed round evaluates the exit clauses only: the
 // component's own relations are still empty, so a clause reading one of
@@ -268,15 +251,7 @@ func (o Options) workers() int {
 // reading the previous round's new tuples (through the planner's
 // delta-first variant when available, in place otherwise) while the
 // other positions read the full relations.
-//
-// A round runs directly on the calling goroutine (direct), inserting
-// each derivation where it is made, unless it fans out over the worker
-// pool (pool.round): seed rounds and non-recursive components fan out
-// whenever there are two or more workers, delta rounds only once their
-// total delta reaches minParallelDelta.
 func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan) error {
-	nw := e.opts.workers()
-	var p *pool // built by the component's first fanned-out round
 	// sinks receive each round's new tuples, which are the next round's
 	// deltas. Deltas are append-only: a sink is fed exactly the tuples
 	// the full relation reported new, so it needs no duplicate check.
@@ -284,28 +259,18 @@ func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan) error {
 	if c.Recursive {
 		sinks = e.newDeltas(c, nil)
 	}
-	var units []pTask
+	var units []roundUnit
 	var recursive []int
 	for ci := 0; ci < sp.nseed; ci++ {
 		if len(sp.units[ci]) > 0 {
 			recursive = append(recursive, ci)
 			continue
 		}
-		units = append(units, pTask{ci: ci, pos: -1, hi: -1})
+		units = append(units, roundUnit{ci: ci, pos: -1})
 	}
-	fan := nw > 1
 	for {
 		e.stats.Iterations++
-		var err error
-		if fan {
-			if p == nil {
-				p = e.newPool(sp.all, nw)
-			}
-			err = p.round(units, sinks)
-		} else {
-			err = e.direct(c, sp.all, units, sinks)
-		}
-		if err != nil || len(recursive) == 0 {
+		if err := e.direct(c, sp.all, units, sinks); err != nil || len(recursive) == 0 {
 			return err
 		}
 		delta, total := sinks, 0
@@ -328,12 +293,19 @@ func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan) error {
 				// position; other positions read the full relations
 				// (which already include the delta).
 				if d := delta[sp.all[u.idx].lits[u.pos].pred]; d.Len() > 0 {
-					units = append(units, pTask{ci: u.idx, pos: u.pos, hi: -1, deltaRel: d})
+					units = append(units, roundUnit{ci: u.idx, pos: u.pos, deltaRel: d})
 				}
 			}
 		}
-		fan = nw > 1 && total >= minParallelDelta
 	}
+}
+
+// roundUnit is one unit of round work: clause ci of the component plan
+// with deltaRel substituted at body position pos (-1 = seed pass).
+type roundUnit struct {
+	ci       int
+	pos      int
+	deltaRel *relation.Relation
 }
 
 // newDeltas returns an empty delta sink per predicate of c, each sized
@@ -351,12 +323,11 @@ func (e *engine) newDeltas(c *analysis.Component, prev map[string]*relation.Rela
 	return next
 }
 
-// direct evaluates one round's units on the calling goroutine, in
-// order, each derivation inserted into its head relation as it is made
-// and, when new, appended to the head's sink. The units read the
-// component's relations as of the round's start (runner.frontier), as a
-// fanned-out round does, so both make the same derivations.
-func (e *engine) direct(c *analysis.Component, clauses []*compiledClause, units []pTask, sinks map[string]*relation.Relation) error {
+// direct evaluates one round's units in order, each derivation
+// inserted into its head relation as it is made and, when new, appended
+// to the head's sink. The units read the component's relations as of
+// the round's start (runner.frontier).
+func (e *engine) direct(c *analysis.Component, clauses []*compiledClause, units []roundUnit, sinks map[string]*relation.Relation) error {
 	frontier := make(map[string]int, len(c.Preds))
 	for _, p := range c.Preds {
 		frontier[p] = e.work[p].Len()
@@ -436,7 +407,7 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *rela
 		}
 		return nil
 	}
-	err := rn.run(cc, deltaPos, deltaRel, 0, -1)
+	err := rn.run(cc, deltaPos, deltaRel)
 	if e.governed && e.gused > 0 {
 		// Settle the outstanding amortized batch so the guard is exact at
 		// clause boundaries. Without this, derivations run under the last
@@ -450,10 +421,8 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *rela
 	return err
 }
 
-// runner executes the join walk of one clause (iterator.go). There is
-// exactly one per goroutine: the sequential engine builds one per clause
-// run, and every parallel worker owns one bound to its private
-// compiled-clause copies (the compiled scratch buffers are
+// runner executes the join walk of one clause (iterator.go); the engine
+// builds one per clause run (the compiled scratch buffers are
 // single-threaded by design). The walk is pure enumeration — each
 // complete body instantiation hands the candidate head tuple (scratch;
 // clone to retain) to the derive hook, which carries all mutable policy:
@@ -465,9 +434,13 @@ type runner struct {
 	stats   *Stats
 	derive  func(cc *compiledClause, env []value.Value, head value.Tuple) error
 	// frontier, when non-nil, holds each component predicate's length at
-	// the start of a direct delta round. A recursive literal away from
-	// the delta position then reads only those positions — the
-	// round-start state a fanned-out round reads — and not the tuples
-	// the round is inserting.
+	// the start of a round. A recursive literal away from the delta
+	// position then reads only those positions, not the tuples the round
+	// is inserting. Such a tuple is the next round's delta, and the
+	// delta unit that reads it there makes every instantiation through
+	// it; reading it here as well would fire those instantiations a
+	// round early and then again. So semi-naive evaluation refires no
+	// instantiation across rounds (E6's exact counts), and a round's
+	// counts do not depend on the order its units run in.
 	frontier map[string]int
 }

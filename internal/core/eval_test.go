@@ -547,16 +547,14 @@ func TestCompletedStrataCountsStrataNotComponents(t *testing.T) {
 		_ = db.Add("f", value.Ints(int64(10+i)))
 	}
 	for _, tc := range []struct{ maxTuples, completed int }{{7, 0}, {12, 1}} {
-		for _, workers := range []int{1, 2} {
-			g := guard.New(nil, guard.Limits{MaxTuples: tc.maxTuples})
-			res, err := Eval(info, db, Options{Guard: g, Parallelism: workers})
-			if err == nil || !res.Incomplete {
-				t.Fatalf("max-tuples %d: run did not trip", tc.maxTuples)
-			}
-			if res.CompletedStrata != tc.completed {
-				t.Fatalf("max-tuples %d, workers %d: CompletedStrata = %d, want %d",
-					tc.maxTuples, workers, res.CompletedStrata, tc.completed)
-			}
+		g := guard.New(nil, guard.Limits{MaxTuples: tc.maxTuples})
+		res, err := Eval(info, db, Options{Guard: g})
+		if err == nil || !res.Incomplete {
+			t.Fatalf("max-tuples %d: run did not trip", tc.maxTuples)
+		}
+		if res.CompletedStrata != tc.completed {
+			t.Fatalf("max-tuples %d: CompletedStrata = %d, want %d",
+				tc.maxTuples, res.CompletedStrata, tc.completed)
 		}
 	}
 }

@@ -276,7 +276,7 @@ func (cs *CompiledStratum) Overdelete(st *IncrState, dels map[string]*relation.R
 				return nil
 			}
 			err := cs.deltaUnits(ci, cur, func(cc *compiledClause, pos int, d *relation.Relation) error {
-				return rn.run(cc, pos, d, 0, -1)
+				return rn.run(cc, pos, d)
 			})
 			if err != nil {
 				return overdel, err
@@ -358,7 +358,7 @@ func (hb *headBoundClause) derives(st *IncrState, t value.Tuple) (bool, error) {
 		found = true
 		return errStop
 	}
-	if err := rn.walk(hb.cc, env, -1, nil, 0, -1); err != nil && err != errStop {
+	if err := rn.walk(hb.cc, env, -1, nil); err != nil && err != errStop {
 		return false, err
 	}
 	return found, nil
@@ -425,7 +425,7 @@ func (cs *CompiledStratum) Propagate(st *IncrState, ins map[string]*relation.Rel
 				return nil
 			}
 			err := cs.deltaUnits(ci, cur, func(cc *compiledClause, pos int, d *relation.Relation) error {
-				return rn.run(cc, pos, d, 0, -1)
+				return rn.run(cc, pos, d)
 			})
 			if err != nil {
 				return added, err
@@ -438,7 +438,7 @@ func (cs *CompiledStratum) Propagate(st *IncrState, ins map[string]*relation.Rel
 // EvalStrata recomputes strata[from:] of info from scratch against the
 // current state: IDB relations of those strata are reset to empty, their
 // ID-relations re-materialize under opts.Oracle, and the ordinary
-// engine loop (semi-naive or parallel per opts) runs them to fixpoint.
+// semi-naive engine loop runs them to fixpoint.
 // This is the incremental layer's fallback for strata the delta/DRed
 // machinery cannot maintain (ID-literals, or negation over a changed
 // stratum). Oracle stability for untouched groups is the oracle's

@@ -86,9 +86,8 @@ func checksPass(checks []checkPair, t []value.Value) bool {
 }
 
 // openIter positions the cursor for the literal at depth under the
-// current environment. lo/hi carry the parallel shard bounds for the
-// depth-0 literal (hi = -1 means unrestricted); deeper opens pass 0,-1.
-func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+// current environment.
+func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []value.Value, deltaPos int, deltaRel *relation.Relation) error {
 	cl := &cc.lits[depth]
 	it.cl = cl
 	if cl.call != nil {
@@ -166,15 +165,13 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	}
 	it.rel = rel
 	if len(cl.probeCols) == 0 {
-		if hi < 0 {
-			lo, hi = 0, rel.Len()
-			if limit >= 0 {
-				hi = min(hi, limit)
-			}
+		hi := rel.Len()
+		if limit >= 0 {
+			hi = min(hi, limit)
 		}
-		rn.stats.TuplesScanned += hi - lo
+		rn.stats.TuplesScanned += hi
 		it.kind = iterScan
-		it.pos, it.hi = lo, hi
+		it.pos, it.hi = 0, hi
 		it.buf, it.bufIdx = it.buf[:0], 0
 		return nil
 	}
@@ -196,9 +193,6 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 		positions = positions[:sort.SearchInts(positions, limit)]
 	}
 	n := len(positions)
-	if hi >= 0 {
-		positions, n = positions[lo:hi], hi-lo
-	}
 	rn.stats.TuplesScanned += n
 	it.kind = iterProbe
 	it.positions, it.idx, it.n = positions, 0, n
@@ -312,11 +306,10 @@ func (it *litIter) current() []value.Value {
 }
 
 // run walks cc with the delta relation substituted at deltaPos (-1 for
-// none). lo/hi restrict the depth-0 literal's enumeration range to
-// [lo, hi) — the parallel shard bounds; hi = -1 means unrestricted.
-func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+// none).
+func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relation) error {
 	env := make([]value.Value, cc.nslots)
-	return rn.walk(cc, env, deltaPos, deltaRel, lo, hi)
+	return rn.walk(cc, env, deltaPos, deltaRel)
 }
 
 // walk is the executor's driver: an explicit open/next/pop loop over
@@ -325,7 +318,7 @@ func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relat
 // is never cleared, so it may be reused across walks; compilation
 // guarantees every slot read was bound earlier in the same walk or by
 // the seed.
-func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, deltaRel *relation.Relation) error {
 	last := len(cc.lits) - 1
 	if last < 0 {
 		return rn.deriveHead(cc, env)
@@ -346,7 +339,7 @@ func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, delt
 			iters[i] = litIter{buf: buf[:0]}
 		}
 	}()
-	if err := rn.openIter(cc, &iters[0], 0, env, deltaPos, deltaRel, lo, hi); err != nil {
+	if err := rn.openIter(cc, &iters[0], 0, env, deltaPos, deltaRel); err != nil {
 		return err
 	}
 	depth := 0
@@ -362,7 +355,7 @@ func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, delt
 			continue
 		}
 		depth++
-		if err := rn.openIter(cc, &iters[depth], depth, env, deltaPos, deltaRel, 0, -1); err != nil {
+		if err := rn.openIter(cc, &iters[depth], depth, env, deltaPos, deltaRel); err != nil {
 			return err
 		}
 	}

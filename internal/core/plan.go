@@ -246,10 +246,9 @@ type planUnit struct {
 // componentPlan is the compiled evaluation plan of one component: the
 // seed-pass clauses (all[:nseed], one per source clause, in source
 // order), the delta-first variant clauses appended after them, and the
-// per-seed-clause delta units driving semi-naive rounds. Sequential and
-// parallel fixpoints iterate units in the same nested order, which keeps
-// their insertion orders identical. card is the cardinality snapshot the
-// plan was compiled from; like units it is static and shared by clones.
+// per-seed-clause delta units driving semi-naive rounds. card is the
+// cardinality snapshot the plan was compiled from; like units it is
+// static and shared by clones.
 type componentPlan struct {
 	all   []*compiledClause
 	nseed int
@@ -304,8 +303,7 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 }
 
 // ExplainPlan renders the join plans the engine runs for info over db:
-// first the worker count the run uses, then per stratum and component,
-// each clause's chosen literal order with probe columns and estimated
+// per stratum and component, each clause's chosen literal order with probe columns and estimated
 // cardinalities, plus its delta-first variants. It evaluates the
 // program once (same opts, no plan cache) and renders the plans that
 // run compiled, each with the cardinality snapshot its component's
@@ -317,11 +315,6 @@ func ExplainPlan(info *analysis.Info, db *Database, opts Options) (string, error
 		return "", err
 	}
 	var b strings.Builder
-	if nw := opts.workers(); nw > 1 {
-		fmt.Fprintf(&b, "workers: %d (seed rounds, non-recursive components and delta rounds of %d+ tuples fan out)\n", nw, minParallelDelta)
-	} else {
-		b.WriteString("workers: 1 (sequential)\n")
-	}
 	for si, s := range info.Strata {
 		fmt.Fprintf(&b, "stratum %d: %s\n", si, strings.Join(s.Preds, ", "))
 		for ci, c := range s.Components {

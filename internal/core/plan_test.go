@@ -106,9 +106,7 @@ func TestPlanBodyTieKeepsSourceOrder(t *testing.T) {
 // TestPlannerMatchesNaiveOnRandomPrograms is the planner's property
 // test: over random databases and a family of join-heavy programs
 // (recursion, negation, builtins, ID-literals under a seeded oracle),
-// planned runs, at the default worker count and with 4 workers, must
-// compute the naive fixpoint, and the two must agree on every
-// fingerprint.
+// planned runs must compute the naive fixpoint.
 func TestPlannerMatchesNaiveOnRandomPrograms(t *testing.T) {
 	programs := []string{
 		`tc(X, Y) :- e(X, Y).
@@ -140,23 +138,15 @@ func TestPlannerMatchesNaiveOnRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var first *Result
-			for _, workers := range []int{0, 4} {
-				res, err := Eval(info, db, Options{Oracle: oracle, Parallelism: workers})
-				if err != nil {
-					t.Fatalf("program %d trial %d workers %d: %v", pi, trial, workers, err)
+			res, err := Eval(info, db, Options{Oracle: oracle})
+			if err != nil {
+				t.Fatalf("program %d trial %d: %v", pi, trial, err)
+			}
+			for p := range info.IDB {
+				if !res.Relation(p).Equal(naive[p]) {
+					t.Fatalf("program %d trial %d: %s differs from the naive fixpoint\nsrc: %s",
+						pi, trial, p, src)
 				}
-				for p := range info.IDB {
-					if !res.Relation(p).Equal(naive[p]) {
-						t.Fatalf("program %d trial %d workers %d: %s differs from the naive fixpoint\nsrc: %s",
-							pi, trial, workers, p, src)
-					}
-					if first != nil && res.Relation(p).Fingerprint() != first.Relation(p).Fingerprint() {
-						t.Fatalf("program %d trial %d: workers %d fingerprint of %s differs from the default run",
-							pi, trial, workers, p)
-					}
-				}
-				first = res
 			}
 		}
 	}
@@ -175,7 +165,10 @@ func TestExplainPlanRendersProbesAndDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"stratum 0", "plan:", "[delta scan]", "[probe (0) ~", "delta tc:"} {
+	if !strings.HasPrefix(out, "stratum 0: ") {
+		t.Fatalf("ExplainPlan does not open with the first stratum:\n%s", out)
+	}
+	for _, want := range []string{"plan:", "[delta scan]", "[probe (0) ~", "delta tc:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ExplainPlan missing %q:\n%s", want, out)
 		}
@@ -217,7 +210,7 @@ func TestPlanCacheMastersHoldNoCursors(t *testing.T) {
 	db.Freeze()
 	pc := NewPlanCache(0)
 	for run := 0; run < 2; run++ { // a miss that publishes, then a hit
-		if _, err := Eval(info, db, Options{Parallelism: 1, PlanCache: pc}); err != nil {
+		if _, err := Eval(info, db, Options{PlanCache: pc}); err != nil {
 			t.Fatal(err)
 		}
 		if hits, misses := pc.Stats(); hits != uint64(run) || misses != 1 {
@@ -258,7 +251,7 @@ func TestComponentsPlannedOnTheirOwnCardinalities(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		_ = db.Add("e", value.Ints(int64(i), int64(i+1)))
 	}
-	out, err := ExplainPlan(info, db, Options{Parallelism: 1})
+	out, err := ExplainPlan(info, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

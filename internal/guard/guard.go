@@ -157,13 +157,6 @@ func (g *Guard) Stratum() int { return g.stratum }
 // every CheckInterval derivations.
 func (g *Guard) Checkpoint() error {
 	g.sinceCheck = 0
-	return g.checkNow()
-}
-
-// checkNow is the context + clock check without the batching-counter
-// reset — the only state Checkpoint writes — so it is safe to call from
-// many goroutines at once (Parallel.Checkpoint does).
-func (g *Guard) checkNow() error {
 	if err := g.ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return WrapErr(DeadlineExceeded, g.op, err, "context deadline exceeded")
@@ -240,9 +233,8 @@ func (g *Guard) DerivationGrant(used int, clause string) (int, error) {
 // DerivationGrant without issuing a new grant. The engine calls it when
 // a clause finishes, so the guard is exact at every clause boundary:
 // Usage reports a true total, budget errors report an exact count, and
-// a guard shared across runs (Enumerate) or forked for a parallel phase
-// starts from the exact total instead of drifting by up to one
-// CheckInterval batch per clause.
+// a guard shared across runs (Enumerate) starts from the exact total
+// instead of drifting by up to one CheckInterval batch per clause.
 func (g *Guard) Settle(used int) { g.derivations += used }
 
 func (g *Guard) firePanic() {

@@ -198,3 +198,68 @@ func TestErrorRendering(t *testing.T) {
 		t.Fatalf("unknown code renders empty")
 	}
 }
+
+// TestGrantSettleExact covers the amortized-batch bugfix: derivations
+// run under a grant but never followed by another grant (a clause that
+// finishes mid-batch) must be settled so the count stays exact.
+func TestGrantSettleExact(t *testing.T) {
+	g := New(nil, Limits{MaxDerivations: 1000})
+	n, err := g.DerivationGrant(0, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != CheckInterval {
+		t.Fatalf("grant = %d, want %d", n, CheckInterval)
+	}
+	// The clause runs 10 of the granted derivations, then completes.
+	g.Settle(10)
+	if d, _ := g.Usage(); d != 10 {
+		t.Fatalf("Usage after settle = %d, want exactly 10", d)
+	}
+	// A fresh engine (Enumerate starts one per run) consults again: the
+	// ledger must carry the settled 10, not restart from 0.
+	n, err = g.DerivationGrant(0, "c")
+	if err != nil || n != CheckInterval {
+		t.Fatalf("second grant = %d, %v", n, err)
+	}
+	g.Settle(n)
+	if d, _ := g.Usage(); d != 10+CheckInterval {
+		t.Fatalf("Usage = %d, want %d", d, 10+CheckInterval)
+	}
+}
+
+// TestGrantBudgetExactAcrossRuns drives grants the way an enumeration
+// walk does — many short runs sharing one guard — and checks the budget
+// error fires after exactly MaxDerivations, reporting the exact count.
+func TestGrantBudgetExactAcrossRuns(t *testing.T) {
+	const max = 600 // not a CheckInterval multiple: the tail grant is short
+	g := New(nil, Limits{MaxDerivations: max})
+	total := 0
+	for run := 0; ; run++ {
+		if run > 100 {
+			t.Fatalf("budget never tripped")
+		}
+		// Each run uses at most 7 derivations per grant cycle, like a
+		// clause with a small body.
+		n, err := g.DerivationGrant(0, "tc(X, Y) :- e(X, Y).")
+		if err != nil {
+			if total != max {
+				t.Fatalf("tripped after %d derivations, want exactly %d", total, max)
+			}
+			var ge *Error
+			if !errors.As(err, &ge) || ge.Code != ResourceExhausted {
+				t.Fatalf("want ResourceExhausted, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "exactly 600 derivations") {
+				t.Fatalf("error does not report the exact count: %v", err)
+			}
+			return
+		}
+		use := n
+		if use > 7 {
+			use = 7
+		}
+		total += use
+		g.Settle(use)
+	}
+}

@@ -132,9 +132,9 @@ func TestIndexSurvivesFreeze(t *testing.T) {
 	}
 }
 
-// TestConcurrentProbeReadOnlyPhase models the parallel evaluator's read
-// phase: many goroutines probe an UNFROZEN relation (no writer active),
-// racing to build indexes on several column subsets at once.
+// TestConcurrentProbeReadOnlyPhase models a read-only phase: many
+// goroutines probe an UNFROZEN relation (no writer active), racing to
+// build indexes on several column subsets at once.
 func TestConcurrentProbeReadOnlyPhase(t *testing.T) {
 	r := New("t", 3)
 	r.MustInsert(strs("a", "b", "c"))

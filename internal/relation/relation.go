@@ -41,10 +41,7 @@ import (
 // atomic load, a miss builds under buildMu and publishes a fresh list,
 // and every insert maintains every published index. Unfrozen relations
 // therefore also tolerate concurrent *read-only* phases (probes from
-// many goroutines while no insert is running), which the parallel
-// evaluator relies on: its rounds alternate a barriered read phase
-// (workers probe) with a single-threaded merge phase (coordinator
-// inserts), with the phase barrier providing the happens-before edge.
+// many goroutines while no insert is running).
 //
 // Tuple storage is position-addressed and split in two: positions
 // [0, nsrc) read from an immutable TupleSource (a disk segment, or the
@@ -200,14 +197,7 @@ func (r *Relation) Len() int { return r.nsrc + r.mem.n }
 // Insert adds a copy of t if absent and reports whether it was added;
 // t itself is not kept, so callers may reuse its backing array.
 func (r *Relation) Insert(t value.Tuple) (bool, error) {
-	return r.InsertHash(t, t.Hash())
-}
-
-// InsertHash is Insert for a caller that already holds h == t.Hash()
-// (a parallel worker hashed t to deduplicate it): the relation does not
-// hash t again. A wrong h breaks the relation's set semantics.
-func (r *Relation) InsertHash(t value.Tuple, h uint64) (bool, error) {
-	_, added, err := r.insert(t, h)
+	_, added, err := r.insert(t)
 	return added, err
 }
 
@@ -215,14 +205,14 @@ func (r *Relation) InsertHash(t value.Tuple, h uint64) (bool, error) {
 // duplicate): a view of the relation's own copy, which callers
 // propagate (into a delta, into provenance) instead of t.
 func (r *Relation) InsertShared(t value.Tuple) (value.Tuple, error) {
-	stored, _, err := r.insert(t, t.Hash())
+	stored, _, err := r.insert(t)
 	return stored, err
 }
 
-// insert is the one lookup-and-store path behind Insert, InsertHash and
+// insert is the one lookup-and-store path behind Insert and
 // InsertShared: unless an equal tuple is present it copies t in, and
 // returns the stored view.
-func (r *Relation) insert(t value.Tuple, h uint64) (value.Tuple, bool, error) {
+func (r *Relation) insert(t value.Tuple) (value.Tuple, bool, error) {
 	r.setOp("Insert")
 	if r.frozen {
 		return nil, false, fmt.Errorf("relation %s: insert into frozen relation", r.name)
@@ -230,6 +220,7 @@ func (r *Relation) insert(t value.Tuple, h uint64) (value.Tuple, bool, error) {
 	if len(t) != r.arity {
 		return nil, false, fmt.Errorf("relation %s: inserting arity-%d tuple into arity-%d relation", r.name, len(t), r.arity)
 	}
+	h := t.Hash()
 	if r.primary.lookup(r, t, h) >= 0 {
 		return nil, false, nil
 	}
@@ -296,17 +287,11 @@ func (r *Relation) MustInsert(t value.Tuple) bool {
 
 // Contains reports whether t is in the relation.
 func (r *Relation) Contains(t value.Tuple) bool {
-	return r.ContainsHash(t, t.Hash())
-}
-
-// ContainsHash is Contains for a caller that already holds h ==
-// t.Hash(). A wrong h may report a present tuple absent.
-func (r *Relation) ContainsHash(t value.Tuple, h uint64) bool {
 	r.setOp("Contains")
 	if len(t) != r.arity {
 		return false
 	}
-	return r.primary.lookup(r, t, h) >= 0
+	return r.primary.lookup(r, t, t.Hash()) >= 0
 }
 
 // Lookup returns the position of t, or -1 when absent: the primary-table

@@ -299,57 +299,73 @@ func TestGroupsPartitionProperty(t *testing.T) {
 	}
 }
 
-// hashTwins drives the hash-carrying operations (InsertHash,
-// ContainsHash) on one relation and the hashing ones (Insert,
-// InsertShared, Contains) on a twin built the same way, and fails at the
-// first answer, length or insertion order that differs.
-type hashTwins struct {
-	t          *testing.T
-	plain, hsh *Relation
+// insertTwins drives Insert on one relation and InsertShared on a twin
+// built the same way, checks both against a set of the tuples inserted
+// so far, and fails at the first answer, membership, length or
+// insertion order that differs.
+type insertTwins struct {
+	t             *testing.T
+	plain, shared *Relation
+	model         map[string]bool
 }
 
-func (tw hashTwins) insert(tup value.Tuple) {
+func newInsertTwins(t *testing.T, mk func() *Relation) insertTwins {
+	tw := insertTwins{t: t, plain: mk(), shared: mk(), model: map[string]bool{}}
+	for _, tup := range tw.plain.Tuples() {
+		tw.model[tup.String()] = true
+	}
+	return tw
+}
+
+func (tw insertTwins) insert(tup value.Tuple) {
 	tw.t.Helper()
-	want, werr := tw.plain.Insert(tup.Clone())
-	got, gerr := tw.hsh.InsertHash(tup.Clone(), tup.Hash())
-	if got != want || (gerr == nil) != (werr == nil) {
-		tw.t.Fatalf("InsertHash(%v) = %v, %v; Insert = %v, %v", tup, got, gerr, want, werr)
+	got, err := tw.plain.Insert(tup.Clone())
+	stored, serr := tw.shared.InsertShared(tup.Clone())
+	if err != nil && serr != nil { // arity mismatch, or a frozen relation
+		if got || stored != nil {
+			tw.t.Fatalf("insert %v failed (%v) but Insert = %v, InsertShared stored %v", tup, err, got, stored)
+		}
+		return
+	}
+	want := !tw.model[tup.String()]
+	if got != want || (stored != nil) != want || (err == nil) != (serr == nil) {
+		tw.t.Fatalf("insert %v: Insert = %v, %v; InsertShared stored %v, %v; want added=%v", tup, got, err, stored, serr, want)
+	}
+	if stored != nil && !stored.Equal(tup) {
+		tw.t.Fatalf("InsertShared(%v) stored %v", tup, stored)
+	}
+	if want {
+		tw.model[tup.String()] = true
 	}
 }
 
-func (tw hashTwins) insertShared(tup value.Tuple) {
+func (tw insertTwins) contains(tup value.Tuple) {
 	tw.t.Helper()
-	want, werr := tw.plain.InsertShared(tup)
-	got, gerr := tw.hsh.InsertHash(tup.Clone(), tup.Hash())
-	if got != (want != nil) || (gerr == nil) != (werr == nil) {
-		tw.t.Fatalf("InsertHash(%v) = %v, %v; InsertShared stored %v, %v", tup, got, gerr, want, werr)
+	want := tw.model[tup.String()] && len(tup) == tw.plain.Arity()
+	if a, b := tw.plain.Contains(tup), tw.shared.Contains(tup); a != want || b != want {
+		tw.t.Fatalf("Contains(%v) = %v (Insert twin), %v (InsertShared twin), want %v", tup, a, b, want)
 	}
 }
 
-func (tw hashTwins) contains(tup value.Tuple) {
+func (tw insertTwins) check() {
 	tw.t.Helper()
-	if got, want := tw.hsh.ContainsHash(tup, tup.Hash()), tw.plain.Contains(tup); got != want {
-		tw.t.Fatalf("ContainsHash(%v) = %v, Contains = %v", tup, got, want)
-	}
-}
-
-func (tw hashTwins) check() {
-	tw.t.Helper()
-	a, b := tw.plain.Tuples(), tw.hsh.Tuples()
-	if len(a) != len(b) {
-		tw.t.Fatalf("Len %d (hashing) vs %d (hash-carrying)", len(a), len(b))
+	a, b := tw.plain.Tuples(), tw.shared.Tuples()
+	if len(a) != len(b) || len(a) != len(tw.model) {
+		tw.t.Fatalf("Len %d (Insert) vs %d (InsertShared), %d distinct inserted", len(a), len(b), len(tw.model))
 	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {
-			tw.t.Fatalf("position %d: %v (hashing) vs %v (hash-carrying)", i, a[i], b[i])
+			tw.t.Fatalf("position %d: %v (Insert) vs %v (InsertShared)", i, a[i], b[i])
 		}
 	}
 }
 
-// TestInsertHashMatchesInsert checks the hash-carrying insert and
-// membership test against Insert, InsertShared and Contains on flat
-// relations, versions of a frozen base and frozen relations, and that
-// both panic on an append-only delta relation.
+// TestInsertHashMatchesInsert checks that Insert, which hashes a tuple
+// once for its lookup and its store, agrees with InsertShared and with
+// Contains on flat relations, versions of a frozen base and frozen
+// relations; that the empty tuple is the one member an arity-0 relation
+// can hold; and that Insert and Contains panic on an append-only delta
+// relation, which has no primary table.
 func TestInsertHashMatchesInsert(t *testing.T) {
 	base := func() *Relation {
 		r := New("p", 2)
@@ -369,15 +385,11 @@ func TestInsertHashMatchesInsert(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tw := hashTwins{t: t, plain: tc.make(), hsh: tc.make()}
+			tw := newInsertTwins(t, tc.make)
 			for i := int64(0); i < 60; i++ {
 				tup := value.Ints(i%50, (i%50)%7)
 				tw.contains(tup)
-				if i%2 == 0 {
-					tw.insert(tup)
-				} else {
-					tw.insertShared(tup)
-				}
+				tw.insert(tup)
 				tw.contains(tup)
 			}
 			tw.insert(value.Ints(1)) // arity mismatch: both reject
@@ -388,11 +400,11 @@ func TestInsertHashMatchesInsert(t *testing.T) {
 	t.Run("arity0", func(t *testing.T) {
 		r := New("z", 0)
 		var empty value.Tuple // nil: the only arity-0 tuple
-		if added, err := r.InsertHash(empty, empty.Hash()); !added || err != nil {
-			t.Fatalf("first InsertHash of the empty tuple = %v, %v", added, err)
+		if added, err := r.Insert(empty); !added || err != nil {
+			t.Fatalf("first Insert of the empty tuple = %v, %v", added, err)
 		}
-		if added, _ := r.InsertHash(empty, empty.Hash()); added || !r.ContainsHash(empty, empty.Hash()) || r.Len() != 1 {
-			t.Fatalf("second InsertHash added=%v, Len %d", added, r.Len())
+		if added, _ := r.Insert(empty); added || !r.Contains(empty) || r.Len() != 1 {
+			t.Fatalf("second Insert added=%v, Len %d", added, r.Len())
 		}
 	})
 	t.Run("delta", func(t *testing.T) {
@@ -400,8 +412,8 @@ func TestInsertHashMatchesInsert(t *testing.T) {
 			name string
 			fn   func(r *Relation)
 		}{
-			{"InsertHash", func(r *Relation) { _, _ = r.InsertHash(value.Ints(1), value.Ints(1).Hash()) }},
-			{"ContainsHash", func(r *Relation) { r.ContainsHash(value.Ints(1), value.Ints(1).Hash()) }},
+			{"Insert", func(r *Relation) { _, _ = r.Insert(value.Ints(1)) }},
+			{"Contains", func(r *Relation) { r.Contains(value.Ints(1)) }},
 		} {
 			func() {
 				defer func() {
@@ -415,9 +427,9 @@ func TestInsertHashMatchesInsert(t *testing.T) {
 	})
 }
 
-// FuzzInsertHash drives random insert/membership sequences through the
-// hash-carrying operations and the hashing ones on twin relations, one
-// of them a version when the first byte is odd.
+// FuzzInsertHash drives random insert/membership sequences through
+// Insert and InsertShared on twin relations, one of them a version when
+// the first byte is odd.
 func FuzzInsertHash(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 4, 1})
 	f.Add([]byte{1, 9, 9, 13, 200, 17, 33, 9})
@@ -435,16 +447,13 @@ func FuzzInsertHash(f *testing.F) {
 				return r.Freeze().Clone()
 			}
 		}
-		tw := hashTwins{t: t, plain: mk(), hsh: mk()}
+		tw := newInsertTwins(t, mk)
 		for _, b := range data[1:] {
 			v := int64(b >> 2 & 31)
 			tup := value.Ints(v, v/2)
-			switch b & 3 {
-			case 0:
+			if b&3 < 2 {
 				tw.insert(tup)
-			case 1:
-				tw.insertShared(tup)
-			default:
+			} else {
 				tw.contains(tup)
 			}
 		}

@@ -11,8 +11,8 @@ import (
 // Cache is a byte-budgeted LRU over decoded segment blocks, shared by
 // every segment of a database directory so the budget caps total decoded
 // tuple memory, not per-file memory. It is safe for concurrent use;
-// parallel evaluation probes frozen disk-backed relations from many
-// goroutines at once. Concurrent misses on the same block may decode it
+// concurrent evaluations (idlogd's requests) probe frozen disk-backed
+// relations from many goroutines at once. Concurrent misses on the same block may decode it
 // twice (one copy wins the slot) — wasted work, never wrong results.
 // A cached block is one flat value array (see decodeBlock), and the
 // entry an eviction frees is reused by the next insertion, so a miss

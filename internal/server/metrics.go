@@ -27,7 +27,6 @@ type metrics struct {
 	scannedTotal      atomic.Uint64
 	admissionRejected atomic.Uint64
 	sessionsEvicted   atomic.Uint64
-	parallelQueries   atomic.Uint64
 
 	// Prepared-query registry counters: goal queries served by a cached
 	// PreparedQuery (skipping parse+compile+plan) vs. ones that had to
@@ -202,7 +201,6 @@ func (m *metrics) render(b *strings.Builder, gauges map[string]float64) {
 	counter("idlogd_tuples_scanned_total", "Tuples scanned while matching body literals.", m.scannedTotal.Load())
 	counter("idlogd_admission_rejected_total", "Requests rejected by admission control.", m.admissionRejected.Load())
 	counter("idlogd_sessions_evicted_total", "Sessions evicted after idling past the TTL.", m.sessionsEvicted.Load())
-	counter("idlogd_parallel_queries_total", "Evaluations that requested parallelism above 1.", m.parallelQueries.Load())
 	counter("idlogd_plan_cache_hits_total", "Goal queries served by a cached prepared query (parse, compile, and planning skipped).", m.planCacheHits.Load())
 	counter("idlogd_magic_queries_total", "Goal queries evaluated through the magic-sets demand rewrite.", m.magicQueries.Load())
 	counter("idlogd_plan_cache_misses_total", "Goal queries that prepared (and cached) their query fresh.", m.planCacheMisses.Load())

@@ -58,12 +58,6 @@ type budgetFields struct {
 	MaxTuples int `json:"max_tuples,omitempty"`
 	// MaxDerivations caps body instantiations (0 = server default).
 	MaxDerivations int `json:"max_derivations,omitempty"`
-	// Parallelism asks for the fixpoint to run on up to this many
-	// worker goroutines (answers stay byte-identical to sequential
-	// runs). 0 or 1 = sequential (the default); values above the
-	// server's max_parallelism are clamped. It is an upper bound:
-	// recursive delta rounds under 4096 tuples run inline.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Partial asks for the partial result alongside a budget-tripped
 	// error response.
 	Partial bool `json:"partial,omitempty"`
@@ -356,11 +350,10 @@ type budget struct {
 	timeout        time.Duration
 	maxTuples      int
 	maxDerivations int
-	parallelism    int
 }
 
 // parseBudget resolves the request's budget fields against the server
-// defaults, clamping the timeout and the parallelism.
+// defaults, clamping the timeout.
 func (s *Server) parseBudget(b budgetFields) (budget, *apiError) {
 	out := budget{timeout: s.cfg.DefaultTimeout}
 	if b.Timeout != "" {
@@ -387,12 +380,6 @@ func (s *Server) parseBudget(b budgetFields) (budget, *apiError) {
 	if out.maxDerivations < 0 {
 		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad max_derivations %d", b.MaxDerivations)
 	}
-	if b.Parallelism < 0 {
-		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad parallelism %d", b.Parallelism)
-	}
-	// An unset request runs sequentially; an explicit one is clamped to
-	// -max-parallelism.
-	out.parallelism = min(max(b.Parallelism, 1), s.cfg.MaxParallelism)
 	return out, nil
 }
 
@@ -407,9 +394,6 @@ func (b budget) options() []idlog.Option {
 	}
 	if b.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(b.maxDerivations))
-	}
-	if b.parallelism > 1 {
-		opts = append(opts, idlog.WithParallelism(b.parallelism))
 	}
 	return opts
 }

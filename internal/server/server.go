@@ -22,7 +22,9 @@ import (
 // Config tunes the server. Zero values take the documented defaults.
 type Config struct {
 	// MaxConcurrent is the worker-pool size: the number of evaluations
-	// allowed in flight at once (default: GOMAXPROCS).
+	// allowed in flight at once (default: GOMAXPROCS). Each evaluation
+	// runs on its request's goroutine, so this also bounds the
+	// goroutines evaluating at once.
 	MaxConcurrent int
 	// MaxQueue bounds how many admitted requests may wait for a worker
 	// slot beyond the pool (default 64). Requests beyond it are
@@ -39,13 +41,6 @@ type Config struct {
 	// set no budget (default 0 = unlimited).
 	DefaultMaxTuples      int
 	DefaultMaxDerivations int
-	// MaxParallelism clamps per-request parallelism (the wire field
-	// "parallelism"): a request that asks for n > 1 workers fans its
-	// fixpoint rounds out over up to min(n, MaxParallelism) worker
-	// goroutines (default: GOMAXPROCS). Requests that set no
-	// parallelism run sequentially. Answers do not depend on the value;
-	// only latency does.
-	MaxParallelism int
 	// SessionTTL evicts sessions idle longer than this (default 15m).
 	SessionTTL time.Duration
 	// MaxPrograms / MaxSessions bound the registries (default 256 each).
@@ -110,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 15 * time.Minute
@@ -561,9 +553,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := bud.options()
-	if bud.parallelism > 1 {
-		s.metrics.parallelQueries.Add(1)
-	}
 	if req.Seed != nil {
 		opts = append(opts, idlog.WithSeed(*req.Seed))
 	}
@@ -688,9 +677,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	if h := s.testHold.Load(); h != nil {
 		(*h)()
-	}
-	if bud.parallelism > 1 {
-		s.metrics.parallelQueries.Add(1)
 	}
 
 	spec := idlog.SampleSpec{Relation: req.Relation, Arity: req.Arity, GroupBy: req.GroupBy, K: req.K}
@@ -860,7 +846,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"idlogd_queued_requests":     float64(s.queued.Load()),
 		"idlogd_sessions_active":     float64(s.sessions.len()),
 		"idlogd_worker_slots":        float64(s.cfg.MaxConcurrent),
-		"idlogd_max_parallelism":     float64(s.cfg.MaxParallelism),
 		"idlogd_replication_streams": float64(s.metrics.replStreams.Load()),
 	}
 	if s.walDegraded.Load() {

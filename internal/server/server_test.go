@@ -136,30 +136,19 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-// denseFacts is a 128-node graph with three out-edges per node: the
-// widest delta rounds of its closure (about 5.4k tuples) clear the
-// engine's round gate, so a parallel query fans them out.
-func denseFacts() string {
-	const n = 128
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		for _, j := range []int{i + 1, 3*i + 1, 7*i + 2} {
-			fmt.Fprintf(&b, "edge(g%d, g%d).\n", i, j%n)
-		}
-	}
-	return b.String()
-}
-
-// TestRemovedPartitionsFieldRejected pins that the retired "partitions"
-// request field is refused by the strict decoder, not silently ignored.
+// TestRemovedPartitionsFieldRejected pins that the retired request
+// fields "partitions" and "parallelism" are refused by the strict
+// decoder, not silently ignored.
 func TestRemovedPartitionsFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var eb errorBody
-	code := post(t, ts.URL+"/v1/query", map[string]any{
-		"source": tcProgram, "facts": tcFacts, "predicates": []string{"tc"}, "partitions": 4,
-	}, &eb)
-	if code != 400 || eb.Error.Code != "invalid_argument" || !strings.Contains(eb.Error.Message, `unknown field "partitions"`) {
-		t.Fatalf("partitions field: status %d, error %+v; want 400 invalid_argument naming the field", code, eb.Error)
+	for _, field := range []string{"partitions", "parallelism"} {
+		var eb errorBody
+		code := post(t, ts.URL+"/v1/query", map[string]any{
+			"source": tcProgram, "facts": tcFacts, "predicates": []string{"tc"}, field: 4,
+		}, &eb)
+		if code != 400 || eb.Error.Code != "invalid_argument" || !strings.Contains(eb.Error.Message, `unknown field "`+field+`"`) {
+			t.Errorf("%s field: status %d, error %+v; want 400 invalid_argument naming the field", field, code, eb.Error)
+		}
 	}
 }
 
@@ -493,6 +482,11 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	for _, gone := range []string{"idlogd_max_parallelism", "idlogd_parallel_queries_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still expose the retired %q", gone)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"io"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -62,65 +59,5 @@ func TestSessionPinnedDuringQuery(t *testing.T) {
 	}
 	if _, ok := s.sessions.get("live"); !ok {
 		t.Fatal("session gone after the query finished")
-	}
-}
-
-// TestParallelismWireField checks the request knob end to end over a
-// graph whose widest rounds fan out: answers are byte-identical to
-// sequential, an unset value runs sequentially, bad values are
-// rejected, oversized ones are clamped, and the gauge/counter surface
-// on /metrics.
-func TestParallelismWireField(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxParallelism: 4})
-	facts := denseFacts()
-
-	run := func(parallelism int) queryResponse {
-		t.Helper()
-		var qr queryResponse
-		code := post(t, ts.URL+"/v1/query", queryRequest{
-			Source: tcProgram, Facts: facts, Predicates: []string{"tc"},
-			budgetFields: budgetFields{Parallelism: parallelism},
-		}, &qr)
-		if code != 200 {
-			t.Fatalf("parallelism=%d: status %d", parallelism, code)
-		}
-		return qr
-	}
-	seq := run(1)
-	// An unset parallelism runs sequentially: same answers, and the
-	// request is not counted as parallel.
-	if got := run(0); got.Relations["tc"].Text != seq.Relations["tc"].Text {
-		t.Fatal("unset parallelism diverged from sequential")
-	}
-	if got := s.metrics.parallelQueries.Load(); got != 0 {
-		t.Fatalf("parallel query counter = %d after sequential and unset requests, want 0", got)
-	}
-	for _, p := range []int{2, 4, 64} { // 64 exceeds the clamp, still fine
-		if got := run(p); got.Relations["tc"].Text != seq.Relations["tc"].Text {
-			t.Fatalf("parallelism=%d diverged from sequential", p)
-		}
-	}
-
-	var eb errorBody
-	if code := post(t, ts.URL+"/v1/query", queryRequest{
-		Source: tcProgram, Facts: tcFacts, Predicates: []string{"tc"},
-		budgetFields: budgetFields{Parallelism: -1},
-	}, &eb); code != 400 {
-		t.Fatalf("parallelism=-1: status %d, want 400", code)
-	}
-
-	if got := s.metrics.parallelQueries.Load(); got != 3 {
-		t.Fatalf("parallel query counter = %d, want 3", got)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{"idlogd_max_parallelism 4", "idlogd_parallel_queries_total 3"} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("/metrics missing %q", want)
-		}
 	}
 }

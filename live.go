@@ -54,8 +54,8 @@ type LiveView struct {
 }
 
 // NewLiveView evaluates the program over db and returns the maintained
-// view. opts govern the initial evaluation and pin the oracle (and
-// parallelism) used by any later fallback recomputation.
+// view. opts govern the initial evaluation and pin the oracle used by
+// any later fallback recomputation.
 func (p *Program) NewLiveView(db *Database, opts ...Option) (*LiveView, error) {
 	cfg := buildConfig(context.Background(), opts)
 	v, err := incremental.NewView(p.info, db, cfg.eval)

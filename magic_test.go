@@ -73,8 +73,7 @@ func randMagicGoals(r *rand.Rand) []string {
 // TestMagicDifferentialRandom is the magic-on vs magic-off property
 // suite: random programs, random databases, random goal binding
 // patterns — every answer set must be identical with the demand
-// rewrite active and inactive, sequentially and on 4 workers. Run
-// under -race it also exercises the rewrite's shared plan cache; the
+// rewrite active and inactive. Run under -race it also exercises the rewrite's shared plan cache; the
 // CI disk-engine job repeats it against disk-backed EDBs via
 // IDLOG_ENGINE=disk.
 func TestMagicDifferentialRandom(t *testing.T) {
@@ -89,26 +88,23 @@ func TestMagicDifferentialRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prepare %q: %v", goal, err)
 				}
-				for _, workers := range []int{1, 4} {
-					opts := []Option{WithParallelism(workers)}
-					off, err := pq.Query(db, append(opts, WithMagic(false))...)
-					if err != nil {
-						t.Fatalf("goal %q magic-off: %v", goal, err)
-					}
-					on, err := pq.Query(db, opts...)
-					if err != nil {
-						t.Fatalf("goal %q magic-on: %v", goal, err)
-					}
-					if off.UsedMagic {
-						t.Fatalf("goal %q: WithMagic(false) run reports UsedMagic", goal)
-					}
-					if on.UsedMagic != pq.UsesMagic() {
-						t.Fatalf("goal %q: UsedMagic=%v but UsesMagic=%v", goal, on.UsedMagic, pq.UsesMagic())
-					}
-					if !reflect.DeepEqual(off.Vars, on.Vars) || !reflect.DeepEqual(off.Rows, on.Rows) {
-						t.Fatalf("goal %q (workers=%d): answers diverge\nmagic off: %v %v\nmagic on:  %v %v",
-							goal, workers, off.Vars, off.Rows, on.Vars, on.Rows)
-					}
+				off, err := pq.Query(db, WithMagic(false))
+				if err != nil {
+					t.Fatalf("goal %q magic-off: %v", goal, err)
+				}
+				on, err := pq.Query(db)
+				if err != nil {
+					t.Fatalf("goal %q magic-on: %v", goal, err)
+				}
+				if off.UsedMagic {
+					t.Fatalf("goal %q: WithMagic(false) run reports UsedMagic", goal)
+				}
+				if on.UsedMagic != pq.UsesMagic() {
+					t.Fatalf("goal %q: UsedMagic=%v but UsesMagic=%v", goal, on.UsedMagic, pq.UsesMagic())
+				}
+				if !reflect.DeepEqual(off.Vars, on.Vars) || !reflect.DeepEqual(off.Rows, on.Rows) {
+					t.Fatalf("goal %q: answers diverge\nmagic off: %v %v\nmagic on:  %v %v",
+						goal, off.Vars, off.Rows, on.Vars, on.Rows)
 				}
 			}
 		})
@@ -315,20 +311,18 @@ func TestMagicPointQueryCostsItsCone(t *testing.T) {
 	if prog.Strata() != 1 || pq.magicProg.Strata() != 1 {
 		t.Fatalf("strata: source %d, rewritten %d, want 1 and 1", prog.Strata(), pq.magicProg.Strata())
 	}
-	for _, workers := range []int{1, 2} {
-		qr, err := pq.Query(db, WithParallelism(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !qr.UsedMagic || len(qr.Rows) != 255 {
-			t.Fatalf("workers=%d: UsedMagic=%v rows=%d, want true/255", workers, qr.UsedMagic, len(qr.Rows))
-		}
-		if limit := 8 * len(qr.Rows); qr.Stats.TuplesScanned > limit {
-			t.Fatalf("workers=%d: scanned %d tuples for a %d-row cone, want ≤ %d",
-				workers, qr.Stats.TuplesScanned, len(qr.Rows), limit)
-		}
+	qr, err := pq.Query(db)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plan, err := pq.ExplainPlan(db, WithParallelism(2))
+	if !qr.UsedMagic || len(qr.Rows) != 255 {
+		t.Fatalf("UsedMagic=%v rows=%d, want true/255", qr.UsedMagic, len(qr.Rows))
+	}
+	if limit := 8 * len(qr.Rows); qr.Stats.TuplesScanned > limit {
+		t.Fatalf("scanned %d tuples for a %d-row cone, want ≤ %d",
+			qr.Stats.TuplesScanned, len(qr.Rows), limit)
+	}
+	plan, err := pq.ExplainPlan(db)
 	if err != nil {
 		t.Fatal(err)
 	}

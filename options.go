@@ -77,23 +77,6 @@ func WithMaxTuples(n int) Option {
 	return func(c *config) { c.limits.MaxTuples = n }
 }
 
-// WithParallelism evaluates each stratum's fixpoint rounds on up to n
-// worker goroutines. 0 or 1 = sequential, the default: every round
-// runs on the calling goroutine and no worker pool is built. n > 1 is
-// an upper bound: seed rounds and non-recursive components fan out
-// over the workers, while delta rounds of a recursive component whose
-// delta holds fewer than 4096 tuples run on the calling goroutine and
-// insert in place, because fanning them out costs more than their join
-// work. Answers, ID assignment, insertion order and every Stats count
-// are identical at every n: workers only read round-start state, and
-// their derivations are inserted in a fixed order, so nothing depends
-// on scheduling. Budgets trip at the same exact boundary at every n;
-// cancellation is honored at the next guard checkpoint. Tracing
-// (WithTrace) forces sequential evaluation.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.eval.Parallelism = n }
-}
-
 // WithMagic enables (the default) or disables the magic-sets demand
 // rewrite for goal queries: with it on, Prepare/Query goals with bound
 // arguments evaluate a goal-directed rewriting of the program that
@@ -122,10 +105,9 @@ func WithMaxRuns(n int) Option {
 // Result.Explain can print derivation trees. Costs memory proportional
 // to the computed model. A traced run uses the planned body order and
 // the plan cache like any other run, and lists each derivation's body
-// facts in the analysis order. It evaluates sequentially, over the
-// source rules (no magic-sets rewrite): which derivation comes first
-// then does not depend on worker scheduling, and every tree is stated
-// in terms of the program as written.
+// facts in the analysis order. It evaluates the source rules (no
+// magic-sets rewrite), so every tree is stated in terms of the program
+// as written.
 func WithTrace() Option {
 	return func(c *config) { c.eval.Trace = true }
 }

@@ -185,8 +185,7 @@ func TestPaperExamplesMatchReference(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"sequential", []Option{WithParallelism(1)}},
-		{"parallel-4", []Option{WithParallelism(4)}},
+		{"default", nil},
 		{"traced", []Option{WithTrace()}},
 	}
 	for _, w := range paperCorpus(t) {
