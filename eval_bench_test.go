@@ -1,6 +1,7 @@
 package idlog
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -90,4 +91,62 @@ func TestEvalTCAllocs(t *testing.T) {
 		t.Fatalf("one evaluation made %.0f allocations, want ≤ 2000", allocs)
 	}
 	t.Logf("%.0f allocations per evaluation", allocs)
+}
+
+// liveProgram is the live view's program of the serve_mixed workload:
+// transitive closure plus the nodes below one watched root.
+const liveProgram = "tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- tc(X, Z), edge(Z, Y).\nwatch(Y) :- tc(c16_0, Y).\n"
+
+// BenchmarkViewApply maintains the serve_mixed live view in process:
+// 32 chains of 32 nodes with three leaves per node (the workload's
+// forest), and a fixed cycle of one-edge writes through LiveView.Apply
+// at 16 seeded sites in the first half of the chains. At a site a→b→c,
+// one cycle inserts the skip a→c, deletes b→c (DRed overdeletes what
+// b reached through c, then rederives it through the skip), reinserts
+// b→c and deletes the skip, so the view returns to where it started.
+// One operation is one Apply.
+func BenchmarkViewApply(b *testing.B) {
+	const chains, nodes, leaves = 32, 32, 3
+	prog, err := Parse(liveProgram)
+	if err != nil {
+		b.Fatal(err)
+	}
+	node := func(c, i int) string { return fmt.Sprintf("c%d_%d", c, i) }
+	db := NewDatabase()
+	for c := 0; c < chains; c++ {
+		for i := 0; i < nodes; i++ {
+			if i+1 < nodes {
+				if err := db.Add("edge", Strs(node(c, i), node(c, i+1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for l := 0; l < leaves; l++ {
+				if err := db.Add("edge", Strs(node(c, i), fmt.Sprintf("l%d_%d_%d", c, i, l))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	db.Freeze()
+	lv, err := prog.NewLiveView(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	type write struct{ ins, del []Fact }
+	var cycle []write
+	for s := 0; s < 16; s++ {
+		c, i := rng.Intn(chains/2), nodes*5/8+rng.Intn(nodes/4)
+		skip := []Fact{{Pred: "edge", Tuple: Strs(node(c, i), node(c, i+2))}}
+		link := []Fact{{Pred: "edge", Tuple: Strs(node(c, i+1), node(c, i+2))}}
+		cycle = append(cycle, write{ins: skip}, write{del: link}, write{ins: link}, write{del: skip})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := cycle[i%len(cycle)]
+		if _, _, err := lv.Apply(w.ins, w.del); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

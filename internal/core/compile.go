@@ -56,8 +56,9 @@ type compiledLit struct {
 	// instantiations (clause evaluation is single-threaded).
 	keyBuf  value.Tuple
 	argsBuf []value.Value
-	// recursive marks positive ordinary literals over same-stratum
-	// predicates (the semi-naive delta positions).
+	// recursive marks positive ordinary literals over a predicate that
+	// may carry a delta (the semi-naive delta positions): in batch
+	// evaluation, the component's own predicates.
 	recursive bool
 	// binds and checks drive the executor's per-tuple match
 	// (iterator.go). binds lists the argBind positions whose slot some
@@ -103,10 +104,10 @@ type compiledClause struct {
 
 // compileClause translates an ordered clause into slot form. ref is the
 // analysis-order body that oc's body permutes (nil when oc is in
-// analysis order). stratumPred reports whether a predicate belongs to
-// the stratum being compiled.
-func compileClause(oc *analysis.OrderedClause, ref []*ast.Literal, stratumPred func(string) bool) (*compiledClause, error) {
-	cc, _, err := compile(oc, ref, stratumPred, false)
+// analysis order). deltaPred reports whether a predicate may carry a
+// delta.
+func compileClause(oc *analysis.OrderedClause, ref []*ast.Literal, deltaPred func(string) bool) (*compiledClause, error) {
+	cc, _, err := compile(oc, ref, deltaPred, false)
 	return cc, err
 }
 
@@ -120,12 +121,12 @@ func compileClause(oc *analysis.OrderedClause, ref []*ast.Literal, stratumPred f
 // into the slot; argCheck: must equal the slot already stored by an
 // earlier head position). This is the rederivation engine of the
 // incremental maintenance layer (DRed's "does t still have a
-// derivation?" probe).
-func compileClauseHeadBound(oc *analysis.OrderedClause, stratumPred func(string) bool) (*compiledClause, []compiledArg, error) {
-	return compile(oc, nil, stratumPred, true)
+// derivation?" probe), which reads no delta.
+func compileClauseHeadBound(oc *analysis.OrderedClause) (*compiledClause, []compiledArg, error) {
+	return compile(oc, nil, func(string) bool { return false }, true)
 }
 
-func compile(oc *analysis.OrderedClause, ref []*ast.Literal, stratumPred func(string) bool, headBound bool) (*compiledClause, []compiledArg, error) {
+func compile(oc *analysis.OrderedClause, ref []*ast.Literal, deltaPred func(string) bool, headBound bool) (*compiledClause, []compiledArg, error) {
 	if ref == nil {
 		ref = oc.Clause.Body
 	}
@@ -195,7 +196,7 @@ func compile(oc *analysis.OrderedClause, ref []*ast.Literal, stratumPred func(st
 				}
 			}
 			cl.keyBuf = make(value.Tuple, len(cl.probeArgs))
-			if !l.Neg && !a.IsID && stratumPred(a.Pred) {
+			if !l.Neg && !a.IsID && deltaPred(a.Pred) {
 				cl.recursive = true
 				cc.recPositions = append(cc.recPositions, li)
 			}

@@ -150,7 +150,7 @@ type engine struct {
 	prov     map[string]provEntry
 	// plans holds the compiled component plans per stratum — cache-hit
 	// clones or the plans compiled by this run (nil slots compile on
-	// demand; a nil slice, as in EvalStrata, disables collection
+	// demand; a nil slice, as in a live view's Pass, disables collection
 	// entirely).
 	plans [][]*componentPlan
 	// completed counts fully evaluated strata; curClause is the source
@@ -240,37 +240,47 @@ func (e *engine) evalComponent(si, ci int, c *analysis.Component) error {
 			e.plans[si][ci] = sp
 		}
 	}
-	return e.fixpoint(c, sp)
+	// The seed round evaluates the exit clauses only: the component's
+	// own relations are still empty, so a clause reading one of them
+	// could derive nothing.
+	var seed []roundUnit
+	for i := 0; i < sp.nseed; i++ {
+		if !sp.all[i].src.Recursive {
+			seed = append(seed, roundUnit{ci: i, pos: -1})
+		}
+	}
+	return e.fixpoint(c, sp, seed, sink{into: e.work})
+}
+
+// propagate runs component c to fixpoint from given deltas, the entry
+// a live view's maintenance takes: the first round runs the delta unit
+// of every body position of sp whose predicate has a non-empty delta in
+// given, and the rounds after it run as in fixpoint.
+func (e *engine) propagate(c *analysis.Component, sp *componentPlan, given map[string]*relation.Relation, s sink) error {
+	units := sp.deltaRound(given, nil)
+	if len(units) == 0 {
+		return nil
+	}
+	return e.fixpoint(c, sp, units, s)
 }
 
 // fixpoint runs component c to its least fixpoint by semi-naive
-// rounds. The seed round evaluates the exit clauses only: the
-// component's own relations are still empty, so a clause reading one of
-// them could derive nothing. Every later round evaluates the recursive
-// clauses' delta units, one per recursive body position, that position
-// reading the previous round's new tuples (through the planner's
-// delta-first variant when available, in place otherwise) while the
-// other positions read the full relations.
-func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan) error {
+// rounds, the first of which runs units. Every later round evaluates
+// the delta units of the clauses reading the component, one per such
+// body position, that position reading the previous round's new tuples
+// (through the planner's delta-first variant when available, in place
+// otherwise) while the other positions read the full relations.
+func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan, units []roundUnit, s sink) error {
 	// sinks receive each round's new tuples, which are the next round's
 	// deltas. Deltas are append-only: a sink is fed exactly the tuples
-	// the full relation reported new, so it needs no duplicate check.
+	// the head's relation reported new, so it needs no duplicate check.
 	var sinks map[string]*relation.Relation
 	if c.Recursive {
 		sinks = e.newDeltas(c, nil)
 	}
-	var units []roundUnit
-	var recursive []int
-	for ci := 0; ci < sp.nseed; ci++ {
-		if len(sp.units[ci]) > 0 {
-			recursive = append(recursive, ci)
-			continue
-		}
-		units = append(units, roundUnit{ci: ci, pos: -1})
-	}
 	for {
 		e.stats.Iterations++
-		if err := e.direct(c, sp.all, units, sinks); err != nil || len(recursive) == 0 {
+		if err := e.direct(c, sp.all, units, sinks, s); err != nil || sinks == nil {
 			return err
 		}
 		delta, total := sinks, 0
@@ -286,17 +296,7 @@ func (e *engine) fixpoint(c *analysis.Component, sp *componentPlan) error {
 			}
 		}
 		sinks = e.newDeltas(c, delta)
-		units = units[:0]
-		for _, ci := range recursive {
-			for _, u := range sp.units[ci] {
-				// Substitute the delta relation at exactly one recursive
-				// position; other positions read the full relations
-				// (which already include the delta).
-				if d := delta[sp.all[u.idx].lits[u.pos].pred]; d.Len() > 0 {
-					units = append(units, roundUnit{ci: u.idx, pos: u.pos, deltaRel: d})
-				}
-			}
-		}
+		units = sp.deltaRound(delta, units[:0])
 	}
 }
 
@@ -306,6 +306,23 @@ type roundUnit struct {
 	ci       int
 	pos      int
 	deltaRel *relation.Relation
+}
+
+// sink is a fixpoint's policy for what its rounds read and where a
+// derived head goes. Batch evaluation and insertion propagation read
+// the current relations and insert new heads into them; DRed's
+// overestimate reads the state before the update and collects heads.
+type sink struct {
+	// into maps a head predicate to the relation new heads go into.
+	into map[string]*relation.Relation
+	// held, when non-nil, admits a head only when held's relation of
+	// its predicate holds it. Such a head marks a tuple rather than
+	// making one, so it costs derivations but no tuple budget.
+	held map[string]*relation.Relation
+	// old, when non-nil, resolves every ordinary body predicate in
+	// place of the current relations. It does not change during the
+	// run, so the rounds read it without a frontier.
+	old func(pred string) *relation.Relation
 }
 
 // newDeltas returns an empty delta sink per predicate of c, each sized
@@ -324,17 +341,20 @@ func (e *engine) newDeltas(c *analysis.Component, prev map[string]*relation.Rela
 }
 
 // direct evaluates one round's units in order, each derivation
-// inserted into its head relation as it is made and, when new, appended
-// to the head's sink. The units read the component's relations as of
-// the round's start (runner.frontier).
-func (e *engine) direct(c *analysis.Component, clauses []*compiledClause, units []roundUnit, sinks map[string]*relation.Relation) error {
-	frontier := make(map[string]int, len(c.Preds))
-	for _, p := range c.Preds {
-		frontier[p] = e.work[p].Len()
+// handed to s as it is made and, when new, appended to the head's sink.
+// The units read the component's relations as of the round's start
+// (runner.frontier).
+func (e *engine) direct(c *analysis.Component, clauses []*compiledClause, units []roundUnit, sinks map[string]*relation.Relation, s sink) error {
+	var frontier map[string]int
+	if s.old == nil {
+		frontier = make(map[string]int, len(c.Preds))
+		for _, p := range c.Preds {
+			frontier[p] = e.work[p].Len()
+		}
 	}
 	for _, u := range units {
 		cc := clauses[u.ci]
-		if err := e.run(cc, u.pos, u.deltaRel, sinks[cc.headPred], frontier); err != nil {
+		if err := e.run(cc, u.pos, u.deltaRel, sinks[cc.headPred], frontier, s); err != nil {
 			return err
 		}
 	}
@@ -357,31 +377,50 @@ func (e *engine) resolve(cl *compiledLit) (*relation.Relation, error) {
 	return r, nil
 }
 
-// run evaluates cc against the current relations, the literal at
-// deltaPos (-1 for none) reading deltaRel instead of its full relation
-// (and its other recursive literals reading up to frontier; see runner).
-// New head tuples are inserted into the head's full relation and, when
-// deltaSink is non-nil, appended to it.
-func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *relation.Relation, frontier map[string]int) error {
-	full := e.work[cc.headPred]
+// run evaluates cc against the current relations (or s.old), the
+// literal at deltaPos (-1 for none) reading deltaRel instead of its full
+// relation (and its other recursive literals reading up to frontier; see
+// runner). A head s admits is inserted into its relation in s.into and,
+// when new there and deltaSink is non-nil, appended to deltaSink.
+func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *relation.Relation, frontier map[string]int, s sink) error {
+	full := s.into[cc.headPred]
+	var held *relation.Relation
+	if s.held != nil {
+		held = s.held[cc.headPred]
+	}
 	e.curClause = cc.srcText
 	rn := runner{resolve: e.resolve, stats: &e.stats, frontier: frontier}
+	if s.old != nil {
+		rn.resolve = func(cl *compiledLit) (*relation.Relation, error) {
+			if cl.isID {
+				// The fallback boundary admits only ID-literals whose
+				// base is unchanged, so the current ID-relation is the
+				// old one.
+				return e.resolve(cl)
+			}
+			if r := s.old(cl.pred); r != nil {
+				return r, nil
+			}
+			return nil, fmt.Errorf("eval: unknown predicate %s", cl.pred)
+		}
+	}
 	rn.derive = func(cc *compiledClause, env []value.Value, head value.Tuple) error {
 		if e.governed {
-			// Amortized governance: consult the guard only when the
-			// current grant is spent; in between, one decrement.
-			if e.gslack == 0 {
-				n, err := e.g.DerivationGrant(e.gused, cc.srcText)
-				e.gused = 0
-				if err != nil {
-					return err
-				}
-				e.gslack = n
+			if err := e.grant(cc.srcText); err != nil {
+				return err
 			}
-			e.gslack--
-			e.gused++
 		}
 		e.stats.Derivations++
+		if held != nil {
+			if !held.Contains(head) {
+				return nil
+			}
+			stored, err := full.InsertShared(head)
+			if stored != nil && deltaSink != nil {
+				deltaSink.Append(stored)
+			}
+			return err
+		}
 		// At the tuple limit, reject a genuinely new tuple before
 		// storing it so a tripped run holds exactly the budget.
 		// Duplicates fall through: they cost no memory and
@@ -408,17 +447,38 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *rela
 		return nil
 	}
 	err := rn.run(cc, deltaPos, deltaRel)
+	e.settle()
+	return err
+}
+
+// grant charges one derivation. Amortized governance: the guard is
+// consulted only when the current grant is spent; in between, one
+// decrement.
+func (e *engine) grant(clause string) error {
+	if e.gslack == 0 {
+		n, err := e.g.DerivationGrant(e.gused, clause)
+		e.gused = 0
+		if err != nil {
+			return err
+		}
+		e.gslack = n
+	}
+	e.gslack--
+	e.gused++
+	return nil
+}
+
+// settle accounts the derivations run under the current grant, so the
+// guard is exact at clause boundaries. Without this, derivations run
+// under the last grant were never accounted: Usage underreported, and a
+// guard shared across runs (Enumerate builds a fresh engine per run, so
+// gused restarts at zero) could overshoot MaxDerivations by up to one
+// CheckInterval batch per run.
+func (e *engine) settle() {
 	if e.governed && e.gused > 0 {
-		// Settle the outstanding amortized batch so the guard is exact at
-		// clause boundaries. Without this, derivations run under the last
-		// grant were never accounted: Usage underreported, and a guard
-		// shared across runs (Enumerate builds a fresh engine per run, so
-		// gused restarts at zero) could overshoot MaxDerivations by up to
-		// one CheckInterval batch per run.
 		e.g.Settle(e.gused)
 		e.gused = 0
 	}
-	return err
 }
 
 // runner executes the join walk of one clause (iterator.go); the engine
@@ -428,7 +488,7 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *rela
 // clone to retain) to the derive hook, which carries all mutable policy:
 // governance, dedup, insertion. The resolve hook maps a compiled literal
 // to the relation it reads, so the same walk serves full evaluation
-// (engine state) and incremental maintenance (a view's relation maps).
+// (engine state) and DRed's overestimate (the pre-update state).
 type runner struct {
 	resolve func(cl *compiledLit) (*relation.Relation, error)
 	stats   *Stats

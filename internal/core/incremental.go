@@ -2,53 +2,39 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"idlog/internal/analysis"
-	"idlog/internal/arith"
 	"idlog/internal/ast"
 	"idlog/internal/guard"
 	"idlog/internal/relation"
 	"idlog/internal/value"
 )
 
-// This file exports the per-stratum operators of incremental view
-// maintenance: delta-driven semi-naive propagation for insertions and
-// the two delete-phase operators of DRed (overdeletion, rederivation).
-// The composition into a full maintenance algorithm — fallback boundary,
-// phase ordering, old-view bookkeeping — lives in internal/incremental;
-// core only contributes the pieces that must see compiled-clause
-// internals (the join walk, head-bound compilation, delta substitution).
+// This file is the engine's side of live-view maintenance: a view's
+// plans, and a Pass whose insertion propagation and DRed overestimate
+// enter engine.fixpoint with given deltas, component by component. Only
+// the head-bound rederivation probe walks on its own. The maintenance
+// algorithm (fallback boundary, phase order, old views) lives in
+// internal/incremental.
 
-// IncrState is the mutable relation state an incremental maintenance
-// pass operates on: the materialized full relations (EDB and IDB, keyed
-// by predicate), the materialized ID-relations (keyed by need key), the
-// guard governing the pass, and the stats sink. Relations are mutated
-// in place; the caller owns synchronization.
-type IncrState struct {
-	Rels   map[string]*relation.Relation
-	IDRels map[string]*relation.Relation
-	Guard  *guard.Guard
-	Stats  *Stats
+// CompiledStratum is a live view's plan for one stratum: one component
+// plan per component, in dependency order, compiled by
+// compileComponentPlan with every positive ordinary body position as a
+// delta position (an update's deltas arrive for the EDB and lower
+// strata too), and the head-bound rederivation probes grouped by head
+// predicate. Plans keep scratch, so they are single-threaded; a view
+// serializes its applies.
+type CompiledStratum struct {
+	// Preds are the predicates defined by the stratum, as in
+	// analysis.Stratum.
+	Preds []string
+	comps []*analysis.Component
+	plans []*componentPlan
+	bound map[string][]*headBoundClause
 }
 
-// resolveCur maps a compiled literal to the current full relation.
-func (st *IncrState) resolveCur(cl *compiledLit) (*relation.Relation, error) {
-	if cl.isID {
-		r, ok := st.IDRels[cl.idKey]
-		if !ok {
-			return nil, fmt.Errorf("incremental: ID-relation %s not materialized", cl.idKey)
-		}
-		return r, nil
-	}
-	r, ok := st.Rels[cl.pred]
-	if !ok {
-		return nil, fmt.Errorf("incremental: unknown predicate %s", cl.pred)
-	}
-	return r, nil
-}
-
-func (st *IncrState) governed() bool { return st.Guard != nil && st.Guard.Active() }
+// Components returns the number of components of the stratum.
+func (cs *CompiledStratum) Components() int { return len(cs.comps) }
 
 // headBoundClause is a clause compiled with its head variables bound
 // first: the rederivation probe of DRed ("does this tuple still have a
@@ -60,277 +46,128 @@ type headBoundClause struct {
 	env  []value.Value
 }
 
-// CompiledStratum holds the incremental evaluation plan for one
-// stratum: the ordinary compiled clauses (shared by overdeletion and
-// insertion propagation, which differ only in resolver and derive
-// hook), their delta-first variants, and the head-bound variants
-// grouped by head predicate (for rederivation). Plans are stateful
-// (per-literal scratch buffers) and therefore single-threaded; a view
-// serializes its applies.
-type CompiledStratum struct {
-	// Preds are the predicates defined by the stratum, as in
-	// analysis.Stratum.
-	Preds   []string
-	clauses []*compiledClause
-	// variants[i][pos] is the delta-first rotation of clauses[i] for
-	// body position pos: the same clause re-planned with that literal
-	// pinned at depth 0, so a delta pass enumerates the (small) delta
-	// first and probes the rest. Positions without an entry substitute
-	// the delta in place.
-	variants []map[int]*compiledClause
-	bound    map[string][]*headBoundClause
-}
-
-// CompileOptions configures CompileStratum.
-type CompileOptions struct {
-	// Rels / IDRels, when set, are the cardinality snapshot for the
-	// planner's selectivity estimates — typically the view's
-	// materialized relations at plan time. Missing entries fall back to
-	// a coarse default.
-	Rels   map[string]*relation.Relation
-	IDRels map[string]*relation.Relation
-}
-
-// CompileStratum builds the incremental plan for stratum si of info.
-// Clause bodies are selectivity-ordered, every positive ordinary body
-// position gets a delta-first variant — incremental deltas arrive for
-// EDB and lower-stratum predicates too, not just same-stratum ones —
-// and rederivation probes are planned with the head variables
-// pre-bound.
-func CompileStratum(info *analysis.Info, si int, copts CompileOptions) (*CompiledStratum, error) {
+// CompileStratum builds the live view's plan for stratum si of info
+// under the cardinalities of rels and idrels, the view's materialized
+// relations. Unlike at batch time, the stratum's own relations are
+// materialized too, so every predicate reports its exact size.
+func CompileStratum(info *analysis.Info, si int, rels, idrels map[string]*relation.Relation) (*CompiledStratum, error) {
 	s := info.Strata[si]
-	in := map[string]bool{}
-	for _, p := range s.Preds {
-		in[p] = true
-	}
-	inStratum := func(p string) bool { return in[p] }
-	// The empty in-set makes snapshotCard read every predicate's exact
-	// current size: unlike at engine time, the view's own stratum
-	// relations are already materialized here.
-	card := snapshotCard(s.Clauses, map[string]bool{}, copts.Rels, copts.IDRels)
-	cs := &CompiledStratum{Preds: s.Preds, bound: map[string][]*headBoundClause{}}
-	for _, oc := range s.Clauses {
-		soc := oc
-		if body := planBody(oc.Clause.Body, -1, card); body != nil {
-			soc = reordered(oc, body, oc.Clause.Body)
-		}
-		cc, err := compileClause(soc, oc.Clause.Body, inStratum)
+	card := snapshotCard(s.Clauses, map[string]bool{}, rels, idrels)
+	cs := &CompiledStratum{Preds: s.Preds, comps: s.Components, bound: map[string][]*headBoundClause{}}
+	for _, c := range s.Components {
+		sp, err := compileComponentPlan(c, func(string) bool { return true }, card)
 		if err != nil {
 			return nil, err
 		}
-		cs.clauses = append(cs.clauses, cc)
-		var vm map[int]*compiledClause
-		body := soc.Clause.Body
-		for pos, l := range body {
-			if l.Neg || l.Atom.IsID || arith.IsBuiltin(l.Atom.Pred) {
-				continue
+		cs.plans = append(cs.plans, sp)
+		for _, cc := range sp.all[:sp.nseed] {
+			soc := cc.src
+			pre := map[string]bool{}
+			for _, t := range soc.Clause.Head.Args {
+				if v, ok := t.(ast.Var); ok {
+					pre[v.Name] = true
+				}
 			}
-			vbody := planBody(body, pos, card)
-			if vbody == nil {
-				continue
+			if body := planBodyBound(soc.Clause.Body, pre, -1, card); body != nil {
+				soc = reordered(soc, body, soc.Clause.Body)
 			}
-			voc := reordered(soc, vbody, body)
-			if voc == soc {
-				continue // delta literal already leads; substitute in place
-			}
-			vcc, err := compileClause(voc, oc.Clause.Body, inStratum)
+			hb, seed, err := compileClauseHeadBound(soc)
 			if err != nil {
 				return nil, err
 			}
-			if vm == nil {
-				vm = map[int]*compiledClause{}
-			}
-			vm[pos] = vcc
+			cs.bound[hb.headPred] = append(cs.bound[hb.headPred], &headBoundClause{
+				cc: hb, seed: seed, env: make([]value.Value, hb.nslots)})
 		}
-		cs.variants = append(cs.variants, vm)
-		hoc := soc
-		pre := map[string]bool{}
-		for _, t := range oc.Clause.Head.Args {
-			if v, ok := t.(ast.Var); ok {
-				pre[v.Name] = true
-			}
-		}
-		if body := planBodyBound(soc.Clause.Body, pre, -1, card); body != nil {
-			hoc = reordered(soc, body, soc.Clause.Body)
-		}
-		hb, seed, err := compileClauseHeadBound(hoc, inStratum)
-		if err != nil {
-			return nil, err
-		}
-		cs.bound[hb.headPred] = append(cs.bound[hb.headPred], &headBoundClause{
-			cc: hb, seed: seed, env: make([]value.Value, hb.nslots)})
 	}
 	return cs, nil
 }
 
-// errStop short-circuits a join walk after its first complete
-// instantiation (the rederivation probe needs existence, not
-// enumeration).
+// Pass is one maintenance pass of a live view: an engine over the
+// view's materialized relations, which its operators mutate in place.
+// The caller owns synchronization.
+type Pass struct{ e *engine }
+
+// NewPass starts a pass over rels (EDB and IDB relations by predicate)
+// and idrels (ID-relations by need key). opts.Guard, when set, governs
+// the pass; opts.Oracle is Recompute's.
+func NewPass(info *analysis.Info, rels, idrels map[string]*relation.Relation, opts Options) *Pass {
+	g := opts.Guard
+	if g == nil {
+		g = guard.New(nil, guard.Limits{})
+	}
+	return &Pass{e: &engine{info: info, opts: opts, g: g, governed: g.Active(), work: rels, idrels: idrels}}
+}
+
+// Stats returns the engine counters the pass has accumulated.
+func (p *Pass) Stats() Stats { return p.e.stats }
+
+// Derive propagates insertions through component ci of cs: deltas
+// holds, per predicate, tuples already in the relations whose
+// consequences may be missing (this update's insertions below the
+// component, and tuples the stratum re-added). What they newly derive
+// is appended to the relations; since insertion only appends, it is the
+// tail of each relation past its length before the call.
+func (p *Pass) Derive(cs *CompiledStratum, ci int, deltas map[string]*relation.Relation) error {
+	return p.e.propagate(cs.comps[ci], cs.plans[ci], deltas, sink{into: p.e.work})
+}
+
+// Overestimate is DRed phase 1 for component ci of cs: the tuples that
+// may have lost every derivation, per predicate of the component. dels
+// holds every deletion the component reads (EDB, lower strata, and the
+// stratum's earlier components' overestimates). Bodies read the
+// pre-update state through oldOf; a superset of it is sound, since it
+// only grows the overestimate, which rederivation shrinks. A derived
+// head is overdeleted only when the current relation holds it. Nothing
+// is removed: that is the caller's phase 2.
+func (p *Pass) Overestimate(cs *CompiledStratum, ci int, dels map[string]*relation.Relation, oldOf func(pred string) *relation.Relation) (map[string]*relation.Relation, error) {
+	c := cs.comps[ci]
+	od := make(map[string]*relation.Relation, len(c.Preds))
+	for _, q := range c.Preds {
+		od[q] = relation.New(q, p.e.info.Arity[q])
+	}
+	err := p.e.propagate(c, cs.plans[ci], dels, sink{into: od, held: p.e.work, old: oldOf})
+	return od, err
+}
+
+// errStop ends a rederivation probe's walk at its first derivation.
 var errStop = errors.New("stop walk")
-
-// deltaUnits yields the delta work of clause i: for every positive,
-// ordinary (non-ID, non-builtin) body position whose predicate has a
-// non-empty delta, f receives the clause to run, the delta literal's
-// position within it, and the delta relation. Positions with a
-// delta-first variant dispatch that variant (delta at depth 0); the
-// rest substitute into the base clause in place.
-func (cs *CompiledStratum) deltaUnits(i int, deltas map[string]*relation.Relation, f func(cc *compiledClause, pos int, d *relation.Relation) error) error {
-	cc := cs.clauses[i]
-	for pos := range cc.lits {
-		cl := &cc.lits[pos]
-		if cl.neg || cl.isID || cl.builtin != nil {
-			continue
-		}
-		d := deltas[cl.pred]
-		if d == nil || d.Len() == 0 {
-			continue
-		}
-		if v := cs.variants[i][pos]; v != nil {
-			if err := f(v, 0, d); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := f(cc, pos, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Overdelete computes DRed phase 1 for the stratum: the overestimate of
-// tuples that may have lost all derivations. dels carries every
-// finalized deletion visible to this stratum (EDB deletions plus
-// lower-stratum IDB deletions). oldOf resolves a predicate to its
-// PRE-UPDATE relation: for unchanged predicates that is the current
-// relation, for changed ones the caller materializes an old view (a
-// superset of the old content is sound — it can only grow the
-// overestimate, which rederivation then shrinks). Own-stratum
-// relations must not have been physically modified yet.
-//
-// The returned map holds the overdeleted tuples per stratum predicate;
-// nothing has been removed from st.Rels — physical removal is the
-// caller's phase 2, so rederivation sees a state with the overdeleted
-// tuples absent.
-func (cs *CompiledStratum) Overdelete(st *IncrState, dels map[string]*relation.Relation, oldOf func(pred string) *relation.Relation) (map[string]*relation.Relation, error) {
-	resolveOld := func(cl *compiledLit) (*relation.Relation, error) {
-		if cl.isID {
-			// The fallback boundary admits only ID-literals whose base
-			// predicate is unchanged, so the current ID-relation IS the
-			// old one.
-			r, ok := st.IDRels[cl.idKey]
-			if !ok {
-				return nil, fmt.Errorf("incremental: ID-relation %s not materialized", cl.idKey)
-			}
-			return r, nil
-		}
-		if r := oldOf(cl.pred); r != nil {
-			return r, nil
-		}
-		return nil, fmt.Errorf("incremental: unknown predicate %s", cl.pred)
-	}
-	overdel := map[string]*relation.Relation{}
-	cur := dels
-	for {
-		total := 0
-		for _, d := range cur {
-			total += d.Len()
-		}
-		if total == 0 {
-			return overdel, nil
-		}
-		if st.governed() {
-			if err := st.Guard.Checkpoint(); err != nil {
-				return overdel, err
-			}
-		}
-		next := map[string]*relation.Relation{}
-		for ci := range cs.clauses {
-			rn := runner{resolve: resolveOld, stats: st.Stats}
-			rn.derive = func(dcc *compiledClause, _ []value.Value, head value.Tuple) error {
-				if st.governed() {
-					if err := st.Guard.Derivation(dcc.srcText); err != nil {
-						return err
-					}
-				}
-				st.Stats.Derivations++
-				full := st.Rels[dcc.headPred]
-				if full == nil || !full.Contains(head) {
-					return nil
-				}
-				od := overdel[dcc.headPred]
-				if od == nil {
-					od = relation.New(dcc.headPred, full.Arity())
-					overdel[dcc.headPred] = od
-				}
-				stored, err := od.InsertShared(head)
-				if err != nil || stored == nil {
-					return err
-				}
-				nd := next[dcc.headPred]
-				if nd == nil {
-					nd = relation.New(dcc.headPred, full.Arity())
-					next[dcc.headPred] = nd
-				}
-				nd.MustInsert(stored)
-				return nil
-			}
-			err := cs.deltaUnits(ci, cur, func(cc *compiledClause, pos int, d *relation.Relation) error {
-				return rn.run(cc, pos, d)
-			})
-			if err != nil {
-				return overdel, err
-			}
-		}
-		cur = next
-	}
-}
 
 // Rederive is DRed phase 3: every overdeleted tuple is probed for an
 // alternative derivation against the CURRENT relations (the caller has
-// already removed the overdeleted tuples, so self-support is
-// impossible). Survivors are reinserted into st.Rels and returned per
-// predicate; the caller must feed them into insertion propagation,
-// which picks up chains (a tuple wrongly refused here because its
-// support was itself overdeleted-then-rederived is rederived by the
-// propagation pass).
-func (cs *CompiledStratum) Rederive(st *IncrState, overdel map[string]*relation.Relation) (map[string]*relation.Relation, error) {
-	redone := map[string]*relation.Relation{}
-	for pred, od := range overdel {
-		hbs := cs.bound[pred]
+// removed the overdeleted tuples, so self-support is impossible).
+// Survivors are reinserted and counted. The caller propagates them as
+// insertions, which picks up chains: a tuple refused here because its
+// support comes back later is rederived by propagation.
+func (p *Pass) Rederive(cs *CompiledStratum, overdel map[string]*relation.Relation) (int, error) {
+	n := 0
+	for _, pred := range cs.Preds {
+		od := overdel[pred]
+		if od == nil {
+			continue
+		}
 		for k := range od.Len() {
 			t := od.At(k)
-			derivable := false
-			for _, hb := range hbs {
-				ok, err := hb.derives(st, t)
+			for _, hb := range cs.bound[pred] {
+				ok, err := p.derives(hb, t)
 				if err != nil {
-					return redone, err
+					return n, err
 				}
 				if ok {
-					derivable = true
+					if _, err := p.e.work[pred].Insert(t); err != nil {
+						return n, err
+					}
+					n++
 					break
 				}
 			}
-			if !derivable {
-				continue
-			}
-			if _, err := st.Rels[pred].Insert(t); err != nil {
-				return redone, err
-			}
-			rd := redone[pred]
-			if rd == nil {
-				rd = relation.New(pred, od.Arity())
-				redone[pred] = rd
-			}
-			rd.MustInsert(t)
 		}
 	}
-	return redone, nil
+	return n, nil
 }
 
 // derives reports whether t has at least one derivation through hb
 // against the current relations.
-func (hb *headBoundClause) derives(st *IncrState, t value.Tuple) (bool, error) {
+func (p *Pass) derives(hb *headBoundClause, t value.Tuple) (bool, error) {
 	env := hb.env
 	for i, a := range hb.seed {
 		switch a.kind {
@@ -346,131 +183,55 @@ func (hb *headBoundClause) derives(st *IncrState, t value.Tuple) (bool, error) {
 			}
 		}
 	}
-	found := false
-	rn := runner{resolve: st.resolveCur, stats: st.Stats}
+	e := p.e
+	rn := runner{resolve: e.resolve, stats: &e.stats}
 	rn.derive = func(dcc *compiledClause, _ []value.Value, _ value.Tuple) error {
-		if st.governed() {
-			if err := st.Guard.Derivation(dcc.srcText); err != nil {
+		if e.governed {
+			if err := e.grant(dcc.srcText); err != nil {
 				return err
 			}
 		}
-		st.Stats.Derivations++
-		found = true
+		e.stats.Derivations++
 		return errStop
 	}
-	if err := rn.walk(hb.cc, env, -1, nil); err != nil && err != errStop {
-		return false, err
+	err := rn.walk(hb.cc, env, -1, nil)
+	e.settle()
+	if err == errStop {
+		return true, nil
 	}
-	return found, nil
+	return false, err
 }
 
-// Propagate performs semi-naive insertion propagation through the
-// stratum: ins carries every insertion visible to it (EDB insertions,
-// lower-stratum IDB insertions, and this stratum's rederived tuples),
-// already physically present in st.Rels. Each pass substitutes one
-// delta position per clause, with all other positions reading the full
-// current relations; newly derived tuples are inserted into st.Rels and
-// become the next pass's delta. The returned map holds the tuples this
-// stratum newly derived, for the caller to merge into the global
-// insertion set.
-func (cs *CompiledStratum) Propagate(st *IncrState, ins map[string]*relation.Relation) (map[string]*relation.Relation, error) {
-	added := map[string]*relation.Relation{}
-	cur := ins
-	for {
-		total := 0
-		for _, d := range cur {
-			total += d.Len()
-		}
-		if total == 0 {
-			return added, nil
-		}
-		if st.governed() {
-			if err := st.Guard.Checkpoint(); err != nil {
-				return added, err
-			}
-		}
-		next := map[string]*relation.Relation{}
-		for ci := range cs.clauses {
-			rn := runner{resolve: st.resolveCur, stats: st.Stats}
-			rn.derive = func(dcc *compiledClause, _ []value.Value, head value.Tuple) error {
-				if st.governed() {
-					if err := st.Guard.Derivation(dcc.srcText); err != nil {
-						return err
-					}
-				}
-				st.Stats.Derivations++
-				full := st.Rels[dcc.headPred]
-				stored, err := full.InsertShared(head)
-				if err != nil || stored == nil {
-					return err
-				}
-				if st.governed() {
-					if err := st.Guard.TryTuples(1); err != nil {
-						return err
-					}
-				}
-				st.Stats.Inserted++
-				ad := added[dcc.headPred]
-				if ad == nil {
-					ad = relation.New(dcc.headPred, full.Arity())
-					added[dcc.headPred] = ad
-				}
-				ad.MustInsert(stored)
-				nd := next[dcc.headPred]
-				if nd == nil {
-					nd = relation.New(dcc.headPred, full.Arity())
-					next[dcc.headPred] = nd
-				}
-				nd.MustInsert(stored)
-				return nil
-			}
-			err := cs.deltaUnits(ci, cur, func(cc *compiledClause, pos int, d *relation.Relation) error {
-				return rn.run(cc, pos, d)
-			})
-			if err != nil {
-				return added, err
-			}
-		}
-		cur = next
+// Recompute is the view's fallback for strata the delta machinery
+// cannot maintain (ID-literals, or negation over a changed stratum): it
+// resets the IDB relations of strata[from:], re-materializes their
+// ID-relations under the pass's oracle and runs them to fixpoint, under
+// opts.MaxDerivations when the pass is ungoverned. Groups the update
+// did not touch keep their IDs: the oracles number content, not order.
+func (p *Pass) Recompute(from int) (err error) {
+	e := p.e
+	if e.opts.Guard == nil {
+		e.g = e.opts.guard()
+		e.governed = e.g.Active()
 	}
-}
-
-// EvalStrata recomputes strata[from:] of info from scratch against the
-// current state: IDB relations of those strata are reset to empty, their
-// ID-relations re-materialize under opts.Oracle, and the ordinary
-// semi-naive engine loop runs them to fixpoint.
-// This is the incremental layer's fallback for strata the delta/DRed
-// machinery cannot maintain (ID-literals, or negation over a changed
-// stratum). Oracle stability for untouched groups is the oracle's
-// contract: RandomOracle keys each member's priority on its content
-// and SortedOracle numbers canonical order, so groups the update did
-// not touch keep their ID assignment.
-func EvalStrata(info *analysis.Info, st *IncrState, from int, opts Options) (err error) {
-	g := opts.guard()
-	if st.Guard != nil {
-		g = st.Guard
-	}
-	e := &engine{info: info, opts: opts, g: g, governed: g.Active(),
-		work: st.Rels, idrels: st.IDRels}
 	defer func() {
-		st.Stats.Add(e.stats)
 		if r := recover(); r != nil {
-			err = guard.Errorf(guard.Internal, g.Op(),
-				"panic in stratum %d (clause %s): %v", g.Stratum(), e.curClause, r)
+			err = guard.Errorf(guard.Internal, e.g.Op(),
+				"panic in stratum %d (clause %s): %v", e.g.Stratum(), e.curClause, r)
 		}
 	}()
-	for i := from; i < len(info.Strata); i++ {
-		for _, p := range info.Strata[i].Preds {
-			st.Rels[p] = relation.New(p, info.Arity[p])
+	for i := from; i < len(e.info.Strata); i++ {
+		for _, q := range e.info.Strata[i].Preds {
+			e.work[q] = relation.New(q, e.info.Arity[q])
 		}
 	}
-	for i := from; i < len(info.Strata); i++ {
+	for i := from; i < len(e.info.Strata); i++ {
 		if e.governed {
-			if err := g.StartStratum(i); err != nil {
+			if err := e.g.StartStratum(i); err != nil {
 				return err
 			}
 		}
-		if err := e.evalStratum(i, info.Strata[i]); err != nil {
+		if err := e.evalStratum(i, e.info.Strata[i]); err != nil {
 			return err
 		}
 	}

@@ -186,8 +186,10 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	// The positions slice is the index's own bucket and must not be
 	// mutated. Inserts during iteration may append to it, so the cursor
 	// keeps the snapshot of its length. A component's relations only
-	// grow during its fixpoint, so their buckets ascend and the
-	// round-start state is a prefix of each.
+	// grow during its fixpoint, so in each bucket the positions a round
+	// appends (≥ limit) follow every round-start one (< limit), and the
+	// search splits there even where swap-removes before the fixpoint
+	// (a live view's phase 2) left the round-start positions unsorted.
 	positions := probePositions(rel, cl, key, &it.one)
 	if limit >= 0 {
 		positions = positions[:sort.SearchInts(positions, limit)]

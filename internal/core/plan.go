@@ -257,17 +257,22 @@ type componentPlan struct {
 }
 
 // compileComponentPlan compiles component c: every clause body is
-// selectivity-ordered under the cardinality snapshot and every
-// recursive position gets a delta-first variant. Each compiled literal
-// keeps its index in the analysis-order body (see recordProvenance).
-func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card cardFn) (*componentPlan, error) {
+// selectivity-ordered under the cardinality snapshot, and every
+// positive ordinary body position over a predicate deltaPred admits
+// gets a delta unit, through a delta-first variant when the planner
+// moves the position to depth 0. Batch evaluation admits the
+// component's own predicates, whose deltas its rounds make; a live view
+// admits every predicate, since an update's deltas arrive for the EDB
+// and lower strata too. Each compiled literal keeps its index in the
+// analysis-order body (see recordProvenance).
+func compileComponentPlan(c *analysis.Component, deltaPred func(string) bool, card cardFn) (*componentPlan, error) {
 	sp := &componentPlan{card: card}
 	for _, oc := range c.Clauses {
 		soc := oc
 		if body := planBody(oc.Clause.Body, -1, card); body != nil {
 			soc = reordered(oc, body, oc.Clause.Body)
 		}
-		cc, err := compileClause(soc, oc.Clause.Body, inComp)
+		cc, err := compileClause(soc, oc.Clause.Body, deltaPred)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +296,7 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 				sp.units[ci] = append(sp.units[ci], planUnit{idx: ci, pos: pos})
 				continue
 			}
-			vcc, err := compileClause(voc, c.Clauses[ci].Clause.Body, inComp)
+			vcc, err := compileClause(voc, c.Clauses[ci].Clause.Body, deltaPred)
 			if err != nil {
 				return nil, err
 			}
@@ -300,6 +305,20 @@ func compileComponentPlan(c *analysis.Component, inComp func(string) bool, card 
 		}
 	}
 	return sp, nil
+}
+
+// deltaRound appends to units, in clause order, the delta unit of every
+// position whose predicate has a non-empty relation in delta, that
+// relation substituted there.
+func (sp *componentPlan) deltaRound(delta map[string]*relation.Relation, units []roundUnit) []roundUnit {
+	for ci := 0; ci < sp.nseed; ci++ {
+		for _, u := range sp.units[ci] {
+			if d := delta[sp.all[u.idx].lits[u.pos].pred]; d != nil && d.Len() > 0 {
+				units = append(units, roundUnit{ci: u.idx, pos: u.pos, deltaRel: d})
+			}
+		}
+	}
+	return units
 }
 
 // ExplainPlan renders the join plans the engine runs for info over db:

@@ -1,8 +1,11 @@
 // Package incremental maintains materialized IDLOG models under live
 // EDB mutations. Insertions propagate with delta-driven semi-naive
 // evaluation; deletions use DRed (overdelete against the old state,
-// remove, rederive survivors, propagate); both run stratum by stratum,
-// reusing the compiled-clause operators exported by internal/core.
+// remove, rederive survivors, propagate). Both run stratum by stratum
+// and, within a stratum, component by component in dependency order,
+// and both are the batch engine's semi-naive loop entered with given
+// deltas (core.Pass): an update differs from a batch run only in where
+// its deltas come from and where derived heads go.
 //
 // Not every stratum can be maintained incrementally. The precise
 // boundary, computed bottom-up per update: a stratum is AFFECTED when
@@ -23,11 +26,13 @@ package incremental
 
 import (
 	"fmt"
+	"maps"
 
 	"idlog/internal/analysis"
 	"idlog/internal/core"
 	"idlog/internal/guard"
 	"idlog/internal/relation"
+	"idlog/internal/value"
 )
 
 // UpdateStats summarizes one Apply.
@@ -173,10 +178,7 @@ func (v *View) plan(si int) (*core.CompiledStratum, error) {
 	if v.plans[si] == nil {
 		// Plans compile lazily, so the materialized relations are a live
 		// cardinality snapshot for the join planner.
-		cs, err := core.CompileStratum(v.info, si, core.CompileOptions{
-			Rels:   v.rels,
-			IDRels: v.idrels,
-		})
+		cs, err := core.CompileStratum(v.info, si, v.rels, v.idrels)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +302,10 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		return false
 	}
 
-	st := &core.IncrState{Rels: v.rels, IDRels: v.idrels, Guard: g, Stats: &v.stats}
+	opts := v.opts
+	opts.Guard = g
+	pass := core.NewPass(v.info, v.rels, v.idrels, opts)
+	defer func() { v.stats.Add(pass.Stats()) }()
 	fail := func(err error) (UpdateStats, error) {
 		v.stale = true
 		return UpdateStats{}, err
@@ -312,18 +317,7 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		}
 		// Fallback test: the stratum reads a changed predicate through a
 		// non-monotonic literal.
-		unsafe := false
-		for p := range v.idBase[si] {
-			if changed(map[string]bool{p: true}) {
-				unsafe = true
-			}
-		}
-		for p := range v.negPreds[si] {
-			if changed(map[string]bool{p: true}) {
-				unsafe = true
-			}
-		}
-		if unsafe {
+		if changed(v.idBase[si]) || changed(v.negPreds[si]) {
 			fallback = si
 			break
 		}
@@ -332,84 +326,67 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		if err != nil {
 			return fail(err)
 		}
-		// DRed phase 1: overestimate lost tuples against the old state.
-		overdel, err := plan.Overdelete(st, dels, oldOf)
-		if err != nil {
-			return fail(err)
+		// DRed phase 1, component by component in dependency order:
+		// overestimate lost tuples against the old state. overdel starts
+		// as the deletions below the stratum and gains each component's
+		// overdeleted tuples, deletions for the components after it.
+		overdel := maps.Clone(dels)
+		for ci := range plan.Components() {
+			od, err := pass.Overestimate(plan, ci, overdel, oldOf)
+			if err != nil {
+				return fail(err)
+			}
+			maps.Copy(overdel, od)
 		}
 		// Phase 2: physical removal, so rederivation cannot self-support.
-		for p, od := range overdel {
+		// From here on the stratum's relations only grow, so what it
+		// re-adds (rederived or newly derived) is the tail of each past
+		// its length now.
+		base := map[string]int{}
+		for _, p := range plan.Preds {
+			od := overdel[p]
 			for k := range od.Len() {
-				t := od.At(k)
-				if _, err := v.rels[p].Remove(t); err != nil {
+				if _, err := v.rels[p].Remove(od.At(k)); err != nil {
 					return fail(err)
 				}
 			}
 			up.Overdeleted += od.Len()
+			base[p] = v.rels[p].Len()
 		}
 		// Phase 3: restore tuples with surviving derivations.
-		redone, err := plan.Rederive(st, overdel)
+		n, err := pass.Rederive(plan, overdel)
 		if err != nil {
 			return fail(err)
 		}
-		for _, rd := range redone {
-			up.Rederived += rd.Len()
-		}
-		// Phase 4: semi-naive insertion propagation. Deltas: everything
-		// inserted below plus this stratum's rederived tuples (chains
-		// through rederived support resurface here).
-		propIns := map[string]*relation.Relation{}
-		for p, r := range ins {
-			propIns[p] = r
-		}
-		for p, r := range redone {
-			propIns[p] = r
-		}
-		added, err := plan.Propagate(st, propIns)
-		if err != nil {
-			return fail(err)
+		up.Rederived += n
+		// Phase 4: semi-naive insertion propagation, component by
+		// component. Deltas: everything inserted below, plus what the
+		// stratum re-added so far, rederived tuples and the earlier
+		// components' additions (chains through rederived support
+		// resurface here).
+		for ci := range plan.Components() {
+			deltas := maps.Clone(ins)
+			for _, p := range plan.Preds {
+				if t := suffix(v.rels[p], base[p], nil); t != nil {
+					deltas[p] = t
+				}
+			}
+			if err := pass.Derive(plan, ci, deltas); err != nil {
+				return fail(err)
+			}
 		}
 		// Fold this stratum's net changes into the global sets: net
-		// deletions are overdeleted minus rederived minus re-added, net
-		// insertions are added minus overdeleted (a tuple that was
-		// removed and came back is no change at all).
+		// insertions are the re-added tuples that were not overdeleted,
+		// net deletions the overdeleted tuples that did not come back.
 		for _, p := range plan.Preds {
-			od, rd, ad := overdel[p], redone[p], added[p]
-			var netDel, netIns *relation.Relation
-			if od != nil {
-				for k := range od.Len() {
-					t := od.At(k)
-					if rd != nil && rd.Contains(t) {
-						continue
-					}
-					if ad != nil && ad.Contains(t) {
-						continue
-					}
-					if netDel == nil {
-						netDel = relation.New(p, od.Arity())
-					}
-					netDel.MustInsert(t)
-				}
+			cur, od := v.rels[p], overdel[p]
+			if t := suffix(cur, base[p], func(t value.Tuple) bool { return !od.Contains(t) }); t != nil {
+				ins[p] = t
+				up.Inserted += t.Len()
 			}
-			if ad != nil {
-				for k := range ad.Len() {
-					t := ad.At(k)
-					if od != nil && od.Contains(t) {
-						continue
-					}
-					if netIns == nil {
-						netIns = relation.New(p, ad.Arity())
-					}
-					netIns.MustInsert(t)
-				}
-			}
-			if netDel != nil {
-				dels[p] = netDel
-				up.Deleted += netDel.Len()
-			}
-			if netIns != nil {
-				ins[p] = netIns
-				up.Inserted += netIns.Len()
+			if t := suffix(od, 0, func(t value.Tuple) bool { return !cur.Contains(t) }); t != nil {
+				dels[p] = t
+				up.Deleted += t.Len()
 			}
 		}
 	}
@@ -426,7 +403,7 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 				}
 			}
 		}
-		if err := core.EvalStrata(v.info, st, fallback, v.opts); err != nil {
+		if err := pass.Recompute(fallback); err != nil {
 			return fail(err)
 		}
 		after := 0
@@ -449,6 +426,23 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 	v.last = up
 	v.total.add(up)
 	return up, nil
+}
+
+// suffix returns, as a delta relation, the tuples of r at positions
+// from on that keep admits (all of them when keep is nil), or nil when
+// there are none.
+func suffix(r *relation.Relation, from int, keep func(value.Tuple) bool) *relation.Relation {
+	var d *relation.Relation
+	r.Scan(from, r.Len(), func(_ int, t value.Tuple) bool {
+		if keep == nil || keep(t) {
+			if d == nil {
+				d = relation.NewDelta(r.Name(), r.Arity(), 0)
+			}
+			d.Append(t)
+		}
+		return true
+	})
+	return d
 }
 
 // ApplyFacts is the convenience path used by idlogd and the REPL: it

@@ -339,6 +339,8 @@ func TestIncrementalEquivalencePaperExamples(t *testing.T) {
 // stay tuple-for-tuple identical to recompute. Each program runs two
 // random histories, each from a fresh view over the initial database.
 func TestIncrementalPropertyRandom(t *testing.T) {
+	// Every program but reach-neg is maintained without fallback: its
+	// history never changes a predicate it reads through negation.
 	programs := []struct {
 		name string
 		src  string
@@ -354,6 +356,30 @@ func TestIncrementalPropertyRandom(t *testing.T) {
 		`},
 		{"two-hop-builtin", `
 			hop2(X, Y, S) :- e(X, Z), e(Z, Y), add(X, Y, S).
+		`},
+		// Two components in one stratum: watch reads tc, so tc's
+		// overdeletions and additions are watch's deltas.
+		{"tc-watch", `
+			tc(X, Y) :- e(X, Y).
+			tc(X, Y) :- tc(X, Z), e(Z, Y).
+			watch(Y) :- tc(0, Y).
+		`},
+		// One component with two predicates.
+		{"even-odd", `
+			ev(X) :- start(X).
+			od(Y) :- ev(X), e(X, Y).
+			ev(Y) :- od(X), e(X, Y).
+		`},
+		// far's stratum reads tc, a changed lower-stratum IDB,
+		// positively, so DRed reads an old view of it; m never changes.
+		// back joins two tc literals, so an overdeletion pass reads the
+		// old view at the position the delta is not at.
+		{"far-unmarked", `
+			tc(X, Y) :- e(X, Y).
+			tc(X, Y) :- e(X, Z), tc(Z, Y).
+			marked(X) :- m(X).
+			far(X, Y) :- tc(X, Y), not marked(Y).
+			back(X, Y) :- tc(X, Y), tc(Y, X), not marked(Y).
 		`},
 	}
 	const nodes = 12
@@ -371,6 +397,11 @@ func TestIncrementalPropertyRandom(t *testing.T) {
 			}
 			if info.EDB["start"] {
 				_ = db.Add("start", value.Tuple{value.Int(0)})
+			}
+			if info.EDB["m"] {
+				for i := 0; i < nodes; i += 3 {
+					_ = db.Add("m", value.Tuple{value.Int(int64(i))})
+				}
 			}
 			db.Freeze()
 
@@ -398,8 +429,12 @@ func TestIncrementalPropertyRandom(t *testing.T) {
 							del = append(del, core.Fact{Pred: "node", Tuple: tup})
 						}
 					}
-					if _, _, err := v.ApplyFacts(ins, del, nil); err != nil {
+					_, up, err := v.ApplyFacts(ins, del, nil)
+					if err != nil {
 						t.Fatalf("step %d (pass %d): %v", step, pass, err)
+					}
+					if pr.name != "reach-neg" && up.FallbackFrom != -1 {
+						t.Fatalf("step %d (pass %d): fell back from stratum %d", step, pass, up.FallbackFrom)
 					}
 					checkEquiv(t, fmt.Sprintf("%s step %d pass %d", pr.name, step, pass), v, opts)
 				}
@@ -408,8 +443,9 @@ func TestIncrementalPropertyRandom(t *testing.T) {
 	}
 }
 
-// TestViewGuardBudgetAndRebuild: a budget-tripped Apply leaves the view
-// stale; Rebuild restores consistency.
+// TestViewGuardBudgetAndRebuild: a budget-tripped Apply stops exactly
+// at its budget and leaves the view stale; Rebuild restores
+// consistency.
 func TestViewGuardBudgetAndRebuild(t *testing.T) {
 	info := mustInfo(t, `
 		tc(X, Y) :- e(X, Y).
@@ -421,35 +457,48 @@ func TestViewGuardBudgetAndRebuild(t *testing.T) {
 	}
 	db.Freeze()
 	opts := core.Options{}
-	v, err := NewView(info, db, opts)
-	if err != nil {
-		t.Fatal(err)
+	// Closing the chain into a cycle derives ~n^2 new tuples during
+	// propagation: far past either budget.
+	closing := facts("e", value.Tuple{value.Int(40), value.Int(0)})
+	for _, lim := range []guard.Limits{{MaxDerivations: 5}, {MaxTuples: 7}} {
+		v, err := NewView(info, db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := v.Relation("tc").Len()
+		g := guard.New(nil, lim)
+		_, _, err = v.ApplyFacts(closing, nil, g)
+		if err == nil {
+			t.Fatalf("%+v: budgeted apply succeeded", lim)
+		}
+		derivations, tuples := g.Usage()
+		if lim.MaxDerivations > 0 && derivations != lim.MaxDerivations {
+			t.Fatalf("derivation budget %d tripped after %d derivations", lim.MaxDerivations, derivations)
+		}
+		if lim.MaxTuples > 0 {
+			if added := v.Relation("tc").Len() - before; tuples != lim.MaxTuples || added != lim.MaxTuples {
+				t.Fatalf("tuple budget %d: guard holds %d, view added %d", lim.MaxTuples, tuples, added)
+			}
+		}
+		if !v.Stale() {
+			t.Fatal("failed apply did not mark the view stale")
+		}
+		if _, _, err := v.ApplyFacts(nil, nil, nil); err == nil {
+			t.Fatal("stale view accepted another apply")
+		}
+		if err := v.Rebuild(v.Database()); err != nil {
+			t.Fatal(err)
+		}
+		if v.Stale() {
+			t.Fatal("rebuild left the view stale")
+		}
+		checkEquiv(t, "after rebuild", v, opts)
+		// And the view works again.
+		if _, _, err := v.ApplyFacts(facts("e", value.Tuple{value.Int(5), value.Int(25)}), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		checkEquiv(t, "post-rebuild apply", v, opts)
 	}
-	// Closing the chain into a cycle derives ~n^2 new tuples: far past
-	// the budget.
-	g := guard.New(nil, guard.Limits{MaxDerivations: 5})
-	_, _, err = v.ApplyFacts(facts("e", value.Tuple{value.Int(40), value.Int(0)}), nil, g)
-	if err == nil {
-		t.Fatal("budgeted apply succeeded against a 5-derivation limit")
-	}
-	if !v.Stale() {
-		t.Fatal("failed apply did not mark the view stale")
-	}
-	if _, _, err := v.ApplyFacts(nil, nil, nil); err == nil {
-		t.Fatal("stale view accepted another apply")
-	}
-	if err := v.Rebuild(v.Database()); err != nil {
-		t.Fatal(err)
-	}
-	if v.Stale() {
-		t.Fatal("rebuild left the view stale")
-	}
-	checkEquiv(t, "after rebuild", v, opts)
-	// And the view works again.
-	if _, _, err := v.ApplyFacts(facts("e", value.Tuple{value.Int(5), value.Int(25)}), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	checkEquiv(t, "post-rebuild apply", v, opts)
 }
 
 // TestMutateDerivedRelationRejected: IDB predicates are not mutable.
@@ -470,7 +519,7 @@ func TestMutateDerivedRelationRejected(t *testing.T) {
 // TestIncrementalPlannerInterleaved drives a view through a random
 // interleaving of insertions and deletions, asserting after every step
 // that it equals a from-scratch recompute. This pins the planner's
-// delta-first variants (used by Overdelete and Propagate) and its
+// delta-first variants (used by the overestimate and propagation) and its
 // head-bound rederivation probes across DRed and propagation paths.
 func TestIncrementalPlannerInterleaved(t *testing.T) {
 	info := mustInfo(t, `

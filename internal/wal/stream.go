@@ -93,8 +93,14 @@ func (s *StreamReader) Next() (Frame, error) {
 		if plen > maxPayload {
 			return Frame{}, fmt.Errorf("%w: implausible entry length %d", ErrTornStream, plen)
 		}
-		buf := make([]byte, int(plen)+4)
-		if _, err := io.ReadFull(s.br, buf); err != nil {
+		// Read through a limit rather than into a buffer of the claimed
+		// size: a corrupt length must not cost its allocation before the
+		// stream runs dry.
+		buf, err := io.ReadAll(io.LimitReader(s.br, int64(plen)+4))
+		if err == nil && uint64(len(buf)) < plen+4 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return Frame{}, fmt.Errorf("%w: truncated entry: %v", ErrTornStream, err)
 		}
 		payload := buf[:plen]

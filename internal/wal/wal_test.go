@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -513,5 +514,91 @@ func TestStreamTornAtEveryByte(t *testing.T) {
 			}
 			n++
 		}
+	}
+}
+
+// FuzzStreamReader drives the replication frame decoder. A stream that
+// AppendControlFrame and AppendEntryFrame build from the fuzzed values
+// decodes back to exactly those frames and then a clean io.EOF. Raw
+// bytes never panic the decoder, and every error it returns on them,
+// except io.EOF between frames, wraps ErrTornStream.
+func FuzzStreamReader(f *testing.F) {
+	var framed []byte
+	for _, r := range withLSNs(testRecords(), 1) {
+		framed = AppendEntryFrame(framed, r)
+	}
+	framed = AppendControlFrame(framed, FrameEOS, 3)
+	f.Add(framed, uint64(1), "s", "e", int64(7))
+	f.Add(framed[:len(framed)/2], uint64(0), "", "", int64(0))
+	f.Add([]byte{FrameEntry, 0xff, 0xff, 0xff, 0x7f}, uint64(1)<<63, "x", "p", int64(-1))
+	f.Add([]byte("Hz"), uint64(300), "\xff", "q r", int64(1)<<40)
+	f.Fuzz(func(t *testing.T, raw []byte, lsn uint64, session, pred string, n int64) {
+		sr := NewStreamReader(bytes.NewReader(raw))
+		for {
+			_, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, ErrTornStream) {
+					t.Fatalf("raw stream: err = %v, want ErrTornStream", err)
+				}
+				break
+			}
+		}
+
+		rec := Record{LSN: lsn, Session: session,
+			Inserts: []core.Fact{{Pred: pred, Tuple: value.Tuple{value.Str(session), value.Int(n)}}},
+			Deletes: []core.Fact{{Pred: pred, Tuple: value.Tuple{value.Int(n)}}}}
+		type control struct {
+			typ byte
+			lsn uint64
+		}
+		controls := []control{{FrameHeartbeat, lsn}, {FrameResync, lsn + 1}, {FrameEOS, lsn ^ 1}}
+		var b []byte
+		b = AppendControlFrame(b, controls[0].typ, controls[0].lsn)
+		b = AppendEntryFrame(b, rec)
+		b = AppendControlFrame(b, controls[1].typ, controls[1].lsn)
+		b = AppendControlFrame(b, controls[2].typ, controls[2].lsn)
+		sr = NewStreamReader(bytes.NewReader(b))
+		next := func() Frame {
+			t.Helper()
+			fr, err := sr.Next()
+			if err != nil {
+				t.Fatalf("framed stream: %v", err)
+			}
+			return fr
+		}
+		if fr := next(); fr.Type != controls[0].typ || fr.LSN != controls[0].lsn {
+			t.Fatalf("control frame %+v, want %+v", fr, controls[0])
+		}
+		if fr := next(); fr.Type != FrameEntry || fr.LSN != lsn || !reflect.DeepEqual(fr.Rec, rec) {
+			t.Fatalf("entry frame %+v, want %+v", fr.Rec, rec)
+		}
+		for _, c := range controls[1:] {
+			if fr := next(); fr.Type != c.typ || fr.LSN != c.lsn {
+				t.Fatalf("control frame %+v, want %+v", fr, c)
+			}
+		}
+		if _, err := sr.Next(); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want io.EOF", err)
+		}
+	})
+}
+
+// TestStreamLengthCostsNoAllocation: an entry frame claiming a payload
+// just under the plausibility cap, followed by nothing, is torn, and
+// decoding it allocates what arrived, not what the length claims.
+func TestStreamLengthCostsNoAllocation(t *testing.T) {
+	frame := binary.AppendUvarint([]byte{FrameEntry}, maxPayload-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewStreamReader(bytes.NewReader(frame)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTornStream) {
+		t.Fatalf("err = %v, want ErrTornStream", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a torn %d-byte frame allocated %d bytes", len(frame), grew)
 	}
 }
