@@ -12,7 +12,8 @@
 //	                 to it before acknowledging
 //	-save file.idb   write the result relations to a binary snapshot
 //	-query p,q       print only these predicates (default: all outputs)
-//	-seed n          use the seeded random oracle (default: sorted/deterministic)
+//	-seed n          use the seeded random oracle, seed n (0 included; also
+//	                 seeds -i); without it the sorted, deterministic oracle
 //	-enumerate       enumerate ALL answers of the query predicates
 //	-max-runs n      budget for -enumerate (default 100000)
 //	-timeout d       wall-clock budget for the run, e.g. 5s, 300ms (0 = none)
@@ -120,8 +121,7 @@ func main() {
 	loadSnap := flag.String("load", "", "binary snapshot loaded as input relations")
 	saveSnap := flag.String("save", "", "write the result relations to a binary snapshot")
 	query := flag.String("query", "", "comma-separated predicates to print (default: all outputs)")
-	seed := flag.Uint64("seed", 0, "seed for the random oracle")
-	useSeed := flag.Bool("random", false, "use the seeded random oracle (with -seed)")
+	seed := flag.Uint64("seed", 0, "use the seeded random oracle with this seed (default: the sorted oracle)")
 	enumerate := flag.Bool("enumerate", false, "enumerate all answers of the query predicates")
 	maxRuns := flag.Int("max-runs", 100000, "run budget for -enumerate")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none)")
@@ -132,7 +132,6 @@ func main() {
 	show := flag.Bool("show", false, "print the evaluated (choice-translated) program")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
 	plan := flag.Bool("plan", false, "print the join plans the engine would use and exit")
-	magic := flag.Bool("magic", true, "enable the magic-sets demand rewrite for interactive goal queries")
 	interactive := flag.Bool("i", false, "start an interactive session (REPL)")
 	walPath := flag.String("wal", "", "durable write-ahead log for the interactive session (with -i)")
 	explain := flag.String("explain", "", "print the derivation tree of a ground atom, e.g. 'tc(a, c)'")
@@ -141,6 +140,13 @@ func main() {
 	cacheMB := flag.Int("cache-mb", 64, "disk-engine block cache budget in MiB")
 	bulkLoad := flag.String("bulk-load", "", "stream a fact file into a fresh -data-dir database and exit")
 	flag.Parse()
+	// An explicit -seed, 0 included, selects the seeded random oracle.
+	var seeded *uint64
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			seeded = seed
+		}
+	})
 
 	kind, err := storage.ParseEngineKind(*engine)
 	if err != nil {
@@ -222,8 +228,7 @@ func main() {
 			timeout:        *timeout,
 			maxTuples:      *maxTuples,
 			maxDerivations: *maxDerivations,
-			noMagic:        !*magic,
-		}, db, log, preload...)
+		}, seeded, db, log, preload...)
 		return
 	}
 	if *walPath != "" {
@@ -294,8 +299,8 @@ func main() {
 	}
 
 	var opts []idlog.Option
-	if *useSeed || *seed != 0 {
-		opts = append(opts, idlog.WithSeed(*seed))
+	if seeded != nil {
+		opts = append(opts, idlog.WithSeed(*seeded))
 	}
 	if *explain != "" {
 		opts = append(opts, idlog.WithTrace())

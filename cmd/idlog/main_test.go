@@ -240,17 +240,18 @@ func runMainInput(t *testing.T, input, args string) (code int, stdout, stderr st
 }
 
 // TestRemovedFlagIsUsageError runs the CLI in a child process: the
-// retired -partitions, -planner and -parallel flags are unknown flags
-// (usage error, exit 2), while -plan on the same program opens with
-// its first stratum and renders the delta-first rotation of a
-// recursive clause.
+// retired -partitions, -planner, -parallel, -magic and -random flags
+// are unknown flags (usage error, exit 2), while -plan on the same
+// program opens with its first stratum and renders the delta-first
+// rotation of a recursive clause.
 func TestRemovedFlagIsUsageError(t *testing.T) {
 	prog := writeFile(t, "x.idl", "e(a, b).\ne(b, c).\ntc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n")
 	run := func(args string) (int, string) {
 		code, stdout, stderr := runMain(t, args)
 		return code, stdout + stderr
 	}
-	for name, args := range map[string]string{"partitions": "-partitions 4", "planner": "-planner=false", "parallel": "-parallel 2"} {
+	for name, args := range map[string]string{"partitions": "-partitions 4", "planner": "-planner=false",
+		"parallel": "-parallel 2", "magic": "-magic=false", "random": "-random"} {
 		if code, out := run(args + " " + prog); code != exitUsage ||
 			!strings.Contains(out, "flag provided but not defined: -"+name) {
 			t.Fatalf("%s: exit %d, want %d (unknown flag):\n%s", args, code, exitUsage, out)
@@ -278,7 +279,7 @@ func TestSeededAnswersIgnoreFactOrder(t *testing.T) {
 	var outs []string
 	for i, order := range [][]string{facts, reversed(facts), interleaved(facts)} {
 		f := writeFile(t, fmt.Sprintf("emp%d.facts", i), strings.Join(order, "\n")+"\n")
-		code, stdout, stderr := runMain(t, "-random -seed 7 -facts "+f+" "+prog)
+		code, stdout, stderr := runMain(t, "-seed 7 -facts "+f+" "+prog)
 		if code != exitOK || !strings.Contains(stdout, "s{") {
 			t.Fatalf("order %d: exit %d:\n%s%s", i, code, stdout, stderr)
 		}
@@ -310,30 +311,106 @@ func interleaved(ss []string) []string {
 	return out
 }
 
-// TestMagicOnOffAnswersAgree runs one REPL goal with the magic-sets
-// demand rewrite on (the default) and off (-magic=false): the sessions
-// print identical answers, three of them, and :plan's header names the
-// path that ran.
+// TestMagicOnOffAnswersAgree runs a bound REPL goal, which takes the
+// magic-sets demand path, and checks it against the same session's
+// free goal, which evaluates the full program: the bound goal's
+// answers are exactly the free rows with X = a, three of them, and
+// :plan's header names the path each goal runs.
 func TestMagicOnOffAnswersAgree(t *testing.T) {
 	tcm := writeFile(t, "tcm.idl", "e(a, b). e(b, c). e(c, d).\ntc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n")
-	repl := func(input, flags string) string {
+	repl := func(input string) []string {
 		t.Helper()
-		code, stdout, stderr := runMainInput(t, input, "-i "+flags+"-facts "+tcm)
+		code, stdout, stderr := runMainInput(t, input, "-i -facts "+tcm)
 		if code != exitOK {
-			t.Fatalf("idlog -i %s: exit %d:\n%s%s", flags, code, stdout, stderr)
+			t.Fatalf("idlog -i: exit %d:\n%s%s", code, stdout, stderr)
+		}
+		return strings.Split(stdout, "\n")
+	}
+	answers := func(lines []string, prefix string) []string {
+		var out []string
+		for _, l := range lines {
+			l = strings.TrimPrefix(l, "idlog> ")
+			if rest, ok := strings.CutPrefix(l, prefix); ok {
+				out = append(out, rest)
+			}
+		}
+		return out
+	}
+	bound := answers(repl("?- tc(a, X).\n:quit\n"), "X = ")
+	full := answers(repl("?- tc(X, Y).\n:quit\n"), "X = a, Y = ")
+	if strings.Join(bound, ",") != strings.Join(full, ",") || len(bound) != 3 {
+		t.Fatalf("bound goal answers %q, full evaluation has %q for X = a; want the same three", bound, full)
+	}
+	for goal, header := range map[string]string{"tc(a, X)": "magic-sets rewrite active", "tc(X, Y)": "rewrite inapplicable: goal binds no argument"} {
+		if out := strings.Join(repl(":plan "+goal+"\n:quit\n"), "\n"); !strings.Contains(out, header) {
+			t.Fatalf(":plan %s: want %q in\n%s", goal, header, out)
+		}
+	}
+}
+
+// TestSeedFlagSelectsRandomOracle runs a sampling program in child
+// processes. An explicit -seed 0 selects RandomOracle(0), so the batch
+// output equals an in-process WithSeed(0) run and differs from the
+// sorted oracle's; and a REPL started with -seed 7 answers with the
+// rows a -seed 7 batch run prints.
+func TestSeedFlagSelectsRandomOracle(t *testing.T) {
+	var facts []string
+	for d := 0; d < 4; d++ {
+		for e := 0; e < 8; e++ {
+			facts = append(facts, fmt.Sprintf("emp(e%d_%d, d%d).", d, e, d))
+		}
+	}
+	rule := "s(N, D) :- emp[2](N, D, T), T < 2.\n"
+	prog, factFile := writeFile(t, "sample.idl", rule), writeFile(t, "emp.facts", strings.Join(facts, "\n")+"\n")
+	model := func(opts ...idlog.Option) *idlog.Relation {
+		t.Helper()
+		p, err := idlog.Parse(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := idlog.NewDatabase()
+		if err := loadFacts(db, factFile); err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Eval(db, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Relation("s")
+	}
+	batch := func(args string) string {
+		t.Helper()
+		code, stdout, stderr := runMain(t, args+" -facts "+factFile+" "+prog)
+		if code != exitOK {
+			t.Fatalf("idlog %s: exit %d:\n%s%s", args, code, stdout, stderr)
 		}
 		return stdout
 	}
-	on, off := repl("?- tc(a, X).\n:quit\n", ""), repl("?- tc(a, X).\n:quit\n", "-magic=false ")
-	if on != off {
-		t.Fatalf("magic on answers\n%s\nmagic off answers\n%s", on, off)
+	zero, sorted := batch("-seed 0"), batch("")
+	if want := model(idlog.WithSeed(0)).String() + "\n"; zero != want || zero == sorted {
+		t.Fatalf("-seed 0 printed\n%s\nwant WithSeed(0)'s\n%s\n(the sorted oracle prints\n%s)", zero, want, sorted)
 	}
-	if !strings.Contains(on, "3 answer(s)") {
-		t.Fatalf("want 3 answer(s):\n%s", on)
+
+	seven := model(idlog.WithSeed(7))
+	if out := batch("-seed 7"); out != seven.String()+"\n" {
+		t.Fatalf("-seed 7 printed\n%s\nwant WithSeed(7)'s\n%s", out, seven)
 	}
-	for flags, header := range map[string]string{"": "magic-sets rewrite active", "-magic=false ": "rewrite available but disabled"} {
-		if out := repl(":plan tc(a, X)\n:quit\n", flags); !strings.Contains(out, header) {
-			t.Fatalf(":plan with flags %q: want %q in\n%s", flags, header, out)
+	var want []string
+	for _, row := range seven.Sorted() {
+		want = append(want, fmt.Sprintf("N = %s, D = %s", row[0], row[1]))
+	}
+	all := writeFile(t, "all.idl", strings.Join(facts, "\n")+"\n"+rule)
+	code, stdout, stderr := runMainInput(t, "?- s(N, D).\n:quit\n", "-i -seed 7 -facts "+all)
+	if code != exitOK {
+		t.Fatalf("idlog -i -seed 7: exit %d:\n%s%s", code, stdout, stderr)
+	}
+	var got []string
+	for _, l := range strings.Split(stdout, "\n") {
+		if l = strings.TrimPrefix(l, "idlog> "); strings.HasPrefix(l, "N = ") {
+			got = append(got, l)
 		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("REPL with -seed 7 answered\n%s\nwant the -seed 7 batch rows\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -22,7 +22,6 @@ type replLimits struct {
 	timeout        time.Duration
 	maxTuples      int
 	maxDerivations int
-	noMagic        bool
 }
 
 // options renders the limits as engine options.
@@ -36,9 +35,6 @@ func (l replLimits) options() []idlog.Option {
 	}
 	if l.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(l.maxDerivations))
-	}
-	if l.noMagic {
-		opts = append(opts, idlog.WithMagic(false))
 	}
 	return opts
 }
@@ -54,12 +50,8 @@ func (l replLimits) String() string {
 	if l.timeout > 0 {
 		t = l.timeout.String()
 	}
-	mg := "on"
-	if l.noMagic {
-		mg = "off"
-	}
-	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, magic=%s",
-		t, show(l.maxTuples), show(l.maxDerivations), mg)
+	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s",
+		t, show(l.maxTuples), show(l.maxDerivations))
 }
 
 // repl is the interactive session state. Clauses hold the session
@@ -94,9 +86,7 @@ const replHelp = `commands:
                                  (body order, probe columns, estimated rows)
   :limits [KEY VALUE ...]        show or set per-query budgets; keys:
                                  timeout (duration), max-tuples,
-                                 max-derivations (0 = off), magic
-                                 (on/off: goal-directed magic-sets
-                                 rewriting for bound queries)
+                                 max-derivations (0 = off)
   :clear                         drop all session clauses
   :help                          this text
   :quit                          leave
@@ -104,10 +94,11 @@ const replHelp = `commands:
 
 // runREPL reads commands from r until EOF or :quit. Preloaded clauses
 // (from -facts / -load) seed the session program; limits seed the
-// per-query budgets. db seeds the live database mutated by :assert /
-// :retract (nil means empty); log, when non-nil, receives one durable
-// record per mutation.
-func runREPL(r io.Reader, w io.Writer, limits replLimits, db *idlog.Database, log *wal.Log, preload ...*ast.Clause) {
+// per-query budgets; a non-nil seed starts the session on the random
+// oracle with that seed, as :seed would. db seeds the live database
+// mutated by :assert / :retract (nil means empty); log, when non-nil,
+// receives one durable record per mutation.
+func runREPL(r io.Reader, w io.Writer, limits replLimits, seed *uint64, db *idlog.Database, log *wal.Log, preload ...*ast.Clause) {
 	if db == nil {
 		db = idlog.NewDatabase()
 	}
@@ -116,6 +107,9 @@ func runREPL(r io.Reader, w io.Writer, limits replLimits, db *idlog.Database, lo
 	// distinct counts (see :plan).
 	db.Freeze()
 	s := &repl{out: w, clauses: preload, db: db, wal: log, limits: limits}
+	if seed != nil {
+		s.seed, s.random = *seed, true
+	}
 	fmt.Fprintln(w, "idlog interactive — :help for commands")
 	if len(preload) > 0 {
 		fmt.Fprintf(w, "preloaded %d clauses\n", len(preload))
@@ -247,11 +241,11 @@ func (s *repl) command(line string) bool {
 }
 
 // limitsUsage names every key limitsCommand accepts.
-const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [magic on|off]"
+const limitsUsage = "usage: :limits [timeout D] [max-tuples N] [max-derivations N]"
 
 // limitsCommand shows or sets the per-query limits: KEY VALUE pairs
 // with keys timeout, max-tuples and max-derivations (0 switches one
-// off) and magic (on/off).
+// off).
 func (s *repl) limitsCommand(args []string) {
 	if len(args)%2 != 0 {
 		fmt.Fprintln(s.out, limitsUsage)
@@ -282,16 +276,6 @@ func (s *repl) limitsCommand(args []string) {
 				return
 			}
 			next.maxDerivations = n
-		case "magic":
-			switch val {
-			case "on", "true", "1":
-				next.noMagic = false
-			case "off", "false", "0":
-				next.noMagic = true
-			default:
-				fmt.Fprintln(s.out, "bad magic (on/off):", val)
-				return
-			}
 		default:
 			fmt.Fprintln(s.out, "unknown limit:", key)
 			return

@@ -11,7 +11,7 @@ import (
 func runSession(t *testing.T, input string) string {
 	t.Helper()
 	var out strings.Builder
-	runREPL(strings.NewReader(input), &out, replLimits{}, nil, nil)
+	runREPL(strings.NewReader(input), &out, replLimits{}, nil, nil, nil)
 	return out.String()
 }
 
@@ -173,10 +173,11 @@ func TestREPLLimitsValidation(t *testing.T) {
 :limits widgets 7
 :limits partitions 4
 :limits parallel 2
+:limits magic off
 :quit
 `)
 	for _, want := range []string{"usage: :limits", "bad timeout", "bad max-tuples", "unknown limit: widgets",
-		"unknown limit: partitions", "unknown limit: parallel"} {
+		"unknown limit: partitions", "unknown limit: parallel", "unknown limit: magic"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
@@ -187,8 +188,8 @@ func TestREPLLimitsValidation(t *testing.T) {
 // worker count: the fixpoint has one worker.
 func TestREPLLimitsShowNoParallel(t *testing.T) {
 	out := runSession(t, ":limits\n:quit\n")
-	if !strings.Contains(out, "limits: timeout=off, max-tuples=off, max-derivations=off, magic=on") ||
-		strings.Contains(out, "parallel=") {
+	if !strings.Contains(out, "limits: timeout=off, max-tuples=off, max-derivations=off\n") ||
+		strings.Contains(out, "parallel=") || strings.Contains(out, "magic=") {
 		t.Fatalf(":limits renders a worker count or lost a key:\n%s", out)
 	}
 }
@@ -198,7 +199,6 @@ func TestREPLLimitsShowNoParallel(t *testing.T) {
 func TestREPLLimitsUsageNamesEveryKey(t *testing.T) {
 	keys := map[string]string{
 		"timeout": "1s", "max-tuples": "5", "max-derivations": "5",
-		"magic": "off",
 	}
 	for key, val := range keys {
 		if !strings.Contains(limitsUsage, "["+key+" ") {
@@ -302,7 +302,7 @@ func TestREPLWALDurability(t *testing.T) {
 	}
 	var out strings.Builder
 	runREPL(strings.NewReader(":assert e(a, b). e(b, c).\n:retract e(b, c).\n:quit\n"),
-		&out, replLimits{}, nil, log1)
+		&out, replLimits{}, nil, nil, log1)
 	if err := log1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestREPLWALDurability(t *testing.T) {
 		db = next
 	}
 	var out2 strings.Builder
-	runREPL(strings.NewReader(":db\n:quit\n"), &out2, replLimits{}, db, log2)
+	runREPL(strings.NewReader(":db\n:quit\n"), &out2, replLimits{}, nil, db, log2)
 	if !strings.Contains(out2.String(), "e{(a, b)}") {
 		t.Fatalf("replayed db wrong:\n%s", out2.String())
 	}

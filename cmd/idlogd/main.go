@@ -50,15 +50,6 @@
 //	                      writing a new segment generation there.
 //	-data-dir dir         disk-engine data directory
 //	-cache-mb n           disk-engine block cache budget in MiB (default 64)
-//	-plan-cache           cache prepared goal queries and their stratum
-//	                      plans across requests (default true); answers
-//	                      are identical with it off — it is the
-//	                      performance escape hatch
-//	-magic                route goal queries through the magic-sets
-//	                      demand rewrite (default true); answers are
-//	                      identical with it off — it is the performance
-//	                      escape hatch (per-request opt-out: "magic":
-//	                      false in the query body)
 //	-pprof addr           serve net/http/pprof on a SEPARATE listener at
 //	                      addr (e.g. localhost:6060); empty disables. Kept
 //	                      off the query listener so profiling endpoints
@@ -150,13 +141,9 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	engine := fs.String("engine", "mem", "storage engine: mem (in-memory) or disk (segment files in -data-dir)")
 	dataDir := fs.String("data-dir", "", "disk-engine data directory (with -engine=disk)")
 	cacheMB := fs.Int("cache-mb", 64, "disk-engine block cache budget in MiB")
-	planCache := fs.Bool("plan-cache", true, "cache prepared goal queries and their stratum plans across requests")
-	magic := fs.Bool("magic", true, "route goal queries through the magic-sets demand rewrite")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	dc.server.NoPlanCache = !*planCache
-	dc.server.NoMagic = !*magic
 	kind, err := storage.ParseEngineKind(*engine)
 	if err != nil {
 		fmt.Fprintln(stderr, "idlogd:", err)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -47,13 +48,16 @@ func TestParseFlags(t *testing.T) {
 }
 
 // TestRemovedFlagIsUsageError checks that the retired
-// -max-parallelism flag is an unknown flag: exit 2 before the daemon
-// listens or loads anything.
+// -max-parallelism, -magic and -plan-cache flags are unknown flags:
+// exit 2 before the daemon listens or loads anything.
 func TestRemovedFlagIsUsageError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-max-parallelism", "4"}, &stdout, &stderr); code != 2 ||
-		!strings.Contains(stderr.String(), "flag provided but not defined: -max-parallelism") {
-		t.Fatalf("-max-parallelism 4: exit %d, want 2 (unknown flag):\n%s", code, stderr.String())
+	for _, args := range [][]string{{"-max-parallelism", "4"}, {"-magic=false"}, {"-plan-cache=false"}} {
+		var stdout, stderr bytes.Buffer
+		name, _, _ := strings.Cut(args[0], "=")
+		if code := run(args, &stdout, &stderr); code != 2 ||
+			!strings.Contains(stderr.String(), "flag provided but not defined: "+name) {
+			t.Fatalf("%s: exit %d, want 2 (unknown flag):\n%s", strings.Join(args, " "), code, stderr.String())
+		}
 	}
 }
 
@@ -107,71 +111,71 @@ func TestBuildServerAndServe(t *testing.T) {
 }
 
 // TestPlanCacheOnOffSameRows boots the daemon on the example
-// transitive-closure program and graph, with and without -plan-cache,
-// and sends the same goal query twice to each: all four answers carry
-// the same rows, and only the caching daemon serves the second query
-// from its plan cache.
+// transitive-closure program and graph and sends the same goal query
+// twice: both answers carry the rows of the full model's tc tuples
+// from a, and the second query is served from the plan cache.
 func TestPlanCacheOnOffSameRows(t *testing.T) {
-	goalRows := func(flags ...string) (rows []string, hits string) {
-		args := append(flags, "-facts", "../../examples/programs/graph.facts", "../../examples/programs/tc.idl")
-		dc, err := parseFlags(args, os.Stderr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := buildServer(dc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		body := `{"program":"tc","session":"default","goal":"tc(a, X)"}`
-		for range 2 {
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var qr struct {
-				Rows json.RawMessage `json:"rows"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&qr)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("%v: query status %d, %v", flags, resp.StatusCode, err)
-			}
-			rows = append(rows, string(qr.Rows))
-		}
-		resp, err := http.Get(ts.URL + "/metrics")
+	dc, err := parseFlags([]string{"-facts", "../../examples/programs/graph.facts", "../../examples/programs/tc.idl"}, os.Stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := buildServer(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	query := func(body string, out any) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		metrics, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(metrics), "\n") {
-			if v, ok := strings.CutPrefix(line, "idlogd_plan_cache_hits_total "); ok {
-				return rows, v
-			}
-		}
-		t.Fatalf("%v: /metrics has no idlogd_plan_cache_hits_total", flags)
-		return nil, ""
-	}
-	on, onHits := goalRows()
-	off, offHits := goalRows("-plan-cache=false")
-	if len(on[0]) < 3 || on[0] == "null" {
-		t.Fatalf("tc(a, X) returned no rows: %s", on[0])
-	}
-	for i := range on {
-		if on[i] != on[0] || off[i] != on[0] {
-			t.Fatalf("rows differ: cache on %v, cache off %v", on, off)
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", body, resp.StatusCode, err)
 		}
 	}
-	if onHits == "0" || offHits != "0" {
-		t.Fatalf("plan cache hits: %s with the cache, %s without; want > 0 and 0", onHits, offHits)
+
+	// The reference: the whole tc relation, its tuples from a.
+	var model struct {
+		Relations map[string]struct {
+			Tuples [][]string `json:"tuples"`
+		} `json:"relations"`
 	}
-	t.Logf("rows %s; plan cache hits %s with the cache, %s without", on[0], onHits, offHits)
+	query(`{"program":"tc","session":"default","predicates":["tc"]}`, &model)
+	var want [][]string
+	for _, tup := range model.Relations["tc"].Tuples {
+		if tup[0] == "a" {
+			want = append(want, tup[1:])
+		}
+	}
+	if len(want) < 3 {
+		t.Fatalf("the model has %d tc tuples from a, want at least 3", len(want))
+	}
+	for i := range 2 {
+		var qr struct {
+			Rows [][]string `json:"rows"`
+		}
+		query(`{"program":"tc","session":"default","goal":"tc(a, X)"}`, &qr)
+		if !reflect.DeepEqual(qr.Rows, want) {
+			t.Fatalf("query %d: rows %v, want the model's %v", i, qr.Rows, want)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\nidlogd_plan_cache_hits_total 1\n") {
+		t.Fatalf("want one plan cache hit in /metrics:\n%s", metrics)
+	}
 }
 
 func TestBuildServerBadProgram(t *testing.T) {

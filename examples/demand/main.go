@@ -1,10 +1,11 @@
 // Command demand shows goal-directed evaluation via the magic-sets
 // rewrite: a reachability point query against a large graph, answered
-// once by full bottom-up evaluation and once through the demand path,
-// with the engine's work counters making the difference visible. The
-// rewrite restricts evaluation to the query's derivation cone — the
-// nodes actually reachable from the queried source — so the derivation
-// count tracks the cone size instead of the full transitive closure.
+// through the demand path and checked against the whole model computed
+// by Program.Eval, with the engine's work counters making the
+// difference visible. The rewrite restricts evaluation to the query's
+// derivation cone — the nodes actually reachable from the queried
+// source — so the derivation count tracks the cone size instead of the
+// full transitive closure.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 	}
 	fmt.Printf("goal: ?- %s   (magic rewrite applicable: %v)\n\n", goal, pq.UsesMagic())
 
-	full, err := pq.Query(db, idlog.WithMagic(false))
+	full, err := prog.Eval(db)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,12 +60,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(full.Rows) != len(magic.Rows) {
-		log.Fatalf("answer sets diverge: %d vs %d rows", len(full.Rows), len(magic.Rows))
+	source, want := idlog.Int(chain-40), 0
+	for _, t := range full.Relation("reach").Sorted() {
+		if t[0].Equal(source) {
+			want++
+		}
+	}
+	if len(magic.Rows) != want {
+		log.Fatalf("answer sets diverge: %d rows in the whole model, %d on the demand path", want, len(magic.Rows))
 	}
 
-	fmt.Printf("answers: %d reachable nodes, identical either way\n\n", len(magic.Rows))
-	fmt.Println("work counters             magic off     magic on")
+	fmt.Printf("answers: %d reachable nodes, as in the whole model\n\n", len(magic.Rows))
+	fmt.Println("work counters            whole model  demand path")
 	fmt.Printf("  derivations           %11d  %11d\n", full.Stats.Derivations, magic.Stats.Derivations)
 	fmt.Printf("  tuples inserted       %11d  %11d\n", full.Stats.Inserted, magic.Stats.Inserted)
 	fmt.Printf("  tuples scanned        %11d  %11d\n", full.Stats.TuplesScanned, magic.Stats.TuplesScanned)

@@ -133,16 +133,19 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 		it.sols, it.solIdx = sols, 0
 		return nil
 	}
-	rel, err := rn.resolve(cl)
-	if err != nil {
-		return err
-	}
-	limit := -1
-	if depth == deltaPos {
-		rel = deltaRel
-	} else if cl.recursive {
-		if n, ok := rn.frontier[cl.pred]; ok {
-			limit = n
+	// The literal at the delta position reads only the delta, so its
+	// full relation is not resolved: under DRed that would build an old
+	// view nothing reads.
+	rel, limit := deltaRel, -1
+	if depth != deltaPos {
+		var err error
+		if rel, err = rn.resolve(cl); err != nil {
+			return err
+		}
+		if cl.recursive {
+			if n, ok := rn.frontier[cl.pred]; ok {
+				limit = n
+			}
 		}
 	}
 	if cl.neg {

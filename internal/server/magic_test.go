@@ -30,47 +30,40 @@ func magicQueries(t *testing.T, url string) int {
 }
 
 // TestGoalQueriesUseMagic covers the demand-rewrite surface of goal
-// queries: a default server answers a bound goal through the magic-sets
-// rewrite and counts it; the per-request "magic": false opt-out and the
-// server-wide NoMagic both give the same rows and leave the counter at
-// zero.
+// queries: a bound goal is answered through the magic-sets rewrite and
+// counted; a free goal evaluates the full program, is not counted, and
+// its rows with X = a are the bound goal's rows.
 func TestGoalQueriesUseMagic(t *testing.T) {
-	optOut := false
-	ask := func(t *testing.T, cfg Config, magic *bool) (rows [][]any, counted int) {
+	s, ts := newTestServer(t, Config{})
+	if err := s.RegisterProgram("tc", tcProgram); err != nil {
+		t.Fatal(err)
+	}
+	ask := func(goal string) [][]any {
 		t.Helper()
-		s, ts := newTestServer(t, cfg)
-		if err := s.RegisterProgram("tc", tcProgram); err != nil {
-			t.Fatal(err)
-		}
 		var qr queryResponse
-		req := queryRequest{Program: "tc", Facts: tcFacts, Goal: "tc(a, X)", Magic: magic}
-		if code := post(t, ts.URL+"/v1/query", req, &qr); code != 200 {
-			t.Fatalf("query: status %d", code)
+		if code := post(t, ts.URL+"/v1/query", queryRequest{Program: "tc", Facts: tcFacts, Goal: goal}, &qr); code != 200 {
+			t.Fatalf("query %s: status %d", goal, code)
 		}
-		return qr.Rows, magicQueries(t, ts.URL)
+		return qr.Rows
 	}
 
-	rows, counted := ask(t, Config{}, nil)
+	rows := ask("tc(a, X)")
 	if len(rows) != 3 {
-		t.Fatalf("default: tc(a, X) returned %d rows, want 3: %v", len(rows), rows)
+		t.Fatalf("tc(a, X) returned %d rows, want 3: %v", len(rows), rows)
 	}
-	if counted != 1 {
-		t.Fatalf("default: idlogd_magic_queries_total = %d, want 1", counted)
+	if counted := magicQueries(t, ts.URL); counted != 1 {
+		t.Fatalf("bound goal: idlogd_magic_queries_total = %d, want 1", counted)
 	}
-	for _, c := range []struct {
-		name  string
-		cfg   Config
-		magic *bool
-	}{
-		{`"magic": false`, Config{}, &optOut},
-		{"NoMagic", Config{NoMagic: true}, nil},
-	} {
-		got, counted := ask(t, c.cfg, c.magic)
-		if !reflect.DeepEqual(got, rows) {
-			t.Fatalf("%s: rows %v, want the rewrite's %v", c.name, got, rows)
+	var full [][]any
+	for _, row := range ask("tc(X, Y)") {
+		if row[0] == "a" {
+			full = append(full, row[1:])
 		}
-		if counted != 0 {
-			t.Fatalf("%s: idlogd_magic_queries_total = %d, want 0", c.name, counted)
-		}
+	}
+	if !reflect.DeepEqual(full, rows) {
+		t.Fatalf("free goal's rows with X = a are %v, want the rewrite's %v", full, rows)
+	}
+	if counted := magicQueries(t, ts.URL); counted != 1 {
+		t.Fatalf("free goal: idlogd_magic_queries_total = %d, want 1", counted)
 	}
 }

@@ -3,56 +3,43 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestGoalParseErrorTyped pins the contract for a malformed goal on an
 // otherwise valid request: 400 with the typed engine code, on both the
-// registered-program and inline-source paths, with the plan cache on
-// and off (the prepared path must wrap goal parse errors exactly as
-// the per-request path does).
+// registered-program and inline-source paths.
 func TestGoalParseErrorTyped(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"cache on", Config{}},
-		{"cache off", Config{NoPlanCache: true}},
+	s, ts := newTestServer(t, Config{})
+	if err := s.RegisterProgram("tc", tcProgram); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []queryRequest{
+		{Program: "tc", Goal: "tc(a, X"},        // registered program
+		{Source: "p(x).", Goal: "p(X), q(Y, )"}, // inline source
 	} {
-		t.Run(mode.name, func(t *testing.T) {
-			s, ts := newTestServer(t, mode.cfg)
-			if err := s.RegisterProgram("tc", tcProgram); err != nil {
-				t.Fatal(err)
-			}
-			for _, req := range []queryRequest{
-				{Program: "tc", Goal: "tc(a, X"},        // registered program
-				{Source: "p(x).", Goal: "p(X), q(Y, )"}, // inline source
-			} {
-				var eb errorBody
-				code := post(t, ts.URL+"/v1/query", req, &eb)
-				if code != 400 {
-					t.Fatalf("goal %q: status %d, want 400 (%+v)", req.Goal, code, eb)
-				}
-				if eb.Error.Code != "parse_error" {
-					t.Fatalf("goal %q: code %q, want parse_error", req.Goal, eb.Error.Code)
-				}
-				if !strings.Contains(eb.Error.Message, "goal") {
-					t.Fatalf("goal %q: message %q does not name the goal", req.Goal, eb.Error.Message)
-				}
-			}
-		})
+		var eb errorBody
+		code := post(t, ts.URL+"/v1/query", req, &eb)
+		if code != 400 {
+			t.Fatalf("goal %q: status %d, want 400 (%+v)", req.Goal, code, eb)
+		}
+		if eb.Error.Code != "parse_error" {
+			t.Fatalf("goal %q: code %q, want parse_error", req.Goal, eb.Error.Code)
+		}
+		if !strings.Contains(eb.Error.Message, "goal") {
+			t.Fatalf("goal %q: message %q does not name the goal", req.Goal, eb.Error.Message)
+		}
 	}
 }
 
 // TestPreparedQueryCache exercises the prepared-query path: repeated
 // goal queries against a registered program and an inline source hit
-// the prepared cache (metrics count one miss then hits), answers are
-// identical to the cache-off server, and /metrics exposes the
-// counters.
+// the prepared cache (metrics count one miss then hits), every run
+// answers the same three rows, and /metrics exposes the counters.
 func TestPreparedQueryCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	_, tsOff := newTestServer(t, Config{NoPlanCache: true})
 
 	ask := func(url string, req queryRequest) queryResponse {
 		t.Helper()
@@ -69,13 +56,10 @@ func TestPreparedQueryCache(t *testing.T) {
 		qr := ask(ts.URL, req)
 		if i == 0 {
 			rows = qr.Rows
-		} else if len(qr.Rows) != len(rows) {
-			t.Fatalf("run %d: %d rows, want %d", i, len(qr.Rows), len(rows))
 		}
-	}
-	off := ask(tsOff.URL, req)
-	if len(off.Rows) != len(rows) {
-		t.Fatalf("cache off: %d rows, want %d", len(off.Rows), len(rows))
+		if len(qr.Rows) != 3 || !reflect.DeepEqual(qr.Rows, rows) {
+			t.Fatalf("run %d: rows %v, want the first run's three %v", i, qr.Rows, rows)
+		}
 	}
 
 	hits, misses := s.metrics.planCacheHits.Load(), s.metrics.planCacheMisses.Load()

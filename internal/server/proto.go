@@ -101,10 +101,6 @@ type queryRequest struct {
 	Predicates []string `json:"predicates,omitempty"`
 	// Seed selects the seeded random oracle; nil runs deterministic.
 	Seed *uint64 `json:"seed,omitempty"`
-	// Magic opts this goal query out of the magic-sets demand rewrite
-	// when false; nil (and true) use the server default. Answers are
-	// identical either way.
-	Magic *bool `json:"magic,omitempty"`
 	budgetFields
 }
 

@@ -15,8 +15,7 @@ import (
 // PreparedQuery values keyed by (program identity, goal) — each of
 // which carries its own engine plan cache, so a repeated goal against
 // an unchanged database skips parse, compile, and stratum planning
-// entirely. Disabled by Config.NoPlanCache (idlogd -plan-cache=false),
-// which restores the per-request parse+compile+plan path byte-for-byte.
+// entirely.
 type queryCache struct {
 	programs *lru[string, *idlog.Program]
 	prepared *lru[preparedKey, *idlog.PreparedQuery]
@@ -45,13 +44,9 @@ func sourceKey(src string) string {
 	return "s:" + hex.EncodeToString(h[:16])
 }
 
-// parsedProgram resolves src through the program LRU (nil cache parses
-// fresh). The key is returned for prepared-query lookups downstream.
+// parsedProgram resolves src through the program LRU. The key is
+// returned for prepared-query lookups downstream.
 func (s *Server) parsedProgram(src string) (*idlog.Program, string, error) {
-	if s.queries == nil {
-		p, err := idlog.Parse(src)
-		return p, "", err
-	}
 	key := sourceKey(src)
 	if p, ok := s.queries.programs.get(key); ok {
 		return p, key, nil
@@ -65,8 +60,7 @@ func (s *Server) parsedProgram(src string) (*idlog.Program, string, error) {
 }
 
 // preparedQuery resolves (progKey, goal) through the prepared LRU,
-// preparing and caching on miss. progKey "" (caching disabled upstream)
-// is never passed here.
+// preparing and caching on miss.
 func (s *Server) preparedQuery(progKey string, prog *idlog.Program, goal string) (*idlog.PreparedQuery, error) {
 	key := preparedKey{prog: progKey, goal: goal}
 	if pq, ok := s.queries.prepared.get(key); ok {

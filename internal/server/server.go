@@ -76,18 +76,6 @@ type Config struct {
 	// base EDB from segment files in Engine.Dir and Checkpoint writes a
 	// new segment generation there instead of a <wal>.snapshot file.
 	Engine storage.Engine
-	// NoPlanCache disables the prepared-query and plan caches (the
-	// default is enabled): every goal query then re-parses, re-compiles,
-	// and re-plans per request exactly as before. The escape hatch
-	// behind idlogd's -plan-cache flag; answers are identical either
-	// way.
-	NoPlanCache bool
-	// NoMagic disables the magic-sets demand rewrite for goal queries
-	// (the default is enabled): every goal then evaluates the full
-	// program. The escape hatch behind idlogd's -magic flag; per-request
-	// opt-out is the wire field "magic": false. Answers are identical
-	// either way.
-	NoMagic bool
 }
 
 func (c Config) withDefaults() Config {
@@ -169,8 +157,7 @@ type Server struct {
 	programsMu sync.RWMutex
 	programs   map[string]*program
 
-	// queries caches parsed ad-hoc programs and prepared goal queries
-	// (nil when Config.NoPlanCache).
+	// queries caches parsed ad-hoc programs and prepared goal queries.
 	queries *queryCache
 
 	slots    chan struct{}
@@ -204,9 +191,7 @@ func New(cfg Config) *Server {
 		drainCh:     make(chan struct{}),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
-	}
-	if !cfg.NoPlanCache {
-		s.queries = newQueryCache()
+		queries:     newQueryCache(),
 	}
 	base := idlog.NewDatabase()
 	base.Freeze()
@@ -556,25 +541,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		opts = append(opts, idlog.WithSeed(*req.Seed))
 	}
-	if s.cfg.NoMagic || (req.Magic != nil && !*req.Magic) {
-		opts = append(opts, idlog.WithMagic(false))
-	}
 	start := time.Now()
 	if req.Goal != "" {
-		var qr *idlog.QueryResult
-		var err error
-		if s.queries != nil {
-			// Prepared path: goal parse, wrapper compile, and (per
-			// database version) stratum planning are all cached.
-			pq, perr := s.preparedQuery(progKey, prog, req.Goal)
-			if perr != nil {
-				writeError(w, fromEngineError(perr))
-				return
-			}
-			qr, err = pq.QueryContext(r.Context(), db, opts...)
-		} else {
-			qr, err = prog.QueryContext(r.Context(), db, req.Goal, opts...)
+		// Goal parse, wrapper compile, and (per database version)
+		// stratum planning are all cached.
+		pq, err := s.preparedQuery(progKey, prog, req.Goal)
+		if err != nil {
+			writeError(w, fromEngineError(err))
+			return
 		}
+		qr, err := pq.QueryContext(r.Context(), db, opts...)
 		if qr != nil && qr.UsedMagic {
 			s.metrics.magicQueries.Add(1)
 		}

@@ -137,11 +137,11 @@ func TestQueryValidation(t *testing.T) {
 }
 
 // TestRemovedPartitionsFieldRejected pins that the retired request
-// fields "partitions" and "parallelism" are refused by the strict
-// decoder, not silently ignored.
+// fields "partitions", "parallelism" and "magic" are refused by the
+// strict decoder, not silently ignored.
 func TestRemovedPartitionsFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, field := range []string{"partitions", "parallelism"} {
+	for _, field := range retiredFields {
 		var eb errorBody
 		code := post(t, ts.URL+"/v1/query", map[string]any{
 			"source": tcProgram, "facts": tcFacts, "predicates": []string{"tc"}, field: 4,

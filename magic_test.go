@@ -3,7 +3,6 @@ package idlog
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -70,11 +69,12 @@ func randMagicGoals(r *rand.Rand) []string {
 	}
 }
 
-// TestMagicDifferentialRandom is the magic-on vs magic-off property
-// suite: random programs, random databases, random goal binding
-// patterns — every answer set must be identical with the demand
-// rewrite active and inactive. Run under -race it also exercises the rewrite's shared plan cache; the
-// CI disk-engine job repeats it against disk-backed EDBs via
+// TestMagicDifferentialRandom is the demand path's property suite:
+// random programs, random databases, random goal binding patterns —
+// every answer set must equal the reference evaluator's model of the
+// goal's wrapper program, whether the run took the rewrite or fell
+// back. Run under -race it also exercises the rewrite's shared plan
+// cache; the CI disk-engine job repeats it against disk-backed EDBs via
 // IDLOG_ENGINE=disk.
 func TestMagicDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -83,39 +83,39 @@ func TestMagicDifferentialRandom(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			prog := mustParse(t, randMagicProgram(r))
 			db := randMagicDB(t, r)
+			demand := 0
 			for _, goal := range randMagicGoals(r) {
 				pq, err := prog.Prepare(goal)
 				if err != nil {
 					t.Fatalf("prepare %q: %v", goal, err)
 				}
-				off, err := pq.Query(db, WithMagic(false))
+				qr, err := pq.Query(db)
 				if err != nil {
-					t.Fatalf("goal %q magic-off: %v", goal, err)
+					t.Fatalf("goal %q: %v", goal, err)
 				}
-				on, err := pq.Query(db)
-				if err != nil {
-					t.Fatalf("goal %q magic-on: %v", goal, err)
+				if qr.UsedMagic != pq.UsesMagic() {
+					t.Fatalf("goal %q: UsedMagic=%v but UsesMagic=%v", goal, qr.UsedMagic, pq.UsesMagic())
 				}
-				if off.UsedMagic {
-					t.Fatalf("goal %q: WithMagic(false) run reports UsedMagic", goal)
+				if qr.UsedMagic {
+					demand++
 				}
-				if on.UsedMagic != pq.UsesMagic() {
-					t.Fatalf("goal %q: UsedMagic=%v but UsesMagic=%v", goal, on.UsedMagic, pq.UsesMagic())
+				if want := referenceAnswers(t, pq, db); !sameRows(qr.Rows, want) {
+					t.Fatalf("goal %q (magic %v): answers differ from the reference\nwant: %v\ngot:  %v %v",
+						goal, qr.UsedMagic, want, qr.Vars, qr.Rows)
 				}
-				if !reflect.DeepEqual(off.Vars, on.Vars) || !reflect.DeepEqual(off.Rows, on.Rows) {
-					t.Fatalf("goal %q: answers diverge\nmagic off: %v %v\nmagic on:  %v %v",
-						goal, off.Vars, off.Rows, on.Vars, on.Rows)
-				}
+			}
+			if demand == 0 {
+				t.Fatal("no goal took the demand path")
 			}
 		})
 	}
 }
 
 // TestMagicPaperExamples runs goal queries against the paper's Example
-// 1–8 programs with the rewrite on and off. The choice/ID examples sit
-// outside the sound fragment (ID-literals in the cone), so they must
-// fall back — and produce identical answers; Example 6 is pure Datalog,
-// so its bound goal must take the demand path.
+// 1–8 programs and checks each answer set against the reference
+// evaluator. The choice/ID examples sit outside the sound fragment
+// (ID-literals in the cone), so they must fall back; Example 6 is pure
+// Datalog, so its bound goal must take the demand path.
 func TestMagicPaperExamples(t *testing.T) {
 	db := NewDatabase()
 	for i := 0; i < 5; i++ {
@@ -146,17 +146,13 @@ func TestMagicPaperExamples(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: prepare %q: %v", ex.name, goal, err)
 			}
-			off, err := pq.Query(db, WithMagic(false))
+			qr, err := pq.Query(db)
 			if err != nil {
-				t.Fatalf("%s %q magic-off: %v", ex.name, goal, err)
+				t.Fatalf("%s %q: %v", ex.name, goal, err)
 			}
-			on, err := pq.Query(db)
-			if err != nil {
-				t.Fatalf("%s %q magic-on: %v", ex.name, goal, err)
-			}
-			if !reflect.DeepEqual(off.Vars, on.Vars) || !reflect.DeepEqual(off.Rows, on.Rows) {
-				t.Fatalf("%s %q: answers diverge\nmagic off: %v %v\nmagic on:  %v %v",
-					ex.name, goal, off.Vars, off.Rows, on.Vars, on.Rows)
+			if want := referenceAnswers(t, pq, db); !sameRows(qr.Rows, want) {
+				t.Fatalf("%s %q (magic %v): answers differ from the reference\nwant: %v\ngot:  %v %v",
+					ex.name, goal, qr.UsedMagic, want, qr.Vars, qr.Rows)
 			}
 			if ex.name != "ex6-reach-source" && pq.UsesMagic() {
 				t.Fatalf("%s %q: ID-bearing cone should fall back", ex.name, goal)
@@ -182,9 +178,10 @@ func TestMagicPaperExamples(t *testing.T) {
 }
 
 // TestMagicFallbackAndToggles pins the fallback matrix end to end:
-// inapplicable goals report UsesMagic()==false and still answer; the
-// WithMagic(false) and WithTrace escape hatches bypass an applicable
-// rewrite; ExplainPlan labels each mode.
+// inapplicable goals report UsesMagic()==false and still answer; a
+// bound goal's demand run answers like the reference and derives a
+// fraction of what the full wrapper program derives; WithTrace bypasses
+// an applicable rewrite; ExplainPlan labels each mode.
 func TestMagicFallbackAndToggles(t *testing.T) {
 	prog := mustParse(t, `
 		tc(X, Y) :- e(X, Y).
@@ -221,27 +218,28 @@ func TestMagicFallbackAndToggles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := bound.Query(db, WithMagic(false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	traced, err := bound.Query(db, WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !on.UsedMagic || off.UsedMagic || traced.UsedMagic {
-		t.Fatalf("toggle states wrong: on=%v off=%v traced=%v", on.UsedMagic, off.UsedMagic, traced.UsedMagic)
+	if !on.UsedMagic || traced.UsedMagic {
+		t.Fatalf("toggle states wrong: on=%v traced=%v", on.UsedMagic, traced.UsedMagic)
 	}
-	for _, qr := range []*QueryResult{off, traced} {
-		if !reflect.DeepEqual(qr.Rows, on.Rows) {
-			t.Fatalf("rows diverge across toggles")
+	want := referenceAnswers(t, bound, db)
+	for _, qr := range []*QueryResult{on, traced} {
+		if !sameRows(qr.Rows, want) {
+			t.Fatalf("rows differ from the reference (magic %v):\nwant: %v\ngot:  %v", qr.UsedMagic, want, qr.Rows)
 		}
 	}
-	// The demand run derives only the cone past node 40; the full run
-	// derives the whole closure.
-	if on.Stats.Derivations*5 >= off.Stats.Derivations {
-		t.Fatalf("expected >=5x fewer derivations with magic: on=%d off=%d",
-			on.Stats.Derivations, off.Stats.Derivations)
+	// The demand run derives only the cone past node 40; the full
+	// wrapper program derives the whole closure.
+	full, err := bound.compiled.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Stats.Derivations*5 >= full.Stats.Derivations {
+		t.Fatalf("expected >=5x fewer derivations with magic: on=%d full=%d",
+			on.Stats.Derivations, full.Stats.Derivations)
 	}
 
 	plan, err := bound.ExplainPlan(db)
@@ -251,12 +249,13 @@ func TestMagicFallbackAndToggles(t *testing.T) {
 	if want := "magic-sets rewrite active"; !containsAll(plan, want, "tc__bf", "m__tc__bf") {
 		t.Fatalf("magic plan missing rewritten rules:\n%s", plan)
 	}
-	planOff, err := bound.ExplainPlan(db, WithMagic(false))
+	planTraced, err := bound.ExplainPlan(db, WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !containsAll(planOff, "rewrite available but disabled") {
-		t.Fatalf("disabled plan missing header:\n%s", planOff)
+	if !containsAll(planTraced, "full evaluation (traced runs evaluate the source rules)") ||
+		strings.Contains(planTraced, "m__tc__bf") {
+		t.Fatalf("traced plan missing header or shows rewritten rules:\n%s", planTraced)
 	}
 	planFree, err := free.ExplainPlan(db)
 	if err != nil {

@@ -16,7 +16,6 @@ type config struct {
 	maxRuns int
 	limits  guard.Limits
 	fault   *guard.Fault
-	noMagic bool
 }
 
 // buildConfig folds the options and arms the run's guard: one guard per
@@ -75,19 +74,6 @@ func WithTimeout(d time.Duration) Option {
 // alongside a CodeResourceExhausted error.
 func WithMaxTuples(n int) Option {
 	return func(c *config) { c.limits.MaxTuples = n }
-}
-
-// WithMagic enables (the default) or disables the magic-sets demand
-// rewrite for goal queries: with it on, Prepare/Query goals with bound
-// arguments evaluate a goal-directed rewriting of the program that
-// materializes only the query's derivation cone; with it off (or when
-// the rewrite is inapplicable — goals reading through ID-literals or
-// negation over derived predicates, or binding nothing) the full
-// program is evaluated. Answer sets are identical either way, so
-// WithMagic(false) is the performance-ablation and escape hatch.
-// Traced runs (WithTrace) evaluate the full program.
-func WithMagic(on bool) Option {
-	return func(c *config) { c.noMagic = !on }
 }
 
 // withPlanCache arms the evaluation's plan cache (prepared queries).

@@ -2,6 +2,7 @@ package idlog
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"idlog/internal/ast"
@@ -145,50 +146,51 @@ func (pq *PreparedQuery) QueryContext(ctx context.Context, db *Database, opts ..
 func (pq *PreparedQuery) CacheStats() (hits, misses uint64) { return pq.cache.Stats() }
 
 // UsesMagic reports whether the goal admitted the magic-sets demand
-// rewrite; when false, runs always evaluate the full program (see
-// WithMagic for the fallback matrix).
+// rewrite; when false, runs always evaluate the full program.
 func (pq *PreparedQuery) UsesMagic() bool { return pq.magicProg != nil }
 
+// errTracedSource is the reason a traced run of a rewritable goal
+// evaluates the full program.
+var errTracedSource = errors.New("traced runs evaluate the source rules")
+
 // selectProgram picks the program a run with the given options
-// evaluates: the magic rewriting when available and not disabled
-// (WithMagic(false)), and not tracing — traces must explain tuples in
-// terms of the source rules.
-func (pq *PreparedQuery) selectProgram(opts []Option) (prog *Program, usedMagic bool) {
+// evaluates: the magic rewriting when the goal admits one and the run
+// is not traced (traces must explain tuples in terms of the source
+// rules). When it picks the full wrapper program, why says why.
+func (pq *PreparedQuery) selectProgram(opts []Option) (prog *Program, why error) {
+	if pq.magicProg == nil {
+		return pq.compiled, pq.magicErr
+	}
 	c := &config{}
 	for _, o := range opts {
 		o(c)
 	}
-	if pq.magicProg != nil && !c.noMagic && !c.eval.Trace {
-		return pq.magicProg, true
+	if c.eval.Trace {
+		return pq.compiled, errTracedSource
 	}
-	return pq.compiled, false
+	return pq.magicProg, nil
 }
 
 // ExplainPlan renders the join plans the goal's runs would use,
 // against the program that would actually execute: when the demand
 // rewrite is active the rewritten (adorned + magic) rules are shown,
 // with a header naming the goal's adornment; otherwise the full
-// wrapper program, with the fallback reason when the rewrite was
-// inapplicable.
+// wrapper program, with the reason the rewrite does not apply.
 func (pq *PreparedQuery) ExplainPlan(db *Database, opts ...Option) (string, error) {
 	return pq.ExplainPlanContext(context.Background(), db, opts...)
 }
 
 // ExplainPlanContext is ExplainPlan honoring ctx.
 func (pq *PreparedQuery) ExplainPlanContext(ctx context.Context, db *Database, opts ...Option) (string, error) {
-	prog, usedMagic := pq.selectProgram(opts)
+	prog, why := pq.selectProgram(opts)
 	plan, err := prog.ExplainPlanContext(ctx, db, opts...)
 	if err != nil {
 		return "", err
 	}
-	switch {
-	case usedMagic:
-		return "demand: magic-sets rewrite active (" + pq.rewrite.Summary() + ")\n" + plan, nil
-	case pq.magicProg != nil:
-		return "demand: magic-sets rewrite available but disabled\n" + plan, nil
-	default:
-		return "demand: full evaluation (" + pq.magicErr.Error() + ")\n" + plan, nil
+	if why != nil {
+		return "demand: full evaluation (" + why.Error() + ")\n" + plan, nil
 	}
+	return "demand: magic-sets rewrite active (" + pq.rewrite.Summary() + ")\n" + plan, nil
 }
 
 // run evaluates the pre-compiled wrapper program — or its magic-sets
@@ -196,7 +198,8 @@ func (pq *PreparedQuery) ExplainPlanContext(ctx context.Context, db *Database, o
 // (appended last so it cannot be overridden by caller options).
 func (pq *PreparedQuery) run(ctx context.Context, db *Database, opts []Option) (*QueryResult, error) {
 	opts = append(append([]Option{}, opts...), withPlanCache(pq.cache))
-	prog, usedMagic := pq.selectProgram(opts)
+	prog, why := pq.selectProgram(opts)
+	usedMagic := why == nil
 	res, err := prog.EvalContext(ctx, db, opts...)
 	if err != nil {
 		// A governed trip still carries the bindings derived so far.

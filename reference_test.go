@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,12 +16,38 @@ import (
 )
 
 // referenceModel evaluates p over db with the textbook semantics and
-// nothing of the engine's executor: stratum by stratum, naive rounds
-// of every clause until no new tuple appears, each body matched by
-// nested loops over its literals with a substitution map. ID-relations
-// are materialized with the same oracle the engine uses. It returns one
-// fingerprint per output predicate, in OutputPredicates order.
+// nothing of the engine's executor (see referenceRelations). It returns
+// one fingerprint per output predicate, in OutputPredicates order.
 func referenceModel(t *testing.T, p *Program, db *Database, oracle Oracle) string {
+	t.Helper()
+	rels := referenceRelations(t, p, db, oracle)
+	var b strings.Builder
+	for _, pred := range p.OutputPredicates() {
+		fmt.Fprintf(&b, "%s=%s\n", pred, rels[pred].Fingerprint())
+	}
+	return b.String()
+}
+
+// referenceAnswers is the reference's answer to a prepared goal: the
+// answer predicate of the reference model of the goal's wrapper
+// program, the whole program as written, in QueryResult.Rows order.
+func referenceAnswers(t *testing.T, pq *PreparedQuery, db *Database) []Tuple {
+	t.Helper()
+	return referenceRelations(t, pq.compiled, db, SortedOracle())[pq.ansPred].Sorted()
+}
+
+// sameRows reports whether two answer lists hold the same tuples in
+// the same order.
+func sameRows(a, b []Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y Tuple) bool { return x.Compare(y) == 0 })
+}
+
+// referenceRelations computes p's model over db stratum by stratum:
+// naive rounds of every clause until no new tuple appears, each body
+// matched by nested loops over its literals with a substitution map.
+// ID-relations are materialized with the same oracle the engine uses.
+// It returns every relation of the model by predicate.
+func referenceRelations(t *testing.T, p *Program, db *Database, oracle Oracle) map[string]*relation.Relation {
 	t.Helper()
 	rels := map[string]*relation.Relation{}
 	for pred := range p.info.EDB {
@@ -57,11 +84,7 @@ func referenceModel(t *testing.T, p *Program, db *Database, oracle Oracle) strin
 			}
 		}
 	}
-	var b strings.Builder
-	for _, pred := range p.OutputPredicates() {
-		fmt.Fprintf(&b, "%s=%s\n", pred, rels[pred].Fingerprint())
-	}
-	return b.String()
+	return rels
 }
 
 // refMatch calls emit once per substitution extending sub that
