@@ -10,28 +10,31 @@ import (
 
 // TestGoalParseErrorTyped pins the contract for a malformed goal on an
 // otherwise valid request: 400 with the typed engine code, on both the
-// registered-program and inline-source paths.
+// registered-program and inline-source paths. The plan cache is always on;
+// the subtest keeps its name from when a cache-off mode also ran.
 func TestGoalParseErrorTyped(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	if err := s.RegisterProgram("tc", tcProgram); err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []queryRequest{
-		{Program: "tc", Goal: "tc(a, X"},        // registered program
-		{Source: "p(x).", Goal: "p(X), q(Y, )"}, // inline source
-	} {
-		var eb errorBody
-		code := post(t, ts.URL+"/v1/query", req, &eb)
-		if code != 400 {
-			t.Fatalf("goal %q: status %d, want 400 (%+v)", req.Goal, code, eb)
+	t.Run("cache on", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		if err := s.RegisterProgram("tc", tcProgram); err != nil {
+			t.Fatal(err)
 		}
-		if eb.Error.Code != "parse_error" {
-			t.Fatalf("goal %q: code %q, want parse_error", req.Goal, eb.Error.Code)
+		for _, req := range []queryRequest{
+			{Program: "tc", Goal: "tc(a, X"},        // registered program
+			{Source: "p(x).", Goal: "p(X), q(Y, )"}, // inline source
+		} {
+			var eb errorBody
+			code := post(t, ts.URL+"/v1/query", req, &eb)
+			if code != 400 {
+				t.Fatalf("goal %q: status %d, want 400 (%+v)", req.Goal, code, eb)
+			}
+			if eb.Error.Code != "parse_error" {
+				t.Fatalf("goal %q: code %q, want parse_error", req.Goal, eb.Error.Code)
+			}
+			if !strings.Contains(eb.Error.Message, "goal") {
+				t.Fatalf("goal %q: message %q does not name the goal", req.Goal, eb.Error.Message)
+			}
 		}
-		if !strings.Contains(eb.Error.Message, "goal") {
-			t.Fatalf("goal %q: message %q does not name the goal", req.Goal, eb.Error.Message)
-		}
-	}
+	})
 }
 
 // TestPreparedQueryCache exercises the prepared-query path: repeated
