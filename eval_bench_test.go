@@ -97,31 +97,23 @@ func TestEvalTCAllocs(t *testing.T) {
 // transitive closure plus the nodes below one watched root.
 const liveProgram = "tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- tc(X, Z), edge(Z, Y).\nwatch(Y) :- tc(c16_0, Y).\n"
 
-// BenchmarkViewApply maintains the serve_mixed live view in process:
-// 32 chains of 32 nodes with three leaves per node (the workload's
-// forest), and a fixed cycle of one-edge writes through LiveView.Apply
-// at 16 seeded sites in the first half of the chains. At a site a→b→c,
-// one cycle inserts the skip a→c, deletes b→c (DRed overdeletes what
-// b reached through c, then rederives it through the skip), reinserts
-// b→c and deletes the skip, so the view returns to where it started.
-// One operation is one Apply.
-func BenchmarkViewApply(b *testing.B) {
-	const chains, nodes, leaves = 32, 32, 3
+// liveForest returns a live view of liveProgram over serve_mixed's
+// forest: 32 chains of 32 nodes with three leaves per node.
+func liveForest(b *testing.B) *LiveView {
 	prog, err := Parse(liveProgram)
 	if err != nil {
 		b.Fatal(err)
 	}
-	node := func(c, i int) string { return fmt.Sprintf("c%d_%d", c, i) }
 	db := NewDatabase()
-	for c := 0; c < chains; c++ {
-		for i := 0; i < nodes; i++ {
-			if i+1 < nodes {
-				if err := db.Add("edge", Strs(node(c, i), node(c, i+1))); err != nil {
+	for c := 0; c < forestChains; c++ {
+		for i := 0; i < forestNodes; i++ {
+			if i+1 < forestNodes {
+				if err := db.Add("edge", Strs(forestNode(c, i), forestNode(c, i+1))); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for l := 0; l < leaves; l++ {
-				if err := db.Add("edge", Strs(node(c, i), fmt.Sprintf("l%d_%d_%d", c, i, l))); err != nil {
+			for l := 0; l < 3; l++ {
+				if err := db.Add("edge", Strs(forestNode(c, i), forestLeaf(c, i, l))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,21 +124,83 @@ func BenchmarkViewApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	type write struct{ ins, del []Fact }
-	var cycle []write
-	for s := 0; s < 16; s++ {
-		c, i := rng.Intn(chains/2), nodes*5/8+rng.Intn(nodes/4)
-		skip := []Fact{{Pred: "edge", Tuple: Strs(node(c, i), node(c, i+2))}}
-		link := []Fact{{Pred: "edge", Tuple: Strs(node(c, i+1), node(c, i+2))}}
-		cycle = append(cycle, write{ins: skip}, write{del: link}, write{ins: link}, write{del: skip})
+	return lv
+}
+
+const forestChains, forestNodes = 32, 32
+
+func forestNode(c, i int) string    { return fmt.Sprintf("c%d_%d", c, i) }
+func forestLeaf(c, i, l int) string { return fmt.Sprintf("l%d_%d_%d", c, i, l) }
+
+// liveWrite is one Apply of a live-view benchmark.
+type liveWrite struct{ ins, del []Fact }
+
+func edges(pairs ...[2]string) []Fact {
+	out := make([]Fact, len(pairs))
+	for i, p := range pairs {
+		out[i] = Fact{Pred: "edge", Tuple: Strs(p[0], p[1])}
 	}
+	return out
+}
+
+// runLiveWrites applies writes in a loop, one Apply per operation, and
+// reports the deletion candidates checked and those proved to survive
+// per operation.
+func runLiveWrites(b *testing.B, lv *LiveView, writes []liveWrite) {
+	var cands, survived int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := cycle[i%len(cycle)]
-		if _, _, err := lv.Apply(w.ins, w.del); err != nil {
+		w := writes[i%len(writes)]
+		_, up, err := lv.Apply(w.ins, w.del)
+		if err != nil {
 			b.Fatal(err)
 		}
+		cands += up.Overdeleted
+		survived += up.Rederived
 	}
+	b.ReportMetric(float64(cands)/float64(b.N), "overdeleted/op")
+	b.ReportMetric(float64(survived)/float64(b.N), "rederived/op")
+}
+
+// BenchmarkViewApply maintains the serve_mixed live view in process: a
+// fixed cycle of one-edge writes through LiveView.Apply at 16 seeded
+// sites in the first half of the chains. At a site a→b→c, one cycle
+// inserts the skip a→c, deletes b→c (what b reached through c becomes a
+// deletion candidate; what the skip still reaches survives its check),
+// reinserts b→c and deletes the skip, so the view returns to where it
+// started. One operation is one Apply.
+func BenchmarkViewApply(b *testing.B) {
+	lv := liveForest(b)
+	rng := rand.New(rand.NewSource(1))
+	var cycle []liveWrite
+	for s := 0; s < 16; s++ {
+		c, i := rng.Intn(forestChains/2), forestNodes*5/8+rng.Intn(forestNodes/4)
+		skip := edges([2]string{forestNode(c, i), forestNode(c, i+2)})
+		link := edges([2]string{forestNode(c, i+1), forestNode(c, i+2)})
+		cycle = append(cycle, liveWrite{ins: skip}, liveWrite{del: link}, liveWrite{ins: link}, liveWrite{del: skip})
+	}
+	runLiveWrites(b, lv, cycle)
+}
+
+// BenchmarkViewApplyCycle is serve_mixed's writer in process: its
+// four-step cycle at 64 seeded sites of the forest's first half, one
+// Apply per operation. At a site a→b→c the cycle inserts the skip a→c
+// and a private chain a→x→y→z; cuts a→b and one leaf of b and hangs
+// b→q→r; undoes the cut; undoes the skip.
+func BenchmarkViewApplyCycle(b *testing.B) {
+	lv := liveForest(b)
+	rng := rand.New(rand.NewSource(1))
+	var cycle []liveWrite
+	for k := 0; k < 64; k++ {
+		c, i := rng.Intn(forestChains/2), forestNodes*5/8+(k*7)%(forestNodes/4)
+		a, bb, cc := forestNode(c, i), forestNode(c, i+1), forestNode(c, i+2)
+		x, y, z := fmt.Sprintf("x%d", k), fmt.Sprintf("y%d", k), fmt.Sprintf("z%d", k)
+		q, r := fmt.Sprintf("q%d", k), fmt.Sprintf("r%d", k)
+		grow := edges([2]string{a, cc}, [2]string{a, x}, [2]string{x, y}, [2]string{y, z})
+		cut := edges([2]string{a, bb}, [2]string{bb, forestLeaf(c, i+1, 0)})
+		hang := edges([2]string{bb, q}, [2]string{q, r})
+		cycle = append(cycle, liveWrite{ins: grow}, liveWrite{ins: hang, del: cut}, liveWrite{ins: cut, del: hang}, liveWrite{del: grow})
+	}
+	runLiveWrites(b, lv, cycle)
 }

@@ -119,9 +119,9 @@ func compileClause(oc *analysis.OrderedClause, ref []*ast.Literal, deltaPred fun
 // position, how to load a candidate tuple into the environment
 // (argConst: the tuple value must equal the constant; argBind: store
 // into the slot; argCheck: must equal the slot already stored by an
-// earlier head position). This is the rederivation engine of the
-// incremental maintenance layer (DRed's "does t still have a
-// derivation?" probe), which reads no delta.
+// earlier head position). This is the proof search of the incremental
+// maintenance layer (B/F's "does t still have a derivation?" check),
+// which reads no delta.
 func compileClauseHeadBound(oc *analysis.OrderedClause) (*compiledClause, []compiledArg, error) {
 	return compile(oc, nil, func(string) bool { return false }, true)
 }
@@ -244,7 +244,7 @@ func compile(oc *analysis.OrderedClause, ref []*ast.Literal, deltaPred func(stri
 // always follow the unique argBind site) or the head projects it; an
 // argBind whose slot is never read is dead and the walk skips the
 // store. Head-bound clauses additionally keep every seed slot live (the
-// rederivation probe seeds them before the walk). Provenance capture
+// proof search seeds them before the walk). Provenance capture
 // copies positive literals from the cursors and rebuilds negated ones
 // from the environment; their arguments are all argBound or argConst,
 // hence live.

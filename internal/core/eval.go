@@ -310,8 +310,10 @@ type roundUnit struct {
 
 // sink is a fixpoint's policy for what its rounds read and where a
 // derived head goes. Batch evaluation and insertion propagation read
-// the current relations and insert new heads into them; DRed's
-// overestimate reads the state before the update and collects heads.
+// the current relations and insert new heads into them; a live view's
+// deletion candidates read the state before the update and collect the
+// heads their check disproves, and its saturation reads proved facts
+// and collects checked heads.
 type sink struct {
 	// into maps a head predicate to the relation new heads go into.
 	into map[string]*relation.Relation
@@ -319,9 +321,17 @@ type sink struct {
 	// its predicate holds it. Such a head marks a tuple rather than
 	// making one, so it costs derivations but no tuple budget.
 	held map[string]*relation.Relation
+	// check, when non-nil, further admits a held head only when it
+	// reports true; the head is scratch, valid during the call.
+	check func(pred string, head value.Tuple) (bool, error)
+	// absent, when non-nil, drops every instance with a positive
+	// ordinary body fact that absent's relation of its predicate holds.
+	absent map[string]*relation.Relation
 	// old, when non-nil, resolves every ordinary body predicate in
-	// place of the current relations. It does not change during the
-	// run, so the rounds read it without a frontier.
+	// place of the current relations, and the rounds read it without a
+	// frontier. (Saturation's proved facts grow as it runs; reading a
+	// round's own additions refires instantiations but changes no
+	// result.)
 	old func(pred string) *relation.Relation
 }
 
@@ -411,9 +421,17 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *rela
 			}
 		}
 		e.stats.Derivations++
+		if s.absent != nil && hidden(cc, s.absent) {
+			return nil
+		}
 		if held != nil {
 			if !held.Contains(head) {
 				return nil
+			}
+			if s.check != nil {
+				if ok, err := s.check(cc.headPred, head); !ok || err != nil {
+					return err
+				}
 			}
 			stored, err := full.InsertShared(head)
 			if stored != nil && deltaSink != nil {
@@ -488,7 +506,8 @@ func (e *engine) settle() {
 // clone to retain) to the derive hook, which carries all mutable policy:
 // governance, dedup, insertion. The resolve hook maps a compiled literal
 // to the relation it reads, so the same walk serves full evaluation
-// (engine state) and DRed's overestimate (the pre-update state).
+// (engine state), a live view's deletion candidates (the pre-update
+// state) and its saturation (proved facts).
 type runner struct {
 	resolve func(cl *compiledLit) (*relation.Relation, error)
 	stats   *Stats

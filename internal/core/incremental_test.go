@@ -8,15 +8,18 @@ import (
 	"idlog/internal/value"
 )
 
-// TestOverestimateReadsNoOldViewAtTheDeltaPosition runs DRed's
-// overestimate for far(X, Y) :- tc(X, Y), not marked(Y) over a deletion
-// from tc. The only literal reading tc sits at the delta position and
-// reads the deletions, so the pass must never ask oldOf for tc's old
-// view (which a live view builds by cloning the whole relation).
+// TestOverestimateReadsNoOldViewAtTheDeltaPosition runs a live view's
+// deletion candidates for far(X, Y) :- tc(X, Y), not marked(Y) over a
+// deletion from tc, a lower stratum (far negates the derived marked). The only literal reading tc sits at the delta
+// position and reads the deletions, so the pass must never ask oldOf for
+// tc's old view (which a live view builds by cloning the whole
+// relation). The candidate far(1, 3) lost its one derivation, so its
+// check disproves it.
 func TestOverestimateReadsNoOldViewAtTheDeltaPosition(t *testing.T) {
 	info := mustAnalyze(t, `
 		tc(X, Y) :- e(X, Y).
 		tc(X, Y) :- tc(X, Z), e(Z, Y).
+		marked(X) :- m(X).
 		far(X, Y) :- tc(X, Y), not marked(Y).
 	`)
 	rels := map[string]*relation.Relation{}
@@ -29,8 +32,10 @@ func TestOverestimateReadsNoOldViewAtTheDeltaPosition(t *testing.T) {
 		}
 	}
 	add("e", value.Ints(1, 2), value.Ints(2, 3))
+	add("m", value.Ints(2))
 	add("marked", value.Ints(2))
-	add("tc", value.Ints(1, 2), value.Ints(2, 3), value.Ints(1, 3))
+	// tc(1, 3) is deleted: the lower stratum's relation no longer holds it.
+	add("tc", value.Ints(1, 2), value.Ints(2, 3))
 	add("far", value.Ints(2, 3), value.Ints(1, 3))
 
 	si, ci := -1, -1
@@ -52,15 +57,21 @@ func TestOverestimateReadsNoOldViewAtTheDeltaPosition(t *testing.T) {
 		asked = append(asked, pred)
 		return rels[pred]
 	}
-	od, err := NewPass(info, rels, map[string]*relation.Relation{}, Options{}).
-		Overestimate(cs, ci, map[string]*relation.Relation{"tc": dels}, oldOf)
+	if cs.Components() != ci+1 {
+		t.Fatalf("far's stratum has %d components, want far's last", cs.Components())
+	}
+	od, cands, err := NewPass(info, rels, map[string]*relation.Relation{}, Options{}).
+		Delete(cs, map[string]*relation.Relation{"tc": dels}, oldOf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cands != 1 {
+		t.Fatalf("%d candidates, want 1", cands)
 	}
 	if slices.Contains(asked, "tc") {
 		t.Fatalf("oldOf asked for %v; tc is read only at the delta position", asked)
 	}
 	if far := od["far"]; far == nil || far.Len() != 1 || !far.Contains(value.Ints(1, 3)) {
-		t.Fatalf("overestimate = %v, want far{(1, 3)}", od["far"])
+		t.Fatalf("disproved = %v, want far{(1, 3)}", od["far"])
 	}
 }

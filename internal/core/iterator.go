@@ -134,8 +134,8 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 		return nil
 	}
 	// The literal at the delta position reads only the delta, so its
-	// full relation is not resolved: under DRed that would build an old
-	// view nothing reads.
+	// full relation is not resolved: for a live view's deletion
+	// candidates that would build an old view nothing reads.
 	rel, limit := deltaRel, -1
 	if depth != deltaPos {
 		var err error
@@ -192,7 +192,8 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	// grow during its fixpoint, so in each bucket the positions a round
 	// appends (≥ limit) follow every round-start one (< limit), and the
 	// search splits there even where swap-removes before the fixpoint
-	// (a live view's phase 2) left the round-start positions unsorted.
+	// (a live view's removal of disproved facts) left the round-start
+	// positions unsorted.
 	positions := probePositions(rel, cl, key, &it.one)
 	if limit >= 0 {
 		positions = positions[:sort.SearchInts(positions, limit)]
@@ -318,8 +319,8 @@ func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relat
 }
 
 // walk is the executor's driver: an explicit open/next/pop loop over
-// the cursor stack. The environment may arrive pre-seeded (head-bound
-// rederivation probes seed the head slots from a candidate tuple) and
+// the cursor stack. The environment may arrive pre-seeded (the head-bound
+// proof search seeds the head slots from the fact it checks) and
 // is never cleared, so it may be reused across walks; compilation
 // guarantees every slot read was bound earlier in the same walk or by
 // the seed.

@@ -165,8 +165,8 @@ func planBody(body []*ast.Literal, forced int, card cardFn) []*ast.Literal {
 	return planBodyBound(body, nil, forced, card)
 }
 
-// planBodyBound is planBody with pre-bound variables: head-bound
-// rederivation probes seed their environment from the candidate tuple,
+// planBodyBound is planBody with pre-bound variables: the head-bound
+// proof search seeds its environment from the fact it checks,
 // so every head variable is bound before the body starts and the
 // planner may order (and cost) the body under that binding.
 func planBodyBound(body []*ast.Literal, pre map[string]bool, forced int, card cardFn) []*ast.Literal {

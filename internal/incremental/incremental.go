@@ -1,11 +1,14 @@
 // Package incremental maintains materialized IDLOG models under live
 // EDB mutations. Insertions propagate with delta-driven semi-naive
-// evaluation; deletions use DRed (overdelete against the old state,
-// remove, rederive survivors, propagate). Both run stratum by stratum
-// and, within a stratum, component by component in dependency order,
-// and both are the batch engine's semi-naive loop entered with given
-// deltas (core.Pass): an update differs from a batch run only in where
-// its deltas come from and where derived heads go.
+// evaluation. Deletions use Backward/Forward (B/F; Motik, Nenov, Piro
+// and Horrocks, AAAI 2015): a fact derived with a deleted fact against
+// the old state is a candidate, and it is removed, and propagates as a
+// deletion, only when a memoized proof search over the facts still
+// standing finds no derivation for it; see core.Pass.Delete. Both run
+// stratum by stratum and, within a stratum, component by component in
+// dependency order, and both enter the batch engine's semi-naive loop
+// with given deltas (core.Pass): an update differs from a batch run
+// only in where its deltas come from and where derived heads go.
 //
 // Not every stratum can be maintained incrementally. The precise
 // boundary, computed bottom-up per update: a stratum is AFFECTED when
@@ -41,8 +44,9 @@ type UpdateStats struct {
 	// relations (what a from-scratch diff would report).
 	Inserted int `json:"inserted"`
 	Deleted  int `json:"deleted"`
-	// Overdeleted counts DRed phase-1 candidates, Rederived the
-	// survivors restored in phase 3.
+	// Overdeleted counts the deletion candidates checked for a
+	// surviving derivation, Rederived the candidates proved to survive
+	// (and so never removed).
 	Overdeleted int `json:"overdeleted"`
 	Rederived   int `json:"rederived"`
 	// FallbackFrom is the first recomputed stratum, -1 for a fully
@@ -190,7 +194,7 @@ func (v *View) plan(si int) (*core.CompiledStratum, error) {
 // Apply advances the view from its current EDB snapshot to db, whose
 // effective difference is delta. db must be what Database.Apply returned
 // on the view's current snapshot (its Parent is that snapshot's
-// Version): DRed reads the current snapshot as the pre-update state.
+// Version): deletion reads the current snapshot as the pre-update state.
 // Any other db is refused with an error that leaves the view as it was,
 // not stale. g, when non-nil, governs the maintenance work (budgets,
 // deadlines, cancellation). On any other error the view is marked stale
@@ -326,44 +330,30 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 		if err != nil {
 			return fail(err)
 		}
-		// DRed phase 1, component by component in dependency order:
-		// overestimate lost tuples against the old state. overdel starts
-		// as the deletions below the stratum and gains each component's
-		// overdeleted tuples, deletions for the components after it.
-		overdel := maps.Clone(dels)
-		for ci := range plan.Components() {
-			od, err := pass.Overestimate(plan, ci, overdel, oldOf)
-			if err != nil {
-				return fail(err)
-			}
-			maps.Copy(overdel, od)
-		}
-		// Phase 2: physical removal, so rederivation cannot self-support.
-		// From here on the stratum's relations only grow, so what it
-		// re-adds (rederived or newly derived) is the tail of each past
-		// its length now.
-		base := map[string]int{}
-		for _, p := range plan.Preds {
-			od := overdel[p]
-			for k := range od.Len() {
-				if _, err := v.rels[p].Remove(od.At(k)); err != nil {
-					return fail(err)
-				}
-			}
-			up.Overdeleted += od.Len()
-			base[p] = v.rels[p].Len()
-		}
-		// Phase 3: restore tuples with surviving derivations.
-		n, err := pass.Rederive(plan, overdel)
+		// Deletion: B/F checks each candidate for a surviving derivation
+		// and returns the facts it disproved, which alone are removed.
+		// From here on the stratum's relations only grow, so what it adds
+		// is the tail of each past its length now.
+		disproved, cands, err := pass.Delete(plan, dels, oldOf)
 		if err != nil {
 			return fail(err)
 		}
-		up.Rederived += n
-		// Phase 4: semi-naive insertion propagation, component by
-		// component. Deltas: everything inserted below, plus what the
-		// stratum re-added so far, rederived tuples and the earlier
-		// components' additions (chains through rederived support
-		// resurface here).
+		up.Overdeleted += cands
+		base := map[string]int{}
+		for _, p := range plan.Preds {
+			d := disproved[p]
+			for k := range d.Len() {
+				if _, err := v.rels[p].Remove(d.At(k)); err != nil {
+					return fail(err)
+				}
+			}
+			cands -= d.Len()
+			base[p] = v.rels[p].Len()
+		}
+		up.Rederived += cands
+		// Insertion propagation, component by component. Deltas:
+		// everything inserted below, plus the earlier components'
+		// additions.
 		for ci := range plan.Components() {
 			deltas := maps.Clone(ins)
 			for _, p := range plan.Preds {
@@ -376,15 +366,15 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 			}
 		}
 		// Fold this stratum's net changes into the global sets: net
-		// insertions are the re-added tuples that were not overdeleted,
-		// net deletions the overdeleted tuples that did not come back.
+		// insertions are the added tuples that were not disproved, net
+		// deletions the disproved tuples that did not come back.
 		for _, p := range plan.Preds {
-			cur, od := v.rels[p], overdel[p]
-			if t := suffix(cur, base[p], func(t value.Tuple) bool { return !od.Contains(t) }); t != nil {
+			cur, d := v.rels[p], disproved[p]
+			if t := suffix(cur, base[p], func(t value.Tuple) bool { return !d.Contains(t) }); t != nil {
 				ins[p] = t
 				up.Inserted += t.Len()
 			}
-			if t := suffix(od, 0, func(t value.Tuple) bool { return !cur.Contains(t) }); t != nil {
+			if t := suffix(d, 0, func(t value.Tuple) bool { return !cur.Contains(t) }); t != nil {
 				dels[p] = t
 				up.Deleted += t.Len()
 			}

@@ -53,7 +53,7 @@ func facts(pred string, tuples ...value.Tuple) []core.Fact {
 	return out
 }
 
-// TestIncrementalTransitiveClosure exercises the pure-delta and DRed
+// TestIncrementalTransitiveClosure exercises the pure-delta and deletion
 // paths on the classic recursive workload, asserting tuple-for-tuple
 // equivalence with recompute after every step.
 func TestIncrementalTransitiveClosure(t *testing.T) {
@@ -99,8 +99,8 @@ func TestIncrementalTransitiveClosure(t *testing.T) {
 	}
 }
 
-// TestIncrementalRederivation forces the DRed rederive path: a tuple
-// loses one derivation but keeps another.
+// TestIncrementalRederivation makes a deletion candidate survive its
+// check: a tuple loses one derivation but keeps another.
 func TestIncrementalRederivation(t *testing.T) {
 	info := mustInfo(t, `
 		tc(X, Y) :- e(X, Y).
@@ -184,7 +184,7 @@ func TestFallbackBoundary(t *testing.T) {
 	}
 	checkEquiv(t, "node insert incremental", v, opts)
 
-	// Deleting a node tuple exercises DRed through the negation stratum
+	// Deleting a node tuple exercises deletion through the negation stratum
 	// (still incremental: the negated predicate reach is unchanged).
 	_, up, err = v.ApplyFacts(nil, facts("node", value.Strs("lonely")), nil)
 	if err != nil {
@@ -371,9 +371,10 @@ func TestIncrementalPropertyRandom(t *testing.T) {
 			ev(Y) :- od(X), e(X, Y).
 		`},
 		// far's stratum reads tc, a changed lower-stratum IDB,
-		// positively, so DRed reads an old view of it; m never changes.
-		// back joins two tc literals, so an overdeletion pass reads the
-		// old view at the position the delta is not at.
+		// positively, so its deletion candidates read an old view of it;
+		// m never changes.
+		// back joins two tc literals, so a candidate pass reads the old
+		// view at the position the delta is not at.
 		{"far-unmarked", `
 			tc(X, Y) :- e(X, Y).
 			tc(X, Y) :- e(X, Z), tc(Z, Y).
@@ -519,8 +520,9 @@ func TestMutateDerivedRelationRejected(t *testing.T) {
 // TestIncrementalPlannerInterleaved drives a view through a random
 // interleaving of insertions and deletions, asserting after every step
 // that it equals a from-scratch recompute. This pins the planner's
-// delta-first variants (used by the overestimate and propagation) and its
-// head-bound rederivation probes across DRed and propagation paths.
+// delta-first variants (used by deletion candidates, saturation and
+// propagation) and its head-bound proof search across deletion and
+// propagation paths.
 func TestIncrementalPlannerInterleaved(t *testing.T) {
 	info := mustInfo(t, `
 		tc(X, Y) :- e(X, Y).

@@ -35,11 +35,13 @@ type metrics struct {
 	magicQueries    atomic.Uint64
 	planCacheMisses atomic.Uint64
 
-	// Mutation-path counters: effective EDB changes acknowledged, DRed
-	// rederivations across live-view maintenance, view rebuilds after
-	// failed incremental updates, and WAL activity.
+	// Mutation-path counters: effective EDB changes acknowledged, the
+	// deletion candidates live-view maintenance checked and those it
+	// proved to survive, view rebuilds after failed incremental updates,
+	// and WAL activity.
 	factsInserted       atomic.Uint64
 	factsDeleted        atomic.Uint64
+	factsOverdeleted    atomic.Uint64
 	factsRederived      atomic.Uint64
 	viewRebuilds        atomic.Uint64
 	walAppends          atomic.Uint64
@@ -206,7 +208,8 @@ func (m *metrics) render(b *strings.Builder, gauges map[string]float64) {
 	counter("idlogd_plan_cache_misses_total", "Goal queries that prepared (and cached) their query fresh.", m.planCacheMisses.Load())
 	counter("idlogd_facts_inserted_total", "EDB tuples inserted by acknowledged mutations.", m.factsInserted.Load())
 	counter("idlogd_facts_deleted_total", "EDB tuples deleted by acknowledged mutations.", m.factsDeleted.Load())
-	counter("idlogd_facts_rederived_total", "Tuples rederived by DRed during live-view maintenance.", m.factsRederived.Load())
+	counter("idlogd_facts_overdeleted_total", "Deletion candidates checked for a surviving derivation during live-view maintenance.", m.factsOverdeleted.Load())
+	counter("idlogd_facts_rederived_total", "Deletion candidates proved to survive during live-view maintenance.", m.factsRederived.Load())
 	counter("idlogd_view_rebuilds_total", "Live views rebuilt after a failed incremental update.", m.viewRebuilds.Load())
 	counter("idlogd_wal_appends_total", "Mutation records appended to the write-ahead log.", m.walAppends.Load())
 	counter("idlogd_wal_checkpoints_total", "Checkpoint-and-truncate cycles completed.", m.walCheckpoints.Load())

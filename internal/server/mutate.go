@@ -273,6 +273,7 @@ func (s *Server) maintainViews(sess *session, db *idlog.Database, delta *idlog.D
 				s.metrics.viewRebuilds.Add(1)
 			}
 		}
+		s.metrics.factsOverdeleted.Add(uint64(up.Overdeleted))
 		s.metrics.factsRederived.Add(uint64(up.Rederived))
 		out = append(out, vu)
 	}

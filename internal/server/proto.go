@@ -24,8 +24,9 @@
 // runs with -wal, are appended to a write-ahead log and fsynced before
 // they are acknowledged; on restart the daemon replays the log over the
 // last checkpoint snapshot. Live views are materialized models kept
-// consistent under mutations by delta/DRed propagation (see
-// internal/incremental), so querying them costs no evaluation.
+// consistent under mutations by delta propagation and Backward/Forward
+// deletion (see internal/incremental), so querying them costs no
+// evaluation.
 //
 // Concurrency model: the compiled *idlog.Program and the frozen
 // *idlog.Database are shared immutably across request goroutines; all

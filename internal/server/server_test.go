@@ -458,6 +458,17 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	var qr queryResponse
 	post(t, ts.URL+"/v1/query", queryRequest{Program: "tc", Facts: tcFacts, Predicates: []string{"tc"}}, &qr)
+	// Deleting edge(a, b) from a live view makes tc(a, b) and tc(a, c)
+	// deletion candidates; tc(a, c) survives through edge(a, c).
+	if code := post(t, ts.URL+"/v1/sessions", sessionRequest{Name: "s1", Facts: "edge(a, b). edge(b, c). edge(a, c)."}, nil); code != 200 {
+		t.Fatalf("create session: status %d", code)
+	}
+	if code := post(t, ts.URL+"/v1/sessions/s1/views", viewRequest{Name: "v1", Source: tcProgram}, nil); code != 200 {
+		t.Fatalf("create view: status %d", code)
+	}
+	if code := post(t, ts.URL+"/v1/sessions/s1/facts", factsRequest{Deletes: "edge(a, b)."}, nil); code != 200 {
+		t.Fatalf("mutate: status %d", code)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -479,6 +490,8 @@ func TestMetricsExposition(t *testing.T) {
 		"idlogd_plan_reorders_total",
 		"idlogd_tuple_store_primary_collisions_total",
 		"idlogd_tuple_store_secondary_collisions_total",
+		"idlogd_facts_overdeleted_total 2\n",
+		"idlogd_facts_rederived_total 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

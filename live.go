@@ -16,8 +16,9 @@ import (
 type Fact = core.Fact
 
 // UpdateStats summarizes one incremental update: net tuples inserted
-// and deleted across the model, DRed overdeletion/rederivation counts,
-// and whether (and where) the update fell back to recomputation.
+// and deleted across the model, the deletion candidates checked for a
+// surviving derivation and those proved to survive, and whether (and
+// where) the update fell back to recomputation.
 type UpdateStats = incremental.UpdateStats
 
 // Delta is the effective change of one Database.Apply batch.
@@ -41,10 +42,11 @@ func ParseFacts(src string) ([]Fact, error) {
 
 // LiveView is a materialized model of a program kept consistent under
 // EDB mutations. Insertions propagate with delta-driven semi-naive
-// evaluation and deletions with DRed; strata that read a changed
-// predicate non-monotonically (through negation or an ID-literal) fall
-// back to recomputation from that stratum up, under the same oracle —
-// see internal/incremental for the precise boundary.
+// evaluation; a deletion removes exactly the facts for which a proof
+// search finds no surviving derivation (Backward/Forward). Strata that
+// read a changed predicate non-monotonically (through negation or an
+// ID-literal) fall back to recomputation from that stratum up, under
+// the same oracle — see internal/incremental for the precise boundary.
 //
 // A LiveView is not safe for concurrent use: callers serialize Apply
 // against reads (idlogd wraps each view in an RWMutex).

@@ -46,7 +46,7 @@ func assertViewIsRecompute(t *testing.T, prog *Program, lv *LiveView) {
 // TestLiveViewWriteCostsItsDelta pins the index work of a live write to
 // the size of the write, not of the relations it touches. Each snapshot
 // Database.Apply returns is a version of the previous one, sharing its
-// primary table and secondary indexes, and DRed reads the previous
+// primary table and secondary indexes, and deletion reads the previous
 // snapshot as the pre-update state; so after the first write has built
 // the base's indexes once, a one-fact insert or delete indexes only the
 // version's private part and the handful of IDB tuples it changes.
@@ -93,8 +93,8 @@ func TestLiveViewWriteCostsItsDelta(t *testing.T) {
 	}
 }
 
-// TestLiveViewAdvanceRejectsForeignSnapshot checks the contract DRed's
-// old-state read relies on: Advance accepts only a snapshot Database.Apply
+// TestLiveViewAdvanceRejectsForeignSnapshot checks the contract
+// deletion's old-state read relies on: Advance accepts only a snapshot Database.Apply
 // derived from the view's own, refuses any other without going stale,
 // and still advances normally afterwards.
 func TestLiveViewAdvanceRejectsForeignSnapshot(t *testing.T) {
