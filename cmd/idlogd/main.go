@@ -55,11 +55,12 @@
 //	                      off the query listener so profiling endpoints
 //	                      are never exposed alongside the public API.
 //
-// SIGINT/SIGTERM triggers a graceful drain: /readyz flips to 503 so
-// load balancers stop routing here (liveness at /healthz stays 200),
-// new evaluations are refused, replication streams end with a
-// resumable end-of-stream frame, and in-flight requests get
-// -drain-timeout to finish before the listener closes.
+// SIGINT/SIGTERM triggers a graceful drain: readiness flips (/readyz
+// answers 503; liveness at /healthz stays 200 and reports "draining"),
+// evaluations that still arrive are refused, replication streams end
+// with a resumable end-of-stream frame, and the listener closes at
+// once, so a load balancer sees refused connections rather than a
+// 503 window. In-flight requests get -drain-timeout to finish.
 package main
 
 import (

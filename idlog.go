@@ -77,9 +77,9 @@ type (
 	// returns a Numbering for all of its groups.
 	Oracle = relation.Oracle
 	// Numbering is an Oracle's answer, in one of two forms. A priority
-	// numbering (Perm nil) gives member t the priority
-	// t.ContentHash(Salt), a hash of the salt and t's values by
-	// content, and numbers each group in priority order: RandomOracle's
+	// numbering (Perm nil) gives member t as priority a hash of the
+	// salt and t's values by content (Value.Hash folded into Salt),
+	// and numbers each group in priority order: RandomOracle's
 	// form, which a bounded ID-literal reads as a one-pass top-k per
 	// group. A rank numbering (Perm set) returns, from a group's key
 	// and size n, a permutation perm of 0..n-1, and rank i (the i-th

@@ -111,6 +111,17 @@ func materializeRanked(r *Relation, name string, cols []int, permOf func(value.T
 	return w.out, nil
 }
 
+// priority is t's priority under a priority numbering with the given
+// salt: the hashes of t's values folded, in order, into the salt. It
+// reads only t's content, so it is the same in every process.
+func priority(t value.Tuple, salt uint64) uint64 {
+	h := salt
+	for _, v := range t {
+		h = value.CombineHash(h, v.Hash())
+	}
+	return h
+}
+
 // prioritized is a member with its priority under a priority numbering.
 type prioritized struct {
 	p uint64
@@ -142,7 +153,7 @@ func materializePriority(r *Relation, name string, cols []int, salt uint64, boun
 	for _, g := range groups {
 		ranked = ranked[:0]
 		for _, t := range g.Members {
-			ranked = append(ranked, prioritized{t.ContentHash(salt), t})
+			ranked = append(ranked, prioritized{priority(t, salt), t})
 		}
 		slices.SortFunc(ranked, comparePrioritized)
 		for tid, m := range ranked[:emitted(len(ranked), bound)] {
@@ -176,7 +187,7 @@ func materializeTopK(r *Relation, name string, cols []int, salt uint64, k int) *
 				slots = append(slots, topSlot{})
 			}
 		}
-		p := t.ContentHash(salt)
+		p := priority(t, salt)
 		top := slots[gid*k : gid*k+k]
 		before := func(s topSlot) bool {
 			return p < s.p || p == s.p && t.Compare(r.At(int(s.pos))) < 0

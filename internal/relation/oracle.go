@@ -35,9 +35,10 @@ type Oracle interface {
 // relation on one column list. It takes one of two forms.
 //
 // A priority numbering (Perm nil) ranks members by content: member t
-// has the priority t.ContentHash(Salt), and its tid is its rank within
-// its group under (priority, canonical order), where the canonical
-// order (value.Tuple.Compare) only breaks the ties of a hash collision.
+// has as priority the hashes of its values (value.Value.Hash) folded
+// in order into Salt, and its tid is its rank within its group under
+// (priority, canonical order), where the canonical order
+// (value.Tuple.Compare) only breaks the ties of a hash collision.
 // A priority reads nothing but t and the salt, so a group's tids depend
 // only on its members, never on the rest of the relation or on intern
 // order, and adding or removing one member moves at most one tuple

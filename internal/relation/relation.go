@@ -526,19 +526,20 @@ func (r *Relation) String() string {
 
 // Fingerprint returns a canonical string identifying the tuple set,
 // independent of insertion order: the hex rendering of a combine over
-// the sorted 64-bit tuple content hashes (Tuple.StableHash), seeded
+// the sorted 64-bit tuple hashes (HashAt over every position), seeded
 // with the cardinality (so an empty relation differs from a 0-arity
-// relation containing the empty tuple). Set-equal relations have equal
-// fingerprints in every process, whatever order constants were
-// interned in; unequal sets collide only with the ~2^-64 probability
-// of the underlying hash. Used to deduplicate enumerated answers and
-// to compare a primary's state with a follower's.
+// relation containing the empty tuple). Tuple hashes are keyed on
+// content, so set-equal relations have equal fingerprints in every
+// process, whatever order constants were interned in; unequal sets
+// collide only with the ~2^-64 probability of the underlying hash. A
+// segment-backed relation reads the hashes from the segment's footer
+// and decodes no block. Used to deduplicate enumerated answers and to
+// compare a primary's state with a follower's.
 func (r *Relation) Fingerprint() string {
-	hs := make([]uint64, 0, r.Len())
-	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
-		hs = append(hs, t.StableHash())
-		return true
-	})
+	hs := make([]uint64, r.Len())
+	for i := range hs {
+		hs[i] = r.HashAt(i)
+	}
 	slices.Sort(hs)
 	h := value.SetHashSeed(len(hs))
 	for _, x := range hs {

@@ -85,7 +85,9 @@ type TupleSource interface {
 	// HashAt returns value.Tuple.Hash() of the tuple at position i
 	// without necessarily decoding it (segments store the hash array in
 	// their footer), which makes index construction and fingerprints
-	// metadata-only operations.
+	// metadata-only operations. The hash is keyed on the tuple's
+	// content, not on symbol IDs, so a stored hash is valid in every
+	// process, whatever order it interned its constants in.
 	HashAt(i int) uint64
 	// Scan streams positions [lo, hi) in order; fn returning false
 	// stops the scan and makes Scan report false. Implementations

@@ -7,7 +7,7 @@
 //
 // File format (all integers uvarint unless noted):
 //
-//	magic "IDLOGSG1"
+//	magic "IDLOGSG2"
 //	header: nameLen, name, arity, tuplesPerBlock; crc32 (IEEE, 4B BE)
 //	data blocks, each: per tuple, per column:
 //	    tag 'i': zigzag varint (int64)
@@ -15,21 +15,22 @@
 //	  crc32 over the block payload (4B BE)
 //	footer:
 //	  tupleCount
-//	  dictCount; per entry: write-time symbol ID, nameLen, name
+//	  dictCount; per entry: nameLen, name
 //	  blockCount; per block: offset, length (incl. crc), tupleCount
-//	  per tuple: 8-byte LE tuple hash
+//	  per tuple: 8-byte LE tuple hash (value.Tuple.Hash)
 //	  crc32 over the footer (4B BE)
 //	trailer: footer offset (8B LE), magic "IDLOGSGE"
 //
 // Symbols appear once, in the footer dictionary — the intern cache:
 // Open interns each name exactly once and block decoding maps
 // dictionary ordinals to interned IDs by array index, so no tuple
-// decode ever touches the symbol table. The footer's hash array makes
-// index construction and fingerprints metadata-only — unless interning
-// diverged from write time (tuple hashes mix symbol IDs, which are
-// process-assigned), in which case Open detects the mismatch via the
-// stored write-time IDs and recomputes the hashes in one streaming
-// pass.
+// decode ever touches the symbol table. Tuple hashes are keyed on
+// content, not on symbol IDs, so the footer's hash array is valid in
+// every process: Open reads the header and footer only, and index
+// construction and fingerprints decode no block. Files of the first
+// format, "IDLOGSG1", stored hashes that mixed the writer's symbol IDs;
+// Open refuses them, and a data directory holding them is rebuilt by
+// bulk-loading its facts again.
 package segment
 
 import (
@@ -45,8 +46,12 @@ import (
 )
 
 const (
-	magicHead = "IDLOGSG1"
+	magicHead = "IDLOGSG2"
 	magicTail = "IDLOGSGE"
+
+	// magicV1 heads files of the first format, whose footer hashes
+	// mixed process-assigned symbol IDs.
+	magicV1 = "IDLOGSG1"
 
 	tagInt = 'i'
 	tagSym = 'u'
@@ -103,9 +108,8 @@ type Segment struct {
 }
 
 // Open maps the segment at path, verifying magics, header and footer
-// CRCs, and structural bounds. Blocks are verified lazily on first
-// read (or eagerly when hashes must be recomputed). A nil cache uses
-// the process-wide default.
+// CRCs, and structural bounds. It reads no block: blocks are verified
+// lazily, on first read. A nil cache uses the process-wide default.
 func Open(path string, cache *Cache) (*Segment, error) {
 	if cache == nil {
 		cache = defaultCache
@@ -148,6 +152,9 @@ func open(f *os.File, path string, cache *Cache) (*Segment, error) {
 	var head [len(magicHead)]byte
 	if _, err := io.ReadFull(hr, head[:]); err != nil {
 		return nil, corruptf("%s: reading magic: %v", path, err)
+	}
+	if string(head[:]) == magicV1 {
+		return nil, corruptf("%s: old segment format %s (its hashes depend on intern order); rebuild the data directory with -bulk-load", path, magicV1)
 	}
 	if string(head[:]) != magicHead {
 		return nil, corruptf("%s: bad magic %q (not an IDLOG segment)", path, head)
@@ -192,15 +199,8 @@ func open(f *os.File, path string, cache *Cache) (*Segment, error) {
 	count := fp.uvarint("tuple count", maxTuples)
 	nDict := fp.uvarint("dictionary size", maxTuples)
 	interned := make([]symbol.ID, 0, min(int(nDict), 1<<16))
-	idsMatch := true
 	for i := uint64(0); i < nDict && fp.err == nil; i++ {
-		writeID := fp.uvarint("dictionary symbol id", 1<<32-1)
-		symName := fp.lenString("dictionary name", maxNameLen)
-		id := symbol.Intern(symName)
-		if uint64(id) != writeID {
-			idsMatch = false
-		}
-		interned = append(interned, id)
+		interned = append(interned, symbol.Intern(fp.lenString("dictionary name", maxNameLen)))
 	}
 	nBlocks := fp.uvarint("block count", maxTuples)
 	blocks := make([]blockMeta, 0, min(int(nBlocks), 1<<20))
@@ -237,7 +237,7 @@ func open(f *os.File, path string, cache *Cache) (*Segment, error) {
 		hashes[i] = binary.LittleEndian.Uint64(fp.data[8*i:])
 	}
 
-	s := &Segment{
+	return &Segment{
 		f:           f,
 		path:        path,
 		name:        name,
@@ -249,25 +249,7 @@ func open(f *os.File, path string, cache *Cache) (*Segment, error) {
 		interned:    interned,
 		cache:       cache,
 		id:          segIDs.Add(1),
-	}
-	if !idsMatch {
-		// This process interned some dictionary symbol under a
-		// different ID than the writer's, so the stored hashes (which
-		// mix symbol IDs) are stale for this process. One streaming
-		// pass recomputes them — and verifies every block CRC up front.
-		pos, a := 0, s.arity
-		for b, m := range s.blocks {
-			vals, err := s.readBlock(b)
-			if err != nil {
-				return nil, err
-			}
-			for j := 0; j < m.count; j++ {
-				s.hashes[pos] = value.Tuple(vals[j*a : (j+1)*a]).Hash()
-				pos++
-			}
-		}
-	}
-	return s, nil
+	}, nil
 }
 
 // Name returns the relation name recorded in the segment.
@@ -365,6 +347,11 @@ func (s *Segment) Close() error {
 // dictionary ordinals through syms. The array holds no pointers, so a
 // cached block costs the garbage collector nothing to scan.
 func decodeBlock(data []byte, arity, count int, syms []symbol.ID) ([]value.Value, error) {
+	// Every value takes at least a tag and a varint byte, so a count or
+	// arity the payload cannot hold fails before the array is sized.
+	if count*arity > len(data)/2 {
+		return nil, fmt.Errorf("%d bytes cannot hold %d tuples of arity %d", len(data), count, arity)
+	}
 	vals := make([]value.Value, count*arity)
 	pos := 0
 	for j := range vals {

@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,7 +31,7 @@ func testTuples(n int) []value.Tuple {
 
 // writeSegment writes tuples into a fresh segment file and returns its
 // path.
-func writeSegment(t *testing.T, tuples []value.Tuple, arity int) string {
+func writeSegment(t testing.TB, tuples []value.Tuple, arity int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "rel.seg")
 	w, err := Create(path, "rel", arity)
@@ -204,7 +207,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string][]byte{
 		"empty.seg": nil,
-		"short.seg": []byte("IDLOGSG1"),
+		"short.seg": []byte(magicHead),
 		"junk.seg":  []byte("this is definitely not a segment file, but it is long enough to parse"),
 	} {
 		path := filepath.Join(dir, name)
@@ -265,55 +268,140 @@ func TestCorruptionDetected(t *testing.T) {
 	}()
 }
 
-// TestHashRecompute rewrites the footer with wrong write-time symbol
-// IDs, simulating a process whose intern order diverged from the
-// writer's; Open must detect the mismatch and recompute correct hashes
-// from tuple data.
-func TestHashRecompute(t *testing.T) {
-	tuples := testTuples(300)
+// TestOpenReadsNoBlock: footer hashes are valid in every process, so
+// Open, HashAt, building a stored relation's primary table, its
+// fingerprint and a lookup that misses read the header and footer only.
+func TestOpenReadsNoBlock(t *testing.T) {
+	tuples := testTuples(3 * defaultBlockTuples)
 	path := writeSegment(t, tuples, 2)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	footOff := binary.LittleEndian.Uint64(data[len(data)-trailerLen : len(data)-8])
-	body := data[footOff : len(data)-trailerLen-4]
-
-	// Re-encode the footer with every dictionary writeID shifted, which
-	// is exactly what a different intern order looks like on disk.
-	fp := &sliceParser{data: body}
-	count := fp.uvarint("count", maxTuples)
-	nDict := fp.uvarint("dict", maxTuples)
-	var foot []byte
-	foot = binary.AppendUvarint(foot, count)
-	foot = binary.AppendUvarint(foot, nDict)
-	for i := uint64(0); i < nDict; i++ {
-		writeID := fp.uvarint("id", 1<<32-1)
-		name := fp.lenString("name", maxNameLen)
-		foot = binary.AppendUvarint(foot, writeID+1000)
-		foot = binary.AppendUvarint(foot, uint64(len(name)))
-		foot = append(foot, name...)
-	}
-	if fp.err != nil {
-		t.Fatal(fp.err)
-	}
-	foot = append(foot, fp.data...) // block index + hashes, unchanged
-	foot = binary.BigEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
-	out := append(append([]byte(nil), data[:footOff]...), foot...)
-	out = binary.LittleEndian.AppendUint64(out, footOff)
-	out = append(out, magicTail...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(path, nil)
+	cache := NewCache(1 << 30)
+	s, err := Open(path, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	mem := relation.New("rel", 2)
 	for i, want := range tuples {
 		if got := s.HashAt(i); got != want.Hash() {
-			t.Fatalf("HashAt(%d)=%x after recompute, want %x", i, got, want.Hash())
+			t.Fatalf("HashAt(%d)=%x, want %x", i, got, want.Hash())
+		}
+		mem.MustInsert(want)
+	}
+	disk := relation.NewStored("rel", 2, s)
+	if got, want := disk.Fingerprint(), mem.Fingerprint(); got != want {
+		t.Fatalf("fingerprint %s, want %s", got, want)
+	}
+	if disk.Contains(value.Tuple{value.Str("absent"), value.Int(-1)}) {
+		t.Fatal("stored relation contains a tuple never added")
+	}
+	if _, misses := cache.Stats(); misses != 0 {
+		t.Fatalf("%d block reads before any tuple was asked for, want 0", misses)
+	}
+	// A lookup that finds its tuple compares it, reading one block.
+	if !disk.Contains(tuples[defaultBlockTuples+5]) {
+		t.Fatalf("stored relation misses %v", tuples[defaultBlockTuples+5])
+	}
+	if _, misses := cache.Stats(); misses != 1 {
+		t.Fatalf("%d block reads after one hit, want 1", misses)
+	}
+}
+
+// TestOldSegmentFormatRejected: a file of the first format, whose footer
+// hashes mix the writer's symbol IDs, is refused with a typed error that
+// names the format.
+func TestOldSegmentFormatRejected(t *testing.T) {
+	path := writeSegment(t, testTuples(10), 2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "IDLOGSG1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(path, nil)
+	if !errors.Is(err, ErrCorruptSegment) || !strings.Contains(err.Error(), "IDLOGSG1") {
+		t.Fatalf("Open of an IDLOGSG1 file = %v, want ErrCorruptSegment naming the format", err)
+	}
+}
+
+// TestOpenAcrossInternOrders writes a segment in a child process that
+// interns the names in one order, and opens it here after interning
+// them in the other, so every name has another symbol ID here than
+// where it was written. The footer hashes must be the writer's own,
+// equal to this process's tuple hashes, and read without a block.
+func TestOpenAcrossInternOrders(t *testing.T) {
+	names := []string{"xo-alpha", "xo-beta", "xo-gamma", "xo-delta", "xo-epsilon"}
+	tuplesOf := func() []value.Tuple {
+		out := make([]value.Tuple, 3*defaultBlockTuples)
+		for i := range out {
+			out[i] = value.Tuple{value.Str(names[i%len(names)]), value.Int(int64(i)), value.Str(names[i*3%len(names)])}
+		}
+		return out
+	}
+	if path := os.Getenv("IDLOG_SEGMENT_WRITE"); path != "" {
+		for _, n := range names {
+			value.Str(n)
+		}
+		w, err := Create(path, "rel", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tup := range tuplesOf() {
+			if _, err := w.Add(tup); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Printf("hash %x\n", tup.Hash())
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	path := filepath.Join(t.TempDir(), "rel.seg")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestOpenAcrossInternOrders$")
+	cmd.Env = append(os.Environ(), "IDLOG_SEGMENT_WRITE="+path)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	var written []uint64
+	for _, line := range strings.Split(string(out), "\n") {
+		if h, ok := strings.CutPrefix(line, "hash "); ok {
+			x, err := strconv.ParseUint(h, 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written = append(written, x)
+		}
+	}
+
+	reversed := slices.Clone(names)
+	slices.Reverse(reversed)
+	for _, n := range reversed {
+		value.Str(n)
+	}
+	cache := NewCache(1 << 30)
+	s, err := Open(path, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tuples := tuplesOf()
+	if s.Len() != len(tuples) || len(written) != len(tuples) {
+		t.Fatalf("segment holds %d tuples, child hashed %d, want %d", s.Len(), len(written), len(tuples))
+	}
+	for i := range tuples {
+		if s.HashAt(i) != written[i] {
+			t.Fatalf("HashAt(%d)=%x, the writer hashed %x", i, s.HashAt(i), written[i])
+		}
+	}
+	if _, misses := cache.Stats(); misses != 0 {
+		t.Fatalf("Open and HashAt read %d blocks, want 0", misses)
+	}
+	for i, want := range tuples {
+		if got := s.At(i); !got.Equal(want) || s.HashAt(i) != got.Hash() {
+			t.Fatalf("At(%d)=%v hashing %x, HashAt %x; want %v", i, got, got.Hash(), s.HashAt(i), want)
 		}
 	}
 }
@@ -461,6 +549,26 @@ func TestZeroArity(t *testing.T) {
 	}
 }
 
+// TestDecodeBlockRefusesImpossibleCounts: a block whose footer entry and
+// header claim more values than its payload can hold fails before its
+// value array is sized, so a crafted file cannot make a block read
+// allocate count·arity values for a few bytes.
+func TestDecodeBlockRefusesImpossibleCounts(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeBlock([]byte{tagInt, 0, tagInt, 0}, 1<<10, 1<<10, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("4 bytes decoded as 2^20 values")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+		t.Fatalf("refusing 4 bytes allocated %d bytes", n)
+	}
+	if vals, err := decodeBlock([]byte{tagInt, 0, tagInt, 0}, 2, 1, nil); err != nil || len(vals) != 2 {
+		t.Fatalf("two one-byte ints: %v, %v", vals, err)
+	}
+}
+
 // FuzzDecodeBlock feeds arbitrary block payloads to the block decoder:
 // it must return an error or exactly count·arity values, never panic,
 // and a payload the writer produced must decode to what was written.
@@ -491,6 +599,57 @@ func FuzzDecodeBlock(f *testing.F) {
 		again, err := decodeBlock(enc, a, n, syms)
 		if err != nil || !slices.Equal(again, vals) {
 			t.Fatalf("re-encoded block decodes to %v, %v; want %v", again, err, vals)
+		}
+	})
+}
+
+// FuzzOpen feeds whole files to Open, seeded with a written segment: Open
+// must fail with ErrCorruptSegment or return a segment whose full Scan
+// yields Len tuples or panics only with ErrCorruptSegment, the typed
+// corruption the evaluator's guard recovers.
+func FuzzOpen(f *testing.F) {
+	data, err := os.ReadFile(writeSegment(f, testTuples(40), 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	nullary, err := os.ReadFile(writeSegment(f, []value.Tuple{{}}, 0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nullary)
+	path := filepath.Join(f.TempDir(), "f.seg") // one per fuzzing process
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path, NewCache(1<<20))
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("Open = %v, want ErrCorruptSegment", err)
+			}
+			return
+		}
+		defer s.Close()
+		n, short := 0, 0
+		if r := func() (r any) {
+			defer func() { r = recover() }()
+			s.Scan(0, -1, func(_ int, tup value.Tuple) bool {
+				if len(tup) != s.Arity() {
+					short++
+				}
+				n++
+				return true
+			})
+			return nil
+		}(); r != nil {
+			if err, ok := r.(error); !ok || !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("Scan panicked with %v, want ErrCorruptSegment", r)
+			}
+			return
+		}
+		if n != s.Len() || short != 0 {
+			t.Fatalf("Scan yielded %d tuples (%d not of arity %d), Len %d", n, short, s.Arity(), s.Len())
 		}
 	})
 }

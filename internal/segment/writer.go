@@ -233,7 +233,7 @@ func (w *Writer) flushBlock() error {
 }
 
 // Finish flushes the last block, writes the footer (tuple count, symbol
-// dictionary with write-time IDs, block index, per-tuple hash array)
+// dictionary, block index, per-tuple hash array)
 // and trailer, syncs, and closes the file.
 func (w *Writer) Finish() error {
 	if w.finished {
@@ -260,7 +260,6 @@ func (w *Writer) Finish() error {
 	putUvarint(uint64(len(w.dictIDs)))
 	for _, id := range w.dictIDs {
 		name := symbol.Name(id)
-		putUvarint(uint64(id))
 		putUvarint(uint64(len(name)))
 		cw.Write([]byte(name))
 	}

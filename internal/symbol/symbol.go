@@ -148,10 +148,10 @@ func (t *Table) Name(id ID) string {
 // for a name in every table and every process. Unknown or reserved IDs
 // hash to 0.
 func (t *Table) Hash(id ID) uint64 {
-	if id == None || uint32(id) >= t.n.Load() {
+	if uint32(id) >= t.n.Load() {
 		return 0
 	}
-	return (*t.hashes.Load())[id]
+	return (*t.hashes.Load())[id] // slot 0, the reserved ID's, stays 0
 }
 
 // Len reports the number of interned symbols (excluding the reserved slot).

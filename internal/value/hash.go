@@ -6,17 +6,17 @@ package value
 // duplicate check, and probe. Requirements:
 //
 //   - Equal values (tuples) hash equal; the sort tag is mixed in so the
-//     u-constant with symbol ID 7 and the integer 7 hash differently
+//     integer 7 and a u-constant whose name hashes to 7 hash differently
 //     (mirroring the keyU/keyI tags of the string encoding).
 //   - ProjectHash(cols) equals Project(cols).Hash() without materializing
 //     the projection, so probe keys can be hashed allocation-free.
-//   - Hash and ProjectHash mix a u-constant's symbol ID, so they are
-//     stable within one process only: two processes that interned the
-//     same names in different orders hash them differently. Anything
-//     compared across processes (relation fingerprints, oracle
-//     priorities) uses the content hashes instead: ContentHash and
-//     StableHash mix a u-constant's name hash, and no hash here has a
-//     per-run seed.
+//   - Hashes are keyed on content: a u-constant mixes the hash of its
+//     name that the symbol table computed at intern, never its symbol
+//     ID, and no hash here has a per-run seed. So a value or tuple
+//     hashes alike in every process, whatever order it interned its
+//     constants in, and anything stored or compared across processes
+//     (segment footers, relation fingerprints, oracle priorities) can
+//     use these hashes directly.
 //
 // Collisions are possible in principle (the store resolves them with
 // Tuple.Equal checks and counts them), but the mixer is a full-period
@@ -43,43 +43,17 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Hash returns a 64-bit hash of v. Equal values hash equal; the two
-// sorts are tagged apart.
+// Hash returns a 64-bit hash of v's content: an i-constant's number,
+// or a u-constant's name through the hash the symbol table computed at
+// intern, tagged apart by sort. Equal values hash equal, in every
+// process. Both sorts share one mix64 call so that Hash stays within
+// the inliner's budget and inlines into Tuple.Hash and ProjectHash.
 func (v Value) Hash() uint64 {
-	if v.Sort == I {
-		return mix64(uint64(v.Num) ^ hashTagI)
+	x := uint64(v.Num) ^ hashTagI
+	if v.Sort == U {
+		x = symbol.Hash(v.Sym) ^ hashTagU
 	}
-	return mix64(uint64(v.Sym) ^ hashTagU)
-}
-
-// ContentHash returns a 64-bit hash of v's content: an i-constant's
-// number, or a u-constant's name through the hash the symbol table
-// computed at intern, tagged apart by sort. Hash mixes a u-constant's
-// symbol ID, which depends on the order names were interned in;
-// ContentHash does not, so it is the same in every process.
-func (v Value) ContentHash() uint64 {
-	if v.Sort == I {
-		return mix64(uint64(v.Num) ^ hashTagI)
-	}
-	return mix64(symbol.Hash(v.Sym) ^ hashTagU)
-}
-
-// ContentHash folds the content hashes of t's values, in order, into
-// seed. Equal tuples hash equal under equal seeds, whatever the intern
-// order; seed lets a caller key a whole family of hashes at once.
-func (t Tuple) ContentHash(seed uint64) uint64 {
-	h := seed
-	for _, v := range t {
-		h = mix64(h ^ v.ContentHash())
-	}
-	return h
-}
-
-// StableHash is t's content hash under the per-length seed Hash uses:
-// equal tuples hash equal in every process, whatever the intern order.
-// On a tuple of i-constants only it equals Hash.
-func (t Tuple) StableHash() uint64 {
-	return t.ContentHash(tupleHashSeed(len(t)))
+	return mix64(x)
 }
 
 // tupleHashSeed gives every tuple length its own basis so that the empty
@@ -90,7 +64,7 @@ func tupleHashSeed(n int) uint64 {
 }
 
 // Hash returns an order-dependent 64-bit hash of the tuple. Equal tuples
-// hash equal.
+// hash equal, in every process.
 func (t Tuple) Hash() uint64 {
 	h := tupleHashSeed(len(t))
 	for _, v := range t {
