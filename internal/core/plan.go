@@ -76,7 +76,7 @@ func snapshotCard(clauses []*analysis.OrderedClause, inSet map[string]bool, rels
 			}
 			st, ok := stats[key]
 			if !ok {
-				st = relStats{card: float64(r.EstimateCard())}
+				st = relStats{card: float64(r.Len())}
 				if ndv, ok := r.DistinctCounts(); ok {
 					st.distinct = append([]int(nil), ndv...)
 				}

@@ -54,11 +54,6 @@ type Fault struct {
 	// OracleErr fails the next ID-relation materialization with this
 	// error.
 	OracleErr error
-	// TornWriteAfter makes the write-ahead log crash mid-append: the
-	// n-th Append (1-based) writes only a prefix of its record and then
-	// reports a simulated crash, leaving a torn tail for recovery tests
-	// (0 = off).
-	TornWriteAfter int
 }
 
 // FailAfter returns a fault that panics after n derivations.
@@ -71,10 +66,6 @@ func CancelAt(i int) Fault { return Fault{CancelStratum: i, CancelSet: true} }
 // OracleFault returns a fault that fails the next ID-relation
 // materialization with err.
 func OracleFault(err error) Fault { return Fault{OracleErr: err} }
-
-// TornWrite returns a fault that tears the n-th WAL append (1-based),
-// simulating a crash that persists only part of the record.
-func TornWrite(n int) Fault { return Fault{TornWriteAfter: n} }
 
 // Guard carries the governance state of one evaluation. It is not safe
 // for concurrent use; the engine is single-threaded by design.
@@ -279,17 +270,6 @@ func (g *Guard) TakeOracleFault() error {
 	err := g.fault.OracleErr
 	g.fault.OracleErr = nil
 	return err
-}
-
-// TakeTornWrite counts down an injected torn-write fault and reports
-// whether the current WAL append should be torn (true exactly once, on
-// the TornWriteAfter-th call).
-func (g *Guard) TakeTornWrite() bool {
-	if g.fault.TornWriteAfter == 0 {
-		return false
-	}
-	g.fault.TornWriteAfter--
-	return g.fault.TornWriteAfter == 0
 }
 
 // Usage reports the budget counters (for tests and diagnostics).

@@ -50,7 +50,11 @@ import (
 // tuple into a small patch instead of the source, so positions stay
 // dense (0..Len()-1) whatever the backing. Purely in-memory relations
 // have src == nil and nsrc == 0, so the overlay IS the relation and
-// every accessor below short-circuits to the arena.
+// every accessor below short-circuits to the arena. Because every
+// backing shares the primary table and index machinery, every access
+// path (probe, scan, containment, fingerprint) behaves identically
+// across engines, and a deletion from a disk-backed relation goes
+// through the patch: the segment is never promoted to memory.
 //
 // A version (base != nil) is what Clone derives from a frozen relation:
 // it reads positions [0, nsrc) through the base and shares the base's
@@ -574,7 +578,10 @@ func (r *Relation) DeepClone() *Relation {
 // This is the engine's sharing contract: a server keeps one frozen EDB
 // and evaluates any number of programs against it concurrently, with
 // all per-run mutable state (IDB work relations, ID-relations,
-// compiled clauses, guards) private to each evaluation.
+// compiled clauses, guards) private to each evaluation. The next
+// snapshot is a version that Clone (or Database.Thaw) derives from the
+// frozen relation: it costs the version's private part, and its writes
+// never touch the frozen original.
 func (r *Relation) Freeze() *Relation {
 	if r.frozen {
 		return r

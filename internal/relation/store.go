@@ -2,69 +2,6 @@ package relation
 
 import "idlog/internal/value"
 
-// Store is the storage-engine contract of the evaluator: everything the
-// engine (join walk, planner, incremental maintenance, servers) needs
-// from a relation, independent of where its tuples live. The in-memory
-// *Relation — a 64-bit-hash open-addressing table over a chunked value
-// arena — is the canonical implementation; disk-backed relations created with
-// NewStored over a segment TupleSource satisfy it through the very same
-// index machinery, so every access path (probe, scan, containment,
-// fingerprint) behaves identically across engines.
-//
-// The Freeze/COW contract, shared by all implementations:
-//
-//   - While unfrozen, a Store is single-goroutine: Insert extends it in
-//     place and published secondary indexes are maintained per insert.
-//   - Freeze makes it immutable and safe for any number of concurrent
-//     readers; Insert then fails. Lazy secondary indexes build under a
-//     lock and publish atomically (copy-on-write), never mutating a
-//     list a reader may be scanning.
-//   - Clone/Thaw derive the next snapshot as a version of a frozen
-//     store: the successor reads the predecessor's tuples, primary table
-//     and published secondary indexes in place, and keeps a private
-//     part of its own — an in-memory overlay for inserts and a patch of
-//     positions that swap-remove overwrote. Deriving it costs that
-//     private part, not the relation. Lookups and probes read the
-//     shared structures, drop patched and cut-off positions, and add the
-//     private part's hits. Once the private part outgrows a fixed
-//     fraction of the base, the version compacts into a flat relation
-//     (a disk-backed base keeps its segment as the source).
-//   - Deletions from a disk-backed relation go through the same patch:
-//     the segment is never promoted to memory.
-type Store interface {
-	// Name returns the predicate name, Arity the number of columns.
-	Name() string
-	Arity() int
-	// Len is the exact cardinality; EstimateCard is the planner's
-	// cost-model input, which an implementation may serve from cheap
-	// metadata (both engines here happen to know the exact count).
-	Len() int
-	EstimateCard() int
-	// Insert adds t if absent, reporting whether it was added. Frozen
-	// stores reject it.
-	Insert(t value.Tuple) (bool, error)
-	// Contains reports membership, At returns the tuple at a position,
-	// and Scan streams positions [lo, hi) (hi = -1 for the end) without
-	// materializing the relation; it reports whether the scan ran to
-	// completion (fn returning false stops it early).
-	Contains(t value.Tuple) bool
-	At(i int) value.Tuple
-	Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool
-	// ProbeIndex returns the positions whose projection onto cols
-	// equals key, building (and thereafter maintaining) a secondary
-	// index on cols on first use.
-	ProbeIndex(cols []int, key value.Tuple) []int
-	// Fingerprint is the canonical set identity: equal tuple sets have
-	// equal fingerprints regardless of engine, insertion order, or
-	// storage layout. The cross-engine differential tests rely on it.
-	Fingerprint() string
-	// Frozen reports whether Freeze has been called (see the contract
-	// above; Freeze itself returns the concrete type for chaining).
-	Frozen() bool
-}
-
-var _ Store = (*Relation)(nil)
-
 // TupleSource is the plug point for alternative tuple storage: an
 // immutable, position-addressed tuple sequence that a Relation built
 // with NewStored reads through instead of its in-memory arena. The
@@ -111,16 +48,6 @@ func NewStored(name string, arity int, src TupleSource) *Relation {
 		r.primary.insert(src.HashAt(i), i)
 	}
 	return r
-}
-
-// EstimateCard returns the planner's cardinality estimate for r; both
-// engines know the exact count, so it equals Len. It exists so the
-// cost model consumes the Store contract rather than a concrete field.
-func (r *Relation) EstimateCard() int { return r.Len() }
-
-// ProbeIndex is Probe under its Store-contract name.
-func (r *Relation) ProbeIndex(cols []int, key value.Tuple) []int {
-	return r.Probe(cols, key)
 }
 
 // SourceLen reports how many of r's tuples are served by a pluggable

@@ -97,6 +97,32 @@ func (n *node) createSession(name string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
+func (n *node) dropSession(name string) bool {
+	req, _ := http.NewRequest(http.MethodDelete, n.ts.URL+"/v1/sessions/"+name, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode == http.StatusOK
+}
+
+// sessions lists the node's session names.
+func (n *node) sessions() []string {
+	var listing struct {
+		Sessions []struct {
+			Name string `json:"name"`
+		} `json:"sessions"`
+	}
+	getJSON(n.t, n.ts.URL+"/v1/sessions", &listing)
+	var names []string
+	for _, s := range listing.Sessions {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -200,6 +226,62 @@ func TestBasicReplication(t *testing.T) {
 	resp.Body.Close()
 	if qr.Relations["emp"].Text != "emp{(ann, sales), (bob, dev)}" {
 		t.Fatalf("follower session read: %+v", qr.Relations)
+	}
+
+	// A session dropped on the primary is dropped on the follower.
+	if !primary.dropSession("s1") {
+		t.Fatal("primary session delete failed")
+	}
+	waitConverged(t, primary, follower, f, 5*time.Second)
+	if got := follower.sessions(); len(got) != 0 {
+		t.Fatalf("follower sessions after the drop: %v, want none", got)
+	}
+}
+
+// TestIdleEvictionReplicates: a primary's idle eviction is a drop
+// record the follower applies, while a follower's own janitor evicts
+// nothing — its sessions leave only on a replicated drop.
+func TestIdleEvictionReplicates(t *testing.T) {
+	dir := t.TempDir()
+	primary := startNode(t, filepath.Join(dir, "primary.wal"), server.Config{SessionTTL: time.Hour})
+	defer primary.stop(true)
+	follower := startNode(t, "", server.Config{ReadOnly: true, SessionTTL: time.Millisecond})
+	defer follower.stop(true)
+	f := replica.New(follower.srv, followerCfg(primary.ts.URL, nil, t.Logf))
+	f.Start()
+	defer f.Stop()
+	if !primary.createSession("s1") || !primary.insert("s1", "emp(ann, sales).") {
+		t.Fatal("primary session setup failed")
+	}
+	waitConverged(t, primary, follower, f, 5*time.Second)
+	// The janitor sweeps once a second: let the follower's first sweep
+	// pass its TTL.
+	time.Sleep(1200 * time.Millisecond)
+	if got := follower.sessions(); len(got) != 1 {
+		t.Fatalf("follower sessions after its TTL: %v, want s1 kept", got)
+	}
+
+	// A primary that evicts s2 at its second sweep; the follower takes
+	// the drop off the stream, not from a resync.
+	evicting := startNode(t, filepath.Join(dir, "evicting.wal"), server.Config{SessionTTL: time.Second})
+	defer evicting.stop(true)
+	f.SetPrimary(evicting.ts.URL)
+	if !evicting.createSession("s2") || !evicting.insert("s2", "emp(bob, dev).") {
+		t.Fatal("evicting primary session setup failed")
+	}
+	waitConverged(t, evicting, follower, f, 5*time.Second)
+	resyncs := f.Status().Resyncs
+	deadline := time.Now().Add(5 * time.Second)
+	for len(evicting.sessions()) > 0 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := evicting.sessions(); len(got) != 0 {
+		t.Fatalf("primary did not evict: %v", got)
+	}
+	waitConverged(t, evicting, follower, f, 5*time.Second)
+	if got := follower.sessions(); len(got) != 0 || f.Status().Resyncs != resyncs {
+		t.Fatalf("follower sessions after the primary's eviction: %v (resyncs %d → %d), want none by stream",
+			got, resyncs, f.Status().Resyncs)
 	}
 }
 

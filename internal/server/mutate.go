@@ -13,18 +13,10 @@ import (
 	"idlog/internal/wal"
 )
 
-// This file is the durable-mutation path: Database.Apply on a session's
-// snapshot, write-ahead logging with fsync-before-acknowledge,
-// incremental maintenance of the session's live views, periodic
+// This file is the durable-state path: the one routine (commit) that
+// applies, logs and publishes every change to the server's state,
+// incremental maintenance of the sessions' live views, periodic
 // checkpoint-and-truncate, and WAL replay on restart.
-//
-// Ordering invariant: a mutation is (1) validated and applied into a
-// NEW snapshot (invisible), (2) appended to the WAL and fsynced,
-// (3) swapped in and acknowledged. A crash before (2) loses an
-// unacknowledged request; a crash after (2) replays the mutation on
-// restart. Steps (2)+(3) run under the checkpoint read-lock so a
-// concurrent checkpoint can never persist a snapshot that misses a
-// logged-but-unswapped mutation.
 
 // SetWAL arms write-ahead logging: every acknowledged mutation is
 // appended (and fsynced) before its snapshot becomes visible. Call
@@ -56,7 +48,7 @@ func (s *Server) OpenWAL(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.Replay(recs); err != nil {
+	if err := s.replay(&s.state, recs); err != nil {
 		l.Close()
 		return err
 	}
@@ -163,81 +155,138 @@ func (s *Server) SetBaseDB(db *idlog.Database) {
 // BaseDB returns the current base snapshot.
 func (s *Server) BaseDB() *idlog.Database { return s.base.db.Load() }
 
-// Replay applies WAL records (as returned by wal.Open) to the server's
-// state: records with an empty session address the base database,
-// others their named session, which is created when missing. Called on
-// startup before SetWAL and before serving.
-func (s *Server) Replay(recs []wal.Record) error {
-	for i, rec := range recs {
-		sess := s.base
-		if rec.Session != "" {
-			got, ok := s.sessions.get(rec.Session)
-			if !ok {
-				created, err := s.sessions.create(rec.Session, idlog.NewDatabase())
-				if err != nil {
-					return fmt.Errorf("wal replay: recreate session %q: %w", rec.Session, err)
-				}
-				got = created
-			}
-			sess = got
-		}
-		cur := sess.db.Load()
-		next, _, err := cur.Apply(rec.Inserts, rec.Deletes)
-		if err != nil {
-			return fmt.Errorf("wal replay: entry %d (session %q): %w", i, rec.Session, err)
-		}
-		sess.db.Store(next)
-		sess.snapshot.Add(1)
-	}
-	return nil
+// state is what records change: the base database behind sessionless
+// queries and POST /v1/facts, and the session table. The server holds
+// the live state; a follower's resync replays a snapshot into a fresh
+// one and swaps it in.
+type state struct {
+	base     *session
+	sessions *sessionTable
 }
 
-// applyMutation runs one mutation batch against sess under the
-// session's mutation lock. bud bounds the incremental view maintenance.
-func (s *Server) applyMutation(sess *session, inserts, deletes []idlog.Fact, bud budget) (*mutateResponse, *apiError) {
+func newState(maxSessions int) state {
+	base := idlog.NewDatabase()
+	base.Freeze()
+	return state{base: newSession("", base), sessions: newSessionTable(maxSessions)}
+}
+
+// lookupSession resolves a session by name, "" naming the base
+// database. A missing session is created when create is set, since a
+// record read from a log or a primary may be the session's first;
+// otherwise it is a 404.
+func (st *state) lookupSession(name string, create bool) (*session, *apiError) {
+	if name == "" {
+		return st.base, nil
+	}
+	if sess, ok := st.sessions.get(name); ok {
+		return sess, nil
+	}
+	if !create {
+		return nil, sessionNotFound(name)
+	}
+	sess, err := st.sessions.create(name, idlog.NewDatabase())
+	if err != nil {
+		return nil, apiErrorf(http.StatusConflict, "already_exists", "%v", err)
+	}
+	return sess, nil
+}
+
+func sessionNotFound(name string) *apiError {
+	return apiErrorf(http.StatusNotFound, "not_found", "session %q not found", name)
+}
+
+// origin says where a record comes from.
+type origin int
+
+const (
+	local      origin = iota // a request or the janitor: the session must exist
+	replicated               // the primary's stream: keeps the primary's LSN
+	replayed                 // a log being replayed: not logged again
+)
+
+// commit is the one path by which the server's state changes. Every
+// mutation batch, session create and session drop is a record, and
+// every record goes through here — a request's, the janitor's, a
+// primary's, or one replayed from the log — so equal logs make equal
+// states.
+//
+// Ordering invariant: a record is (1) applied into a NEW snapshot
+// (invisible), (2) appended to the WAL, fsynced, and published to the
+// replication tail, (3) swapped in. A crash before (2) loses an
+// unacknowledged request; a crash after (2) replays the record on
+// restart. Steps (2)+(3) run under walMu's read lock, so a checkpoint
+// or replication snapshot (write lock) sees either neither or both. A
+// failed append is never acknowledged: the snapshot is discarded and
+// the server flips degraded (sticky read-only). Replay skips (2): it
+// runs before SetWAL, or into a fresh state the caller swaps in.
+//
+// A drop marks the session dropped under its mutation lock, so a
+// mutation that resolved the session earlier gets a 404, never a record
+// after the drop.
+func (s *Server) commit(st *state, rec wal.Record, from origin, bud budget) (*mutateResponse, *apiError) {
 	start := time.Now()
+	sess, e := st.lookupSession(rec.Session, from != local)
+	if e != nil {
+		return nil, e
+	}
+	sess.pin()
+	defer sess.unpin()
 	sess.mutMu.Lock()
 	defer sess.mutMu.Unlock()
-
-	cur := sess.db.Load()
-	next, delta, err := cur.Apply(inserts, deletes)
-	if err != nil {
-		return nil, apiErrorf(http.StatusBadRequest, "invalid_argument", "%v", err)
+	if sess.dropped {
+		return nil, sessionNotFound(rec.Session)
+	}
+	var next *idlog.Database
+	var delta *idlog.Delta
+	if !rec.Drop {
+		var err error
+		if next, delta, err = sess.db.Load().Apply(rec.Inserts, rec.Deletes); err != nil {
+			return nil, apiErrorf(http.StatusBadRequest, "invalid_argument", "%v", err)
+		}
 	}
 
-	// Durability before visibility: fsync the WAL entry, then swap. The
-	// read-lock spans both so a checkpoint (write-lock) sees either
-	// neither or both of {WAL entry, snapshot}. A failed append is NEVER
-	// acknowledged: the snapshot is discarded, the server flips degraded
-	// (sticky read-only), and the client gets a typed 503 — an ack the
-	// log cannot back would be a durability lie.
 	s.walMu.RLock()
-	if _, err := s.logAndPublish(wal.Record{Session: sess.name, Inserts: inserts, Deletes: deletes}); err != nil {
-		s.walMu.RUnlock()
-		s.degradeWAL(err)
-		return nil, degradedError(err)
+	if from != replayed {
+		if err := s.logAndPublish(rec); err != nil {
+			s.walMu.RUnlock()
+			s.degradeWAL(err)
+			return nil, degradedError(err)
+		}
 	}
-	if s.wal != nil {
-		s.metrics.walAppends.Add(1)
+	if rec.Drop {
+		sess.dropped = true
+		st.sessions.drop(sess.name)
+	} else {
+		sess.db.Store(next)
+		sess.snapshot.Add(1)
+		sess.touch()
 	}
-	sess.db.Store(next)
-	sess.snapshot.Add(1)
-	sess.touch()
 	s.walMu.RUnlock()
 
-	s.metrics.factsInserted.Add(uint64(delta.InsertCount()))
-	s.metrics.factsDeleted.Add(uint64(delta.DeleteCount()))
-
-	resp := &mutateResponse{
-		Session:  sess.name,
-		Snapshot: sess.snapshot.Load(),
-		Inserted: delta.InsertCount(),
-		Deleted:  delta.DeleteCount(),
-		Views:    s.maintainViews(sess, next, delta, bud),
+	resp := &mutateResponse{Session: sess.name, Snapshot: sess.snapshot.Load()}
+	if from == replayed {
+		return resp, nil
+	}
+	if delta != nil {
+		resp.Inserted, resp.Deleted = delta.InsertCount(), delta.DeleteCount()
+		s.metrics.factsInserted.Add(uint64(resp.Inserted))
+		s.metrics.factsDeleted.Add(uint64(resp.Deleted))
+		resp.Views = s.maintainViews(sess, next, delta, bud)
 	}
 	s.maybeCheckpoint()
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	return resp, nil
+}
+
+// replay applies log records to st without logging them again: on
+// startup before SetWAL, and into a fresh state on a follower's resync.
+func (s *Server) replay(st *state, recs []wal.Record) error {
+	for i, rec := range recs {
+		if _, e := s.commit(st, rec, replayed, budget{}); e != nil {
+			return fmt.Errorf("wal replay: entry %d (session %q): %w", i, rec.Session, e)
+		}
+	}
+	return nil
 }
 
 // maintainViews advances every live view of sess to the new snapshot.
@@ -319,21 +368,7 @@ func (s *Server) Checkpoint() error {
 	if err := s.saveCheckpoint(s.base.db.Load()); err != nil {
 		return fmt.Errorf("checkpoint: snapshot: %w", err)
 	}
-	var recs []wal.Record
-	for _, sess := range s.sessions.list() {
-		db := sess.db.Load()
-		var facts []idlog.Fact
-		names := db.Names()
-		sort.Strings(names)
-		for _, name := range names {
-			for _, t := range db.Relation(name).Sorted() {
-				facts = append(facts, idlog.Fact{Pred: name, Tuple: t})
-			}
-		}
-		// A factless session still gets a record: its existence must
-		// survive the rewrite, or a restart would lose the session.
-		recs = append(recs, wal.Record{Session: sess.name, Inserts: facts})
-	}
+	recs := s.capture(false, 0)
 	last := s.wal.LastLSN()
 	if _, replLast := s.repl.positions(); replLast > last {
 		last = replLast
@@ -363,6 +398,36 @@ func (s *Server) Checkpoint() error {
 	}
 	s.metrics.walCheckpoints.Add(1)
 	return nil
+}
+
+// capture renders the state as consolidation records at lsn: the base
+// database when withBase is set and it holds facts, then every session,
+// factless ones included so that their existence survives. Checkpoints
+// (whose base goes to the snapshot file) and replication snapshots both
+// use it. Callers hold walMu's write lock, so the records are one
+// consistent cut.
+func (s *Server) capture(withBase bool, lsn uint64) []wal.Record {
+	var recs []wal.Record
+	add := func(name string, db *idlog.Database) {
+		var facts []idlog.Fact
+		names := db.Names()
+		sort.Strings(names)
+		for _, rn := range names {
+			for _, t := range db.Relation(rn).Sorted() {
+				facts = append(facts, idlog.Fact{Pred: rn, Tuple: t})
+			}
+		}
+		if len(facts) > 0 || name != "" {
+			recs = append(recs, wal.Record{LSN: lsn, Session: name, Inserts: facts})
+		}
+	}
+	if withBase {
+		add("", s.base.db.Load())
+	}
+	for _, sess := range s.sessions.list() {
+		add(sess.name, sess.db.Load())
+	}
+	return recs
 }
 
 // parseMutation decodes the textual insert/delete fact lists of a
@@ -402,33 +467,25 @@ func (s *Server) handleBaseFacts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	s.mutateAndRespond(w, r, s.base, &req)
+	s.mutateAndRespond(w, r, "", &req)
 }
 
 // handleSessionFacts mutates a named session: POST
 // /v1/sessions/{name}/facts. Insert-only bodies using the legacy
 // {"facts": "..."} shape keep working.
 func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	var req factsRequest
 	if e := decode(r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
-	sess, ok := s.sessions.get(name)
-	if !ok {
-		writeError(w, apiErrorf(http.StatusNotFound, "not_found", "session %q not found", name))
-		return
-	}
-	sess.pin()
-	defer sess.unpin()
-	s.mutateAndRespond(w, r, sess, &req)
+	s.mutateAndRespond(w, r, r.PathValue("name"), &req)
 }
 
 // mutateAndRespond is the shared tail of the two facts endpoints:
-// parse, budget, admit, apply, respond. Followers (ReadOnly) and
+// parse, budget, admit, commit, respond. Followers (ReadOnly) and
 // degraded primaries refuse up front.
-func (s *Server) mutateAndRespond(w http.ResponseWriter, r *http.Request, sess *session, req *factsRequest) {
+func (s *Server) mutateAndRespond(w http.ResponseWriter, r *http.Request, name string, req *factsRequest) {
 	if e := s.mutable(); e != nil {
 		writeError(w, e)
 		return
@@ -449,7 +506,7 @@ func (s *Server) mutateAndRespond(w http.ResponseWriter, r *http.Request, sess *
 		return
 	}
 	defer release()
-	resp, e := s.applyMutation(sess, ins, dels, bud)
+	resp, e := s.commit(&s.state, wal.Record{Session: name, Inserts: ins, Deletes: dels}, local, bud)
 	if e != nil {
 		writeError(w, e)
 		return
@@ -496,9 +553,9 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		prog = parsed
 	}
-	sess, ok := s.sessions.get(sessName)
-	if !ok {
-		writeError(w, apiErrorf(http.StatusNotFound, "not_found", "session %q not found", sessName))
+	sess, e := s.lookupSession(sessName, false)
+	if e != nil {
+		writeError(w, e)
 		return
 	}
 	sess.pin()
@@ -542,9 +599,9 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 // handleViewList lists a session's live views: GET
 // /v1/sessions/{name}/views.
 func (s *Server) handleViewList(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.sessions.get(r.PathValue("name"))
-	if !ok {
-		writeError(w, apiErrorf(http.StatusNotFound, "not_found", "session %q not found", r.PathValue("name")))
+	sess, e := s.lookupSession(r.PathValue("name"), false)
+	if e != nil {
+		writeError(w, e)
 		return
 	}
 	sess.viewsMu.RLock()
@@ -583,9 +640,9 @@ func (s *Server) serveViewQuery(w http.ResponseWriter, req *queryRequest) {
 		writeError(w, apiErrorf(http.StatusBadRequest, "invalid_argument", "view queries take no program, source, goal, or facts"))
 		return
 	}
-	sess, ok := s.sessions.get(req.Session)
-	if !ok {
-		writeError(w, apiErrorf(http.StatusNotFound, "not_found", "session %q not found", req.Session))
+	sess, e := s.lookupSession(req.Session, false)
+	if e != nil {
+		writeError(w, e)
 		return
 	}
 	sess.pin()

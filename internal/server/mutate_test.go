@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"io"
@@ -15,7 +17,6 @@ import (
 
 	"idlog"
 	"idlog/internal/fault"
-	"idlog/internal/guard"
 	"idlog/internal/storage"
 	"idlog/internal/wal"
 )
@@ -166,21 +167,125 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSessionDropDurable: DELETE /v1/sessions/{name} is a logged
+// record, so a dropped session stays dropped after a restart on the
+// same WAL, also when the drop follows a checkpoint that consolidated
+// the session into the log.
+func TestSessionDropDurable(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "idlogd.wal")
+	s1 := New(Config{})
+	if err := s1.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	for _, sr := range []sessionRequest{{Name: "gone", Facts: tcFacts}, {Name: "kept"}} {
+		if code := post(t, ts1.URL+"/v1/sessions", sr, nil); code != 200 {
+			t.Fatalf("create %s: status %d", sr.Name, code)
+		}
+	}
+	if err := s1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	del := func(url string) int {
+		req, _ := http.NewRequest(http.MethodDelete, url, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := del(ts1.URL + "/v1/sessions/gone"); code != 200 {
+		t.Fatalf("delete: status %d", code)
+	}
+	if code := del(ts1.URL + "/v1/sessions/gone"); code != 404 {
+		t.Fatalf("second delete: status %d, want 404", code)
+	}
+	if code := post(t, ts1.URL+"/v1/sessions/gone/facts", factsRequest{Inserts: "edge(x, y)."}, nil); code != 404 {
+		t.Fatalf("mutation of a dropped session: status %d, want 404", code)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2 := New(Config{})
+	if err := s2.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(func() { ts2.Close(); s2.Close() })
+	var listing struct {
+		Sessions []sessionInfo `json:"sessions"`
+	}
+	if code := get(t, ts2.URL+"/v1/sessions", &listing); code != 200 || len(listing.Sessions) != 1 || listing.Sessions[0].Name != "kept" {
+		t.Fatalf("sessions after restart: status %d %+v, want only kept", code, listing.Sessions)
+	}
+	if code := post(t, ts2.URL+"/v1/query", queryRequest{Source: tcProgram, Session: "gone", Goal: "tc(a, X)"}, nil); code != 404 {
+		t.Fatalf("query on the dropped session after restart: status %d, want 404", code)
+	}
+}
+
+// TestDropRacesMutations: mutations racing a drop of their session
+// either land before the drop or get a 404, never a record after it —
+// one would bring the session back on replay.
+func TestDropRacesMutations(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "idlogd.wal")
+	s1 := New(Config{WALCheckpointEntries: -1})
+	if err := s1.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		name := fmt.Sprintf("r%d", round)
+		if _, err := s1.sessions.create(name, idlog.NewDatabase()); err != nil {
+			t.Fatal(err)
+		}
+		if _, e := s1.commit(&s1.state, wal.Record{Session: name}, local, budget{}); e != nil {
+			t.Fatal(e)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					fact := idlog.Fact{Pred: "edge", Tuple: idlog.Ints(int64(g), int64(i))}
+					_, e := s1.commit(&s1.state, wal.Record{Session: name, Inserts: []idlog.Fact{fact}}, local, budget{})
+					if e != nil && e.status != http.StatusNotFound {
+						t.Errorf("mutation racing a drop: %v", e)
+					}
+				}
+			}()
+		}
+		if _, e := s1.commit(&s1.state, wal.Record{Session: name, Drop: true}, local, budget{}); e != nil {
+			t.Fatal(e)
+		}
+		wg.Wait()
+	}
+	s1.Close()
+
+	s2 := New(Config{})
+	defer s2.Close()
+	if err := s2.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	if n := s2.sessions.len(); n != 0 {
+		t.Fatalf("%d dropped sessions came back on replay", n)
+	}
+}
+
 // TestWALCrashRecovery is the crash-consistency contract: a mutation
-// torn mid-append (guard fault injection) is never acknowledged and
+// torn mid-append (an injected crash) is never acknowledged and
 // never survives; every acknowledged mutation survives; the torn tail
 // is rejected by CRC on restart and truncated away.
 func TestWALCrashRecovery(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "idlogd.wal")
 
-	s1 := New(Config{})
+	// Arm the fault: the third append dies halfway through its write.
+	faults := fault.New()
+	faults.Arm(fault.WALAppendWrite, fault.Fault{After: 2, Count: 1, Err: wal.ErrSimulatedCrash})
+	s1 := New(Config{Faults: faults})
 	if err := s1.OpenWAL(walPath); err != nil {
 		t.Fatal(err)
 	}
-	// Arm the fault: the third append dies halfway through its write.
-	g := guard.New(nil, guard.Limits{})
-	g.Inject(guard.TornWrite(3))
-	s1.WAL().InjectFault(g)
 
 	ts1 := httptest.NewServer(s1.Handler())
 	if code := post(t, ts1.URL+"/v1/facts", factsRequest{Inserts: "edge(a, b)."}, nil); code != 200 {

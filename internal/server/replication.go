@@ -212,21 +212,23 @@ func (s *Server) LastLSN() uint64 {
 // logAndPublish assigns rec its LSN, makes it durable (when a WAL is
 // armed), and publishes it to the replication tail — atomically with
 // respect to other mutations, so LSN order, WAL order, and publication
-// order coincide. Callers hold walMu.RLock (checkpoint exclusion).
-func (s *Server) logAndPublish(rec wal.Record) (uint64, error) {
+// order coincide. Its one caller, commit, holds walMu.RLock
+// (checkpoint exclusion).
+func (s *Server) logAndPublish(rec wal.Record) error {
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
 	if s.wal != nil {
 		lsn, err := s.wal.Append(rec)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		rec.LSN = lsn
+		s.metrics.walAppends.Add(1)
 	} else if rec.LSN == 0 {
 		rec.LSN = s.repl.lastLSN + 1
 	}
 	s.repl.publishLocked(rec)
-	return rec.LSN, nil
+	return nil
 }
 
 // StateFingerprint canonically fingerprints the full replicated state:
@@ -248,56 +250,24 @@ func (s *Server) StateFingerprint() string {
 	}
 	dump("", s.base.db.Load())
 	for _, sess := range s.sessions.list() {
+		// The name line makes a factless session count: one node
+		// holding it and another not answer differently (404).
+		fmt.Fprintf(h, "session %s\n", sess.name)
 		dump(sess.name, sess.db.Load())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ApplyReplicated applies one replicated record to this server's state
-// (the follower's apply path): the addressed session is created when
-// missing, the mutation runs through Database.Apply and the session's
-// live views are maintained incrementally, the record lands in the
-// follower's own WAL when one is armed (preserving the primary's LSN),
-// and the follower's replication tail is advanced — so a follower can
-// itself be streamed from (chained standbys).
+// (the follower's apply path) through the same routine as a local
+// mutation: the record keeps the primary's LSN in the follower's own
+// WAL and replication tail, so a follower can itself be streamed from
+// (chained standbys).
 func (s *Server) ApplyReplicated(rec wal.Record) error {
-	sess := s.base
-	if rec.Session != "" {
-		got, ok := s.sessions.get(rec.Session)
-		if !ok {
-			created, err := s.sessions.create(rec.Session, idlog.NewDatabase())
-			if err != nil {
-				return fmt.Errorf("replicate: create session %q: %w", rec.Session, err)
-			}
-			got = created
-		}
-		sess = got
+	if _, e := s.commit(&s.state, rec, replicated, budget{}); e != nil {
+		return fmt.Errorf("replicate: LSN %d: %w", rec.LSN, e)
 	}
-	sess.mutMu.Lock()
-	defer sess.mutMu.Unlock()
-
-	cur := sess.db.Load()
-	next, delta, err := cur.Apply(rec.Inserts, rec.Deletes)
-	if err != nil {
-		return fmt.Errorf("replicate: apply LSN %d: %w", rec.LSN, err)
-	}
-
-	s.walMu.RLock()
-	if _, err := s.logAndPublish(rec); err != nil {
-		s.walMu.RUnlock()
-		s.degradeWAL(err)
-		return fmt.Errorf("replicate: wal append LSN %d: %w", rec.LSN, err)
-	}
-	sess.db.Store(next)
-	sess.snapshot.Add(1)
-	sess.touch()
-	s.walMu.RUnlock()
-
 	s.metrics.replApplied.Add(1)
-	s.metrics.factsInserted.Add(uint64(delta.InsertCount()))
-	s.metrics.factsDeleted.Add(uint64(delta.DeleteCount()))
-	s.maintainViews(sess, next, delta, budget{})
-	s.maybeCheckpoint()
 	return nil
 }
 
@@ -309,46 +279,18 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 // When a WAL is armed the new state is immediately checkpointed, so a
 // follower restart recovers to lsn without re-fetching the snapshot.
 func (s *Server) ResetReplicatedState(lsn uint64, recs []wal.Record) error {
-	// Build the new state off to the side first; a half-applied
-	// snapshot must never become visible.
-	var order []string
-	byName := map[string]*idlog.Database{}
-	base := idlog.NewDatabase()
-	for _, rec := range recs {
-		db := base
-		if rec.Session != "" {
-			var ok bool
-			if db, ok = byName[rec.Session]; !ok {
-				db = idlog.NewDatabase()
-				order = append(order, rec.Session)
-			}
-		}
-		next, _, err := db.Apply(rec.Inserts, rec.Deletes)
-		if err != nil {
-			return fmt.Errorf("replicate: snapshot load (session %q): %w", rec.Session, err)
-		}
-		if rec.Session == "" {
-			base = next
-		} else {
-			byName[rec.Session] = next
-		}
+	// Replay into a fresh state first; a half-applied snapshot must
+	// never become visible.
+	fresh := newState(s.cfg.MaxSessions)
+	if err := s.replay(&fresh, recs); err != nil {
+		return fmt.Errorf("replicate: snapshot load: %w", err)
 	}
-
-	s.walMu.RLock()
-	for _, sess := range s.sessions.list() {
-		s.sessions.drop(sess.name)
-	}
-	base.Freeze()
-	s.base.db.Store(base)
+	s.walMu.Lock()
+	s.base.db.Store(fresh.base.db.Load())
 	s.base.snapshot.Add(1)
-	for _, name := range order {
-		if err := s.CreateSessionDB(name, byName[name]); err != nil {
-			s.walMu.RUnlock()
-			return fmt.Errorf("replicate: snapshot session %q: %w", name, err)
-		}
-	}
+	s.sessions.replace(fresh.sessions)
 	s.repl.reset(lsn, nil)
-	s.walMu.RUnlock()
+	s.walMu.Unlock()
 
 	s.metrics.replResyncs.Add(1)
 	if s.wal != nil {
@@ -366,27 +308,7 @@ func (s *Server) snapshotRecords() (uint64, []wal.Record) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	_, lsn := s.repl.positions()
-	var recs []wal.Record
-	collect := func(name string, db *idlog.Database) {
-		var facts []idlog.Fact
-		names := db.Names()
-		sort.Strings(names)
-		for _, rn := range names {
-			for _, t := range db.Relation(rn).Sorted() {
-				facts = append(facts, idlog.Fact{Pred: rn, Tuple: t})
-			}
-		}
-		// Empty sessions still emit a record so the receiver learns
-		// they exist; an empty base emits nothing (it always exists).
-		if len(facts) > 0 || name != "" {
-			recs = append(recs, wal.Record{LSN: lsn, Session: name, Inserts: facts})
-		}
-	}
-	collect("", s.base.db.Load())
-	for _, sess := range s.sessions.list() {
-		collect(sess.name, sess.db.Load())
-	}
-	return lsn, recs
+	return lsn, s.capture(true, lsn)
 }
 
 // --- handlers ---

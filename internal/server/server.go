@@ -131,17 +131,16 @@ type program struct {
 // Server is the idlogd HTTP server state. Create with New, expose with
 // Handler, stop background work with Close.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	metrics  *metrics
-	sessions *sessionTable
+	cfg     Config
+	mux     *http.ServeMux
+	metrics *metrics
 
-	// base is the unnamed, never-evicted database behind sessionless
-	// queries and POST /v1/facts; wal, when armed, makes every
-	// acknowledged mutation durable. walMu orders mutations
-	// (read-locked around append+swap) against checkpoints and
-	// replication snapshots (write-locked).
-	base  *session
+	// state holds the unnamed, never-evicted base database and the
+	// session table; every change to it is a record applied by commit.
+	// wal, when armed, makes every record durable. walMu orders commits
+	// (read-locked around append+swap) against checkpoints, replication
+	// snapshots and resyncs (write-locked).
+	state
 	wal   *wal.Log
 	walMu sync.RWMutex
 
@@ -184,7 +183,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		metrics:     newMetrics(),
-		sessions:    newSessionTable(cfg.MaxSessions),
+		state:       newState(cfg.MaxSessions),
 		programs:    map[string]*program{},
 		slots:       make(chan struct{}, cfg.MaxConcurrent),
 		repl:        newReplState(cfg.PrimaryID, cfg.MaxReplLogEntries),
@@ -193,9 +192,10 @@ func New(cfg Config) *Server {
 		janitorDone: make(chan struct{}),
 		queries:     newQueryCache(),
 	}
-	base := idlog.NewDatabase()
-	base.Freeze()
-	s.base = newSession("", base)
+	s.sessions.evict = func(sess *session) bool {
+		_, e := s.commit(&s.state, wal.Record{Session: sess.name, Drop: true}, local, budget{})
+		return e == nil
+	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/programs", "programs", s.handleProgramCreate)
 	s.route("GET /v1/programs", "programs", s.handleProgramList)
@@ -284,7 +284,9 @@ func (s *Server) CreateSessionDB(name string, db *idlog.Database) error {
 	return err
 }
 
-// janitor evicts idle sessions until Close.
+// janitor evicts idle sessions until Close, each with a drop record. A
+// read-only server evicts nothing: its sessions leave only on a
+// replicated drop.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
 	period := s.cfg.SessionTTL / 4
@@ -298,6 +300,9 @@ func (s *Server) janitor() {
 		case <-s.janitorStop:
 			return
 		case <-t.C:
+			if s.cfg.ReadOnly {
+				continue
+			}
 			if n := s.sessions.evictIdle(s.cfg.SessionTTL); n > 0 {
 				s.metrics.sessionsEvicted.Add(uint64(n))
 			}
@@ -404,23 +409,9 @@ func (s *Server) lookupProgram(name string) (*program, *apiError) {
 // request lifetime so a long evaluation cannot have its session reaped
 // out from under it).
 func (s *Server) resolveDB(sessionName, facts string) (*idlog.Database, func(), *apiError) {
-	noop := func() {}
-	if sessionName == "" {
-		// Sessionless requests read the base database — empty until the
-		// first POST /v1/facts (or a -load/-wal preload), so a server
-		// nobody has mutated behaves exactly as before.
-		db := s.base.db.Load()
-		if facts != "" {
-			db = db.Thaw()
-			if err := idlog.AddFactsText(db, facts); err != nil {
-				return nil, nil, fromEngineError(err)
-			}
-		}
-		return db, noop, nil
-	}
-	sess, ok := s.sessions.get(sessionName)
-	if !ok {
-		return nil, nil, apiErrorf(http.StatusNotFound, "not_found", "session %q not found", sessionName)
+	sess, e := s.lookupSession(sessionName, false)
+	if e != nil {
+		return nil, nil, e
 	}
 	sess.pin()
 	db := sess.db.Load()
@@ -703,28 +694,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErrorf(http.StatusConflict, "already_exists", "%v", err))
 		return
 	}
-	// Initial facts run through the durable mutation path — previously
-	// they went straight into the session database, so they were neither
-	// in the WAL (lost on restart) nor published to followers.
-	if len(ins) > 0 {
-		if _, e := s.applyMutation(sess, ins, nil, budget{}); e != nil {
-			s.sessions.drop(req.Name)
-			writeError(w, e)
-			return
-		}
-	} else {
-		// An empty create still writes a (factless) record: without it
-		// the session's existence would vanish on restart and followers
-		// would never learn the session exists.
-		s.walMu.RLock()
-		_, err := s.logAndPublish(wal.Record{Session: req.Name})
-		s.walMu.RUnlock()
-		if err != nil {
-			s.sessions.drop(req.Name)
-			s.degradeWAL(err)
-			writeError(w, degradedError(err))
-			return
-		}
+	// The create is a record, factless or not: without it the session
+	// would vanish on restart and followers would never learn of it.
+	if _, e := s.commit(&s.state, wal.Record{Session: req.Name, Inserts: ins}, local, budget{}); e != nil {
+		s.sessions.drop(req.Name)
+		writeError(w, e)
+		return
 	}
 	writeJSON(w, http.StatusOK, sess.info())
 }
@@ -744,8 +719,8 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	if !s.sessions.drop(name) {
-		writeError(w, apiErrorf(http.StatusNotFound, "not_found", "session %q not found", name))
+	if _, e := s.commit(&s.state, wal.Record{Session: name, Drop: true}, local, budget{}); e != nil {
+		writeError(w, e)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})

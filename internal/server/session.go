@@ -23,9 +23,12 @@ type session struct {
 	lastUsed atomic.Int64  // unix nanos of the last touch
 	pins     atomic.Int64  // in-flight requests holding this session
 
-	// mutMu serializes mutations (Apply + WAL append + swap) on this
-	// session; mutations on different sessions proceed concurrently.
-	mutMu sync.Mutex
+	// mutMu serializes commits (Apply + WAL append + swap) on this
+	// session; commits on different sessions proceed concurrently.
+	// dropped, set under mutMu by a drop record, turns every later
+	// commit on this session into a 404.
+	mutMu   sync.Mutex
+	dropped bool
 	// viewsMu guards views: queries hold it shared while rendering view
 	// relations, mutations hold it exclusively while maintaining them
 	// (a view's relations are updated in place).
@@ -69,10 +72,16 @@ type sessionTable struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	max      int
+	// evict removes one idle session for evictIdle. A server commits a
+	// drop record, so an eviction is as durable as a DELETE; a bare
+	// table just forgets the session.
+	evict func(*session) bool
 }
 
 func newSessionTable(max int) *sessionTable {
-	return &sessionTable{sessions: make(map[string]*session), max: max}
+	t := &sessionTable{sessions: make(map[string]*session), max: max}
+	t.evict = func(s *session) bool { return t.drop(s.name) }
+	return t
 }
 
 // create registers a new session holding db (which it freezes).
@@ -124,6 +133,14 @@ func (t *sessionTable) drop(name string) bool {
 	return true
 }
 
+// replace swaps in other's sessions: a follower's resync, whose fresh
+// table nobody else holds yet.
+func (t *sessionTable) replace(other *sessionTable) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.sessions = other.sessions
+}
+
 // len reports the number of live sessions.
 func (t *sessionTable) len() int {
 	t.mu.Lock()
@@ -143,22 +160,25 @@ func (t *sessionTable) list() []*session {
 	return out
 }
 
-// evictIdle drops sessions idle longer than ttl and reports how many.
+// evictIdle evicts sessions idle longer than ttl and reports how many.
 // Pinned sessions — ones a request is still evaluating against — are
-// never reaped, however stale their last touch: a query that outlives
+// never picked, however stale their last touch: a query that outlives
 // the TTL would otherwise lose its session (and its snapshot history)
-// mid-flight.
+// mid-flight. The evictions run outside the table lock, since a
+// server's evict commits a record.
 func (t *sessionTable) evictIdle(ttl time.Duration) int {
 	cutoff := time.Now().Add(-ttl).UnixNano()
+	var idle []*session
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for name, s := range t.sessions {
-		if s.pins.Load() > 0 {
-			continue
+	for _, s := range t.sessions {
+		if s.pins.Load() == 0 && s.lastUsed.Load() < cutoff {
+			idle = append(idle, s)
 		}
-		if s.lastUsed.Load() < cutoff {
-			delete(t.sessions, name)
+	}
+	t.mu.Unlock()
+	n := 0
+	for _, s := range idle {
+		if t.evict(s) {
 			n++
 		}
 	}

@@ -20,6 +20,9 @@
 //	      predLen, pred
 //	      arity, then per column: tag 'u' (strLen, str) or 'i' (zigzag)
 //	    deleteCount, facts as above
+//	    flags (one byte, written only on drop records: 1 = the session
+//	           was dropped; every other record ends at its deletes, so
+//	           it is byte-identical to the format before the flag)
 //	  crc32 of payload (IEEE, 4 bytes big-endian)
 //
 // v1 logs ("IDLOGWAL1", no LSNs) are migrated in place on Open:
@@ -54,7 +57,6 @@ import (
 
 	"idlog/internal/core"
 	"idlog/internal/fault"
-	"idlog/internal/guard"
 	"idlog/internal/symbol"
 	"idlog/internal/value"
 )
@@ -79,9 +81,10 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("wal: %s: %w", fmt.Sprintf(format, args...), ErrCorruptWAL)
 }
 
-// ErrSimulatedCrash is returned by Append when an injected torn-write
-// fault fires: part of the record reached the file, the process is
-// presumed dead. Crash-recovery tests reopen the log afterwards.
+// ErrSimulatedCrash is the error crash-recovery tests arm at
+// fault.WALAppendWrite: the torn append leaves a prefix of the record in
+// the file and poisons the log, as a process dying mid-write would.
+// Tests reopen the log afterwards.
 var ErrSimulatedCrash = errors.New("wal: simulated crash during append")
 
 // ErrPoisoned is returned by Append after any earlier append failed:
@@ -89,16 +92,22 @@ var ErrSimulatedCrash = errors.New("wal: simulated crash during append")
 // re-establishes it. The first failure's cause is wrapped alongside.
 var ErrPoisoned = errors.New("wal: log poisoned by an earlier append failure")
 
-// Record is one durable mutation batch. Session addresses the idlogd
-// session the batch applied to ("" for the base session). LSN is the
-// global mutation sequence number: assigned by Append on the primary,
-// carried through replication, preserved by a follower's own log.
+// Record is one durable change to idlogd's state. Session addresses the
+// idlogd session it applies to ("" for the base session). A record
+// either carries a mutation batch (Inserts, Deletes) or, with Drop set
+// and no facts, removes the session. LSN is the global mutation
+// sequence number: assigned by Append on the primary, carried through
+// replication, preserved by a follower's own log.
 type Record struct {
 	LSN     uint64
 	Session string
 	Inserts []core.Fact
 	Deletes []core.Fact
+	Drop    bool
 }
+
+// flagDrop is the payload's trailing flags byte on a drop record.
+const flagDrop byte = 1
 
 // Log is an open write-ahead log. Safe for concurrent use: appends on
 // behalf of different idlogd sessions may race, and the internal lock
@@ -114,7 +123,6 @@ type Log struct {
 	baseLSN  uint64 // LSN covered by the snapshot under this log
 	nextLSN  uint64
 	poisoned error // first append failure; sticky until reopen
-	fault    *guard.Guard
 	faults   *fault.Registry
 }
 
@@ -368,6 +376,12 @@ func decodePayload(b []byte, version int) (Record, error) {
 	if rec.Deletes, err = p.facts(); err != nil {
 		return rec, err
 	}
+	if p.off < len(b) {
+		if flags, _ := p.byte(); flags != flagDrop {
+			return rec, corruptf("bad record flags %#x", flags)
+		}
+		rec.Drop = true
+	}
 	if p.off != len(b) {
 		return rec, corruptf("%d trailing payload bytes", len(b)-p.off)
 	}
@@ -422,19 +436,14 @@ func EncodeEntry(rec Record) []byte {
 	payload = appendString(payload, rec.Session)
 	payload = appendFacts(payload, rec.Inserts)
 	payload = appendFacts(payload, rec.Deletes)
+	if rec.Drop {
+		payload = append(payload, flagDrop)
+	}
 	entry := appendUvarint(nil, uint64(len(payload)))
 	entry = append(entry, payload...)
 	var sum [4]byte
 	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
 	return append(entry, sum[:]...)
-}
-
-// InjectFault arms guard-driven fault injection (torn appends) on the
-// log. Nil disarms.
-func (l *Log) InjectFault(g *guard.Guard) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.fault = g
 }
 
 // SetFaults arms registry-driven fault injection (write and fsync
@@ -476,23 +485,6 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		return 0, err
 	}
 
-	if l.fault != nil && l.fault.TakeTornWrite() {
-		// Simulated crash: persist only a prefix of the entry, as a real
-		// crash mid-write would, and report the process dead.
-		torn := entry[:len(entry)/2]
-		if _, err := l.f.Write(torn); err != nil {
-			l.poisoned = err
-			return 0, err
-		}
-		if err := l.f.Sync(); err != nil {
-			l.poisoned = err
-			return 0, err
-		}
-		l.size += int64(len(torn))
-		l.poisoned = ErrSimulatedCrash
-		return 0, ErrSimulatedCrash
-	}
-
 	if _, err := l.f.Write(entry); err != nil {
 		l.poisoned = err
 		return 0, err
@@ -516,16 +508,6 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	l.entries++
 	l.nextLSN = rec.LSN + 1
 	return rec.LSN, nil
-}
-
-// Reset truncates the log to empty entries while advancing the base
-// LSN to cover everything the log held: equivalent to
-// ResetWith(LastLSN(), nil). Retained for callers that checkpoint
-// without consolidation entries.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.resetWithLocked(l.nextLSN-1, nil)
 }
 
 // ResetWith atomically replaces the log with a fresh one sitting on a
@@ -620,7 +602,7 @@ func (l *Log) HeaderSize() int64 {
 }
 
 // Entries returns the number of intact entries appended or replayed
-// since open (or the last Reset/ResetWith).
+// since open (or the last ResetWith).
 func (l *Log) Entries() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -15,7 +15,6 @@ import (
 
 	"idlog/internal/core"
 	"idlog/internal/fault"
-	"idlog/internal/guard"
 	"idlog/internal/value"
 )
 
@@ -260,45 +259,23 @@ func TestV1Migration(t *testing.T) {
 	}
 }
 
-// TestTornWriteFault drives the guard fault-injection hook: the torn
-// append reports a simulated crash, and recovery after "restart" keeps
-// exactly the acknowledged prefix.
-func TestTornWriteFault(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "w.wal")
-	l, _, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := guard.New(nil, guard.Limits{})
-	g.Inject(guard.TornWrite(3))
-	l.InjectFault(g)
-	recs := testRecords()
-	mustAppend(t, l, recs[0], recs[1])
-	if _, err := l.Append(recs[2]); !errors.Is(err, ErrSimulatedCrash) {
-		t.Fatalf("third append: err = %v, want ErrSimulatedCrash", err)
-	}
-	// The crash poisons the log: no further appends until reopen.
-	if _, err := l.Append(recs[0]); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("append after crash: err = %v, want ErrPoisoned", err)
-	}
-	l.Close()
-
-	_, got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, withLSNs(recs[:2], 1)) {
-		t.Fatalf("after crash recovery: %+v, want the two acknowledged records", got)
-	}
-}
-
 // TestAppendFaultPoisonsLog covers the injected write- and fsync-error
-// paths: the failing append never acknowledges, the log refuses
-// further appends (ErrPoisoned), and reopening recovers at least the
-// acknowledged prefix.
+// paths and a crash that tears an append: the failing append never
+// acknowledges, the log refuses further appends (ErrPoisoned), and
+// reopening recovers at least the acknowledged prefix.
 func TestAppendFaultPoisonsLog(t *testing.T) {
-	for _, point := range []string{fault.WALAppendWrite, fault.WALAppendSync} {
-		t.Run(point, func(t *testing.T) {
+	disk := errors.New("no space left on device")
+	for _, c := range []struct {
+		name, point string
+		f           fault.Fault
+	}{
+		{fault.WALAppendWrite, fault.WALAppendWrite, fault.Fault{After: 1, Err: disk}},
+		{fault.WALAppendSync, fault.WALAppendSync, fault.Fault{After: 1, Err: disk}},
+		// A process dying mid-write: the third append leaves a prefix
+		// of its record behind.
+		{"crash", fault.WALAppendWrite, fault.Fault{After: 2, Count: 1, Err: ErrSimulatedCrash}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "w.wal")
 			l, _, err := Open(path)
 			if err != nil {
@@ -306,17 +283,18 @@ func TestAppendFaultPoisonsLog(t *testing.T) {
 			}
 			faults := fault.New()
 			l.SetFaults(faults)
+			faults.Arm(c.point, c.f)
 			recs := testRecords()
-			mustAppend(t, l, recs[0])
-			faults.Arm(point, fault.Fault{Err: errors.New("no space left on device")})
-			if _, err := l.Append(recs[1]); err == nil {
-				t.Fatal("faulted append succeeded")
+			acked := c.f.After
+			mustAppend(t, l, recs[:acked]...)
+			if _, err := l.Append(recs[acked]); !errors.Is(err, c.f.Err) {
+				t.Fatalf("faulted append: err = %v, want %v", err, c.f.Err)
 			}
 			if l.Poisoned() == nil {
 				t.Fatal("log not poisoned after append failure")
 			}
 			faults.DisarmAll()
-			if _, err := l.Append(recs[2]); !errors.Is(err, ErrPoisoned) {
+			if _, err := l.Append(recs[0]); !errors.Is(err, ErrPoisoned) {
 				t.Fatalf("append on poisoned log: err = %v, want ErrPoisoned", err)
 			}
 			l.Close()
@@ -325,16 +303,57 @@ func TestAppendFaultPoisonsLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) < 1 || !reflect.DeepEqual(got[0], withLSNs(recs[:1], 1)[0]) {
-				t.Fatalf("acknowledged record lost after %s: %+v", point, got)
+			if len(got) < acked || !reflect.DeepEqual(got[:acked], withLSNs(recs[:acked], 1)) {
+				t.Fatalf("acknowledged records lost after %s: %+v", c.name, got)
 			}
 			// The sync-fault path may leave the unacknowledged entry on
-			// disk (real fsync failure is exactly this ambiguous); the
-			// write-fault path must not.
-			if point == fault.WALAppendWrite && len(got) != 1 {
+			// disk (real fsync failure is exactly this ambiguous); a
+			// failed or torn write must not.
+			if c.point == fault.WALAppendWrite && len(got) != acked {
 				t.Fatalf("unacknowledged record survived a write fault: %+v", got)
 			}
 		})
+	}
+}
+
+// TestDropRecord: a drop record gains one trailing flags byte and reads
+// back through the log and the stream; an ordinary record's bytes have
+// no flags byte, and an unknown flag is corruption.
+func TestDropRecord(t *testing.T) {
+	drop := Record{LSN: 5, Session: "s1", Drop: true}
+	plain := Record{LSN: 5, Session: "s1"}
+	enc, encPlain := EncodeEntry(drop), EncodeEntry(plain)
+	// Payload length, then LSN, session and the two empty fact lists.
+	if want := []byte{6, 5, 2, 's', '1', 0, 0}; !bytes.Equal(encPlain[:len(encPlain)-4], want) {
+		t.Fatalf("ordinary record encodes as % x, want % x + crc", encPlain, want)
+	}
+	if len(enc) != len(encPlain)+1 || enc[len(enc)-5] != flagDrop {
+		t.Fatalf("drop record encodes as % x", enc)
+	}
+
+	path := filepath.Join(t.TempDir(), "w.wal")
+	l, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := append(testRecords(), Record{Session: "s2", Drop: true})
+	mustAppend(t, l, recs...)
+	l.Close()
+	_, got, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, withLSNs(recs, 1)) {
+		t.Fatalf("reopened log:\ngot  %+v\nwant %+v", got, withLSNs(recs, 1))
+	}
+	fr, err := NewStreamReader(bytes.NewReader(AppendEntryFrame(nil, drop))).Next()
+	if err != nil || !reflect.DeepEqual(fr.Rec, drop) {
+		t.Fatalf("drop frame: %+v, %v", fr.Rec, err)
+	}
+
+	payload := append(enc[1:len(enc)-5:len(enc)-5], 2)
+	if _, err := decodePayload(payload, 2); !errors.Is(err, ErrCorruptWAL) {
+		t.Fatalf("unknown flags byte: err = %v, want ErrCorruptWAL", err)
 	}
 }
 
@@ -348,7 +367,7 @@ func TestReset(t *testing.T) {
 		mustAppend(t, l, r)
 	}
 	last := l.LastLSN()
-	if err := l.Reset(); err != nil {
+	if _, err := l.ResetWith(last, nil); err != nil {
 		t.Fatal(err)
 	}
 	if l.Entries() != 0 || l.Size() != l.HeaderSize() {

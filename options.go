@@ -91,9 +91,10 @@ func WithMaxRuns(n int) Option {
 // Result.Explain can print derivation trees. Costs memory proportional
 // to the computed model. A traced run uses the planned body order and
 // the plan cache like any other run, and lists each derivation's body
-// facts in the analysis order. It evaluates the source rules (no
-// magic-sets rewrite), so every tree is stated in terms of the program
-// as written.
+// facts in the analysis order. Program.Eval evaluates the rules as
+// written, so its trees are stated in the source program; a prepared
+// query picks its program (magic rewrite or not) whatever the options,
+// and its QueryResult carries no trees.
 func WithTrace() Option {
 	return func(c *config) { c.eval.Trace = true }
 }

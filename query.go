@@ -2,7 +2,6 @@ package idlog
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"idlog/internal/ast"
@@ -149,24 +148,12 @@ func (pq *PreparedQuery) CacheStats() (hits, misses uint64) { return pq.cache.St
 // rewrite; when false, runs always evaluate the full program.
 func (pq *PreparedQuery) UsesMagic() bool { return pq.magicProg != nil }
 
-// errTracedSource is the reason a traced run of a rewritable goal
-// evaluates the full program.
-var errTracedSource = errors.New("traced runs evaluate the source rules")
-
-// selectProgram picks the program a run with the given options
-// evaluates: the magic rewriting when the goal admits one and the run
-// is not traced (traces must explain tuples in terms of the source
-// rules). When it picks the full wrapper program, why says why.
-func (pq *PreparedQuery) selectProgram(opts []Option) (prog *Program, why error) {
+// selectProgram picks the program a run evaluates: the magic rewriting
+// when the goal admits one, else the full wrapper program, with why
+// saying why.
+func (pq *PreparedQuery) selectProgram() (prog *Program, why error) {
 	if pq.magicProg == nil {
 		return pq.compiled, pq.magicErr
-	}
-	c := &config{}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.eval.Trace {
-		return pq.compiled, errTracedSource
 	}
 	return pq.magicProg, nil
 }
@@ -182,7 +169,7 @@ func (pq *PreparedQuery) ExplainPlan(db *Database, opts ...Option) (string, erro
 
 // ExplainPlanContext is ExplainPlan honoring ctx.
 func (pq *PreparedQuery) ExplainPlanContext(ctx context.Context, db *Database, opts ...Option) (string, error) {
-	prog, why := pq.selectProgram(opts)
+	prog, why := pq.selectProgram()
 	plan, err := prog.ExplainPlanContext(ctx, db, opts...)
 	if err != nil {
 		return "", err
@@ -198,7 +185,7 @@ func (pq *PreparedQuery) ExplainPlanContext(ctx context.Context, db *Database, o
 // (appended last so it cannot be overridden by caller options).
 func (pq *PreparedQuery) run(ctx context.Context, db *Database, opts []Option) (*QueryResult, error) {
 	opts = append(append([]Option{}, opts...), withPlanCache(pq.cache))
-	prog, why := pq.selectProgram(opts)
+	prog, why := pq.selectProgram()
 	usedMagic := why == nil
 	res, err := prog.EvalContext(ctx, db, opts...)
 	if err != nil {
