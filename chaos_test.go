@@ -1,9 +1,10 @@
 package idlog
 
 // Chaos suite: deterministic fault injection and resource-budget
-// boundary tests for the governance layer (ISSUE 1). Faults are armed
-// through the unexported withFault option, so this file stays in
-// package idlog.
+// boundary tests for the governance layer. The engine's fault points
+// (fault.CoreDerive, fault.CoreStratum, fault.RelationOracle) are armed
+// on a registry handed to the unexported withFaults option, so this
+// file stays in package idlog.
 
 import (
 	"context"
@@ -14,9 +15,28 @@ import (
 	"testing"
 	"time"
 
-	"idlog/internal/guard"
-	"idlog/internal/sampling"
+	"idlog/internal/fault"
 )
+
+// armed returns a fresh registry with f armed on point, as a run
+// option.
+func armed(point string, f fault.Fault) Option {
+	r := fault.New()
+	r.Arm(point, f)
+	return withFaults(r)
+}
+
+// employeeDB builds the emp(Name, Dept) workload of the paper's running
+// examples: depts departments with perDept employees each.
+func employeeDB(depts, perDept int) *Database {
+	db := NewDatabase()
+	for d := 0; d < depts; d++ {
+		for e := 0; e < perDept; e++ {
+			_ = db.Add("emp", Strs(fmt.Sprintf("emp%03d_%04d", d, e), fmt.Sprintf("dept%03d", d)))
+		}
+	}
+	return db
+}
 
 // chainProg is the E6-style transitive-closure kernel.
 func chainProg(t *testing.T) *Program {
@@ -177,7 +197,7 @@ func TestChaosCancelAtStratum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for stratum := 0; stratum < prog.Strata(); stratum++ {
-		res, err := prog.Eval(db, withFault(guard.CancelAt(stratum)))
+		res, err := prog.Eval(db, armed(fault.CoreStratum, fault.Fault{After: stratum, Count: 1}))
 		wantCode(t, err, CodeCanceled)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("stratum %d: %v does not match errors.Is(err, context.Canceled)", stratum, err)
@@ -189,7 +209,7 @@ func TestChaosCancelAtStratum(t *testing.T) {
 		subsetOf(t, prog, res, full)
 	}
 	// Canceling past the last stratum never fires: the run completes.
-	res, err := prog.Eval(db, withFault(guard.CancelAt(prog.Strata())))
+	res, err := prog.Eval(db, armed(fault.CoreStratum, fault.Fault{After: prog.Strata(), Count: 1}))
 	if err != nil || res.Incomplete {
 		t.Fatalf("cancel beyond the last stratum tripped: %v", err)
 	}
@@ -197,7 +217,7 @@ func TestChaosCancelAtStratum(t *testing.T) {
 
 func TestChaosInjectedPanic(t *testing.T) {
 	prog, db := chainProg(t), chainDB(t, 50)
-	res, err := prog.Eval(db, withFault(guard.FailAfter(40)))
+	res, err := prog.Eval(db, armed(fault.CoreDerive, fault.Fault{After: 40}))
 	ie := wantCode(t, err, CodeInternal)
 	if !strings.Contains(ie.Error(), "stratum") || !strings.Contains(ie.Error(), "tc(") {
 		t.Fatalf("internal error lacks stratum/clause context: %v", ie)
@@ -207,9 +227,9 @@ func TestChaosInjectedPanic(t *testing.T) {
 
 func TestChaosOracleFault(t *testing.T) {
 	prog := e1Prog(t)
-	db := sampling.EmployeeDB(4, 25)
+	db := employeeDB(4, 25)
 	boom := errors.New("simulated oracle failure")
-	res, err := prog.Eval(db, WithSeed(7), withFault(guard.OracleFault(boom)))
+	res, err := prog.Eval(db, WithSeed(7), armed(fault.RelationOracle, fault.Fault{Count: 1, Err: boom}))
 	wantCode(t, err, CodeInternal)
 	if !errors.Is(err, boom) {
 		t.Fatalf("oracle fault cause lost: %v", err)
@@ -217,6 +237,145 @@ func TestChaosOracleFault(t *testing.T) {
 	wantPartial(t, res, err)
 	if n := countIDB(prog, res); n != 0 {
 		t.Fatalf("oracle failed before any derivation, yet %d tuples derived", n)
+	}
+}
+
+// TestChaosLiveViewApply arms the engine's fault points on a live
+// view's maintenance pass. The update deletes and inserts an edge, so
+// the pass runs deletion, insertion propagation and, since sep reads tc
+// through negation, a recomputation from sep's stratum. core.derive is
+// swept over every derivation of the pass: each firing surfaces as
+// CodeInternal naming the clause, and the stale view, once rebuilt,
+// matches Eval and keeps maintaining. core.stratum is swept over every
+// stratum the pass enters.
+func TestChaosLiveViewApply(t *testing.T) {
+	prog, db := stratProg(t), chainDB(t, 10).Freeze()
+	ins := []Fact{{Pred: "e", Tuple: Ints(10, 11)}}
+	del := []Fact{{Pred: "e", Tuple: Ints(4, 5)}}
+	recovered := func(lv *LiveView) {
+		t.Helper()
+		if !lv.Stale() {
+			t.Fatal("failed Apply left the view fresh")
+		}
+		if err := lv.Rebuild(lv.Database()); err != nil {
+			t.Fatal(err)
+		}
+		assertViewIsRecompute(t, prog, lv)
+		if _, _, err := lv.Apply(del, ins); err != nil {
+			t.Fatal(err)
+		}
+		assertViewIsRecompute(t, prog, lv)
+	}
+	clauses := map[string]bool{}
+	for after := 0; ; after++ {
+		lv, err := prog.NewLiveView(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = lv.Apply(ins, del, armed(fault.CoreDerive, fault.Fault{After: after}))
+		if err == nil {
+			assertViewIsRecompute(t, prog, lv)
+			break
+		}
+		ie := wantCode(t, err, CodeInternal)
+		_, clause, _ := strings.Cut(ie.Error(), "(clause ")
+		clauses[strings.SplitN(clause, "(", 2)[0]] = true
+		if after > 1000 {
+			t.Fatalf("core.derive still fires after %d derivations", after)
+		}
+		recovered(lv)
+	}
+	// The sweep reached deletion and insertion of tc and the recomputed
+	// strata above it.
+	for _, head := range []string{"tc", "sep", "sep_from"} {
+		if !clauses[head] {
+			t.Errorf("no core.derive firing in a %s clause (fired in %v)", head, clauses)
+		}
+	}
+
+	// core.stratum cancels the pass on entering tc's stratum, then on
+	// entering each stratum the recomputation covers.
+	entries := 0
+	for after := 0; ; after++ {
+		lv, err := prog.NewLiveView(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = lv.Apply(ins, del, armed(fault.CoreStratum, fault.Fault{After: after, Count: 1}))
+		if err == nil {
+			break
+		}
+		wantCode(t, err, CodeCanceled)
+		recovered(lv)
+		entries++
+	}
+	if entries != prog.Strata() {
+		t.Errorf("core.stratum fired on %d stratum entries, want %d", entries, prog.Strata())
+	}
+}
+
+// TestChaosLiveViewNamesStratum checks that an internal error from a
+// live view's insertion propagation names the stratum maintained: reach
+// is in stratum 1, and loop is not changed, so no recomputation runs.
+func TestChaosLiveViewNamesStratum(t *testing.T) {
+	prog := mustParse(t, `
+		loop(X) :- l(X, X).
+		reach(X, Y) :- e(X, Y), not loop(X).
+		reach(X, Z) :- reach(X, Y), e(Y, Z).
+	`)
+	lv, err := prog.NewLiveView(chainDB(t, 5).Freeze())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = lv.Apply([]Fact{{Pred: "e", Tuple: Ints(5, 6)}}, nil, armed(fault.CoreDerive, fault.Fault{}))
+	ie := wantCode(t, err, CodeInternal)
+	if !strings.Contains(ie.Error(), "panic in stratum 1 (clause reach(") {
+		t.Fatalf("internal error does not name stratum 1: %v", ie)
+	}
+}
+
+// TestChaosEnumerate arms the engine's fault points on an enumeration
+// walk, whose runs share one guard: core.derive fires in a later run
+// than the first, after one answer, core.stratum and relation.oracle in
+// the first.
+func TestChaosEnumerate(t *testing.T) {
+	prog, err := Parse(`pick(X) :- item[](X, T), T = 0.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	for _, it := range []string{"a", "b", "c", "d"} {
+		if err := db.Add("item", Strs(it)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		opt     Option
+		code    ErrorCode
+		answers int // found before the fault fired
+	}{
+		{armed(fault.CoreDerive, fault.Fault{After: 6}), CodeInternal, 1},
+		{armed(fault.CoreStratum, fault.Fault{Count: 1}), CodeCanceled, 0},
+		{armed(fault.RelationOracle, fault.Fault{Count: 1}), CodeInternal, 0},
+	} {
+		answers, err := prog.Enumerate(db, []string{"pick"}, tc.opt)
+		wantCode(t, err, tc.code)
+		if len(answers) != tc.answers {
+			t.Fatalf("tripped walk found %d answers, want %d (err: %v)", len(answers), tc.answers, err)
+		}
+	}
+}
+
+// TestChaosDeriveFiresAtExactCount pins core.derive's schedule: After n
+// panics once exactly n derivations have completed.
+func TestChaosDeriveFiresAtExactCount(t *testing.T) {
+	prog, db := chainProg(t), chainDB(t, 50)
+	for _, n := range []int{0, 1, 40, 300} {
+		res, err := prog.Eval(db, armed(fault.CoreDerive, fault.Fault{After: n}))
+		wantCode(t, err, CodeInternal)
+		if res.Stats.Derivations != n {
+			t.Fatalf("After %d: panicked after %d derivations", n, res.Stats.Derivations)
+		}
 	}
 }
 
@@ -289,7 +448,7 @@ func TestChaosEnumeratePartial(t *testing.T) {
 
 func TestChaosNoGoroutineLeak(t *testing.T) {
 	prog, db := chainProg(t), chainDB(t, 30)
-	e1, empDB := e1Prog(t), sampling.EmployeeDB(3, 10)
+	e1, empDB := e1Prog(t), employeeDB(3, 10)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 25; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -297,7 +456,7 @@ func TestChaosNoGoroutineLeak(t *testing.T) {
 		_, _ = prog.EvalContext(ctx, db)
 		_, _ = prog.Eval(db, WithTimeout(time.Nanosecond))
 		_, _ = prog.Eval(db, WithMaxDerivations(10))
-		_, _ = prog.Eval(db, withFault(guard.FailAfter(5)))
+		_, _ = prog.Eval(db, armed(fault.CoreDerive, fault.Fault{After: 5}))
 		_, _ = e1.Eval(empDB, WithSeed(uint64(i)), WithMaxTuples(32))
 	}
 	runtime.GC()
@@ -368,7 +527,7 @@ func TestTupleBudgetBoundary(t *testing.T) {
 // then meters derived tuples one by one. (Satellite c, E1 kernel.)
 func TestTupleBudgetBoundaryE1(t *testing.T) {
 	prog := e1Prog(t)
-	db := sampling.EmployeeDB(4, 25) // 100 emp tuples, 8 sampled names
+	db := employeeDB(4, 25) // 100 emp tuples, 8 sampled names
 	const seed, sampled = 42, 8
 	full, err := prog.Eval(db, WithSeed(seed))
 	if err != nil {
@@ -426,7 +585,7 @@ func TestTimeoutBoundary(t *testing.T) {
 // TestGovernedSampling: the sampling facade propagates governance and
 // typed errors.
 func TestGovernedSampling(t *testing.T) {
-	db := sampling.EmployeeDB(10, 50)
+	db := employeeDB(10, 50)
 	spec := SampleSpec{Relation: "emp", Arity: 2, GroupBy: []int{2}, K: 2}
 	if _, err := Sample(spec, db, 3); err != nil {
 		t.Fatal(err)

@@ -48,6 +48,17 @@ func seeded(seed int) core.Options {
 	return core.Options{Oracle: relation.RandomOracle{Seed: uint64(seed)}}
 }
 
+// fingerprints projects an answer list to its fingerprints, in the
+// enumerators' sorted order: two queries agree on an input iff these
+// lists are equal.
+func fingerprints(answers []*core.Answer) []string {
+	out := make([]string, len(answers))
+	for i, a := range answers {
+		out[i] = a.Fingerprint()
+	}
+	return out
+}
+
 // empDB builds emp(Name, Dept) with depts departments of perDept
 // employees each.
 func empDB(depts, perDept int) *core.Database {

@@ -40,7 +40,7 @@ func TestE4ChoiceTranslation(t *testing.T) {
 	if len(direct) != 9 {
 		t.Fatalf("direct semantics has %d answers, want 9", len(direct))
 	}
-	if !reflect.DeepEqual(core.AnswerSetFingerprints(direct), core.AnswerSetFingerprints(viaIDLOG)) {
+	if !reflect.DeepEqual(fingerprints(direct), fingerprints(viaIDLOG)) {
 		t.Fatalf("Theorem-2 translation is not answer-set equivalent: %d vs %d answers", len(direct), len(viaIDLOG))
 	}
 

@@ -414,3 +414,24 @@ func TestSeedFlagSelectsRandomOracle(t *testing.T) {
 		t.Fatalf("REPL with -seed 7 answered\n%s\nwant the -seed 7 batch rows\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestBulkLoadThenDiskQuery streams a 500-edge fact file into a
+// disk-engine data directory with -bulk-load, then queries it through
+// a 1 MB block cache: a two-hop probe from n0.
+func TestBulkLoadThenDiskQuery(t *testing.T) {
+	var facts strings.Builder
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&facts, "edge(n%d, n%d).\n", i, (i+1)%500)
+	}
+	factsPath := writeFile(t, "big.facts", facts.String())
+	data := filepath.Join(t.TempDir(), "data")
+	code, stdout, stderr := runMain(t, "-bulk-load "+factsPath+" -data-dir "+data)
+	if code != exitOK || !strings.Contains(stdout, "loaded 500 tuple(s) into 1 relation(s)") {
+		t.Fatalf("-bulk-load: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	hop := writeFile(t, "hop.idl", "hop(Z) :- edge(n0, Y), edge(Y, Z).\n")
+	code, stdout, stderr = runMain(t, "-engine=disk -data-dir "+data+" -cache-mb 1 "+hop)
+	if code != exitOK || !strings.Contains(stdout, "hop{(n2)}") {
+		t.Fatalf("disk query: exit %d, want hop{(n2)}\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}

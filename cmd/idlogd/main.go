@@ -40,8 +40,10 @@
 //	                      primary reports not ready (default 1024)
 //	-chaos spec           arm a fault injection point (repeatable), e.g.
 //	                      "wal.append.sync:after=100,err=EIO" or
-//	                      "repl.stream.send:count=3". For fault drills and
-//	                      the chaos harness; never set in production.
+//	                      "repl.stream.send:count=3". Only the WAL and
+//	                      replication points this process consults are
+//	                      accepted. For fault drills and the chaos
+//	                      harness; never set in production.
 //	-engine e             storage engine: mem (default) or disk. The disk
 //	                      engine keeps the base EDB in segment files under
 //	                      -data-dir behind a bounded block cache (EDBs
@@ -75,6 +77,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -100,6 +103,15 @@ type daemonConfig struct {
 	replicaLease time.Duration
 	replicaLag   uint64
 	server       server.Config
+}
+
+// chaosPoints are the fault points the daemon's own process consults:
+// the WAL's and replication's. The engine's points are armed per run
+// and no daemon path arms them.
+var chaosPoints = []string{
+	fault.WALAppendWrite, fault.WALAppendSync,
+	fault.ReplStreamSend, fault.ReplStreamDelay,
+	fault.ReplicaConnect, fault.ReplicaStreamRead, fault.ReplicaApply,
 }
 
 type stringList []string
@@ -160,6 +172,10 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 		reg := fault.New()
 		for _, spec := range chaosSpecs {
 			name, f, err := fault.ParseSpec(spec)
+			if err == nil && !slices.Contains(chaosPoints, name) {
+				err = fmt.Errorf("-chaos %q: idlogd consults no fault point %q (accepted: %s)",
+					spec, name, strings.Join(chaosPoints, ", "))
+			}
 			if err != nil {
 				fmt.Fprintln(stderr, "idlogd:", err)
 				return nil, err

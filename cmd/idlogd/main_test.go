@@ -61,6 +61,48 @@ func TestRemovedFlagIsUsageError(t *testing.T) {
 	}
 }
 
+// TestChaosPointNames checks that -chaos arms only the fault points the
+// daemon consults: a misspelt or engine-only point is a usage error
+// naming the accepted points, before anything loads.
+func TestChaosPointNames(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"wal.append.write:count=1", true},
+		{"wal.append.sync:after=100,err=EIO", true},
+		{"repl.stream.send:after=2,count=2", true},
+		{"repl.stream.delay:delay=1ms,delayonly", true},
+		{"replica.connect", true},
+		{"replica.stream.read:count=1", true},
+		{"replica.apply:after=1", true},
+		{"wal.apend.sync", false},
+		{"core.derive:after=5", false},
+		{"core.stratum", false},
+		{"relation.oracle", false},
+		{"wal.append.sync:bogus=1", false},
+	} {
+		var stderr bytes.Buffer
+		dc, err := parseFlags([]string{"-chaos", tc.spec}, &stderr)
+		if tc.ok {
+			if err != nil || dc.server.Faults == nil {
+				t.Errorf("-chaos %q: %v, want armed", tc.spec, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("-chaos %q accepted", tc.spec)
+			continue
+		}
+		if code := run([]string{"-chaos", tc.spec}, io.Discard, io.Discard); code != 2 {
+			t.Errorf("-chaos %q: exit %d, want 2", tc.spec, code)
+		}
+		if !strings.Contains(tc.spec, "bogus") && !strings.Contains(stderr.String(), "accepted: wal.append.write, wal.append.sync, repl.stream.send") {
+			t.Errorf("-chaos %q: error does not list the accepted points:\n%s", tc.spec, stderr.String())
+		}
+	}
+}
+
 // TestBuildServerAndServe preloads a program file and a fact file, then
 // round-trips a query over HTTP the way the daemon would serve it.
 func TestBuildServerAndServe(t *testing.T) {

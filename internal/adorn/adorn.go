@@ -22,7 +22,6 @@ package adorn
 
 import (
 	"fmt"
-	"sort"
 
 	"idlog/internal/arith"
 	"idlog/internal/ast"
@@ -49,19 +48,6 @@ type Result struct {
 	arity map[string]int
 	// idb marks predicates defined by clauses.
 	idb map[string]bool
-}
-
-// ExistentialPositions returns the sorted 0-based existential positions
-// of pred, or nil.
-func (r *Result) ExistentialPositions(pred string) []int {
-	flags := r.Existential[pred]
-	var out []int
-	for i, f := range flags {
-		if f {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Analyze runs the adornment algorithm on prog w.r.t. the output
@@ -338,26 +324,4 @@ func Optimize(prog *ast.Program, q string) (*ast.Program, error) {
 		return nil, err
 	}
 	return RewriteIDLiterals(pushed, res2), nil
-}
-
-// Positions renders a predicate's existential positions 1-based, as the
-// paper writes them; a debugging aid.
-func (r *Result) Positions() string {
-	preds := make([]string, 0, len(r.Existential))
-	for p := range r.Existential {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-	s := ""
-	for _, p := range preds {
-		for pos, f := range r.Existential[p] {
-			if f {
-				if s != "" {
-					s += " "
-				}
-				s += fmt.Sprintf("%s.%d", p, pos+1)
-			}
-		}
-	}
-	return s
 }

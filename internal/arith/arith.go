@@ -53,17 +53,6 @@ func IsBuiltin(name string) bool {
 	return ok
 }
 
-// Names returns all builtin names, sorted; useful for documentation and
-// tests.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Pattern builds the binding-pattern string for the given mask.
 func Pattern(bound []bool) string {
 	buf := make([]byte, len(bound))

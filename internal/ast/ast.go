@@ -5,7 +5,6 @@ package ast
 
 import (
 	"fmt"
-	"sort"
 	"unicode"
 
 	"idlog/internal/value"
@@ -191,74 +190,6 @@ func (p *Program) Clone() *Program {
 	return n
 }
 
-// PredSig describes a predicate occurrence: name and base arity.
-type PredSig struct {
-	Name  string
-	Arity int
-}
-
-// String implements fmt.Stringer ("name/arity").
-func (s PredSig) String() string { return fmt.Sprintf("%s/%d", s.Name, s.Arity) }
-
-// HeadPreds returns the set of predicates appearing in clause heads
-// (the output predicates in the paper's terminology, §3.1), sorted.
-func (p *Program) HeadPreds() []PredSig {
-	set := map[PredSig]bool{}
-	for _, c := range p.Clauses {
-		set[PredSig{c.Head.Pred, c.Head.BaseArity()}] = true
-	}
-	return sortedSigs(set)
-}
-
-// InputPreds returns the predicates that occur (possibly as ID-versions)
-// in clause bodies but never in a head, excluding arithmetic built-ins:
-// the program's input predicates (§3.1).
-func (p *Program) InputPreds(isBuiltin func(string) bool) []PredSig {
-	heads := map[string]bool{}
-	for _, c := range p.Clauses {
-		heads[c.Head.Pred] = true
-	}
-	set := map[PredSig]bool{}
-	for _, c := range p.Clauses {
-		for _, l := range c.Body {
-			if l.Atom == nil {
-				continue
-			}
-			a := l.Atom
-			if heads[a.Pred] || (isBuiltin != nil && isBuiltin(a.Pred)) {
-				continue
-			}
-			set[PredSig{a.Pred, a.BaseArity()}] = true
-		}
-	}
-	return sortedSigs(set)
-}
-
-func sortedSigs(set map[PredSig]bool) []PredSig {
-	out := make([]PredSig, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
-}
-
-// Vars appends the variables of the terms to dst, in order of occurrence,
-// without deduplication. Anonymous variables are included.
-func Vars(dst []Var, terms ...Term) []Var {
-	for _, t := range terms {
-		if v, ok := t.(Var); ok {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // ClauseVars returns the distinct named variables of the clause in order
 // of first occurrence (head first, then body).
 func ClauseVars(c *Clause) []Var {
@@ -291,18 +222,6 @@ func (p *Program) HasChoice() bool {
 	for _, c := range p.Clauses {
 		for _, l := range c.Body {
 			if l.IsChoice() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// HasID reports whether any clause uses an ID-atom.
-func (p *Program) HasID() bool {
-	for _, c := range p.Clauses {
-		for _, l := range c.Body {
-			if l.Atom != nil && l.Atom.IsID {
 				return true
 			}
 		}

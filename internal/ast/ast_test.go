@@ -1,10 +1,81 @@
 package ast
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"idlog/internal/value"
 )
+
+// predSig describes a predicate occurrence: name and base arity.
+type predSig struct {
+	Name  string
+	Arity int
+}
+
+// String implements fmt.Stringer ("name/arity").
+func (s predSig) String() string { return fmt.Sprintf("%s/%d", s.Name, s.Arity) }
+
+// headPreds returns the set of predicates appearing in clause heads
+// (the output predicates in the paper's terminology, §3.1), sorted.
+func headPreds(p *Program) []predSig {
+	set := map[predSig]bool{}
+	for _, c := range p.Clauses {
+		set[predSig{c.Head.Pred, c.Head.BaseArity()}] = true
+	}
+	return sortedSigs(set)
+}
+
+// inputPreds returns the predicates that occur (possibly as ID-versions)
+// in clause bodies but never in a head, excluding arithmetic built-ins:
+// the program's input predicates (§3.1).
+func inputPreds(p *Program, isBuiltin func(string) bool) []predSig {
+	heads := map[string]bool{}
+	for _, c := range p.Clauses {
+		heads[c.Head.Pred] = true
+	}
+	set := map[predSig]bool{}
+	for _, c := range p.Clauses {
+		for _, l := range c.Body {
+			if l.Atom == nil {
+				continue
+			}
+			a := l.Atom
+			if heads[a.Pred] || (isBuiltin != nil && isBuiltin(a.Pred)) {
+				continue
+			}
+			set[predSig{a.Pred, a.BaseArity()}] = true
+		}
+	}
+	return sortedSigs(set)
+}
+
+func sortedSigs(set map[predSig]bool) []predSig {
+	out := make([]predSig, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Arity < out[j].Arity
+	})
+	return out
+}
+
+// hasID reports whether any clause uses an ID-atom.
+func hasID(p *Program) bool {
+	for _, c := range p.Clauses {
+		for _, l := range c.Body {
+			if l.Atom != nil && l.Atom.IsID {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 func sampleClause() *Clause {
 	// p(X, 3) :- q[1](X, Y, T), not r(Y), choice((X), (Y)).
@@ -68,39 +139,6 @@ func TestClauseVarsSkipsAnonymous(t *testing.T) {
 	}
 }
 
-func TestSubstApply(t *testing.T) {
-	c := sampleClause()
-	s := Subst{"X": S("a"), "Y": V("Z")}
-	d := s.ApplyClause(c)
-	if d.Head.Args[0].(Const).Val.String() != "a" {
-		t.Fatalf("head subst failed: %v", d.Head)
-	}
-	if d.Body[1].Atom.Args[0].(Var).Name != "Z" {
-		t.Fatalf("body subst failed: %v", d.Body[1])
-	}
-	if d.Body[2].Choice.Range[0].(Var).Name != "Z" {
-		t.Fatalf("choice subst failed: %v", d.Body[2])
-	}
-	// Original untouched.
-	if c.Head.Args[0].(Var).Name != "X" {
-		t.Fatalf("Apply mutated the original clause")
-	}
-}
-
-func TestRenameApart(t *testing.T) {
-	c := sampleClause()
-	r := RenameApart(c, "1")
-	if r.Head.Args[0].(Var).Name != "X@1" {
-		t.Fatalf("RenameApart head = %v", r.Head)
-	}
-	vars := ClauseVars(r)
-	for _, v := range vars {
-		if v.Name == "X" || v.Name == "Y" || v.Name == "T" {
-			t.Fatalf("RenameApart left original variable %s", v.Name)
-		}
-	}
-}
-
 func TestFreshAnonCounter(t *testing.T) {
 	c := &Clause{
 		Head: &Atom{Pred: "p", Args: []Term{V("X")}},
@@ -144,14 +182,14 @@ func TestClauseString(t *testing.T) {
 
 func TestHasIDAndHasChoice(t *testing.T) {
 	p := &Program{Clauses: []*Clause{sampleClause()}}
-	if !p.HasID() || !p.HasChoice() {
+	if !hasID(p) || !p.HasChoice() {
 		t.Fatalf("HasID/HasChoice false on sample")
 	}
 	plain := &Program{Clauses: []*Clause{{
 		Head: &Atom{Pred: "p", Args: []Term{V("X")}},
 		Body: []*Literal{{Atom: &Atom{Pred: "q", Args: []Term{V("X")}}}},
 	}}}
-	if plain.HasID() || plain.HasChoice() {
+	if hasID(plain) || plain.HasChoice() {
 		t.Fatalf("HasID/HasChoice true on plain program")
 	}
 }
@@ -166,8 +204,8 @@ func TestConstructorsProduceRightSorts(t *testing.T) {
 }
 
 func TestPredSigString(t *testing.T) {
-	if got := (PredSig{"emp", 2}).String(); got != "emp/2" {
-		t.Fatalf("PredSig.String = %q", got)
+	if got := (predSig{"emp", 2}).String(); got != "emp/2" {
+		t.Fatalf("predSig.String = %q", got)
 	}
 }
 
@@ -190,21 +228,14 @@ func TestHeadAndInputPreds(t *testing.T) {
 		{Head: &Atom{Pred: "aux", Args: []Term{V("X")}},
 			Body: []*Literal{{Atom: &Atom{Pred: "out", Args: []Term{V("X")}}}}},
 	}}
-	heads := p.HeadPreds()
+	heads := headPreds(p)
 	if len(heads) != 2 || heads[0].String() != "aux/1" || heads[1].String() != "out/1" {
 		t.Fatalf("heads = %v", heads)
 	}
 	isBuiltin := func(n string) bool { return n == "lt" }
-	ins := p.InputPreds(isBuiltin)
+	ins := inputPreds(p, isBuiltin)
 	if len(ins) != 1 || ins[0].Name != "in" || ins[0].Arity != 2 {
 		t.Fatalf("inputs = %v", ins)
-	}
-}
-
-func TestVarsHelper(t *testing.T) {
-	vs := Vars(nil, V("X"), S("a"), V("_"), V("X"))
-	if len(vs) != 3 {
-		t.Fatalf("Vars = %v", vs)
 	}
 }
 

@@ -16,12 +16,11 @@
 //
 // Both paths require the syntactic conditions (C1) — at most one choice
 // per clause — and (C2) — no choice clause related to the head of
-// another choice clause — which Validate checks.
+// another choice clause — which BuildPc checks.
 package choice
 
 import (
 	"fmt"
-	"sort"
 
 	"idlog/internal/arith"
 	"idlog/internal/ast"
@@ -59,14 +58,6 @@ type ValidationError struct {
 // Error implements the error interface.
 func (e *ValidationError) Error() string {
 	return fmt.Sprintf("choice: condition %s violated: %s", e.Cond, e.Msg)
-}
-
-// Validate checks the conditions (C1) and (C2) of §3.2.2 plus variable
-// scoping: every variable of a choice literal must occur in a positive
-// non-choice body literal of the same clause.
-func Validate(prog *ast.Program) error {
-	_, err := occurrences(prog)
-	return err
 }
 
 // occurrences collects and validates the choice occurrences.
@@ -266,15 +257,4 @@ func Translate(prog *ast.Program) (*ast.Program, error) {
 		out.Clauses = append(out.Clauses, sel)
 	}
 	return out, nil
-}
-
-// Preds returns the generated choice-predicate names of a program, in
-// occurrence order; a helper for tests.
-func Preds(occs []*Occurrence) []string {
-	out := make([]string, len(occs))
-	for i, o := range occs {
-		out[i] = o.Pred
-	}
-	sort.Strings(out)
-	return out
 }

@@ -30,9 +30,6 @@ type Delta struct {
 	Deletes map[string][]value.Tuple
 }
 
-// Empty reports whether the delta carries no effective change.
-func (d *Delta) Empty() bool { return len(d.Inserts) == 0 && len(d.Deletes) == 0 }
-
 // InsertCount returns the number of tuples effectively inserted.
 func (d *Delta) InsertCount() int { return countTuples(d.Inserts) }
 

@@ -32,7 +32,7 @@ func TestApplyBasics(t *testing.T) {
 	if next.Relation("n").Len() != 1 {
 		t.Fatalf("new relation n: %v", next.Relation("n"))
 	}
-	if delta.InsertCount() != 2 || delta.DeleteCount() != 1 || delta.Empty() {
+	if delta.InsertCount() != 2 || delta.DeleteCount() != 1 {
 		t.Fatalf("delta: +%d -%d", delta.InsertCount(), delta.DeleteCount())
 	}
 }
@@ -46,7 +46,7 @@ func TestApplyEffectiveDeltaExcludesNoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Empty() {
+	if delta.InsertCount()+delta.DeleteCount() != 0 {
 		t.Fatalf("no-op mutations produced delta +%d -%d", delta.InsertCount(), delta.DeleteCount())
 	}
 	if next.Relation("p").Len() != 1 {

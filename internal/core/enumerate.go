@@ -145,14 +145,3 @@ func Enumerate(info *analysis.Info, db *Database, preds []string, opts Enumerate
 	}
 	return out, walkErr
 }
-
-// AnswerSetFingerprints projects an answer list to its sorted
-// fingerprints; two queries are equivalent on an input iff these lists
-// are equal (used by the Theorem-2 equivalence tests).
-func AnswerSetFingerprints(answers []*Answer) []string {
-	out := make([]string, len(answers))
-	for i, a := range answers {
-		out[i] = a.Fingerprint()
-	}
-	return out
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"idlog/internal/analysis"
+	"idlog/internal/fault"
 	"idlog/internal/guard"
 	"idlog/internal/relation"
 	"idlog/internal/value"
@@ -36,7 +37,7 @@ type Options struct {
 	// still sets it; no evaluation path reads it.
 	Parallelism int
 	// Guard governs the run (cancellation, deadlines, budgets, fault
-	// injection). Nil builds a fresh guard carrying only
+	// points). Nil builds a fresh guard carrying only
 	// MaxDerivations. An Enumerate walk shares one guard across its
 	// runs, so budgets span the whole walk.
 	Guard *guard.Guard
@@ -182,7 +183,7 @@ func (e *engine) evalStratum(si int, s *analysis.Stratum) error {
 			return fmt.Errorf("eval: ID-relation over unknown predicate %s", need.Pred)
 		}
 		if e.governed {
-			if ferr := e.g.TakeOracleFault(); ferr != nil {
+			if ferr := e.g.Hit(fault.RelationOracle); ferr != nil {
 				return guard.WrapErr(guard.Internal, e.g.Op(), ferr,
 					fmt.Sprintf("oracle failed materializing %s", need.Key()))
 			}

@@ -129,14 +129,29 @@ func NewPass(info *analysis.Info, rels, idrels map[string]*relation.Relation, op
 // Stats returns the engine counters the pass has accumulated.
 func (p *Pass) Stats() Stats { return p.e.stats }
 
+// Enter notes that the pass maintains stratum i next, as evaluation
+// does on entering a stratum: the guard checkpoints and consults
+// fault.CoreStratum, and an internal error names the stratum.
+func (p *Pass) Enter(i int) error { return p.e.g.StartStratum(i) }
+
 // Derive propagates insertions through component ci of cs: deltas
 // holds, per predicate, tuples already in the relations whose
 // consequences may be missing (this update's insertions below the
 // component, and the stratum's additions so far). What they newly
 // derive is appended to the relations; since insertion only appends, it
 // is the tail of each relation past its length before the call.
-func (p *Pass) Derive(cs *CompiledStratum, ci int, deltas map[string]*relation.Relation) error {
+func (p *Pass) Derive(cs *CompiledStratum, ci int, deltas map[string]*relation.Relation) (err error) {
+	defer p.e.recovered(&err)
 	return p.e.propagate(cs.comps[ci], cs.plans[ci], deltas, sink{into: p.e.work})
+}
+
+// recovered, deferred by a pass operator, turns a panic into an
+// internal error naming the stratum and clause under evaluation.
+func (e *engine) recovered(err *error) {
+	if r := recover(); r != nil {
+		*err = guard.Errorf(guard.Internal, e.g.Op(),
+			"panic in stratum %d (clause %s): %v", e.g.Stratum(), e.curClause, r)
+	}
 }
 
 // errStop ends a proof-search walk at its first useful instance.
@@ -158,7 +173,8 @@ var errStop = errors.New("stop walk")
 // Delete returns the disproved facts per predicate of the stratum and
 // the number of candidates; every other candidate was proved to
 // survive. Nothing is removed: that is the caller's.
-func (p *Pass) Delete(cs *CompiledStratum, dels map[string]*relation.Relation, oldOf func(pred string) *relation.Relation) (map[string]*relation.Relation, int, error) {
+func (p *Pass) Delete(cs *CompiledStratum, dels map[string]*relation.Relation, oldOf func(pred string) *relation.Relation) (_ map[string]*relation.Relation, _ int, err error) {
+	defer p.e.recovered(&err)
 	b := &bf{e: p.e, cs: cs, disproved: map[string]*relation.Relation{}}
 	given := maps.Clone(dels)
 	for ci, c := range cs.comps {
@@ -376,12 +392,7 @@ func (p *Pass) Recompute(from int) (err error) {
 		e.g = e.opts.guard()
 		e.governed = e.g.Active()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = guard.Errorf(guard.Internal, e.g.Op(),
-				"panic in stratum %d (clause %s): %v", e.g.Stratum(), e.curClause, r)
-		}
-	}()
+	defer e.recovered(&err)
 	for i := from; i < len(e.info.Strata); i++ {
 		for _, q := range e.info.Strata[i].Preds {
 			e.work[q] = relation.New(q, e.info.Arity[q])

@@ -93,14 +93,6 @@ func (p *PlanCache) Len() int {
 	return p.order.Len()
 }
 
-// Purge drops every cached plan (counters are retained).
-func (p *PlanCache) Purge() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.items = map[planKey]*list.Element{}
-	p.order.Init()
-}
-
 // get returns the cached master plans for k, counting the lookup.
 // Callers must clone before evaluating.
 func (p *PlanCache) get(k planKey) ([][]*componentPlan, bool) {

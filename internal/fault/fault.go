@@ -1,10 +1,11 @@
-// Package fault is the shared fault-injection registry behind the
-// replication chaos harness. Components on the durability and
-// replication paths consult named fault points at the moments a real
-// deployment fails — the WAL before a write and before an fsync, the
-// primary before sending a stream frame, the follower before dialing
-// and around every stream read — and a test (or the idlogd -chaos
-// flag) arms those points with deterministic failure schedules:
+// Package fault is the one fault-injection mechanism of the engine, the
+// WAL and replication. Components consult named fault points at the
+// moments a real deployment fails — the evaluation before a derivation
+// and on entering a stratum, the ID-relation oracle, the WAL before a
+// write and before an fsync, the primary before sending a stream
+// frame, the follower before dialing and around every stream read —
+// and a test (or, for the WAL and replication points, the idlogd
+// -chaos flag) arms those points with deterministic failure schedules:
 // "fail the 3rd hit", "fail the next 2 hits with ENOSPC", "delay 50ms
 // then fail every hit until disarmed".
 //
@@ -16,17 +17,15 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Well-known fault points. Components hit these by name; tests and the
-// idlogd -chaos flag arm them. The set is open — any string works —
-// but sharing the constants keeps the chaos harness and the hit sites
-// in sync.
+// The fault points. Components hit these by name and tests arm them;
+// idlogd -chaos accepts only the WAL, repl.* and replica.* points its
+// process consults.
 const (
 	// WALAppendWrite fires inside wal.Log.Append before the entry is
 	// written: a torn prefix reaches the file and the write errors, as
@@ -51,6 +50,17 @@ const (
 	// ReplicaApply fires on the follower before applying a replicated
 	// entry: a poisoned apply (the entry is NOT consumed).
 	ReplicaApply = "replica.apply"
+	// CoreDerive fires before each derivation of an evaluation or a
+	// live view's maintenance pass: the engine panics, and the entry
+	// point recovers it as an internal error. After n fires once
+	// exactly n derivations have completed.
+	CoreDerive = "core.derive"
+	// CoreStratum fires on entry to each stratum: the run is canceled
+	// as if by its caller. After n fires on entry to stratum n.
+	CoreStratum = "core.stratum"
+	// RelationOracle fires before each ID-relation materialization: the
+	// oracle fails and the run ends with an internal error.
+	RelationOracle = "relation.oracle"
 )
 
 // Fault is one armed failure schedule on a point.
@@ -102,16 +112,6 @@ func (r *Registry) Arm(name string, f Fault) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.points[name] = &point{fault: f}
-}
-
-// Disarm removes the named point's schedule.
-func (r *Registry) Disarm(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.points, name)
 }
 
 // DisarmAll removes every schedule (chaos-test cleanup between
@@ -189,21 +189,6 @@ func (r *Registry) Fired(name string) int {
 		return p.fired
 	}
 	return 0
-}
-
-// Armed lists the currently armed point names, sorted.
-func (r *Registry) Armed() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.points))
-	for n := range r.points {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ParseSpec parses one idlogd -chaos specification of the form

@@ -8,8 +8,9 @@
 // derivations, so governance costs a counter increment on the hot path.
 //
 // The package also defines the typed error taxonomy (Error, Code) used
-// at the public boundary, and deterministic fault-injection hooks
-// (FailAfter, CancelAt, OracleFault) that power the chaos test suite.
+// at the public boundary. A guard given a fault registry (SetFaults)
+// consults the engine's fault points there: fault.CoreDerive,
+// fault.CoreStratum and, through Hit, fault.RelationOracle.
 package guard
 
 import (
@@ -17,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"idlog/internal/fault"
 )
 
 // CheckInterval is the number of derivations between full context and
@@ -38,42 +41,13 @@ type Limits struct {
 	MaxDerivations int
 }
 
-// Fault describes a deterministic failure injection for chaos tests.
-// The zero value injects nothing; build faults with FailAfter, CancelAt
-// and OracleFault.
-type Fault struct {
-	// PanicAfter panics once this many derivations have completed
-	// (0 = off), exercising the recover() path at the entry points.
-	PanicAfter int
-	// CancelStratum cancels the run's context on entry to this stratum
-	// index when CancelSet (a plain int would make stratum 0
-	// uninjectable).
-	CancelStratum int
-	// CancelSet arms CancelStratum.
-	CancelSet bool
-	// OracleErr fails the next ID-relation materialization with this
-	// error.
-	OracleErr error
-}
-
-// FailAfter returns a fault that panics after n derivations.
-func FailAfter(n int) Fault { return Fault{PanicAfter: n} }
-
-// CancelAt returns a fault that cancels the context when evaluation
-// enters stratum i.
-func CancelAt(i int) Fault { return Fault{CancelStratum: i, CancelSet: true} }
-
-// OracleFault returns a fault that fails the next ID-relation
-// materialization with err.
-func OracleFault(err error) Fault { return Fault{OracleErr: err} }
-
 // Guard carries the governance state of one evaluation. It is not safe
 // for concurrent use; the engine is single-threaded by design.
 type Guard struct {
 	ctx         context.Context
 	cancel      context.CancelFunc
 	limits      Limits
-	fault       Fault
+	faults      *fault.Registry
 	deadline    time.Time
 	hasDeadline bool
 	op          string
@@ -81,7 +55,6 @@ type Guard struct {
 	derivations int
 	tuples      int
 	stratum     int
-	sinceCheck  int
 }
 
 // New builds a guard for ctx (nil means context.Background()) under the
@@ -110,14 +83,25 @@ func (g *Guard) SetOp(op string) { g.op = op }
 // Op returns the current entry-point label.
 func (g *Guard) Op() string { return g.op }
 
-// Inject arms a fault. CancelAt faults wrap the guard's context with a
-// cancelable child so the injection is indistinguishable from a real
-// caller cancellation.
-func (g *Guard) Inject(f Fault) {
-	g.fault = f
-	if f.CancelSet {
-		g.ctx, g.cancel = context.WithCancel(g.ctx)
+// SetFaults makes the guard consult the engine's fault points in r. A
+// nil registry arms nothing and costs nothing. A registry wraps the
+// guard's context with a cancel, which makes the guard Active and lets
+// a firing fault.CoreStratum cancel the run as a caller would.
+func (g *Guard) SetFaults(r *fault.Registry) {
+	if r == nil {
+		return
 	}
+	g.faults = r
+	g.ctx, g.cancel = context.WithCancel(g.ctx)
+}
+
+// Hit consults the named fault point: nil unless a registry is set and
+// the point's schedule fires on this hit.
+func (g *Guard) Hit(point string) error {
+	if g.faults == nil {
+		return nil
+	}
+	return g.faults.Hit(point)
 }
 
 // Active reports whether any governance check can fire: engines skip
@@ -125,15 +109,14 @@ func (g *Guard) Inject(f Fault) {
 // ungoverned runs at seed speed.
 func (g *Guard) Active() bool {
 	return g.hasDeadline || g.limits.MaxTuples > 0 || g.limits.MaxDerivations > 0 ||
-		g.fault.PanicAfter > 0 || g.fault.CancelSet || g.fault.OracleErr != nil ||
 		g.ctx.Done() != nil
 }
 
-// StartStratum notes entry into stratum i, fires any CancelAt fault,
-// and runs a full checkpoint.
+// StartStratum notes entry into stratum i, cancels the run when
+// fault.CoreStratum fires, and runs a full checkpoint.
 func (g *Guard) StartStratum(i int) error {
 	g.stratum = i
-	if g.fault.CancelSet && g.fault.CancelStratum == i && g.cancel != nil {
+	if g.Hit(fault.CoreStratum) != nil {
 		g.cancel()
 	}
 	return g.Checkpoint()
@@ -144,10 +127,9 @@ func (g *Guard) StartStratum(i int) error {
 func (g *Guard) Stratum() int { return g.stratum }
 
 // Checkpoint runs the full context + clock check. The engine calls it
-// at stratum entries and fixpoint-round boundaries; Derivation calls it
-// every CheckInterval derivations.
+// at stratum entries and fixpoint-round boundaries; DerivationGrant
+// calls it at most every CheckInterval derivations.
 func (g *Guard) Checkpoint() error {
-	g.sinceCheck = 0
 	if err := g.ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return WrapErr(DeadlineExceeded, g.op, err, "context deadline exceeded")
@@ -161,44 +143,25 @@ func (g *Guard) Checkpoint() error {
 	return nil
 }
 
-// Derivation accounts one body instantiation: it fires PanicAfter
-// faults, enforces the derivation budget exactly (the error fires on
-// the instantiation after the budget is spent, so a completed run shows
-// exactly MaxDerivations derivations), and checkpoints the clock and
-// context every CheckInterval calls. clause is the source text of the
-// clause being instantiated, for the error message.
+// DerivationGrant accounts body instantiations for the engine's
+// innermost loop: the engine reports the `used` derivations performed
+// since the last grant, the guard settles them and returns how many
+// further derivations may run before the next consultation — the
+// distance to the derivation budget, capped at CheckInterval — or the
+// budget error or checkpoint trip that is due. The budget is exact: the
+// error fires on the instantiation after it is spent, so a tripped run
+// shows exactly MaxDerivations derivations. clause is the source text
+// of the clause being instantiated, for the error message. The engine
+// only decrements a local counter per granted derivation; Usage may lag
+// by up to one outstanding grant between consultations.
 //
-// This is the engine's hot path: the cold branches live in outlined
-// helpers so Derivation itself stays within the inlining budget, and
-// governance costs a handful of compares per derivation.
-func (g *Guard) Derivation(clause string) error {
-	if g.fault.PanicAfter > 0 && g.derivations >= g.fault.PanicAfter {
-		g.firePanic()
-	}
-	if g.limits.MaxDerivations > 0 && g.derivations >= g.limits.MaxDerivations {
-		return g.derivationExhausted(clause)
-	}
-	g.derivations++
-	g.sinceCheck++
-	if g.sinceCheck >= CheckInterval {
-		return g.Checkpoint()
-	}
-	return nil
-}
-
-// DerivationGrant is the amortized form of Derivation used by the
-// engine's innermost loop: the engine reports the `used` derivations
-// performed since the last grant, the guard settles them (firing any
-// due fault, budget error, or checkpoint trip exactly as Derivation
-// would), and returns how many further derivations may run before the
-// next consultation — the distance to the nearest due event, capped at
-// CheckInterval. The engine then only decrements a local counter per
-// derivation. Usage may lag by up to one outstanding grant between
-// consultations.
+// With a fault registry set the grant is 1, so fault.CoreDerive is hit
+// once per derivation and a schedule with After n panics once exactly
+// n derivations have completed.
 func (g *Guard) DerivationGrant(used int, clause string) (int, error) {
 	g.derivations += used
-	if g.fault.PanicAfter > 0 && g.derivations >= g.fault.PanicAfter {
-		g.firePanic()
+	if err := g.Hit(fault.CoreDerive); err != nil {
+		panic(fmt.Sprintf("guard: %v after %d derivations", err, g.derivations))
 	}
 	if g.limits.MaxDerivations > 0 && g.derivations >= g.limits.MaxDerivations {
 		return 0, g.derivationExhausted(clause)
@@ -206,14 +169,12 @@ func (g *Guard) DerivationGrant(used int, clause string) (int, error) {
 	if err := g.Checkpoint(); err != nil {
 		return 0, err
 	}
+	if g.faults != nil {
+		return 1, nil
+	}
 	n := CheckInterval
 	if g.limits.MaxDerivations > 0 {
 		if r := g.limits.MaxDerivations - g.derivations; r < n {
-			n = r
-		}
-	}
-	if g.fault.PanicAfter > 0 {
-		if r := g.fault.PanicAfter - g.derivations; r < n {
 			n = r
 		}
 	}
@@ -227,10 +188,6 @@ func (g *Guard) DerivationGrant(used int, clause string) (int, error) {
 // a guard shared across runs (Enumerate) starts from the exact total
 // instead of drifting by up to one CheckInterval batch per clause.
 func (g *Guard) Settle(used int) { g.derivations += used }
-
-func (g *Guard) firePanic() {
-	panic(fmt.Sprintf("guard: injected fault after %d derivations", g.derivations))
-}
 
 func (g *Guard) derivationExhausted(clause string) error {
 	return Errorf(ResourceExhausted, g.op,
@@ -262,14 +219,6 @@ func (g *Guard) tuplesExhausted(n int) error {
 // it.
 func (g *Guard) AtTupleLimit() bool {
 	return g.limits.MaxTuples > 0 && g.tuples >= g.limits.MaxTuples
-}
-
-// TakeOracleFault consumes and returns an injected oracle fault, or
-// nil.
-func (g *Guard) TakeOracleFault() error {
-	err := g.fault.OracleErr
-	g.fault.OracleErr = nil
-	return err
 }
 
 // Usage reports the budget counters (for tests and diagnostics).

@@ -7,16 +7,27 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"idlog/internal/fault"
 )
+
+// armed returns a registry with f armed on point.
+func armed(point string, f fault.Fault) *fault.Registry {
+	r := fault.New()
+	r.Arm(point, f)
+	return r
+}
 
 func TestInactiveGuardNeverTrips(t *testing.T) {
 	g := New(nil, Limits{})
+	g.SetFaults(nil)
 	if g.Active() {
-		t.Fatalf("background guard with no limits reported active")
+		t.Fatalf("background guard with no limits or faults reported active")
 	}
-	for i := 0; i < 3*CheckInterval; i++ {
-		if err := g.Derivation("c"); err != nil {
-			t.Fatalf("derivation %d: %v", i, err)
+	for i := 0; i < 3; i++ {
+		n, err := g.DerivationGrant(CheckInterval, "c")
+		if err != nil || n != CheckInterval {
+			t.Fatalf("grant %d = %d, %v", i, n, err)
 		}
 	}
 	if err := g.TryTuples(1 << 20); err != nil {
@@ -29,12 +40,11 @@ func TestInactiveGuardNeverTrips(t *testing.T) {
 
 func TestDerivationBudgetExact(t *testing.T) {
 	g := New(nil, Limits{MaxDerivations: 5})
-	for i := 0; i < 5; i++ {
-		if err := g.Derivation("c"); err != nil {
-			t.Fatalf("derivation %d tripped early: %v", i, err)
-		}
+	n, err := g.DerivationGrant(0, "c")
+	if err != nil || n != 5 {
+		t.Fatalf("grant = %d, %v; want the whole budget of 5", n, err)
 	}
-	err := g.Derivation("tc(X, Y) :- e(X, Y).")
+	_, err = g.DerivationGrant(n, "tc(X, Y) :- e(X, Y).")
 	var ge *Error
 	if !errors.As(err, &ge) || ge.Code != ResourceExhausted {
 		t.Fatalf("want ResourceExhausted, got %v", err)
@@ -129,21 +139,21 @@ func TestWallClockTimeout(t *testing.T) {
 func TestDerivationBatchedCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := New(ctx, Limits{})
-	cancel()
-	// The trip must surface within one CheckInterval of derivations.
-	for i := 0; i < CheckInterval-1; i++ {
-		if err := g.Derivation("c"); err != nil {
-			t.Fatalf("derivation %d tripped before the batch boundary: %v", i, err)
-		}
+	n, err := g.DerivationGrant(0, "c")
+	if err != nil || n != CheckInterval {
+		t.Fatalf("grant = %d, %v", n, err)
 	}
-	if err := g.Derivation("c"); err == nil {
-		t.Fatalf("cancellation not observed at the batch boundary")
+	// A cancellation during the grant surfaces when it is spent: within
+	// one CheckInterval of derivations.
+	cancel()
+	if _, err := g.DerivationGrant(n, "c"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancellation not observed at the batch boundary: %v", err)
 	}
 }
 
 func TestCancelAtStratumFault(t *testing.T) {
 	g := New(nil, Limits{})
-	g.Inject(CancelAt(2))
+	g.SetFaults(armed(fault.CoreStratum, fault.Fault{After: 2, Count: 1}))
 	for i := 0; i < 2; i++ {
 		if err := g.StartStratum(i); err != nil {
 			t.Fatalf("stratum %d tripped early: %v", i, err)
@@ -161,28 +171,36 @@ func TestCancelAtStratumFault(t *testing.T) {
 
 func TestFailAfterFaultPanics(t *testing.T) {
 	g := New(nil, Limits{})
-	g.Inject(FailAfter(3))
+	g.SetFaults(armed(fault.CoreDerive, fault.Fault{After: 3}))
+	// With a registry set every derivation is granted singly, so the
+	// fault fires once exactly three derivations have completed.
+	used := 0
 	for i := 0; i < 3; i++ {
-		if err := g.Derivation("c"); err != nil {
-			t.Fatal(err)
+		n, err := g.DerivationGrant(used, "c")
+		if err != nil || n != 1 {
+			t.Fatalf("grant %d = %d, %v; want 1", i, n, err)
 		}
+		used = n
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("FailAfter fault did not panic")
+			t.Fatalf("core.derive fault did not panic")
+		}
+		if d, _ := g.Usage(); d != 3 {
+			t.Fatalf("panicked after %d derivations, want exactly 3", d)
 		}
 	}()
-	_ = g.Derivation("c")
+	_, _ = g.DerivationGrant(used, "c")
 }
 
 func TestOracleFaultConsumedOnce(t *testing.T) {
 	g := New(nil, Limits{})
 	want := fmt.Errorf("boom")
-	g.Inject(OracleFault(want))
-	if got := g.TakeOracleFault(); got != want {
-		t.Fatalf("TakeOracleFault = %v", got)
+	g.SetFaults(armed(fault.RelationOracle, fault.Fault{Count: 1, Err: want}))
+	if got := g.Hit(fault.RelationOracle); !errors.Is(got, want) {
+		t.Fatalf("first hit = %v, want %v", got, want)
 	}
-	if got := g.TakeOracleFault(); got != nil {
+	if got := g.Hit(fault.RelationOracle); got != nil {
 		t.Fatalf("oracle fault fired twice: %v", got)
 	}
 }

@@ -326,6 +326,9 @@ func (v *View) Apply(db *core.Database, delta *core.Delta, g *guard.Guard) (Upda
 			break
 		}
 
+		if err := pass.Enter(si); err != nil {
+			return fail(err)
+		}
 		plan, err := v.plan(si)
 		if err != nil {
 			return fail(err)

@@ -293,17 +293,3 @@ func (lx *Lexer) quoted(pos Pos) Token {
 		b.WriteRune(r)
 	}
 }
-
-// All scans the entire input, returning every token up to and including
-// the EOF token. Used by tests.
-func All(src string) []Token {
-	lx := New(src)
-	var out []Token
-	for {
-		t := lx.Next()
-		out = append(out, t)
-		if t.Kind == EOF || t.Kind == Invalid {
-			return out
-		}
-	}
-}

@@ -2,6 +2,20 @@ package lexer
 
 import "testing"
 
+// lexAll scans the entire input, returning every token up to and
+// including the EOF (or Invalid) token.
+func lexAll(src string) []Token {
+	lx := New(src)
+	var out []Token
+	for {
+		t := lx.Next()
+		out = append(out, t)
+		if t.Kind == EOF || t.Kind == Invalid {
+			return out
+		}
+	}
+}
+
 func kinds(toks []Token) []Kind {
 	out := make([]Kind, len(toks))
 	for i, t := range toks {
@@ -11,7 +25,7 @@ func kinds(toks []Token) []Kind {
 }
 
 func TestBasicClause(t *testing.T) {
-	toks := All("p(X) :- q(X, a), X < 2.")
+	toks := lexAll("p(X) :- q(X, a), X < 2.")
 	want := []Kind{
 		Ident, LParen, Variable, RParen, Implies,
 		Ident, LParen, Variable, Comma, Ident, RParen, Comma,
@@ -29,7 +43,7 @@ func TestBasicClause(t *testing.T) {
 }
 
 func TestIDPredicateBrackets(t *testing.T) {
-	toks := All("emp[2](N, D, T)")
+	toks := lexAll("emp[2](N, D, T)")
 	want := []Kind{Ident, LBracket, Number, RBracket, LParen, Variable, Comma, Variable, Comma, Variable, RParen, EOF}
 	got := kinds(toks)
 	for i := range want {
@@ -40,7 +54,7 @@ func TestIDPredicateBrackets(t *testing.T) {
 }
 
 func TestOperators(t *testing.T) {
-	toks := All("< <= > >= = != :-")
+	toks := lexAll("< <= > >= = != :-")
 	want := []Kind{Lt, Le, Gt, Ge, Eq, Neq, Implies, EOF}
 	got := kinds(toks)
 	for i := range want {
@@ -52,7 +66,7 @@ func TestOperators(t *testing.T) {
 
 func TestCommentsAreSkipped(t *testing.T) {
 	src := "% line comment\np(a). // another\nq(b).\n"
-	toks := All(src)
+	toks := lexAll(src)
 	var idents []string
 	for _, tk := range toks {
 		if tk.Kind == Ident {
@@ -65,7 +79,7 @@ func TestCommentsAreSkipped(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks := All("p(a).\nq(b).")
+	toks := lexAll("p(a).\nq(b).")
 	// q is the 6th token (p ( a ) . q ...)
 	q := toks[5]
 	if q.Text != "q" || q.Pos.Line != 2 || q.Pos.Col != 1 {
@@ -74,7 +88,7 @@ func TestPositions(t *testing.T) {
 }
 
 func TestVariablesAndUnderscore(t *testing.T) {
-	toks := All("X _ _Foo Xyz")
+	toks := lexAll("X _ _Foo Xyz")
 	for i := 0; i < 4; i++ {
 		if toks[i].Kind != Variable {
 			t.Fatalf("token %d %q: got %s, want variable", i, toks[i].Text, toks[i].Kind)
@@ -83,7 +97,7 @@ func TestVariablesAndUnderscore(t *testing.T) {
 }
 
 func TestQuotedConstants(t *testing.T) {
-	toks := All("'Blvd. St. Germain' 'it''s'")
+	toks := lexAll("'Blvd. St. Germain' 'it''s'")
 	if toks[0].Kind != Ident || toks[0].Text != "Blvd. St. Germain" {
 		t.Fatalf("quoted constant: %v %q", toks[0].Kind, toks[0].Text)
 	}
@@ -93,7 +107,7 @@ func TestQuotedConstants(t *testing.T) {
 }
 
 func TestUnterminatedQuote(t *testing.T) {
-	toks := All("'never ends")
+	toks := lexAll("'never ends")
 	last := toks[len(toks)-1]
 	if last.Kind != Invalid {
 		t.Fatalf("unterminated quote should be Invalid, got %s", last.Kind)
@@ -101,7 +115,7 @@ func TestUnterminatedQuote(t *testing.T) {
 }
 
 func TestInvalidRunes(t *testing.T) {
-	toks := All("p(a) & q(b)")
+	toks := lexAll("p(a) & q(b)")
 	sawInvalid := false
 	for _, tk := range toks {
 		if tk.Kind == Invalid {
@@ -117,16 +131,16 @@ func TestInvalidRunes(t *testing.T) {
 }
 
 func TestLoneColonAndBangAreInvalid(t *testing.T) {
-	if toks := All(": p"); toks[0].Kind != Invalid {
+	if toks := lexAll(": p"); toks[0].Kind != Invalid {
 		t.Fatalf("lone ':' should be invalid")
 	}
-	if toks := All("! p"); toks[0].Kind != Invalid {
+	if toks := lexAll("! p"); toks[0].Kind != Invalid {
 		t.Fatalf("lone '!' should be invalid")
 	}
 }
 
 func TestNumbers(t *testing.T) {
-	toks := All("0 42 007")
+	toks := lexAll("0 42 007")
 	for i, want := range []string{"0", "42", "007"} {
 		if toks[i].Kind != Number || toks[i].Text != want {
 			t.Fatalf("number token %d = %v %q", i, toks[i].Kind, toks[i].Text)
@@ -135,7 +149,7 @@ func TestNumbers(t *testing.T) {
 }
 
 func TestUnicodeIdentifiers(t *testing.T) {
-	toks := All("p(département)")
+	toks := lexAll("p(département)")
 	if toks[2].Kind != Ident || toks[2].Text != "département" {
 		t.Fatalf("unicode ident = %v %q", toks[2].Kind, toks[2].Text)
 	}

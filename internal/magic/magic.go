@@ -45,13 +45,6 @@ func inapplicablef(format string, args ...any) error {
 	return &InapplicableError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// Inapplicable reports whether err marks a goal the rewrite refuses
-// (fall back to full evaluation) rather than an internal failure.
-func Inapplicable(err error) bool {
-	_, ok := err.(*InapplicableError)
-	return ok
-}
-
 // Rewritten is the output of Rewrite: the transformed program plus the
 // bookkeeping ExplainPlan and the benchmarks render.
 type Rewritten struct {

@@ -149,7 +149,7 @@ func TestRewriteInapplicable(t *testing.T) {
 			if err == nil {
 				t.Fatal("rewrite unexpectedly applicable")
 			}
-			if !Inapplicable(err) {
+			if _, ok := err.(*InapplicableError); !ok {
 				t.Fatalf("error not inapplicable-typed: %v", err)
 			}
 			if !strings.Contains(err.Error(), tc.want) {

@@ -1,9 +1,11 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"idlog/internal/analysis"
 	"idlog/internal/ast"
 )
 
@@ -216,20 +218,15 @@ func TestInputAndHeadPreds(t *testing.T) {
 		select(N) :- emp[2](N, D, T), T < 2.
 		big(D) :- dept(D), size(D, S), S > 10.
 	`)
-	isBuiltin := func(name string) bool {
-		switch name {
-		case "lt", "le", "gt", "ge", "eq", "neq":
-			return true
-		}
-		return false
+	info, err := analysis.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	inputs := p.InputPreds(isBuiltin)
-	if len(inputs) != 3 {
-		t.Fatalf("inputs = %v, want emp, dept, size", inputs)
+	if want := map[string]bool{"dept": true, "emp": true, "size": true}; !reflect.DeepEqual(info.EDB, want) {
+		t.Fatalf("inputs = %v, want dept, emp, size", info.EDB)
 	}
-	heads := p.HeadPreds()
-	if len(heads) != 2 || heads[0].Name != "big" || heads[1].Name != "select" {
-		t.Fatalf("heads = %v", heads)
+	if want := map[string]bool{"big": true, "select": true}; !reflect.DeepEqual(info.IDB, want) {
+		t.Fatalf("heads = %v, want big, select", info.IDB)
 	}
 }
 

@@ -8,26 +8,21 @@ import (
 	"idlog/internal/value"
 )
 
-// MaterializeID builds the ID-relation of r on the 0-based grouping
-// columns under the given oracle (§2.1): an (arity+1)-column relation in
-// which every tuple of r is extended with its tuple-identifier, a sort-i
-// value that is unique within the tuple's sub-relation.
+// MaterializeIDBounded builds the ID-relation of r on the 0-based
+// grouping columns under the given oracle (§2.1): an (arity+1)-column
+// relation in which every tuple of r is extended with its
+// tuple-identifier, a sort-i value that is unique within the tuple's
+// sub-relation. The resulting relation is named name (conventionally
+// "p[s]" for predicate p grouped by s).
 //
-// The resulting relation is named name (conventionally "p[s]" for
-// predicate p grouped by s).
-func MaterializeID(r *Relation, name string, cols []int, o Oracle) (*Relation, error) {
-	return MaterializeIDBounded(r, name, cols, o, 0)
-}
-
-// MaterializeIDBounded is MaterializeID with tid pruning: when bound is
-// positive, only tuples receiving a tid < bound are materialized. This
-// implements the optimization of the paper's footnote 6: a query such
-// as "emp[2](N, D, T), T < 2" provably never reads tids ≥ 2, so only
-// two tuples per group need to exist. bound = 0 materializes the full
-// ID-relation. The pruned relation is exactly the restriction of the
-// full one to tids < bound, in the same order: groups by key, then
-// members by tid under a priority numbering, or by canonical rank
-// under a rank numbering (see Numbering).
+// When bound is positive, only tuples receiving a tid < bound are
+// materialized. This implements the optimization of the paper's
+// footnote 6: a query such as "emp[2](N, D, T), T < 2" provably never
+// reads tids ≥ 2, so only two tuples per group need to exist. bound = 0
+// materializes the full ID-relation. The pruned relation is exactly the
+// restriction of the full one to tids < bound, in the same order:
+// groups by key, then members by tid under a priority numbering, or by
+// canonical rank under a rank numbering (see Numbering).
 //
 // Neither numbering sorts a bounded group. Under a priority numbering
 // a small bound keeps the bound lowest priorities of every group in one
@@ -286,56 +281,4 @@ func medianOf3(ms []value.Tuple, a, b, c int) int {
 		return a
 	}
 	return c
-}
-
-// ValidateID checks that idrel is an ID-relation of base on cols: its
-// projection onto the first arity columns is exactly base, and within
-// every sub-relation the tids form a bijection onto {0..n-1}. It returns
-// nil if the invariant holds. Used by tests and by property-based checks.
-func ValidateID(idrel, base *Relation, cols []int) error {
-	if idrel.arity != base.arity+1 {
-		return fmt.Errorf("ID-relation arity %d, want %d", idrel.arity, base.arity+1)
-	}
-	if idrel.Len() != base.Len() {
-		return fmt.Errorf("ID-relation has %d tuples, base has %d", idrel.Len(), base.Len())
-	}
-	baseCols := identityCols(base.arity)
-	proj := idrel.Project(base.name, baseCols)
-	if !proj.Equal(base) {
-		return fmt.Errorf("ID-relation projection differs from base relation")
-	}
-	// Per group, tids must be a bijection onto {0..n-1}.
-	for _, g := range idrel.Groups(cols) {
-		seen := make(map[int64]bool, len(g.Members))
-		for _, t := range g.Members {
-			tid := t[len(t)-1]
-			if !tid.IsInt() {
-				return fmt.Errorf("tid %v is not of sort i", tid)
-			}
-			if tid.Num < 0 || tid.Num >= int64(len(g.Members)) {
-				return fmt.Errorf("tid %d out of range for group of %d", tid.Num, len(g.Members))
-			}
-			if seen[tid.Num] {
-				return fmt.Errorf("tid %d repeated within group %v", tid.Num, g.Key)
-			}
-			seen[tid.Num] = true
-		}
-	}
-	return nil
-}
-
-// CountIDFunctions returns the number of distinct ID-relations of r on
-// cols, i.e. the product over groups of |group|! (Example 1 of the paper
-// has two). Saturates at MaxUint64.
-func CountIDFunctions(r *Relation, cols []int) uint64 {
-	total := uint64(1)
-	for _, g := range r.Groups(cols) {
-		f := Factorial(len(g.Members))
-		next := total * f
-		if f != 0 && next/f != total {
-			return ^uint64(0)
-		}
-		total = next
-	}
-	return total
 }

@@ -12,6 +12,63 @@ import (
 	"idlog/internal/value"
 )
 
+// validateID checks that idrel is an ID-relation of base on cols: its
+// projection onto the first arity columns is exactly base, and within
+// every sub-relation the tids form a bijection onto {0..n-1}. It returns
+// nil if the invariant holds.
+func validateID(idrel, base *Relation, cols []int) error {
+	if idrel.arity != base.arity+1 {
+		return fmt.Errorf("ID-relation arity %d, want %d", idrel.arity, base.arity+1)
+	}
+	if idrel.Len() != base.Len() {
+		return fmt.Errorf("ID-relation has %d tuples, base has %d", idrel.Len(), base.Len())
+	}
+	baseCols := identityCols(base.arity)
+	proj := idrel.Project(base.name, baseCols)
+	if !proj.Equal(base) {
+		return fmt.Errorf("ID-relation projection differs from base relation")
+	}
+	// Per group, tids must be a bijection onto {0..n-1}.
+	for _, g := range idrel.Groups(cols) {
+		seen := make(map[int64]bool, len(g.Members))
+		for _, t := range g.Members {
+			tid := t[len(t)-1]
+			if !tid.IsInt() {
+				return fmt.Errorf("tid %v is not of sort i", tid)
+			}
+			if tid.Num < 0 || tid.Num >= int64(len(g.Members)) {
+				return fmt.Errorf("tid %d out of range for group of %d", tid.Num, len(g.Members))
+			}
+			if seen[tid.Num] {
+				return fmt.Errorf("tid %d repeated within group %v", tid.Num, g.Key)
+			}
+			seen[tid.Num] = true
+		}
+	}
+	return nil
+}
+
+// countIDFunctions returns the number of distinct ID-relations of r on
+// cols, i.e. the product over groups of |group|! (Example 1 of the paper
+// has two). Saturates at MaxUint64.
+func countIDFunctions(r *Relation, cols []int) uint64 {
+	total := uint64(1)
+	for _, g := range r.Groups(cols) {
+		f := Factorial(len(g.Members))
+		next := total * f
+		if f != 0 && next/f != total {
+			return ^uint64(0)
+		}
+		total = next
+	}
+	return total
+}
+
+// groupKey builds the key FixedOracle.Choices addresses a group by.
+func groupKey(rel string, cols []int, key value.Tuple) string {
+	return groupPrefix(rel, cols) + key.Key()
+}
+
 // example1 is the relation r = {(a,c),(a,d),(b,c)} of Example 1.
 func example1() *Relation {
 	return FromTuples("r", 2,
@@ -25,8 +82,8 @@ func TestExample1HasTwoIDRelations(t *testing.T) {
 	// Example 1: grouping by the first attribute yields sub-relations
 	// {(a,c),(a,d)} and {(b,c)}, hence exactly two ID-relations.
 	r := example1()
-	if got := CountIDFunctions(r, []int{0}); got != 2 {
-		t.Fatalf("CountIDFunctions = %d, want 2", got)
+	if got := countIDFunctions(r, []int{0}); got != 2 {
+		t.Fatalf("countIDFunctions = %d, want 2", got)
 	}
 	// Enumerate both and check they are the two sets from the paper.
 	want := map[string]bool{
@@ -43,7 +100,7 @@ func TestExample1HasTwoIDRelations(t *testing.T) {
 	}
 	oracles := []Oracle{SortedOracle{}, ReverseOracle{}}
 	for _, o := range oracles {
-		idr, err := MaterializeID(r, "r[1]", []int{0}, o)
+		idr, err := MaterializeIDBounded(r, "r[1]", []int{0}, o, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,18 +120,18 @@ func TestExample1HasTwoIDRelations(t *testing.T) {
 func TestMaterializeValidates(t *testing.T) {
 	r := emp()
 	for _, o := range []Oracle{SortedOracle{}, ReverseOracle{}, RandomOracle{Seed: 42}} {
-		idr, err := MaterializeID(r, "emp[2]", []int{1}, o)
+		idr, err := MaterializeIDBounded(r, "emp[2]", []int{1}, o, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateID(idr, r, []int{1}); err != nil {
+		if err := validateID(idr, r, []int{1}); err != nil {
 			t.Fatalf("oracle %T produced invalid ID-relation: %v", o, err)
 		}
 	}
 }
 
 func TestMaterializeRejectsBadColumns(t *testing.T) {
-	if _, err := MaterializeID(emp(), "x", []int{5}, SortedOracle{}); err == nil {
+	if _, err := MaterializeIDBounded(emp(), "x", []int{5}, SortedOracle{}, 0); err == nil {
 		t.Fatalf("out-of-range grouping column not rejected")
 	}
 }
@@ -86,18 +143,18 @@ func (brokenOracle) Numbering(string, []int) Numbering {
 }
 
 func TestMaterializeRejectsBrokenOracle(t *testing.T) {
-	if _, err := MaterializeID(emp(), "x", []int{1}, brokenOracle{}); err == nil {
+	if _, err := MaterializeIDBounded(emp(), "x", []int{1}, brokenOracle{}, 0); err == nil {
 		t.Fatalf("non-bijective oracle output not rejected")
 	}
 }
 
 func TestRandomOracleIsSeedDeterministic(t *testing.T) {
 	r := emp()
-	a, err := MaterializeID(r, "e", []int{1}, RandomOracle{Seed: 7})
+	a, err := MaterializeIDBounded(r, "e", []int{1}, RandomOracle{Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MaterializeID(r, "e", []int{1}, RandomOracle{Seed: 7})
+	b, err := MaterializeIDBounded(r, "e", []int{1}, RandomOracle{Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +164,7 @@ func TestRandomOracleIsSeedDeterministic(t *testing.T) {
 	// Different seeds should (for this input) differ at least sometimes.
 	diff := false
 	for seed := uint64(0); seed < 16; seed++ {
-		c, err := MaterializeID(r, "e", []int{1}, RandomOracle{Seed: seed})
+		c, err := MaterializeIDBounded(r, "e", []int{1}, RandomOracle{Seed: seed}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,12 +226,12 @@ func TestFactorial(t *testing.T) {
 
 func TestCountIDFunctions(t *testing.T) {
 	r := emp() // groups of size 3 (toys) and 2 (shoes): 3! * 2! = 12
-	if got := CountIDFunctions(r, []int{1}); got != 12 {
-		t.Fatalf("CountIDFunctions = %d, want 12", got)
+	if got := countIDFunctions(r, []int{1}); got != 12 {
+		t.Fatalf("countIDFunctions = %d, want 12", got)
 	}
 	// Ungrouped: 5! = 120 assignments.
-	if got := CountIDFunctions(r, nil); got != 120 {
-		t.Fatalf("CountIDFunctions(p[]) = %d, want 120", got)
+	if got := countIDFunctions(r, nil); got != 120 {
+		t.Fatalf("countIDFunctions(p[]) = %d, want 120", got)
 	}
 }
 
@@ -182,7 +239,7 @@ func TestFixedOracleWalksDistinctIDRelations(t *testing.T) {
 	r := example1()
 	o := &FixedOracle{Choices: map[string]uint64{}, Observed: map[string]int{}}
 	// First run to observe groups.
-	if _, err := MaterializeID(r, "r", []int{0}, o); err != nil {
+	if _, err := MaterializeIDBounded(r, "r", []int{0}, o, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(o.Observed) != 2 {
@@ -190,14 +247,14 @@ func TestFixedOracleWalksDistinctIDRelations(t *testing.T) {
 	}
 	// Walk the full odometer: product of factorials = 2.
 	fps := make(map[string]bool)
-	key := GroupKey("r", []int{0}, value.Strs("a"))
+	key := groupKey("r", []int{0}, value.Strs("a"))
 	for idx := uint64(0); idx < 2; idx++ {
 		o.Choices[key] = idx
-		idr, err := MaterializeID(r, "r", []int{0}, o)
+		idr, err := MaterializeIDBounded(r, "r", []int{0}, o, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateID(idr, r, []int{0}); err != nil {
+		if err := validateID(idr, r, []int{0}); err != nil {
 			t.Fatal(err)
 		}
 		fps[idr.Fingerprint()] = true
@@ -209,12 +266,12 @@ func TestFixedOracleWalksDistinctIDRelations(t *testing.T) {
 
 func TestValidateIDCatchesCorruption(t *testing.T) {
 	r := emp()
-	idr, err := MaterializeID(r, "e", []int{1}, SortedOracle{})
+	idr, err := MaterializeIDBounded(r, "e", []int{1}, SortedOracle{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wrong arity.
-	if err := ValidateID(r, r, []int{1}); err == nil {
+	if err := validateID(r, r, []int{1}); err == nil {
 		t.Fatalf("arity corruption not caught")
 	}
 	// Tamper: shift a tid out of range.
@@ -226,7 +283,7 @@ func TestValidateIDCatchesCorruption(t *testing.T) {
 		}
 		bad.MustInsert(c)
 	}
-	if err := ValidateID(bad, r, []int{1}); err == nil {
+	if err := validateID(bad, r, []int{1}); err == nil {
 		t.Fatalf("out-of-range tid not caught")
 	}
 }
@@ -243,11 +300,11 @@ func TestMaterializeIDPropertyRandom(t *testing.T) {
 			}
 		}
 		for _, o := range []Oracle{SortedOracle{}, RandomOracle{Seed: uint64(trial)}} {
-			idr, err := MaterializeID(rel, "p_id", cols, o)
+			idr, err := MaterializeIDBounded(rel, "p_id", cols, o, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ValidateID(idr, rel, cols); err != nil {
+			if err := validateID(idr, rel, cols); err != nil {
 				t.Fatalf("trial %d oracle %T: %v", trial, o, err)
 			}
 		}
@@ -255,13 +312,13 @@ func TestMaterializeIDPropertyRandom(t *testing.T) {
 }
 
 // refGroups is the string-keyed grouping that Groups replaced: a map
-// keyed by ProjectKey, then every group sorted. It is the reference the
+// keyed by the projected key, then every group sorted. It is the reference the
 // hash grouping must reproduce exactly.
 func refGroups(r *Relation, cols []int) []Group {
 	byKey := make(map[string]*Group)
 	var order []string
 	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
-		k := t.ProjectKey(cols)
+		k := t.Project(cols).Key()
 		g, ok := byKey[k]
 		if !ok {
 			g = &Group{Key: t.Project(cols)}
@@ -489,7 +546,7 @@ func idOracles(rng *rand.Rand, r *Relation, cols []int) []func() Oracle {
 	choices := map[string]uint64{}
 	for _, g := range refGroups(r, cols) {
 		if rng.Intn(4) > 0 {
-			choices[GroupKey(r.Name(), cols, g.Key)] = rng.Uint64()
+			choices[groupKey(r.Name(), cols, g.Key)] = rng.Uint64()
 		}
 	}
 	return []func() Oracle{

@@ -235,16 +235,6 @@ func (r *Relation) Probe(cols []int, key value.Tuple) []int {
 	return r.ensureIndex(cols).get(key)
 }
 
-// ProbeTuples is Probe but materializes the matching tuples.
-func (r *Relation) ProbeTuples(cols []int, key value.Tuple) []value.Tuple {
-	pos := r.Probe(cols, key)
-	out := make([]value.Tuple, len(pos))
-	for i, p := range pos {
-		out[i] = r.At(p)
-	}
-	return out
-}
-
 func identityCols(n int) []int {
 	cols := make([]int, n)
 	for i := range cols {

@@ -107,7 +107,8 @@ func (o RandomOracle) Numbering(rel string, cols []int) Numbering {
 // model enumerator: each group's choice is addressed by a stable key.
 // Groups without an entry fall back to the identity permutation.
 type FixedOracle struct {
-	// Choices maps GroupKey(rel, cols, key) to a permutation index in the
+	// Choices maps a group, keyed by its relation, grouping columns and
+	// key (see groupPrefix), to a permutation index in the
 	// factorial-number-system order (see PermByIndex).
 	Choices map[string]uint64
 	// Observed, when non-nil, records the group sizes encountered during a
@@ -116,13 +117,8 @@ type FixedOracle struct {
 	Observed map[string]int
 }
 
-// GroupKey builds the stable addressing key used by FixedOracle.
-func GroupKey(rel string, cols []int, key value.Tuple) string {
-	return groupPrefix(rel, cols) + key.Key()
-}
-
-// groupPrefix is the part of GroupKey shared by every group of rel on
-// cols.
+// groupPrefix is the part of a FixedOracle.Choices key shared by every
+// group of rel on cols; the group's key.Key() completes it.
 func groupPrefix(rel string, cols []int) string {
 	return rel + "[" + colsSig(cols) + "]"
 }

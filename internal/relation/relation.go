@@ -465,48 +465,12 @@ func (r *Relation) Equal(s *Relation) bool {
 	})
 }
 
-// UnionInto inserts every tuple of s into r, reporting how many were new.
-func (r *Relation) UnionInto(s *Relation) (int, error) {
-	if s == nil {
-		return 0, nil
-	}
-	if s.arity != r.arity {
-		return 0, fmt.Errorf("relation %s: union with arity-%d relation %s", r.name, s.arity, s.name)
-	}
-	added := 0
-	var ierr error
-	s.Scan(0, -1, func(_ int, t value.Tuple) bool {
-		ok, err := r.Insert(t)
-		if err != nil {
-			ierr = err
-			return false
-		}
-		if ok {
-			added++
-		}
-		return true
-	})
-	return added, ierr
-}
-
 // Project returns a new relation containing the projection of r onto the
 // given 0-based columns (duplicates collapse).
 func (r *Relation) Project(name string, cols []int) *Relation {
 	out := New(name, len(cols))
 	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
 		out.MustInsert(t.Project(cols))
-		return true
-	})
-	return out
-}
-
-// Filter returns a new relation with the tuples satisfying keep.
-func (r *Relation) Filter(name string, keep func(value.Tuple) bool) *Relation {
-	out := New(name, r.arity)
-	r.Scan(0, -1, func(_ int, t value.Tuple) bool {
-		if keep(t) {
-			out.MustInsert(t)
-		}
 		return true
 	})
 	return out
@@ -568,7 +532,7 @@ func (r *Relation) DeepClone() *Relation {
 }
 
 // Freeze makes the relation immutable and safe for concurrent readers.
-// After Freeze, Insert/InsertShared/UnionInto fail, and Probe builds
+// After Freeze, Insert and InsertShared fail, and Probe builds
 // its lazy secondary indexes through an atomic copy-on-write protocol
 // instead of mutating shared slices in place. Freeze must be called
 // before the relation is shared between goroutines (it is not itself a

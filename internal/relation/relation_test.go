@@ -88,7 +88,7 @@ func TestProjectCollapsesDuplicates(t *testing.T) {
 
 func TestProbeFindsMatches(t *testing.T) {
 	r := emp()
-	hits := r.ProbeTuples([]int{1}, value.Strs("toys"))
+	hits := probeTuples(r, []int{1}, value.Strs("toys"))
 	if len(hits) != 3 {
 		t.Fatalf("probe toys: %d hits, want 3", len(hits))
 	}
@@ -97,16 +97,16 @@ func TestProbeFindsMatches(t *testing.T) {
 			t.Fatalf("probe returned non-matching tuple %v", h)
 		}
 	}
-	if got := r.ProbeTuples([]int{1}, value.Strs("books")); len(got) != 0 {
+	if got := probeTuples(r, []int{1}, value.Strs("books")); len(got) != 0 {
 		t.Fatalf("probe books: %d hits, want 0", len(got))
 	}
 }
 
 func TestProbeStaysInSyncAfterInsert(t *testing.T) {
 	r := emp()
-	_ = r.ProbeTuples([]int{1}, value.Strs("toys")) // force index build
+	_ = probeTuples(r, []int{1}, value.Strs("toys")) // force index build
 	r.MustInsert(value.Strs("kim", "toys"))
-	hits := r.ProbeTuples([]int{1}, value.Strs("toys"))
+	hits := probeTuples(r, []int{1}, value.Strs("toys"))
 	if len(hits) != 4 {
 		t.Fatalf("after insert probe returned %d hits, want 4", len(hits))
 	}
@@ -116,24 +116,6 @@ func TestProbeEmptyColumnsMatchesAll(t *testing.T) {
 	r := emp()
 	if got := len(r.Probe(nil, value.Tuple{})); got != r.Len() {
 		t.Fatalf("empty-column probe returned %d, want %d", got, r.Len())
-	}
-}
-
-func TestUnionInto(t *testing.T) {
-	a := FromTuples("a", 1, value.Strs("x"))
-	b := FromTuples("b", 1, value.Strs("x"), value.Strs("y"))
-	n, err := a.UnionInto(b)
-	if err != nil || n != 1 {
-		t.Fatalf("UnionInto added %d (%v), want 1", n, err)
-	}
-	if a.Len() != 2 {
-		t.Fatalf("union result has %d tuples", a.Len())
-	}
-	if _, err := a.UnionInto(New("c", 2)); err == nil {
-		t.Fatalf("arity-mismatched union not rejected")
-	}
-	if n, err := a.UnionInto(nil); n != 0 || err != nil {
-		t.Fatalf("nil union should be a no-op")
 	}
 }
 
@@ -217,14 +199,6 @@ func TestFingerprintIndependentOfInternOrder(t *testing.T) {
 	slices.Reverse(reversed)
 	if a, b := fingerprint(names), fingerprint(reversed); a != b {
 		t.Fatalf("fingerprint %s after interning %v, %s after interning %v", a, names, b, reversed)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := emp()
-	toys := r.Filter("toys_only", func(tp value.Tuple) bool { return tp[1].Equal(value.Str("toys")) })
-	if toys.Len() != 3 {
-		t.Fatalf("filter kept %d tuples, want 3", toys.Len())
 	}
 }
 

@@ -475,7 +475,7 @@ func TestVersionSharesBaseIndexes(t *testing.T) {
 	}
 	v.MustInsert(value.Tuple{value.Int(7), value.Int(5000)})
 	v.Freeze()
-	got := v.ProbeTuples([]int{0}, value.Tuple{value.Int(7)})
+	got := probeTuples(v, []int{0}, value.Tuple{value.Int(7)})
 	if len(got) != 20 {
 		t.Fatalf("probe on the version found %d tuples, want 20", len(got))
 	}

@@ -15,7 +15,6 @@ package replica_test
 // the whole replication path.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -115,8 +114,7 @@ func TestChaos(t *testing.T) {
 			fol.Start()
 		case 6: // primary crash + restart from its WAL (new incarnation)
 			primary.stop(rng.Intn(2) == 0) // sometimes graceful, sometimes not
-			primary = startNode(t, pwal, pCfg)
-			fol.SetPrimary(primary.ts.URL)
+			primary = startNodeAt(t, pwal, pCfg, primary.ts.URL)
 		case 7: // quiet round: just traffic
 		}
 		for i, burst := 0, 2+rng.Intn(6); i < burst; i++ {
@@ -139,24 +137,25 @@ func TestChaos(t *testing.T) {
 	// so checking the primary covers the follower too. The tuple text
 	// is anchored by its opening paren, and every generated tuple is
 	// unique, so containment is exact.
-	baseRel := primary.srv.BaseDB().Relation("edge")
-	if baseRel == nil {
+	relText := func(q string, pred string) string {
+		var qr struct {
+			Relations map[string]struct {
+				Text string `json:"text"`
+			} `json:"relations"`
+		}
+		resp, err := http.Post(primary.ts.URL+"/v1/query", "application/json", strings.NewReader(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		return qr.Relations[pred].Text
+	}
+	baseText := relText(`{"source": "r(X) :- edge(X, Y).", "predicates": ["edge"]}`, "edge")
+	if baseText == "" {
 		t.Fatal("edge relation missing entirely")
 	}
-	baseText := baseRel.String()
-	var qr struct {
-		Relations map[string]struct {
-			Text string `json:"text"`
-		} `json:"relations"`
-	}
-	q := []byte(`{"source": "r(X) :- emp(X, Y).", "session": "s1", "predicates": ["emp"]}`)
-	resp, err := http.Post(primary.ts.URL+"/v1/query", "application/json", bytes.NewReader(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&qr)
-	resp.Body.Close()
-	sessText := qr.Relations["emp"].Text
+	sessText := relText(`{"source": "r(X) :- emp(X, Y).", "session": "s1", "predicates": ["emp"]}`, "emp")
 	baseCount, sessCount := 0, 0
 	for _, af := range acked {
 		tuple := af.fact[strings.Index(af.fact, "("):]

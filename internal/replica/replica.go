@@ -103,7 +103,6 @@ type Follower struct {
 	cfg Config
 
 	mu            sync.Mutex
-	primary       string
 	primaryID     string
 	appliedLSN    uint64
 	primaryLSN    uint64
@@ -112,7 +111,6 @@ type Follower struct {
 	everConnected bool
 	resyncs       uint64
 	reconnects    uint64
-	cancel        context.CancelFunc // severs the in-flight stream
 
 	// ctx is the parent of every stream's context and halt cancels it:
 	// once Stop has run, a stream that starts later ends at once.
@@ -126,10 +124,9 @@ type Follower struct {
 func New(srv *server.Server, cfg Config) *Follower {
 	cfg = cfg.withDefaults()
 	f := &Follower{
-		srv:     srv,
-		cfg:     cfg,
-		primary: cfg.Primary,
-		done:    make(chan struct{}),
+		srv:  srv,
+		cfg:  cfg,
+		done: make(chan struct{}),
 	}
 	f.ctx, f.halt = context.WithCancel(context.Background())
 	srv.SetFollowerProbe(f.Status)
@@ -150,18 +147,6 @@ func (f *Follower) Start() {
 func (f *Follower) Stop() {
 	f.halt()
 	<-f.done
-}
-
-// SetPrimary retargets the follower (failover to a promoted standby or
-// a restarted primary). The in-flight stream is severed; the loop
-// reconnects to the new address.
-func (f *Follower) SetPrimary(url string) {
-	f.mu.Lock()
-	f.primary = url
-	if f.cancel != nil {
-		f.cancel()
-	}
-	f.mu.Unlock()
 }
 
 // Status reports the follower's replication position and readiness:
@@ -233,11 +218,8 @@ func (f *Follower) runOnce() (progressed bool, err error) {
 	if err := f.cfg.Faults.Hit(fault.ReplicaConnect); err != nil {
 		return false, err
 	}
-	ctx, cancel := context.WithCancel(f.ctx)
-	defer cancel()
+	ctx, primary := f.ctx, f.cfg.Primary
 	f.mu.Lock()
-	f.cancel = cancel
-	primary := f.primary
 	knownID := f.primaryID
 	applied := f.appliedLSN
 	f.mu.Unlock()
@@ -311,6 +293,8 @@ func (f *Follower) fetchStatus(ctx context.Context, primary string) (string, uin
 // entries until the stream ends. n counts applied entries. errResync
 // reports that the primary no longer covers our position.
 func (f *Follower) stream(ctx context.Context, primary string, from uint64) (n int, err error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	url := fmt.Sprintf("%s/v1/replication/stream?from=%d", primary, from)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -337,13 +321,7 @@ func (f *Follower) stream(ctx context.Context, primary string, from uint64) (n i
 	// moment time.Since(lastBeat) exceeds the lease.
 	watchdog := time.AfterFunc(f.cfg.Lease, func() {
 		f.cfg.Logf("replica: lease expired with no frames; severing stream")
-		// The context cancel aborts the in-flight body read.
-		f.mu.Lock()
-		cancel := f.cancel
-		f.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+		cancel() // aborts the in-flight body read
 	})
 	defer watchdog.Stop()
 

@@ -10,9 +10,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,13 +35,31 @@ type node struct {
 
 func startNode(t *testing.T, walPath string, cfg server.Config) *node {
 	t.Helper()
+	return startNodeAt(t, walPath, cfg, "")
+}
+
+// startNodeAt is startNode listening on url's address, as a primary
+// restarted in place does, or on a fresh port when url is empty. A
+// follower of url then sees the new node's incarnation on reconnect.
+func startNodeAt(t *testing.T, walPath string, cfg server.Config, url string) *node {
+	t.Helper()
 	srv := server.New(cfg)
 	if walPath != "" {
 		if err := srv.OpenWAL(walPath); err != nil {
 			t.Fatalf("open wal %s: %v", walPath, err)
 		}
 	}
-	return &node{t: t, srv: srv, ts: httptest.NewServer(srv.Handler())}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	if url != "" {
+		ln, err := net.Listen("tcp", strings.TrimPrefix(url, "http://"))
+		if err != nil {
+			t.Fatalf("listen on %s again: %v", url, err)
+		}
+		ts.Listener.Close()
+		ts.Listener = ln
+	}
+	ts.Start()
+	return &node{t: t, srv: srv, ts: ts}
 }
 
 // stop terminates the node. graceful drains first (streams end with a
@@ -244,7 +264,7 @@ func TestBasicReplication(t *testing.T) {
 func TestIdleEvictionReplicates(t *testing.T) {
 	dir := t.TempDir()
 	primary := startNode(t, filepath.Join(dir, "primary.wal"), server.Config{SessionTTL: time.Hour})
-	defer primary.stop(true)
+	defer func() { primary.stop(true) }()
 	follower := startNode(t, "", server.Config{ReadOnly: true, SessionTTL: time.Millisecond})
 	defer follower.stop(true)
 	f := replica.New(follower.srv, followerCfg(primary.ts.URL, nil, t.Logf))
@@ -261,11 +281,12 @@ func TestIdleEvictionReplicates(t *testing.T) {
 		t.Fatalf("follower sessions after its TTL: %v, want s1 kept", got)
 	}
 
-	// A primary that evicts s2 at its second sweep; the follower takes
-	// the drop off the stream, not from a resync.
-	evicting := startNode(t, filepath.Join(dir, "evicting.wal"), server.Config{SessionTTL: time.Second})
-	defer evicting.stop(true)
-	f.SetPrimary(evicting.ts.URL)
+	// A primary that evicts s2 at its second sweep takes the first one's
+	// address; the follower resyncs to it once, then takes the drop off
+	// the stream, not from a resync.
+	primary.stop(true)
+	evicting := startNodeAt(t, filepath.Join(dir, "evicting.wal"), server.Config{SessionTTL: time.Second}, primary.ts.URL)
+	primary = evicting
 	if !evicting.createSession("s2") || !evicting.insert("s2", "emp(bob, dev).") {
 		t.Fatal("evicting primary session setup failed")
 	}
@@ -564,8 +585,8 @@ func TestDrainEndsStreamWithEOS(t *testing.T) {
 }
 
 // TestPrimaryFailover: the primary is killed and restarted from its WAL
-// under a new address and incarnation id; the retargeted follower
-// detects the new incarnation, resyncs, and converges.
+// on the same address under a new incarnation id; the follower detects
+// the new incarnation, resyncs, and converges.
 func TestPrimaryFailover(t *testing.T) {
 	dir := t.TempDir()
 	pwal := filepath.Join(dir, "primary.wal")
@@ -583,11 +604,10 @@ func TestPrimaryFailover(t *testing.T) {
 
 	primary.stop(false) // crash the primary
 
-	primary2 := startNode(t, pwal, server.Config{})
+	primary2 := startNodeAt(t, pwal, server.Config{}, primary.ts.URL)
 	defer primary2.stop(true)
 	for i := 5; i < 8; i++ {
 		primary2.insert("", fmt.Sprintf("edge(n%d, n%d).", i, i+1))
 	}
-	f.SetPrimary(primary2.ts.URL)
 	waitConverged(t, primary2, follower, f, 10*time.Second)
 }

@@ -5,12 +5,11 @@
 //
 //	sample(X1, ..., Xn) :- r[s](X1, ..., Xn, T), T < k.
 //
-// Program generates that program, Sample runs it through the engine,
-// Direct computes the same result straight from the ID-relation
-// machinery (an independent oracle used to cross-check the engine), and
-// Check verifies the sampling-query specification: the sample is a
-// subset of the base relation containing exactly min(k, |group|) tuples
-// from every group.
+// Program generates that program and SampleWith runs it through the
+// engine. The package's tests cross-check the engine against the same
+// result computed straight from the ID-relation machinery and against
+// the sampling-query specification: the sample is a subset of the base
+// relation containing exactly min(k, |group|) tuples from every group.
 package sampling
 
 import (
@@ -20,7 +19,6 @@ import (
 	"idlog/internal/ast"
 	"idlog/internal/core"
 	"idlog/internal/relation"
-	"idlog/internal/value"
 )
 
 // Spec describes a sampling query.
@@ -94,16 +92,12 @@ func Program(s Spec) (*ast.Program, error) {
 	}}}, nil
 }
 
-// Sample runs the sampling program against db with a seeded random
-// oracle and returns the sample relation together with the run result.
-func Sample(s Spec, db *core.Database, seed uint64) (*relation.Relation, *core.Result, error) {
-	return SampleWith(s, db, seed, core.Options{})
-}
-
-// SampleWith is Sample under caller-supplied evaluation options —
-// in particular a guard governing the run (opts.Oracle is overridden
-// by the seeded oracle). A tripped run propagates the partial result
-// with its typed error.
+// SampleWith runs the sampling program against db with a seeded random
+// oracle under caller-supplied evaluation options — in particular a
+// guard governing the run (opts.Oracle is overridden by the seeded
+// oracle) — and returns the sample relation together with the run
+// result. A tripped run propagates the partial result with its typed
+// error.
 func SampleWith(s Spec, db *core.Database, seed uint64, opts core.Options) (*relation.Relation, *core.Result, error) {
 	prog, err := Program(s)
 	if err != nil {
@@ -119,104 +113,4 @@ func SampleWith(s Spec, db *core.Database, seed uint64, opts core.Options) (*rel
 		return nil, res, err
 	}
 	return res.Relation(s.output()), res, nil
-}
-
-// Direct computes the sample without the logic engine: materialize the
-// ID-relation under the same oracle and keep the tuples with tid < K.
-// Given the same seed it must coincide exactly with Sample; tests use it
-// as an independent oracle for the engine.
-func Direct(s Spec, base *relation.Relation, seed uint64) (*relation.Relation, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	idr, err := relation.MaterializeID(base, s.Relation+"_id", s.GroupCols, relation.RandomOracle{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(s.output(), base.Arity())
-	tid := base.Arity()
-	for _, t := range idr.Tuples() {
-		if t[tid].Num < int64(s.K) {
-			out.MustInsert(t[:tid])
-		}
-	}
-	return out, nil
-}
-
-// Check verifies that sample satisfies the sampling-query specification
-// against the base relation: sample ⊆ base, and every group of base
-// contributes exactly min(K, |group|) tuples.
-func Check(s Spec, sample, base *relation.Relation) error {
-	for _, t := range sample.Tuples() {
-		if !base.Contains(t) {
-			return fmt.Errorf("sampling: %v not in base relation", t)
-		}
-	}
-	counts := map[string]int{}
-	for _, t := range sample.Tuples() {
-		counts[t.ProjectKey(s.GroupCols)]++
-	}
-	for _, g := range base.Groups(s.GroupCols) {
-		want := s.K
-		if len(g.Members) < want {
-			want = len(g.Members)
-		}
-		if got := counts[g.Key.Key()]; got != want {
-			return fmt.Errorf("sampling: group %v has %d samples, want %d", g.Key, got, want)
-		}
-	}
-	// No samples from phantom groups.
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != sample.Len() {
-		return fmt.Errorf("sampling: internal accounting error")
-	}
-	return nil
-}
-
-// Frequencies counts, over the given seeds, how often each base tuple is
-// selected; used to assess sampling uniformity (and by the E1
-// experiment's fairness report).
-func Frequencies(s Spec, db *core.Database, seeds []uint64) (map[string]int, error) {
-	return FrequenciesWith(s, db, seeds, core.Options{})
-}
-
-// FrequenciesWith is Frequencies under caller-supplied evaluation
-// options. The guard (if any) governs the whole sweep: it is
-// checkpointed between seeds, and a trip returns the counts gathered so
-// far with the typed error.
-func FrequenciesWith(s Spec, db *core.Database, seeds []uint64, opts core.Options) (map[string]int, error) {
-	freq := map[string]int{}
-	for _, seed := range seeds {
-		if opts.Guard != nil {
-			if err := opts.Guard.Checkpoint(); err != nil {
-				return freq, err
-			}
-		}
-		sample, _, err := SampleWith(s, db, seed, opts)
-		if err != nil {
-			return freq, err
-		}
-		for _, t := range sample.Tuples() {
-			freq[t.String()]++
-		}
-	}
-	return freq, nil
-}
-
-// EmployeeDB builds the synthetic emp(Name, Dept) workload used by the
-// paper's running examples and the E1/E2 experiments: depts departments
-// with perDept employees each.
-func EmployeeDB(depts, perDept int) *core.Database {
-	db := core.NewDatabase()
-	for d := 0; d < depts; d++ {
-		dept := value.Str(fmt.Sprintf("dept%03d", d))
-		for e := 0; e < perDept; e++ {
-			name := value.Str(fmt.Sprintf("emp%03d_%04d", d, e))
-			_ = db.Add("emp", value.Tuple{name, dept})
-		}
-	}
-	return db
 }

@@ -168,13 +168,6 @@ func (c *Cache) Bytes() int64 {
 	return c.used
 }
 
-// Blocks returns the number of cached blocks.
-func (c *Cache) Blocks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
 // blockBytes is the resident size of a decoded block of n values: one
 // flat array of value.Value, nothing else per tuple.
 func blockBytes(n int) int64 {

@@ -6,6 +6,13 @@ import (
 	"idlog/internal/value"
 )
 
+// blocks returns the number of cached blocks.
+func blocks(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
+}
+
 func cput(c *Cache, seg uint64, block int, bytes int64) {
 	c.put(ckey{seg: seg, block: block}, []value.Value{}, bytes)
 }
@@ -25,7 +32,7 @@ func TestCacheDeclinesOversizedBlock(t *testing.T) {
 	if got := c.Bytes(); got > 100 {
 		t.Fatalf("Bytes()=%d > max after oversized put", got)
 	}
-	if got := c.Blocks(); got != 2 {
+	if got := blocks(c); got != 2 {
 		t.Fatalf("Blocks()=%d after oversized put, want 2 (resident blocks untouched)", got)
 	}
 	if _, ok := c.get(ckey{seg: 2, block: 0}); ok {
@@ -38,11 +45,11 @@ func TestCacheDeclinesOversizedBlock(t *testing.T) {
 	// streaming), oversized or not.
 	s := NewCache(0)
 	cput(s, 1, 0, 500)
-	if got := s.Blocks(); got != 1 {
+	if got := blocks(s); got != 1 {
 		t.Fatalf("zero-budget cache holds %d blocks, want 1", got)
 	}
 	cput(s, 1, 1, 700)
-	if got := s.Blocks(); got != 1 {
+	if got := blocks(s); got != 1 {
 		t.Fatalf("zero-budget cache holds %d blocks after second put, want 1", got)
 	}
 	if _, ok := s.get(ckey{seg: 1, block: 1}); !ok {

@@ -166,8 +166,8 @@ func TestStoredRelationMatchesMemory(t *testing.T) {
 	}
 	// Probes through the shared secondary-index machinery.
 	key := value.Tuple{value.Str("node7")}
-	dp := disk.ProbeTuples([]int{0}, key)
-	mp := mem.ProbeTuples([]int{0}, key)
+	dp := disk.Probe([]int{0}, key)
+	mp := mem.Probe([]int{0}, key)
 	if len(dp) != len(mp) || len(dp) == 0 {
 		t.Fatalf("probe sizes differ: disk %d, mem %d", len(dp), len(mp))
 	}
@@ -423,8 +423,8 @@ func TestCacheEvictionAndCounters(t *testing.T) {
 	if hits != 0 {
 		t.Fatalf("full scan: %d hits, want 0", hits)
 	}
-	if small.Blocks() > 2 {
-		t.Fatalf("%d blocks resident in a one-block cache", small.Blocks())
+	if blocks(small) > 2 {
+		t.Fatalf("%d blocks resident in a one-block cache", blocks(small))
 	}
 	// A second scan through a big cache hits after the first pass.
 	big := NewCache(1 << 30)
@@ -440,8 +440,8 @@ func TestCacheEvictionAndCounters(t *testing.T) {
 		t.Fatalf("two scans: hits=%d misses=%d, want 4/4", hits, misses)
 	}
 	s2.Close()
-	if big.Blocks() != 0 || big.Bytes() != 0 {
-		t.Fatalf("cache holds %d blocks / %d bytes after Close, want 0/0", big.Blocks(), big.Bytes())
+	if blocks(big) != 0 || big.Bytes() != 0 {
+		t.Fatalf("cache holds %d blocks / %d bytes after Close, want 0/0", blocks(big), big.Bytes())
 	}
 }
 

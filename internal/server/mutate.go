@@ -152,9 +152,6 @@ func (s *Server) SetBaseDB(db *idlog.Database) {
 	s.base.db.Store(db)
 }
 
-// BaseDB returns the current base snapshot.
-func (s *Server) BaseDB() *idlog.Database { return s.base.db.Load() }
-
 // state is what records change: the base database behind sessionless
 // queries and POST /v1/facts, and the session table. The server holds
 // the live state; a follower's resync replays a snapshot into a fresh
@@ -186,7 +183,7 @@ func (st *state) lookupSession(name string, create bool) (*session, *apiError) {
 	}
 	sess, err := st.sessions.create(name, idlog.NewDatabase())
 	if err != nil {
-		return nil, apiErrorf(http.StatusConflict, "already_exists", "%v", err)
+		return nil, createError(err)
 	}
 	return sess, nil
 }

@@ -279,9 +279,10 @@ func TestDropRacesMutations(t *testing.T) {
 func TestWALCrashRecovery(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "idlogd.wal")
 
-	// Arm the fault: the third append dies halfway through its write.
+	// Arm the fault: the third append dies halfway through its write,
+	// leaving a torn prefix of the record in the file.
 	faults := fault.New()
-	faults.Arm(fault.WALAppendWrite, fault.Fault{After: 2, Count: 1, Err: wal.ErrSimulatedCrash})
+	faults.Arm(fault.WALAppendWrite, fault.Fault{After: 2, Count: 1, Err: errors.New("simulated crash during append")})
 	s1 := New(Config{Faults: faults})
 	if err := s1.OpenWAL(walPath); err != nil {
 		t.Fatal(err)

@@ -68,8 +68,9 @@ type Config struct {
 	// PrimaryID overrides the random replication incarnation id
 	// (tests).
 	PrimaryID string
-	// Faults, when set, arms chaos fault injection on the replication
-	// send path (see internal/fault). Nil means no injection.
+	// Faults, when set, is the registry the server's WAL and
+	// replication send path consult (see internal/fault); idlogd arms
+	// it from -chaos. Nil means no injection.
 	Faults *fault.Registry
 	// Engine selects the storage engine for the base database. The zero
 	// value is the in-memory engine; with EngineDisk, OpenWAL loads the
@@ -262,19 +263,6 @@ func (s *Server) RegisterProgram(name, src string) error {
 	}
 	s.programs[name] = &program{name: name, src: src, prog: prog}
 	return nil
-}
-
-// CreateSession registers a session from facts text (used by
-// cmd/idlogd to preload a database; also reachable over the wire).
-func (s *Server) CreateSession(name, facts string) error {
-	db := idlog.NewDatabase()
-	if facts != "" {
-		if err := idlog.AddFactsText(db, facts); err != nil {
-			return err
-		}
-	}
-	_, err := s.sessions.create(name, db)
-	return err
 }
 
 // CreateSessionDB registers a session around an existing database
@@ -691,7 +679,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.sessions.create(req.Name, idlog.NewDatabase())
 	if err != nil {
-		writeError(w, apiErrorf(http.StatusConflict, "already_exists", "%v", err))
+		writeError(w, createError(err))
 		return
 	}
 	// The create is a record, factless or not: without it the session

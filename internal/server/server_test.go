@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"idlog"
+	"idlog/internal/wal"
 )
 
 // newTestServer spins up a server + httptest listener.
@@ -22,6 +25,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, ts
+}
+
+// createSession registers a session holding the facts text, as idlogd
+// preloads one.
+func createSession(s *Server, name, facts string) error {
+	db := idlog.NewDatabase()
+	if err := idlog.AddFactsText(db, facts); err != nil {
+		return err
+	}
+	return s.CreateSessionDB(name, db)
 }
 
 // post sends a JSON body and decodes the JSON response.
@@ -288,9 +301,39 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionTableFull checks that a full session table answers 429
+// resource_exhausted, as the view table does, both for POST
+// /v1/sessions and for a replicated fact write that creates its
+// session; a taken name still answers 409 already_exists.
+func TestSessionTableFull(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxSessions: 1})
+	if code := post(t, ts.URL+"/v1/sessions", sessionRequest{Name: "a"}, nil); code != 200 {
+		t.Fatalf("first create: status %d", code)
+	}
+	var eb errorBody
+	if code := post(t, ts.URL+"/v1/sessions", sessionRequest{Name: "a"}, &eb); code != 409 || eb.Error.Code != "already_exists" {
+		t.Fatalf("duplicate create: status %d code %q, want 409 already_exists", code, eb.Error.Code)
+	}
+	eb = errorBody{}
+	if code := post(t, ts.URL+"/v1/sessions", sessionRequest{Name: "b"}, &eb); code != 429 || eb.Error.Code != "resource_exhausted" {
+		t.Fatalf("create past MaxSessions: status %d code %q, want 429 resource_exhausted", code, eb.Error.Code)
+	}
+	facts, err := idlog.ParseFacts("edge(a, b).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, e := s.commit(&s.state, wal.Record{Session: "b", Inserts: facts}, replicated, budget{})
+	if e == nil || e.status != 429 || e.code != "resource_exhausted" {
+		t.Fatalf("fact write creating a session past MaxSessions: %v, want 429 resource_exhausted", e)
+	}
+	if n := s.sessions.len(); n != 1 {
+		t.Fatalf("%d sessions after refused creates, want 1", n)
+	}
+}
+
 func TestSessionIdleEviction(t *testing.T) {
 	s, _ := newTestServer(t, Config{SessionTTL: 10 * time.Millisecond})
-	if err := s.CreateSession("idle", tcFacts); err != nil {
+	if err := createSession(s, "idle", tcFacts); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -366,7 +409,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if err := s.RegisterProgram("tc", tcProgram); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateSession("shared", tcFacts); err != nil {
+	if err := createSession(s, "shared", tcFacts); err != nil {
 		t.Fatal(err)
 	}
 

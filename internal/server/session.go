@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,16 +86,32 @@ func newSessionTable(max int) *sessionTable {
 	return t
 }
 
+// The refusals of sessionTable.create.
+var (
+	errSessionExists    = errors.New("already exists")
+	errSessionTableFull = errors.New("session table full")
+)
+
+// createError maps a create refusal to its API error: a full table is
+// 429 resource_exhausted, as the view table's limit is; a taken name is
+// 409 already_exists.
+func createError(err error) *apiError {
+	if errors.Is(err, errSessionTableFull) {
+		return apiErrorf(http.StatusTooManyRequests, "resource_exhausted", "%v", err)
+	}
+	return apiErrorf(http.StatusConflict, "already_exists", "%v", err)
+}
+
 // create registers a new session holding db (which it freezes).
 func (t *sessionTable) create(name string, db *idlog.Database) (*session, error) {
 	db.Freeze()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.sessions[name]; ok {
-		return nil, fmt.Errorf("session %q already exists", name)
+		return nil, fmt.Errorf("session %q %w", name, errSessionExists)
 	}
 	if len(t.sessions) >= t.max {
-		return nil, fmt.Errorf("session table full (%d sessions)", t.max)
+		return nil, fmt.Errorf("%w (%d sessions)", errSessionTableFull, t.max)
 	}
 	s := newSession(name, db)
 	t.sessions[name] = s

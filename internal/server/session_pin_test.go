@@ -36,7 +36,7 @@ func TestEvictIdleSkipsPinned(t *testing.T) {
 // query is evaluating against the session, and must not reap it.
 func TestSessionPinnedDuringQuery(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	if err := s.CreateSession("live", tcFacts); err != nil {
+	if err := createSession(s, "live", tcFacts); err != nil {
 		t.Fatal(err)
 	}
 	hold := func() {

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"idlog/internal/segment"
 )
@@ -66,21 +64,4 @@ func (e *Engine) Cache() *segment.Cache {
 		}
 	}
 	return e.cache
-}
-
-// EngineFromEnv resolves the engine selection from the environment:
-// IDLOG_ENGINE (mem|disk), IDLOG_DATA_DIR, and IDLOG_CACHE_MB. Unset
-// or invalid variables fall back to the in-memory engine; this is the
-// test seam that lets the whole suite run against the disk engine
-// (IDLOG_ENGINE=disk go test ./...) without threading options through
-// every call site.
-func EngineFromEnv() Engine {
-	e := Engine{Kind: EngineMem, Dir: os.Getenv("IDLOG_DATA_DIR")}
-	if k, err := ParseEngineKind(os.Getenv("IDLOG_ENGINE")); err == nil {
-		e.Kind = k
-	}
-	if mb, err := strconv.ParseInt(os.Getenv("IDLOG_CACHE_MB"), 10, 64); err == nil && mb > 0 {
-		e.CacheBytes = mb << 20
-	}
-	return e
 }

@@ -209,15 +209,6 @@ func (t Tuple) AppendKey(dst []byte) []byte {
 // as a map key.
 func (t Tuple) Key() string { return string(t.AppendKey(nil)) }
 
-// ProjectKey encodes only the listed 0-based columns of t.
-func (t Tuple) ProjectKey(cols []int) string {
-	var dst []byte
-	for _, c := range cols {
-		dst = AppendValueKey(dst, t[c])
-	}
-	return string(dst)
-}
-
 // Ints builds a sort-i tuple from the given numbers; a test convenience.
 func Ints(ns ...int64) Tuple {
 	t := make(Tuple, len(ns))

@@ -149,7 +149,11 @@ func TestProjectKeyMatchesProjectThenKey(t *testing.T) {
 				cols = append(cols, c)
 			}
 		}
-		return tp.ProjectKey(cols) == tp.Project(cols).Key()
+		var key []byte
+		for _, c := range cols {
+			key = AppendValueKey(key, tp[c])
+		}
+		return string(key) == tp.Project(cols).Key()
 	}
 	if err := quick.Check(gen, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

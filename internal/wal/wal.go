@@ -81,12 +81,6 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("wal: %s: %w", fmt.Sprintf(format, args...), ErrCorruptWAL)
 }
 
-// ErrSimulatedCrash is the error crash-recovery tests arm at
-// fault.WALAppendWrite: the torn append leaves a prefix of the record in
-// the file and poisons the log, as a process dying mid-write would.
-// Tests reopen the log afterwards.
-var ErrSimulatedCrash = errors.New("wal: simulated crash during append")
-
 // ErrPoisoned is returned by Append after any earlier append failed:
 // the durable tail is in an unknown state and only a restart (Open)
 // re-establishes it. The first failure's cause is wrapped alongside.
@@ -593,14 +587,6 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// HeaderSize returns the size of the file header (an empty log's
-// Size).
-func (l *Log) HeaderSize() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.header
-}
-
 // Entries returns the number of intact entries appended or replayed
 // since open (or the last ResetWith).
 func (l *Log) Entries() int {
@@ -623,14 +609,6 @@ func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextLSN - 1
-}
-
-// Poisoned reports the first append failure, or nil while the log is
-// healthy.
-func (l *Log) Poisoned() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.poisoned
 }
 
 // Path returns the log's file path.

@@ -46,6 +46,11 @@ func withLSNs(recs []Record, first uint64) []Record {
 	return out
 }
 
+// errSimulatedCrash is armed at fault.WALAppendWrite: the torn append
+// leaves a prefix of the record in the file and poisons the log, as a
+// process dying mid-write would.
+var errSimulatedCrash = errors.New("wal: simulated crash during append")
+
 func mustAppend(t *testing.T, l *Log, recs ...Record) []uint64 {
 	t.Helper()
 	lsns := make([]uint64, len(recs))
@@ -181,7 +186,7 @@ func TestCorruptBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := l.HeaderSize()
+	header := l.header
 	for _, r := range testRecords() {
 		mustAppend(t, l, r)
 	}
@@ -273,7 +278,7 @@ func TestAppendFaultPoisonsLog(t *testing.T) {
 		{fault.WALAppendSync, fault.WALAppendSync, fault.Fault{After: 1, Err: disk}},
 		// A process dying mid-write: the third append leaves a prefix
 		// of its record behind.
-		{"crash", fault.WALAppendWrite, fault.Fault{After: 2, Count: 1, Err: ErrSimulatedCrash}},
+		{"crash", fault.WALAppendWrite, fault.Fault{After: 2, Count: 1, Err: errSimulatedCrash}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "w.wal")
@@ -290,7 +295,7 @@ func TestAppendFaultPoisonsLog(t *testing.T) {
 			if _, err := l.Append(recs[acked]); !errors.Is(err, c.f.Err) {
 				t.Fatalf("faulted append: err = %v, want %v", err, c.f.Err)
 			}
-			if l.Poisoned() == nil {
+			if l.poisoned == nil {
 				t.Fatal("log not poisoned after append failure")
 			}
 			faults.DisarmAll()
@@ -370,8 +375,8 @@ func TestReset(t *testing.T) {
 	if _, err := l.ResetWith(last, nil); err != nil {
 		t.Fatal(err)
 	}
-	if l.Entries() != 0 || l.Size() != l.HeaderSize() {
-		t.Fatalf("after reset: entries=%d size=%d header=%d", l.Entries(), l.Size(), l.HeaderSize())
+	if l.Entries() != 0 || l.Size() != l.header {
+		t.Fatalf("after reset: entries=%d size=%d header=%d", l.Entries(), l.Size(), l.header)
 	}
 	if l.BaseLSN() != last {
 		t.Fatalf("after reset: base lsn %d, want %d", l.BaseLSN(), last)

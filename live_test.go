@@ -30,16 +30,18 @@ func tcForest(t *testing.T) (*Program, *Database, func(c, j int) string) {
 	return prog, db.Freeze(), node
 }
 
-// assertViewIsRecompute compares the view's tc with a from-scratch Eval
-// over the view's snapshot.
+// assertViewIsRecompute compares the view's output relations with a
+// from-scratch Eval over the view's snapshot.
 func assertViewIsRecompute(t *testing.T, prog *Program, lv *LiveView) {
 	t.Helper()
 	res, err := prog.Eval(lv.Database())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := lv.Relation("tc"), res.Relation("tc"); !got.Equal(want) {
-		t.Fatalf("view tc has %d tuples, recompute %d", got.Len(), want.Len())
+	for _, p := range prog.OutputPredicates() {
+		if got, want := lv.Relation(p), res.Relation(p); !got.Equal(want) {
+			t.Fatalf("view %s has %d tuples, recompute %d", p, got.Len(), want.Len())
+		}
 	}
 }
 

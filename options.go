@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"idlog/internal/core"
+	"idlog/internal/fault"
 	"idlog/internal/guard"
 )
 
@@ -15,7 +16,7 @@ type config struct {
 	eval    core.Options
 	maxRuns int
 	limits  guard.Limits
-	fault   *guard.Fault
+	faults  *fault.Registry
 }
 
 // buildConfig folds the options and arms the run's guard: one guard per
@@ -28,9 +29,7 @@ func buildConfig(ctx context.Context, opts []Option) *config {
 		o(c)
 	}
 	g := guard.New(ctx, c.limits)
-	if c.fault != nil {
-		g.Inject(*c.fault)
-	}
+	g.SetFaults(c.faults)
 	c.eval.Guard = g
 	return c
 }
@@ -99,7 +98,8 @@ func WithTrace() Option {
 	return func(c *config) { c.eval.Trace = true }
 }
 
-// withFault arms a deterministic fault injection (chaos tests only).
-func withFault(f guard.Fault) Option {
-	return func(c *config) { c.fault = &f }
+// withFaults makes the run's guard consult the engine's fault points
+// (fault.CoreDerive, fault.CoreStratum, fault.RelationOracle) in r.
+func withFaults(r *fault.Registry) Option {
+	return func(c *config) { c.faults = r }
 }
